@@ -43,16 +43,6 @@ def eval_F1(params: NonlinearityParams, gamma: float, s):
     return float(out) if out.ndim == 0 else out
 
 
-def f1_prime(params: NonlinearityParams, gamma: float, s):
-    """dF1/ds for s > 0."""
-    p, q, r = params.p, params.q, params.r
-    s = np.asarray(s, dtype=float)
-    out = (params.a1 * (p - 1.0) / (p + 1.0) * s ** ((p - 3.0) / 2.0)
-           - gamma * (q - 1.0) / (q + 1.0) * s ** ((q - 3.0) / 2.0)
-           + params.a3 * (r - 1.0) / (r + 1.0) * s ** ((r - 3.0) / 2.0))
-    return float(out) if out.ndim == 0 else out
-
-
 def u_value(params: NonlinearityParams, omega: float, gamma: float, s):
     """U(s); vectorized."""
     p, q, r = params.p, params.q, params.r

@@ -14,12 +14,19 @@ any sampling grid; closely spaced root pairs near the nonexistence curve
 cannot be skipped this way.  Bisection on the bracketed piece is finished
 with a few Newton steps on the analytic derivative.
 
+A piece whose two ends share a sign holds no root, because the function is
+monotone on it; _bisect returns at once instead of walking down towards 0.
+F1's critical points do not depend on omega, so they are found once per
+(params, gamma) and kept in a small bounded cache: a sweep row and the
+four mass_Q points of eval_J_mass_fd all share one gamma.
+
 Everything here is scalar float arithmetic on purpose: grid sweeps call
 find_a once per cell and the numpy dispatch overhead would dominate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,7 +61,8 @@ def _coeffs(params: NonlinearityParams, gamma: float):
     return cp, cq, cr, ep, eq, er
 
 
-def _f1_critical_points(params: NonlinearityParams, gamma: float) -> list:
+@functools.lru_cache(maxsize=256)
+def _f1_critical_points(params: NonlinearityParams, gamma: float) -> tuple:
     """Positive critical points of F1, ascending; at most two."""
     p, q, r = params.p, params.q, params.r
     dp = params.a1 * (p - 1.0) / (p + 1.0)
@@ -94,16 +102,20 @@ def _f1_critical_points(params: NonlinearityParams, gamma: float) -> list:
         root = _bisect(h, lo, hi, flo, fhi)
         if root is not None and root > 0.0:
             roots.append(root)
-    roots.sort()
-    return roots
+    return tuple(sorted(roots))
 
 
 def _bisect(f, lo: float, hi: float, flo: float, fhi: float, iters: int = 200):
-    """Bisection on a bracketed sign change; geometric steps while lo == 0."""
+    """Bisection on a bracketed sign change; geometric steps while lo == 0.
+
+    f must be monotone on (lo, hi), so ends of one sign mean no root.
+    """
     if fhi == 0.0:
         return hi
     if flo == 0.0 and lo > 0.0:
         return lo
+    if (flo > 0.0) == (fhi > 0.0):
+        return None
     if lo == 0.0:
         # phi(0+) sign is carried by flo even though f(0) may be indeterminate:
         # walk down geometrically to find a positive lower endpoint
@@ -119,8 +131,6 @@ def _bisect(f, lo: float, hi: float, flo: float, fhi: float, iters: int = 200):
             hi, fhi = lo2, f2
         else:
             return None
-    if (flo > 0.0) == (fhi > 0.0):
-        return None
     for _ in range(iters):
         mid = math.sqrt(lo * hi) if hi > 16.0 * lo else 0.5 * (lo + hi)
         fm = f(mid)

@@ -55,30 +55,71 @@ def sign_changes(gp: GeneralizedPolynomial) -> int:
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
-def count_positive_roots_sampled(gp: GeneralizedPolynomial, s_max: float,
-                                 n: int = 2000) -> int:
-    """Roots of gp on (0, s_max] found by a geometric scan plus bisection.
+def _scalar(terms, x: float) -> float:
+    return sum(c * x ** e for c, e in terms)
 
-    Counts sign changes of gp over a geometric grid and sharpens each
-    bracket by bisection; tangential (even-order) contacts that never cross
-    are invisible to this counter, matching how the Descartes bound is used.
+
+def _roots(terms, s_max: float) -> list:
+    """Roots of sum c x^e on (0, s_max], ascending, for nonzero terms.
+
+    g = gp / x^{e_1} has the same roots; g' has one term fewer, so its roots
+    (the critical points of g) come from the same routine.  g is monotone
+    between consecutive critical points, so each piece holds a root exactly
+    when its end values differ in sign, or at an end where g is zero.
+    """
+    if len(terms) < 2:
+        return []
+    c1, e1 = terms[0]
+    g = [(c, e - e1) for c, e in terms]
+    dg = [(c * e, e - 1.0) for c, e in g[1:]]
+    ends = [x for x in _roots(dg, s_max) if x < s_max] + [s_max]
+    roots = []
+    lo, flo = 0.0, c1            # g(0+) = c_1: the other exponents are > 0
+    for hi in ends:
+        if hi <= lo:
+            continue
+        fhi = _scalar(g, hi)
+        if fhi == 0.0:
+            roots.append(hi)
+        elif flo != 0.0 and (flo > 0.0) != (fhi > 0.0):
+            roots.append(_bisect(g, lo, hi, flo))
+        lo, flo = hi, fhi
+    return roots
+
+
+def _bisect(terms, lo: float, hi: float, flo: float) -> float:
+    """Sign change of sum c x^e inside (lo, hi); halving while lo == 0."""
+    for _ in range(2200):
+        mid = math.sqrt(lo * hi) if lo > 0.0 and hi > 16.0 * lo \
+            else 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        fm = _scalar(terms, mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def count_positive_roots_sampled(gp: GeneralizedPolynomial,
+                                 s_max: float) -> int:
+    """Number of distinct roots of gp on (0, s_max] at which it crosses zero.
+
+    The window is split at the critical points of gp / x^{e_1}, found the
+    same way one derivative down; on each monotone piece a sign change of
+    the end values brackets one root.  Close root pairs are counted however
+    near they lie, as long as gp's value between them rounds to the right
+    sign.  A zero touched without crossing is counted only where gp rounds
+    to exactly zero at its critical point.
     """
     if not gp.terms:
         return 0
     if s_max <= 0.0:
         raise ValueError("s_max must be positive")
-    if n < 2:
-        raise ValueError("need at least two sample points")
-    grid = np.geomspace(s_max * 1e-12, s_max, n)
-    vals = gp(grid)
-    count = 0
-    for i in range(len(grid) - 1):
-        v1, v2 = vals[i], vals[i + 1]
-        if v1 == 0.0:
-            continue
-        if v2 == 0.0 or (v1 > 0.0) != (v2 > 0.0):
-            count += 1
-    return count
+    return len(_roots(list(gp.terms), float(s_max)))
 
 
 def ratio_h(x, p1: float, q1: float, p2: float, q2: float):

@@ -198,7 +198,7 @@ def _suite_signs(rep: _Reporter, rng: np.random.Generator) -> None:
             expos = np.sort(rng.uniform(-2.0, 6.0, size=k))
         coeffs = rng.standard_normal(k)
         gp = GeneralizedPolynomial(tuple(zip(coeffs, expos)))
-        if count_positive_roots_sampled(gp, 50.0, 1500) > sign_changes(gp):
+        if count_positive_roots_sampled(gp, 50.0) > sign_changes(gp):
             bad += 1
     rep.check("root count <= sign changes (1000 random)", bad == 0,
               "%d violations" % bad)

@@ -9,6 +9,7 @@ import pytest
 from tristab import (
     DiagramGrid,
     NonlinearityParams,
+    NoStandingWave,
     eval_J,
     export_contours_json,
     export_curve_csv,
@@ -252,3 +253,21 @@ def test_export_errors_are_reported(tmp_path):
     bad = str(tmp_path / "missing" / "grid.csv")
     with pytest.raises(OSError):
         export_grid_csv(grid, bad)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_cells_repeat_scalar_eval_j_bit_for_bit(jobs):
+    # the window spans existing waves, NaN cells past the curve and
+    # both signs of J
+    fd367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)
+    grid = sweep_grid(fd367, (0.05, 3.0), (-25.0, 2.0), 7, 6, jobs=jobs)
+    expect = np.empty_like(grid.values)
+    for iy, g in enumerate(grid.gamma_axis):
+        for ix, w in enumerate(grid.omega_axis):
+            try:
+                expect[iy, ix] = eval_J(fd367, float(w), float(g)).j
+            except NoStandingWave:
+                expect[iy, ix] = math.nan
+    assert np.isnan(expect).any() and (expect > 0).any() \
+        and (expect < 0).any()
+    assert grid.values.tobytes() == expect.tobytes()

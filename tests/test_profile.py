@@ -13,8 +13,10 @@ from tristab import (
     find_a,
     find_a0,
     gamma_omega_ne,
+    sweep_grid,
     u_value,
 )
+from tristab import profile
 
 FF234 = NonlinearityParams(2.0, 3.0, 4.0)
 FD357 = NonlinearityParams(3.0, 5.0, 7.0, sign3=-1)
@@ -190,3 +192,27 @@ def test_one_sided_continuity_across_curve():
         assert prof is not None and prof.exists
         gap.append(prof.a - a_star)
     assert min(gap) > 0.1
+
+
+def test_bisect_same_sign_piece_from_zero_is_not_walked():
+    # a monotone piece whose ends share a sign holds no root: no evaluation
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 + x
+
+    assert profile._bisect(f, 0.0, 5.0, 1.0, 6.0) is None
+    assert profile._bisect(f, 0.0, 5.0, -1.0, -6.0) is None
+    assert calls == []
+
+
+def test_sweep_row_finds_critical_points_once_per_gamma():
+    fd367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)
+    profile._f1_critical_points.cache_clear()
+    grid = sweep_grid(fd367, (0.05, 3.0), (-25.0, 2.0), 12, 3, jobs=1)
+    info = profile._f1_critical_points.cache_info()
+    assert info.misses == len(grid.gamma_axis)
+    assert info.hits >= grid.values.size - len(grid.gamma_axis)
+    crits = profile._f1_critical_points(fd367, float(grid.gamma_axis[0]))
+    assert isinstance(crits, tuple)

@@ -1,11 +1,13 @@
 """Tests for the adaptive Gauss-Kronrod integrator."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
 
 from tristab import integrate
+from tristab.quadrature import _WG, _WGK, _XGK
 
 
 def test_polynomial_exactness():
@@ -93,3 +95,83 @@ def test_seeded_random_smooth_integrands():
         res = integrate(f, 0.0, 1.0)
         truth = np.trapezoid(f(xs), xs)
         assert abs(res.value - truth) <= 1e-8 * (1.0 + abs(truth))
+
+
+def _reference_integrate(f, lo, hi, rel_tol=1e-9, max_panels=2000,
+                         initial=1):
+    """The same adaptive scheme with one integrand call per panel."""
+    nodes = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+    w_k = np.concatenate([_WGK[:-1], _WGK[::-1]])
+    w_g = np.zeros_like(w_k)
+    w_g[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+    eps = np.finfo(float).eps
+
+    def panel(a, b):
+        half = 0.5 * (b - a)
+        y = np.asarray(f(0.5 * (a + b) + half * nodes), dtype=float)
+        kron = half * float(np.dot(w_k, y))
+        gauss = half * float(np.dot(w_g, y))
+        resabs = half * float(np.dot(w_k, np.abs(y)))
+        resasc = half * float(np.dot(w_k, np.abs(y - kron / (b - a))))
+        err = abs(kron - gauss)
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        if 50.0 * eps * resabs > 0.0:
+            err = max(err, 50.0 * eps * resabs)
+        return kron, err
+
+    edges = np.linspace(lo, hi, initial + 1)
+    heap, total, toterr, counter = [], 0.0, 0.0, 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        val, err = panel(a, b)
+        total += val
+        toterr += err
+        heapq.heappush(heap, (-err, counter, a, b, val, err))
+        counter += 1
+    n = initial
+    width_floor = 4.0 * eps * max(abs(lo), abs(hi), 1.0)
+    frozen = 0.0
+    while n < max_panels and toterr > rel_tol * abs(total):
+        _, _, a, b, val, err = heapq.heappop(heap)
+        if b - a <= width_floor:
+            frozen += err
+            toterr -= err
+            if not heap:
+                return total, toterr + frozen, n
+            continue
+        mid = 0.5 * (a + b)
+        v1, e1 = panel(a, mid)
+        v2, e2 = panel(mid, b)
+        total += (v1 + v2) - val
+        toterr += (e1 + e2) - err
+        for item in ((a, mid, v1, e1), (mid, b, v2, e2)):
+            heapq.heappush(heap, (-item[3], counter) + item)
+            counter += 1
+        n += 1
+    return total, toterr + frozen, n
+
+
+@pytest.mark.parametrize("initial", [1, 2, 5])
+@pytest.mark.parametrize("f, max_panels", [
+    pytest.param(lambda x: 1.0 / np.sqrt(x), 2000, id="inv_sqrt"),
+    pytest.param(np.log, 2000, id="log"),
+    pytest.param(lambda x: np.sin(40.0 * x), 2000, id="sin40"),
+    pytest.param(lambda x: np.sin(40.0 * x) / np.sqrt(x), 7,
+                 id="sin40_inv_sqrt_budget"),
+])
+def test_one_integrand_call_per_split(f, max_panels, initial):
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    res = integrate(counted, 0.0, 1.0, rel_tol=1e-12,
+                    max_panels=max_panels, initial=initial)
+    assert len(calls) == res.n_panels - initial + 1
+    assert calls[0] == 15 * initial
+    assert all(c == 30 for c in calls[1:])
+    value, err, n = _reference_integrate(f, 0.0, 1.0, rel_tol=1e-12,
+                                         max_panels=max_panels,
+                                         initial=initial)
+    assert (res.value, res.abs_error, res.n_panels) == (value, err, n)

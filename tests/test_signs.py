@@ -96,3 +96,21 @@ def test_ratio_h_domain():
         ratio_h(-1.0, 3.0, 1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         ratio_h(2.0, 3.0, 1.0, 2.0, 2.0)
+
+
+def test_close_root_pair_is_counted():
+    # (x - 1)(x - 1.0001): a pair 1e-4 apart, finer than a coarse scan resolves
+    gp = GeneralizedPolynomial(((1.0001, 0.0), (-2.0001, 1.0), (1.0, 2.0)))
+    assert count_positive_roots_sampled(gp, 10.0) == 2
+
+
+def test_root_count_matches_known_roots():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        roots = rng.uniform(0.01, 12.0, size=int(rng.integers(1, 6)))
+        coeffs = np.poly(roots)
+        deg = len(coeffs) - 1
+        gp = GeneralizedPolynomial(tuple(
+            (float(c), float(deg - i)) for i, c in enumerate(coeffs)))
+        assert count_positive_roots_sampled(gp, 10.0) == \
+            int(np.sum(roots <= 10.0))
