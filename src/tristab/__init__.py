@@ -14,7 +14,7 @@ from .model import (NonlinearityParams, QueryPoint, ScalingReduction,
                     classify_case, normalize)
 from .landscape import (LandscapeEval, eval_A, eval_F1, eval_ND, eval_U,
                         u_prime, u_second, u_value)
-from .quadrature import QuadratureResult, integrate
+from .quadrature import QuadratureResult, integrate, integrate_many
 from .special import (BetaDerivBounds, beta_deriv_bounds, beta_fn, dbeta_dx,
                       digamma, h_fn, log_gamma, two_power_integral)
 from .signs import (GeneralizedPolynomial, count_positive_roots_sampled,
@@ -23,7 +23,8 @@ from .profile import ProfileResult, find_a, find_a0
 from .boundary import (BoundaryCurve, endpoints, gamma_omega_ne, omega_star,
                        sample_curve)
 from .stability import (OmegaZeroPieces, StabilityValue, eval_J, eval_J0,
-                        eval_J_mass_fd, eval_J_raw, mass_Q, omega_zero_pieces)
+                        eval_J_mass_fd, eval_J_raw, eval_J_row, mass_Q,
+                        omega_zero_pieces)
 from .asymptotics import (Direction, GuaranteeStatement, LimitClass,
                           LimitKind, SignGuarantee, asymptotic_exponent,
                           classify_limit, sign_guarantees)
@@ -39,7 +40,7 @@ __all__ = [
     "normalize",
     "LandscapeEval", "eval_A", "eval_F1", "eval_ND", "eval_U", "u_prime",
     "u_second", "u_value",
-    "QuadratureResult", "integrate",
+    "QuadratureResult", "integrate", "integrate_many",
     "BetaDerivBounds", "beta_deriv_bounds", "beta_fn", "dbeta_dx", "digamma",
     "h_fn", "log_gamma", "two_power_integral",
     "GeneralizedPolynomial", "count_positive_roots_sampled", "ratio_h",
@@ -48,7 +49,7 @@ __all__ = [
     "BoundaryCurve", "endpoints", "gamma_omega_ne", "omega_star",
     "sample_curve",
     "OmegaZeroPieces", "StabilityValue", "eval_J", "eval_J0", "eval_J_mass_fd",
-    "eval_J_raw", "mass_Q", "omega_zero_pieces",
+    "eval_J_raw", "eval_J_row", "mass_Q", "omega_zero_pieces",
     "Direction", "GuaranteeStatement", "LimitClass", "LimitKind",
     "SignGuarantee", "asymptotic_exponent", "classify_limit",
     "sign_guarantees",

@@ -30,7 +30,7 @@ import numpy as np
 from .boundary import BoundaryCurve
 from .errors import NoStandingWave
 from .model import NonlinearityParams
-from .stability import eval_J
+from .stability import eval_J, eval_J_row
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def _cell_value(params: NonlinearityParams, omega: float,
 
 def _sweep_row(task):
     params, gamma, omegas = task
-    return [_cell_value(params, w, gamma) for w in omegas]
+    return [sv.j for sv in eval_J_row(params, omegas, gamma)]
 
 
 def sweep_grid(params: NonlinearityParams,
@@ -74,8 +74,9 @@ def sweep_grid(params: NonlinearityParams,
                jobs: Optional[int] = None) -> DiagramGrid:
     """Evaluate J on an nx (omega) by ny (gamma) mesh.
 
-    jobs > 1 distributes rows over a process pool; the evaluation order is
-    unspecified either way.
+    Each gamma row is evaluated as one batch by ``eval_J_row``, whose cells
+    equal scalar ``eval_J`` bit for bit.  jobs > 1 distributes rows over a
+    process pool; the evaluation order is unspecified either way.
     """
     w_lo, w_hi = float(omega_range[0]), float(omega_range[1])
     g_lo, g_hi = float(gamma_range[0]), float(gamma_range[1])

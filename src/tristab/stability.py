@@ -5,7 +5,10 @@ stable, negative unstable.  Three independent evaluation routes are provided
 so each can serve as an oracle for the others:
 
 * ``eval_J``: the transformed integrand C * N(a,s)/D(a,s)^{3/2} on [0,1],
-  with the (1-s)^{-1/2} endpoint removed by s = 1 - u^2.
+  with the (1-s)^{-1/2} endpoint removed by s = 1 - u^2.  ``eval_J_row``
+  evaluates it at every omega of one gamma row, with one batched
+  quadrature for the whole row; ``eval_J`` is a row of one, so the two
+  agree bit for bit.
 * ``eval_J_raw``: the direct form
   (-1/(2U'(a))) * integral of (3 + s(U'(a)-U'(s))/U(s)) sqrt(s)/sqrt(U(s))
   over [0, a], with the (a-s)^{-1/2} endpoint removed by s = a - u^2.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -34,27 +37,31 @@ from .errors import DivergingIntegral, NoStandingWave, NotOnCurve, UnsupportedRe
 from .landscape import u_prime, u_value
 from .model import NonlinearityParams
 from .profile import ProfileResult, find_a, find_a0
-from .quadrature import integrate
+from .quadrature import integrate, integrate_many
 
 _SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class StabilityValue:
-    """One J evaluation: value, error estimate, divergence flag, route tag."""
+    """One J evaluation: value, error estimate, divergence flag, route tag,
+    and whether its quadrature met the tolerance."""
 
     j: float
     abs_error: float
     diverging: bool
     method: str
+    converged: bool = True
 
     def verdict(self) -> str:
         """stable / unstable / indeterminate per the sign of j.
 
-        A diverging sentinel carries the sign of the limit, which is
-        definitive.  A finite j decides only when it exceeds its own error
-        estimate.
+        A quadrature that did not converge decides nothing.  A diverging
+        sentinel carries the sign of the limit, which is definitive.  A
+        finite j decides only when it exceeds its own error estimate.
         """
+        if not self.converged:
+            return "indeterminate"
         if self.diverging:
             return "stable" if self.j > 0 else "unstable"
         if abs(self.j) > self.abs_error:
@@ -114,25 +121,35 @@ def _sentinel(params, omega, gamma, method: str) -> StabilityValue:
 # -- transformed route -------------------------------------------------------
 
 
-def _transformed_integrand(params: NonlinearityParams, gamma: float,
-                           a: float) -> Callable:
-    """Integrand in u after s = 1 - u^2, vectorized.
+def _batch_integrand(params: NonlinearityParams, gamma: float,
+                      amplitudes: Sequence[float]) -> Callable:
+    """Integrand in u after s = 1 - u^2 for a batch of cells, vectorized.
 
-    A_l(a, 1-u^2) needs 1 - (1-u^2)^e to full relative precision near u = 0,
-    so the powers go through expm1/log1p.
+    Cell k has the first zero amplitudes[k] and one row of coefficients
+    (cnp, cnq, cnr, cdp, cdq, cdr): N and D are cn* and cd* times
+    1 - s^e* for the p, q and r powers.  The returned g(u, cells)
+    evaluates row i of u for cell cells[i], as ``integrate_many`` expects.
+    A_l(a, 1-u^2) needs 1 - (1-u^2)^e to full relative precision near
+    u = 0, so the powers go through expm1/log1p.
     """
     p, q, r = params.p, params.q, params.r
     ep, eq, er = (p - 1.0) / 2.0, (q - 1.0) / 2.0, (r - 1.0) / 2.0
-    ap, aq, ar = a ** ep, a ** eq, a ** er
-    cnp = params.a1 * (5.0 - p) / (p + 1.0) * ap
-    cnq = -gamma * (5.0 - q) / (q + 1.0) * aq
-    cnr = params.a3 * (5.0 - r) / (r + 1.0) * ar
-    cdp = params.a1 / (p + 1.0) * ap
-    cdq = -gamma / (q + 1.0) * aq
-    cdr = params.a3 / (r + 1.0) * ar
+    coefficients = []
+    for a in amplitudes:
+        ap, aq, ar = a ** ep, a ** eq, a ** er
+        coefficients.append((params.a1 * (5.0 - p) / (p + 1.0) * ap,
+                             -gamma * (5.0 - q) / (q + 1.0) * aq,
+                             params.a3 * (5.0 - r) / (r + 1.0) * ar,
+                             params.a1 / (p + 1.0) * ap,
+                             -gamma / (q + 1.0) * aq,
+                             params.a3 / (r + 1.0) * ar))
+    table = np.array(coefficients).T[:, :, None]
 
-    def g(u):
-        u = np.asarray(u, dtype=float)
+    def g(u, cells):
+        # one cell multiplies by plain floats: on arrays this small,
+        # broadcasting a (k, 1) column costs twice as much
+        cnp, cnq, cnr, cdp, cdq, cdr = (table[:, cells] if len(table[0]) > 1
+                                        else coefficients[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             L = np.log1p(-u * u)
             Ep = -np.expm1(ep * L)
@@ -149,18 +166,58 @@ def _transformed_integrand(params: NonlinearityParams, gamma: float,
     return g
 
 
+def _transformed_row(params: NonlinearityParams, gamma: float, cells,
+                     rel_tol: float) -> List[StabilityValue]:
+    """J at each (omega, profile) of one gamma row.
+
+    A None profile gives NaN and a profile on the curve the signed
+    sentinel; every other cell goes into one ``integrate_many`` call.
+    """
+    out = [None] * len(cells)
+    waves = []
+    for i, (omega, res) in enumerate(cells):
+        if res is None:
+            out[i] = StabilityValue(j=math.nan, abs_error=math.nan,
+                                    diverging=False, method="transformed")
+        elif res.on_boundary:
+            out[i] = _sentinel(params, omega, gamma, "transformed")
+        else:
+            waves.append(i)
+    if not waves:
+        return out
+    g = _batch_integrand(params, gamma, [cells[i][1].a for i in waves])
+    quads = integrate_many(g, 0.0, 1.0, len(waves), rel_tol=rel_tol,
+                           max_panels=2000, initial=2)
+    for i, quad in zip(waves, quads):
+        res = cells[i][1]
+        C = -res.a / (4.0 * _SQRT2 * res.uprime_at_a)
+        out[i] = StabilityValue(j=C * quad.value,
+                                abs_error=abs(C) * quad.abs_error,
+                                diverging=False, method="transformed",
+                                converged=quad.converged)
+    return out
+
+
 def eval_J(params: NonlinearityParams, omega: float, gamma: float,
            rel_tol: float = 1e-9) -> StabilityValue:
-    """J via the transformed integrand; the default route for sweeps."""
+    """J via the transformed integrand at one point: a row of one."""
     res = _require_profile(params, omega, gamma)
-    if res.on_boundary:
-        return _sentinel(params, omega, gamma, "transformed")
-    a, up = res.a, res.uprime_at_a
-    C = -a / (4.0 * _SQRT2 * up)
-    quad = integrate(_transformed_integrand(params, gamma, a), 0.0, 1.0,
-                     rel_tol=rel_tol, max_panels=2000, initial=2)
-    return StabilityValue(j=C * quad.value, abs_error=abs(C) * quad.abs_error,
-                          diverging=False, method="transformed")
+    return _transformed_row(params, gamma, [(omega, res)], rel_tol)[0]
+
+
+def eval_J_row(params: NonlinearityParams, omegas: Sequence[float],
+               gamma: float, rel_tol: float = 1e-9) -> List[StabilityValue]:
+    """eval_J at every omega of one gamma row, the default route for sweeps.
+
+    Each value equals scalar ``eval_J`` at the same floats bit for bit; a
+    point with no standing wave gives j = NaN instead of raising.  The
+    profiles are found one by one and the quadratures run as one batch.
+    """
+    gamma = float(gamma)
+    omegas = [float(w) for w in omegas]
+    return _transformed_row(params, gamma,
+                            [(w, find_a(params, w, gamma)) for w in omegas],
+                            rel_tol)
 
 
 # -- raw route ---------------------------------------------------------------
@@ -199,7 +256,8 @@ def eval_J_raw(params: NonlinearityParams, omega: float, gamma: float,
                      initial=2)
     return StabilityValue(j=pref * quad.value,
                           abs_error=abs(pref) * quad.abs_error,
-                          diverging=False, method="raw")
+                          diverging=False, method="raw",
+                          converged=quad.converged)
 
 
 # -- mass and finite-difference route ----------------------------------------
@@ -371,4 +429,5 @@ def eval_J0(params: NonlinearityParams, gamma: float,
     j = pref * (quad_l.value + quad_r.value)
     err = abs(pref) * (quad_l.abs_error + quad_r.abs_error)
     return StabilityValue(j=j, abs_error=err, diverging=False,
-                          method="omega_zero")
+                          method="omega_zero",
+                          converged=quad_l.converged and quad_r.converged)

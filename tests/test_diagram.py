@@ -11,6 +11,7 @@ from tristab import (
     NonlinearityParams,
     NoStandingWave,
     eval_J,
+    eval_J_row,
     export_contours_json,
     export_curve_csv,
     export_grid_csv,
@@ -255,19 +256,48 @@ def test_export_errors_are_reported(tmp_path):
         export_grid_csv(grid, bad)
 
 
+FD367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)
+DD357 = NonlinearityParams(3.0, 5.0, 7.0, sign1=-1, sign3=-1)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_cells_repeat_scalar_eval_j_bit_for_bit(jobs):
-    # the window spans existing waves, NaN cells past the curve and
-    # both signs of J
-    fd367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)
-    grid = sweep_grid(fd367, (0.05, 3.0), (-25.0, 2.0), 7, 6, jobs=jobs)
+@pytest.mark.parametrize("params, omega_range, gamma_range, kinds", [
+    # kinds: whether the window holds (NaN, J > 0, J < 0) cells; FF and DF
+    # waves exist off the curve everywhere, and DF has J < 0 throughout
+    pytest.param(FD367, (0.05, 3.0), (-25.0, 2.0), (True, True, True),
+                 id="FD367"),
+    pytest.param(FF234, (0.02, 0.6), (0.0, 8.0), (False, True, True),
+                 id="FF234"),
+    pytest.param(DD357, (0.05, 20.0), (-10.0, 2.0), (True, True, True),
+                 id="DD357"),
+    pytest.param(DF357, (0.05, 10.0), (-5.0, 5.0), (False, False, True),
+                 id="DF357"),
+])
+def test_sweep_cells_repeat_scalar_eval_j_bit_for_bit(
+        jobs, params, omega_range, gamma_range, kinds):
+    grid = sweep_grid(params, omega_range, gamma_range, 7, 6, jobs=jobs)
     expect = np.empty_like(grid.values)
     for iy, g in enumerate(grid.gamma_axis):
         for ix, w in enumerate(grid.omega_axis):
             try:
-                expect[iy, ix] = eval_J(fd367, float(w), float(g)).j
+                expect[iy, ix] = eval_J(params, float(w), float(g)).j
             except NoStandingWave:
                 expect[iy, ix] = math.nan
-    assert np.isnan(expect).any() and (expect > 0).any() \
-        and (expect < 0).any()
+    assert (bool(np.isnan(expect).any()), bool((expect > 0).any()),
+            bool((expect < 0).any())) == kinds
     assert grid.values.tobytes() == expect.tobytes()
+
+
+def test_eval_j_row_mixes_values_nan_and_sentinels():
+    gamma = 1.0
+    ws = omega_star(FD367, gamma)
+    row = eval_J_row(FD367, [0.5 * ws, 1.5 * ws, ws], gamma)
+    assert [sv.method for sv in row] == ["transformed"] * 3
+    inner = eval_J(FD367, 0.5 * ws, gamma)
+    assert (row[0].j, row[0].abs_error, row[0].converged) == \
+        (inner.j, inner.abs_error, inner.converged)
+    with pytest.raises(NoStandingWave):
+        eval_J(FD367, 1.5 * ws, gamma)
+    assert math.isnan(row[1].j) and not row[1].diverging
+    assert row[2] == eval_J(FD367, ws, gamma)
+    assert row[2].diverging and row[2].j == math.inf

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tristab import integrate
+from tristab import integrate, integrate_many
 from tristab.quadrature import _WG, _WGK, _XGK
 
 
@@ -175,3 +175,64 @@ def test_one_integrand_call_per_split(f, max_panels, initial):
                                          max_panels=max_panels,
                                          initial=initial)
     assert (res.value, res.abs_error, res.n_panels) == (value, err, n)
+
+
+_MIX = [
+    pytest.param(lambda x: 1.0 / (1.0 + 25.0 * x * x), id="few_rounds"),
+    pytest.param(lambda x: 1.0 / np.sqrt(x), id="inv_sqrt"),
+    pytest.param(lambda x: np.sin(1.0 / (x + 0.001)), id="budget"),
+    # halving the panel at 0 shrinks its error only by 2^-0.1, so
+    # refinement reaches the width floor there and freezes that panel
+    pytest.param(lambda x: x ** -0.9, id="width_floor"),
+]
+
+
+@pytest.mark.parametrize("initial", [1, 2])
+def test_batch_repeats_each_integrand_alone(initial):
+    fs = [p.values[0] for p in _MIX]
+    calls = []
+
+    def batch(x, cells):
+        calls.append(list(cells))
+        out = np.empty_like(x)
+        for i, c in enumerate(cells):
+            out[i] = fs[c](x[i])
+        return out
+
+    kw = dict(rel_tol=1e-10, max_panels=150, initial=initial)
+    results = integrate_many(batch, 0.0, 1.0, len(fs), **kw)
+    alone = [integrate(f, 0.0, 1.0, **kw) for f in fs]
+    for res, ref in zip(results, alone):
+        assert (res.value, res.abs_error, res.n_panels, res.converged) == \
+            (ref.value, ref.abs_error, ref.n_panels, ref.converged)
+    few, inv_sqrt, budget, floor = results
+    assert few.converged and few.n_panels <= initial + 3
+    assert abs(inv_sqrt.value - 2.0) <= 1e-6
+    assert budget.n_panels == 150 and not budget.converged
+    assert floor.n_panels < 150 and not floor.converged
+    # one call per round: the initial panels, then one split of every
+    # integrand still refining
+    splits = [r.n_panels - initial for r in results]
+    assert len(calls) == 1 + max(splits)
+    assert calls[0] == [c for c in range(len(fs)) for _ in range(initial)]
+    for k, cells in enumerate(calls[1:]):
+        assert cells == [c for c in range(len(fs)) if splits[c] > k
+                         for _ in (0, 1)]
+
+
+def test_panel_reduction_does_not_depend_on_the_batch():
+    # a matrix product over the batch (Y @ w) sums each row in an order
+    # that depends on the batch shape and fails this bit-for-bit check
+    rng = np.random.default_rng(20261018)
+    coef = rng.standard_normal((50, 4)) * 10.0 ** rng.uniform(-3, 3, (50, 1))
+
+    def batch(x, cells):
+        c = coef[cells]
+        return (c[:, :1] + c[:, 1:2] * np.sin(7.0 * x)
+                + c[:, 2:3] * np.exp(-x) + c[:, 3:] * x ** 3)
+
+    together = integrate_many(batch, 0.0, 1.0, 50, max_panels=1)
+    for i, res in enumerate(together):
+        alone = integrate_many(lambda x, cells: batch(x, [i] * len(cells)),
+                               0.0, 1.0, 1, max_panels=1)[0]
+        assert (res.value, res.abs_error) == (alone.value, alone.abs_error)

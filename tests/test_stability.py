@@ -136,6 +136,18 @@ def test_blow_up_signs_near_curve():
     assert not upper.diverging and upper.j < -100.0
 
 
+def test_unconverged_quadrature_is_indeterminate():
+    # no rule in double precision reaches 1e-16 relative: the value and
+    # its error bar stand, but the sign is not trusted
+    sv = eval_J(FF234, 0.05, 0.0, rel_tol=1e-16)
+    assert not sv.converged
+    assert sv.verdict() == "indeterminate"
+    assert abs(sv.j) > sv.abs_error
+    assert eval_J(FF234, 0.05, 0.0).converged
+    unsure = StabilityValue(2.0, 1e-9, False, "transformed", converged=False)
+    assert unsure.verdict() == "indeterminate"
+
+
 def test_verdict_rules():
     assert StabilityValue(2.0, 1e-9, False, "transformed").verdict() == "stable"
     assert StabilityValue(-2.0, 1e-9, False, "raw").verdict() == "unstable"
