@@ -5,19 +5,24 @@ nodes, error per panel follows the classic QUADPACK refinement, and panels
 are split worst-first from a heap.  All integrands in this package are
 bounded after substitution, so a finite-interval rule is enough.
 
-One kernel, ``integrate_many``, runs m integrands over the same interval.
-Each keeps its own heap, panel budget and stopping test.  In every round
-the worst panel of each unfinished integrand is bisected, and the integrand
-is called once, on the nodes of all the new halves (and once on all the
+One kernel, ``integrate_many``, runs m integrands side by side, over one
+shared interval or over one interval per integrand.  Each keeps its own
+heap, panel budget, width floor and stopping test.  In every round the
+worst panel of each unfinished integrand is bisected, and the integrand is
+called once, on the nodes of all the new halves (and once on all the
 initial panels before the first round).  ``integrate`` is a batch of one.
 
-Each panel is reduced from its own 15 values by one dot product per
-weight vector (``np.dot``'s BLAS ddot on a 15-value row), so a result does
-not depend on the batch it ran in: an integrand evaluated elementwise gives
-every integrand of a batch the value it gives it alone, bit for bit.  A
-matrix product over the whole round would not do: BLAS sums a row of
-``Y @ w`` in an order that depends on the shape of ``Y``, which changes the
-last bits, and ``(Y * w).sum(axis=1)`` differs from the dot product.
+A round is reduced in one set of array calls.  Each of the four G7/K15
+sums is a stacked vector product, ``(k, 1, 15) @ (15, 1)``, which numpy
+runs as one BLAS ddot per 15-value row: the same call ``np.dot`` makes on
+that row alone.  So a result does not depend on the batch it ran in: an
+integrand evaluated elementwise gives every integrand of a batch the value
+it gives it alone, bit for bit.  A matrix product ``Y @ w`` would not do:
+BLAS sums its rows in an order that depends on the shape of ``Y``, which
+changes the last bits, and ``(Y * w).sum(axis=1)`` differs from the dot
+product.  The ``** 1.5`` of the error formula stays a Python float power
+per panel: numpy's ``power`` differs from libm's ``pow`` in the last bit on
+some inputs, which would change panel errors and so the refinement order.
 """
 
 from __future__ import annotations
@@ -80,68 +85,97 @@ class QuadratureResult(object):
                                    self.n_panels, self.converged))
 
 
-def _reduce(Y, spans):
-    """G7/K15 (value, error) of each panel spans[i] from its 15 values Y[i].
+def _dots(Y, w):
+    """w . y for every row y of Y, as a stacked (k, 1, 15) @ (15, 1) product.
 
-    Every weighted sum is a dot product of one 15-value row (the bound
-    ndarray.dot is np.dot without its dispatch cost); only the elementwise
-    abs and deviation arrays are formed once for the whole batch.
+    numpy runs a stacked vector product as one BLAS ddot per row, the call
+    ``w.dot(y)`` makes on that row alone, so each sum is independent of k.
     """
-    k_dot, g_dot = _W_K.dot, _W_G.dot
-    halves = [0.5 * (hi - lo) for lo, hi in spans]
-    krons = [half * float(k_dot(y)) for half, y in zip(halves, Y)]
-    means = np.array([kron / (hi - lo)
-                      for kron, (lo, hi) in zip(krons, spans)])
-    out = []
-    for y, y_abs, y_dev, half, kron in zip(Y, np.abs(Y),
-                                           np.abs(Y - means[:, None]),
-                                           halves, krons):
-        gauss = half * float(g_dot(y))
-        resabs = half * float(k_dot(y_abs))
-        resasc = half * float(k_dot(y_dev))
-        err = abs(kron - gauss)
-        if resasc != 0.0 and err != 0.0:
-            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-        floor = 50.0 * _EPS * resabs
+    return np.matmul(Y[:, None, :], w[:, None])[:, 0, 0]
+
+
+def _reduce(Y, lo, hi):
+    """G7/K15 values and errors of the panels [lo[i], hi[i]] from their 15
+    values Y[i], as two lists of floats.
+
+    The four weighted sums of every panel come from ``_dots``; the error
+    formula runs per panel on Python floats, because its ``** 1.5`` must be
+    libm's pow (numpy's power differs from it in the last bit).
+    """
+    width = hi - lo
+    half = 0.5 * width
+    kron = half * _dots(Y, _W_K)
+    gauss = half * _dots(Y, _W_G)
+    resabs = half * _dots(np.abs(Y), _W_K)
+    resasc = half * _dots(np.abs(Y - (kron / width)[:, None]), _W_K)
+    errs = []
+    for err, asc, floor in zip(np.abs(kron - gauss).tolist(),
+                               resasc.tolist(),
+                               (50.0 * _EPS * resabs).tolist()):
+        if asc != 0.0 and err != 0.0:
+            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
         if floor > 0.0:
             err = max(err, floor)
-        out.append((kron, err))
-    return out
+        errs.append(err)
+    return kron.tolist(), errs
 
 
-def _nodes(spans):
-    """The 15 nodes of each panel (lo, hi), one row per panel."""
-    centers = np.array([0.5 * (lo + hi) for lo, hi in spans])
-    halves = np.array([0.5 * (hi - lo) for lo, hi in spans])
-    return centers[:, None] + halves[:, None] * _NODES
+def _nodes(lo, hi):
+    """The 15 nodes of each panel [lo[i], hi[i]], one row per panel."""
+    return (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _NODES
 
 
-def integrate_many(f, lo: float, hi: float, m: int,
+def _round(f, lo, hi, cells):
+    """Evaluate f once on every panel [lo[i], hi[i]] of integrand cells[i]
+    and reduce each panel: (values, errors)."""
+    lo, hi = np.array(lo), np.array(hi)
+    x = _nodes(lo, hi)
+    y = np.asarray(f(x, cells), dtype=float).reshape(x.shape)
+    return _reduce(y, lo, hi)
+
+
+def integrate_many(f, lo, hi, m: int,
                    rel_tol: float = 1e-9, abs_tol: float = 0.0,
                    max_panels: int = 2000,
                    initial: int = 1) -> List[QuadratureResult]:
-    """Integrate m integrands over [lo, hi] adaptively, side by side.
+    """Integrate m integrands adaptively, side by side.
 
-    f(x, cells) receives a (k, 15) float array whose row i holds the nodes
-    of one panel of integrand cells[i] (a list of k indices in range(m)),
-    and returns the k x 15 values.  Each integrand is refined exactly as it
-    would be alone: panels are bisected worst-error-first until its summed
-    error passes the tolerance (relative to its running total) or its panel
-    budget runs out.  Returns one QuadratureResult per integrand.
+    lo and hi are either floats, one interval [lo, hi] for every integrand,
+    or sequences of m bounds, the interval of each integrand.  f(x, cells)
+    receives a (k, 15) float array whose row i holds the nodes of one panel
+    of integrand cells[i] (a list of k indices in range(m)), and returns the
+    k x 15 values.  Each integrand is refined exactly as it would be alone:
+    panels are bisected worst-error-first until its summed error passes the
+    tolerance (relative to its running total) or its panel budget runs out.
+    An empty interval (hi <= lo) gives 0 without calling f.  Returns one
+    QuadratureResult per integrand.
     """
-    if hi <= lo:
-        return [QuadratureResult(0.0, 0.0, 0, True) for _ in range(m)]
+    los = [float(lo)] * m if np.ndim(lo) == 0 else [float(v) for v in lo]
+    his = [float(hi)] * m if np.ndim(hi) == 0 else [float(v) for v in hi]
+    if len(los) != m or len(his) != m:
+        raise ValueError("need one interval bound per integrand (m = %d)" % m)
     initial = max(1, int(initial))
-    edges = np.linspace(lo, hi, initial + 1).tolist()
-    spans = list(zip(edges[:-1], edges[1:])) * m
-    cells = [c for c in range(m) for _ in range(initial)]
-    x = _nodes(spans)
-    panels = _reduce(np.asarray(f(x, cells), dtype=float).reshape(x.shape),
-                     spans)
+    results = [None] * m
+    edges = {}
+    cells, span_lo, span_hi = [], [], []
+    for c, (a, b) in enumerate(zip(los, his)):
+        if b <= a:
+            results[c] = QuadratureResult(0.0, 0.0, 0, True)
+            continue
+        if (a, b) not in edges:
+            edges[a, b] = np.linspace(a, b, initial + 1).tolist()
+        e = edges[a, b]
+        cells += [c] * initial
+        span_lo += e[:-1]
+        span_hi += e[1:]
+    if not cells:
+        return results
+    vals, errs = _round(f, span_lo, span_hi, cells)
     heaps = [[] for _ in range(m)]
     totals = [0.0] * m
     errors = [0.0] * m
-    for i, (c, (a, b), (val, err)) in enumerate(zip(cells, spans, panels)):
+    for i, (c, a, b, val, err) in enumerate(zip(cells, span_lo, span_hi,
+                                                vals, errs)):
         totals[c] += val
         errors[c] += err
         heaps[c].append((-err, i, a, b, val, err))
@@ -150,9 +184,9 @@ def integrate_many(f, lo: float, hi: float, m: int,
     counter = len(cells)
     n = [initial] * m
     frozen = [0.0] * m
-    results = [None] * m
-    width_floor = 4.0 * _EPS * max(abs(lo), abs(hi), 1.0)
-    active = range(m)
+    width_floors = [4.0 * _EPS * max(abs(a), abs(b), 1.0)
+                    for a, b in zip(los, his)]
+    active = [c for c in range(m) if results[c] is None]
     while True:
         splits = []
         for c in active:
@@ -167,7 +201,7 @@ def integrate_many(f, lo: float, hi: float, m: int,
                         toterr <= max(abs_tol, rel_tol * abs(totals[c])))
                     break
                 _, _, a, b, val, err = heapq.heappop(heap)
-                if b - a <= width_floor:
+                if b - a <= width_floors[c]:
                     # cannot subdivide further in float; freeze its error
                     frozen[c] += err
                     errors[c] -= err
@@ -181,15 +215,14 @@ def integrate_many(f, lo: float, hi: float, m: int,
         if not splits:
             return results
         active = [s[0] for s in splits]
-        spans = []
+        span_lo, span_hi = [], []
         for _, a, mid, b, _, _ in splits:
-            spans.append((a, mid))
-            spans.append((mid, b))
-        x = _nodes(spans)
-        y = np.asarray(f(x, [c for c in active for _ in (0, 1)]), dtype=float)
-        panels = _reduce(y.reshape(x.shape), spans)
-        for i, (c, a, mid, b, val, err) in enumerate(splits):
-            (v1, e1), (v2, e2) = panels[2 * i], panels[2 * i + 1]
+            span_lo += (a, mid)
+            span_hi += (mid, b)
+        vals, errs = _round(f, span_lo, span_hi,
+                            [c for c in active for _ in (0, 1)])
+        for (c, a, mid, b, val, err), v1, v2, e1, e2 in zip(
+                splits, vals[::2], vals[1::2], errs[::2], errs[1::2]):
             totals[c] += (v1 + v2) - val
             errors[c] += (e1 + e2) - err
             heapq.heappush(heaps[c], (-e1, counter, a, mid, v1, e1))

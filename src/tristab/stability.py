@@ -13,7 +13,9 @@ so each can serve as an oracle for the others:
   (-1/(2U'(a))) * integral of (3 + s(U'(a)-U'(s))/U(s)) sqrt(s)/sqrt(U(s))
   over [0, a], with the (a-s)^{-1/2} endpoint removed by s = a - u^2.
 * ``eval_J_mass_fd``: central finite difference of the mass integral
-  ``mass_Q`` in omega, with a Richardson consistency estimate.
+  ``mass_Q`` in omega, with a Richardson consistency estimate.  Its four
+  stencil masses run as one batched quadrature, each equal to ``mass_Q``
+  alone bit for bit, and their quadrature errors enter its error bar.
 
 For defocusing-lowest-power (D*) cases with p < 7/3, the omega -> 0 limit
 J(0, gamma) is finite and computed by ``eval_J0`` from the gamma-eliminated
@@ -37,7 +39,7 @@ from .errors import DivergingIntegral, NoStandingWave, NotOnCurve, UnsupportedRe
 from .landscape import u_prime, u_value
 from .model import NonlinearityParams
 from .profile import ProfileResult, find_a, find_a0
-from .quadrature import integrate, integrate_many
+from .quadrature import QuadratureResult, integrate, integrate_many
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -263,6 +265,46 @@ def eval_J_raw(params: NonlinearityParams, omega: float, gamma: float,
 # -- mass and finite-difference route ----------------------------------------
 
 
+def _masses(params: NonlinearityParams, omegas: Sequence[float],
+            gamma: float, rel_tol: float) -> List[QuadratureResult]:
+    """The mass integral at every omega of one gamma, as one batch.
+
+    Every profile is found before anything is integrated, in the order of
+    omegas, so the first omega without a wave raises NoStandingWave and the
+    first on the nonexistence curve DivergingIntegral.  Integrand k runs on
+    its own interval [0, sqrt(a_k)] after s = a_k - u^2.
+    """
+    amplitudes = []
+    for omega in omegas:
+        res = _require_profile(params, omega, gamma)
+        if res.on_boundary:
+            raise DivergingIntegral(
+                "mass integral diverges on the nonexistence curve at "
+                "omega=%g, gamma=%g" % (omega, gamma))
+        amplitudes.append(res.a)
+    omega_col = np.array(omegas, dtype=float)[:, None]
+    a_col = np.array(amplitudes)[:, None]
+
+    def g(u, cells):
+        # one integrand multiplies by plain floats, as _batch_integrand does
+        w, a = ((omega_col[cells], a_col[cells]) if len(omegas) > 1
+                else (omegas[0], amplitudes[0]))
+        s = a - u * u
+        s = np.where(s < 0.0, 0.0, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Us = u_value(params, w, gamma, s)
+            safe = Us > 0.0
+            out = np.where(safe,
+                           2.0 * u * np.sqrt(s)
+                           / np.sqrt(np.where(safe, Us, 1.0)),
+                           0.0)
+        return out
+
+    return integrate_many(g, 0.0, [math.sqrt(a) for a in amplitudes],
+                          len(omegas), rel_tol=rel_tol, max_panels=2000,
+                          initial=2)
+
+
 def mass_Q(params: NonlinearityParams, omega: float, gamma: float,
            rel_tol: float = 1e-11) -> float:
     """Profile mass integral Q = int_0^a sqrt(s)/sqrt(U(s)) ds.
@@ -271,29 +313,7 @@ def mass_Q(params: NonlinearityParams, omega: float, gamma: float,
     the profile sits on the nonexistence curve (double zero makes the
     integral infinite).
     """
-    res = _require_profile(params, omega, gamma)
-    if res.on_boundary:
-        raise DivergingIntegral(
-            "mass integral diverges on the nonexistence curve at "
-            "omega=%g, gamma=%g" % (omega, gamma))
-    a = res.a
-
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        s = a - u * u
-        s = np.where(s < 0.0, 0.0, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Us = u_value(params, omega, gamma, s)
-            safe = np.asarray(Us, dtype=float) > 0.0
-            out = np.where(safe,
-                           2.0 * u * np.sqrt(s)
-                           / np.sqrt(np.where(safe, Us, 1.0)),
-                           0.0)
-        return out
-
-    quad = integrate(g, 0.0, math.sqrt(a), rel_tol=rel_tol, max_panels=2000,
-                     initial=2)
-    return quad.value
+    return _masses(params, [omega], gamma, rel_tol)[0].value
 
 
 def eval_J_mass_fd(params: NonlinearityParams, omega: float,
@@ -301,7 +321,10 @@ def eval_J_mass_fd(params: NonlinearityParams, omega: float,
     """J as a central difference of mass_Q in omega, Richardson-checked.
 
     Step h = max(1e-4*omega, 1e-6) clamped to omega/2; shrunk further if a
-    stencil point falls outside the existence region.
+    stencil point falls outside the existence region.  The four stencil
+    masses are one batch.  abs_error is the Richardson estimate plus the
+    quadrature error of each difference amplified by its 1/(2h) or 1/h, and
+    converged holds only when all four quadratures converged.
     """
     res = _require_profile(params, omega, gamma)
     if res.on_boundary:
@@ -311,16 +334,21 @@ def eval_J_mass_fd(params: NonlinearityParams, omega: float,
     last_exc = None
     for _ in range(6):
         try:
-            d_h = (mass_Q(params, omega + h, gamma)
-                   - mass_Q(params, omega - h, gamma)) / (2.0 * h)
-            d_h2 = (mass_Q(params, omega + 0.5 * h, gamma)
-                    - mass_Q(params, omega - 0.5 * h, gamma)) / h
-            err = abs(d_h - d_h2) / 3.0 + 1e-9 * abs(d_h2)
-            return StabilityValue(j=d_h2, abs_error=err, diverging=False,
-                                  method="mass_fd")
+            q = _masses(params, [omega + h, omega - h,
+                                 omega + 0.5 * h, omega - 0.5 * h],
+                        gamma, 1e-11)
         except (NoStandingWave, DivergingIntegral) as exc:
             last_exc = exc
             h *= 0.25
+            continue
+        d_h = (q[0].value - q[1].value) / (2.0 * h)
+        d_h2 = (q[2].value - q[3].value) / h
+        err = (abs(d_h - d_h2) / 3.0 + 1e-9 * abs(d_h2)
+               + (q[0].abs_error + q[1].abs_error) / (2.0 * h)
+               + (q[2].abs_error + q[3].abs_error) / h)
+        return StabilityValue(j=d_h2, abs_error=err, diverging=False,
+                              method="mass_fd",
+                              converged=all(x.converged for x in q))
     raise last_exc
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tristab import integrate, integrate_many
-from tristab.quadrature import _WG, _WGK, _XGK
+from tristab.quadrature import _WG, _WGK, _XGK, _reduce
 
 
 def test_polynomial_exactness():
@@ -236,3 +236,65 @@ def test_panel_reduction_does_not_depend_on_the_batch():
         alone = integrate_many(lambda x, cells: batch(x, [i] * len(cells)),
                                0.0, 1.0, 1, max_panels=1)[0]
         assert (res.value, res.abs_error) == (alone.value, alone.abs_error)
+
+
+def _reference_reduce(y, a, b):
+    """G7/K15 (value, error) of the panel [a, b] from its 15 values y,
+    each sum an np.dot of that row alone."""
+    w_k = np.concatenate([_WGK[:-1], _WGK[::-1]])
+    w_g = np.zeros_like(w_k)
+    w_g[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+    eps = np.finfo(float).eps
+    half = 0.5 * (b - a)
+    kron = half * float(np.dot(w_k, y))
+    gauss = half * float(np.dot(w_g, y))
+    resabs = half * float(np.dot(w_k, np.abs(y)))
+    resasc = half * float(np.dot(w_k, np.abs(y - kron / (b - a))))
+    err = abs(kron - gauss)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if 50.0 * eps * resabs > 0.0:
+        err = max(err, 50.0 * eps * resabs)
+    return kron, err
+
+
+@pytest.mark.parametrize("k", [1, 2, 48])
+def test_reduce_matches_one_dot_product_per_row(k):
+    # a (k, 15) @ w product sums rows in another order and fails this
+    rng = np.random.default_rng(k)
+    Y = rng.standard_normal((k, 15)) * 10.0 ** rng.uniform(-6, 6, (k, 1))
+    lo = rng.uniform(-2.0, 2.0, k)
+    hi = lo + 10.0 ** rng.uniform(-8, 1, k)
+    vals, errs = _reduce(Y, lo, hi)
+    assert list(zip(vals, errs)) == [_reference_reduce(y, a, b)
+                                     for y, a, b in zip(Y, lo, hi)]
+
+
+def test_batch_with_one_interval_per_integrand_repeats_each_alone():
+    # the width floor 4 eps max(|lo|, |hi|, 1) is 4 eps on [0, 1] and
+    # 256 eps on [0, 64]: a floor shared by the batch would freeze the
+    # panel of x^-0.9 at 0 too early on [0, 1] or too late on [0, 64]
+    fs = [lambda x: x ** -0.9, lambda x: x ** -0.9, lambda x: 1.0 / np.sqrt(x),
+          np.exp, lambda x: np.sin(1.0 / (x + 0.001)), np.cos]
+    los = [0.0, 0.0, 0.0, 2.0, -0.5, 1.0]
+    his = [1.0, 64.0, 4.0, 2.0, 1.5, 0.5]
+
+    def batch(x, cells):
+        assert 3 not in cells and 5 not in cells   # empty intervals
+        out = np.empty_like(x)
+        for i, c in enumerate(cells):
+            out[i] = fs[c](x[i])
+        return out
+
+    kw = dict(rel_tol=1e-10, max_panels=150, initial=2)
+    results = integrate_many(batch, los, his, len(fs), **kw)
+    for f, lo, hi, res in zip(fs, los, his, results):
+        ref = integrate(f, lo, hi, **kw)
+        assert (res.value, res.abs_error, res.n_panels, res.converged) == \
+            (ref.value, ref.abs_error, ref.n_panels, ref.converged)
+    for frozen in results[:2]:
+        assert frozen.n_panels < 150 and not frozen.converged
+    assert (results[3].value, results[3].n_panels) == (0.0, 0)
+    assert (results[5].value, results[5].n_panels) == (0.0, 0)
+    with pytest.raises(ValueError):
+        integrate_many(batch, los[:-1], his, len(fs), **kw)

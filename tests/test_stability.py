@@ -14,6 +14,7 @@ from tristab import (
     eval_J,
     eval_J0,
     eval_J_mass_fd,
+    endpoints,
     eval_J_raw,
     find_a,
     find_a0,
@@ -228,3 +229,36 @@ def test_mass_fd_handles_moderate_points():
         jm = eval_J_mass_fd(FF234, om, ga)
         assert abs(jm.j - jt.j) <= 2e-3 * abs(jt.j)
         assert jm.abs_error > 0.0
+
+
+@pytest.mark.parametrize("params, omega, gamma", [
+    pytest.param(DF357, 1.0, 0.0, id="DF357"),
+    pytest.param(FF234, 0.05, 0.0, id="FF234"),
+    pytest.param(DD357, 1.0, -5.0, id="DD357"),
+])
+def test_mass_fd_is_the_difference_of_scalar_masses(params, omega, gamma):
+    # the four stencil masses run as one batch, each as mass_Q alone
+    h = min(max(1e-4 * omega, 1e-6), 0.5 * omega)
+    sv = eval_J_mass_fd(params, omega, gamma)
+    assert sv.j == (mass_Q(params, omega + 0.5 * h, gamma)
+                    - mass_Q(params, omega - 0.5 * h, gamma)) / h
+    assert sv.converged
+
+
+def test_mass_fd_unconverged_near_curve_is_indeterminate():
+    # 1e-5 above the FF curve at a = a#/2 the stencil masses exhaust their
+    # panel budget; the value (+1.27e6 where J = -1.28e6) decides nothing
+    om, ga = gamma_omega_ne(FF234, endpoints(FF234)[0] / 2.0)
+    sv = eval_J_mass_fd(FF234, om * (1.0 + 1e-5), ga)
+    assert not sv.converged
+    assert sv.verdict() == "indeterminate"
+
+
+def test_mass_fd_error_covers_the_oracle():
+    # oracle value from perfbench/oracle.py (40-digit mpmath quadrature of
+    # the defining integral); j is 6.1e-6 off it, which the Richardson
+    # estimate alone (3.6e-6) missed without the mass error amplified by 1/h
+    sv = eval_J_mass_fd(NonlinearityParams(1.309, 2.690, 3.222, sign1=-1),
+                        0.0116, 1.626)
+    assert abs(sv.j - (-0.22392163546492827)) <= sv.abs_error
+    assert sv.converged and sv.verdict() == "unstable"
