@@ -156,20 +156,19 @@ def integrate_many(f, lo, hi, m: int,
         raise ValueError("need one interval bound per integrand (m = %d)" % m)
     initial = max(1, int(initial))
     results = [None] * m
-    edges = {}
-    cells, span_lo, span_hi = [], [], []
+    live = []
     for c, (a, b) in enumerate(zip(los, his)):
         if b <= a:
             results[c] = QuadratureResult(0.0, 0.0, 0, True)
-            continue
-        if (a, b) not in edges:
-            edges[a, b] = np.linspace(a, b, initial + 1).tolist()
-        e = edges[a, b]
-        cells += [c] * initial
-        span_lo += e[:-1]
-        span_hi += e[1:]
-    if not cells:
+        else:
+            live.append(c)
+    if not live:
         return results
+    edges = np.linspace([los[c] for c in live], [his[c] for c in live],
+                        initial + 1, axis=1)
+    cells = [c for c in live for _ in range(initial)]
+    span_lo = edges[:, :-1].ravel().tolist()
+    span_hi = edges[:, 1:].ravel().tolist()
     vals, errs = _round(f, span_lo, span_hi, cells)
     heaps = [[] for _ in range(m)]
     totals = [0.0] * m

@@ -286,9 +286,7 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
     a_col = np.array(amplitudes)[:, None]
 
     def g(u, cells):
-        # one integrand multiplies by plain floats, as _batch_integrand does
-        w, a = ((omega_col[cells], a_col[cells]) if len(omegas) > 1
-                else (omegas[0], amplitudes[0]))
+        w, a = omega_col[cells], a_col[cells]
         s = a - u * u
         s = np.where(s < 0.0, 0.0, s)
         with np.errstate(divide="ignore", invalid="ignore"):
