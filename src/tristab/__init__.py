@@ -10,8 +10,8 @@ limit classifications, and exportable stability diagrams.
 
 from .errors import (DivergingIntegral, NoStandingWave, NotOnCurve,
                      UnsupportedRegime)
-from .model import (NonlinearityParams, QueryPoint, ScalingReduction,
-                    classify_case, normalize)
+from .model import (NonlinearityParams, ScalingReduction, classify_case,
+                    normalize)
 from .landscape import (LandscapeEval, eval_A, eval_F1, eval_ND, eval_U,
                         u_prime, u_second, u_value)
 from .quadrature import QuadratureResult, integrate, integrate_many
@@ -36,8 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DivergingIntegral", "NoStandingWave", "NotOnCurve", "UnsupportedRegime",
-    "NonlinearityParams", "QueryPoint", "ScalingReduction", "classify_case",
-    "normalize",
+    "NonlinearityParams", "ScalingReduction", "classify_case", "normalize",
     "LandscapeEval", "eval_A", "eval_F1", "eval_ND", "eval_U", "u_prime",
     "u_second", "u_value",
     "QuadratureResult", "integrate", "integrate_many",

@@ -4,7 +4,8 @@ Every operation of the library is reachable through a subcommand.  All
 numeric inputs are flags (never positional): the four sign cases make
 positional defaults too easy to get wrong.  Signs accept +1/-1 or the
 letters f/d.  Output is deterministic for identical argv except for the
-trailing timing line, which --no-timing suppresses.
+trailing timing line, which --no-timing suppresses.  Numbers print with
+12 significant digits.
 
 Exit codes: 0 success, 1 numeric failure (no standing wave, off the curve,
 diverging integral where a finite answer was requested), 2 argument errors.
@@ -16,12 +17,12 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import boundary, diagram, verify
 from .asymptotics import Direction, asymptotic_exponent, classify_limit, \
     sign_guarantees
+from .diagram import format_float
 from .errors import DivergingIntegral, NoStandingWave, NotOnCurve, \
     UnsupportedRegime
 from .model import NonlinearityParams, normalize
@@ -30,44 +31,6 @@ from .stability import eval_J, eval_J0, eval_J_mass_fd, eval_J_raw
 
 _NUMERIC_ERRORS = (NoStandingWave, NotOnCurve, DivergingIntegral,
                    UnsupportedRegime, ValueError)
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: subcommand plus every shared numeric knob.
-
-    Construction validates the exponent ordering, so a RunConfig in hand
-    means the triple is safe to dispatch on.
-    """
-
-    subcommand: str
-    p: float = math.nan
-    q: float = math.nan
-    r: float = math.nan
-    sign1: int = 1
-    sign3: int = 1
-    omega: Optional[float] = None
-    gamma: Optional[float] = None
-    omega_range: Optional[Tuple[float, float]] = None
-    gamma_range: Optional[Tuple[float, float]] = None
-    nx: int = 200
-    ny: int = 200
-    levels: List[float] = field(default_factory=lambda: [0.0])
-    out_grid: Optional[str] = None
-    out_contours: Optional[str] = None
-    out: Optional[str] = None
-    jobs: Optional[int] = None
-    rel_tol: float = 1e-9
-    no_timing: bool = False
-
-    def __post_init__(self):
-        if not math.isnan(self.p):
-            if not (1.0 < self.p < self.q < self.r):
-                raise ValueError("exponents must satisfy 1 < p < q < r")
-
-    def params(self) -> NonlinearityParams:
-        return NonlinearityParams(self.p, self.q, self.r,
-                                  self.sign1, self.sign3)
 
 
 def _sign(text: str) -> int:
@@ -85,16 +48,6 @@ def _levels_arg(text: str) -> List[float]:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError("levels must be comma-separated reals")
-
-
-def _fmt(v: float) -> str:
-    if math.isnan(v):
-        return "NaN"
-    if v == math.inf:
-        return "+Inf"
-    if v == -math.inf:
-        return "-Inf"
-    return "%.12g" % v
 
 
 def _add_exponents(sp, signs: bool = True) -> None:
@@ -191,112 +144,95 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CFG_FIELDS = (("p", "p"), ("q", "q"), ("r", "r"), ("s1", "sign1"),
-               ("s3", "sign3"), ("omega", "omega"), ("gamma", "gamma"),
-               ("nx", "nx"), ("ny", "ny"), ("levels", "levels"),
-               ("out_grid", "out_grid"), ("out_contours", "out_contours"),
-               ("out", "out"), ("jobs", "jobs"), ("rel_tol", "rel_tol"),
-               ("no_timing", "no_timing"))
+def _params(ns) -> NonlinearityParams:
+    return NonlinearityParams(ns.p, ns.q, ns.r, ns.s1, ns.s3)
 
 
-def _config_from(ns, ap) -> RunConfig:
-    kw = {"subcommand": ns.subcommand}
-    for src, dst in _CFG_FIELDS:
-        if hasattr(ns, src):
-            kw[dst] = getattr(ns, src)
-    if hasattr(ns, "omega_min"):
-        kw["omega_range"] = (ns.omega_min, ns.omega_max)
-        kw["gamma_range"] = (ns.gamma_min, ns.gamma_max)
-        kw.pop("omega", None)
-        kw.pop("gamma", None)
-    try:
-        return RunConfig(**kw)
-    except ValueError as exc:
-        ap.error(str(exc))
-
-
-def _cmd_classify(cfg: RunConfig, ns) -> int:
-    params = cfg.params()
+def _cmd_classify(ns) -> int:
+    params = _params(ns)
     endpoint_a, gamma1, rng = boundary.endpoints(params)
     print("case: %s" % params.case)
     print("curve a-range: %s" % rng)
     if endpoint_a is not None:
         label = "a_sharp" if params.case == "FF" else "a_b"
         om, _ = boundary.gamma_omega_ne(params, endpoint_a)
-        print("%s: %s" % (label, _fmt(endpoint_a)))
-        print("gamma_1: %s" % _fmt(gamma1))
-        print("omega_ne(%s): %s" % (label, _fmt(om)))
+        print("%s: %s" % (label, format_float(endpoint_a, 12)))
+        print("gamma_1: %s" % format_float(gamma1, 12))
+        print("omega_ne(%s): %s" % (label, format_float(om, 12)))
     return 0
 
 
-def _cmd_normalize(cfg: RunConfig, ns) -> int:
-    red = normalize(ns.a1, ns.a2, ns.a3, cfg.p, cfg.q, cfg.r)
-    print("kappa: %s" % _fmt(red.kappa))
-    print("lambda: %s" % _fmt(red.lam))
-    print("gamma: %s" % _fmt(red.gamma))
+def _cmd_normalize(ns) -> int:
+    red = normalize(ns.a1, ns.a2, ns.a3, ns.p, ns.q, ns.r)
+    print("kappa: %s" % format_float(red.kappa, 12))
+    print("lambda: %s" % format_float(red.lam, 12))
+    print("gamma: %s" % format_float(red.gamma, 12))
     print("case: %s" % red.normalized.case)
     return 0
 
 
-def _cmd_profile_a(cfg: RunConfig, ns) -> int:
-    params = cfg.params()
-    res = find_a(params, cfg.omega, cfg.gamma)
+def _cmd_profile_a(ns) -> int:
+    params = _params(ns)
+    res = find_a(params, ns.omega, ns.gamma)
     if res is None:
         print("no standing wave at omega=%s, gamma=%s"
-              % (_fmt(cfg.omega), _fmt(cfg.gamma)), file=sys.stderr)
+              % (format_float(ns.omega, 12), format_float(ns.gamma, 12)),
+              file=sys.stderr)
         return 1
-    print("a: %s" % _fmt(res.a))
-    print("uprime_at_a: %s" % _fmt(res.uprime_at_a))
+    print("a: %s" % format_float(res.a, 12))
+    print("uprime_at_a: %s" % format_float(res.uprime_at_a, 12))
     print("exists: %s" % res.exists)
     print("on_boundary: %s" % res.on_boundary)
     return 0
 
 
-def _cmd_curve_ne(cfg: RunConfig, ns) -> int:
-    params = cfg.params()
+def _cmd_curve_ne(ns) -> int:
+    params = _params(ns)
     curve = boundary.sample_curve(params, n=ns.n, a_min=ns.a_min,
                                   a_max=ns.a_max)
-    if cfg.out is not None:
-        diagram.export_curve_csv(curve, cfg.out)
-        print("wrote %d samples to %s" % (len(curve.samples), cfg.out))
+    if ns.out is not None:
+        diagram.export_curve_csv(curve, ns.out)
+        print("wrote %d samples to %s" % (len(curve.samples), ns.out))
         return 0
     print("a,omega_ne,gamma_ne")
     for a, om, ga in curve.samples:
-        print("%s,%s,%s" % (_fmt(a), _fmt(om), _fmt(ga)))
+        print("%s,%s,%s" % (format_float(a, 12), format_float(om, 12),
+                            format_float(ga, 12)))
     return 0
 
 
-def _cmd_omega_star(cfg: RunConfig, ns) -> int:
-    ws = boundary.omega_star(cfg.params(), cfg.gamma)
-    print("omega_star: %s" % _fmt(ws))
+def _cmd_omega_star(ns) -> int:
+    ws = boundary.omega_star(_params(ns), ns.gamma)
+    print("omega_star: %s" % format_float(ws, 12))
     return 0
 
 
-def _cmd_eval_j(cfg: RunConfig, ns) -> int:
-    params = cfg.params()
+def _cmd_eval_j(ns) -> int:
+    params = _params(ns)
     # evaluate everything before printing so a failed existence check
     # does not leave a dangling table header on stdout
     rows = []
     for name, fn in (
             ("transformed",
-             lambda: eval_J(params, cfg.omega, cfg.gamma, rel_tol=cfg.rel_tol)),
+             lambda: eval_J(params, ns.omega, ns.gamma, rel_tol=ns.rel_tol)),
             ("raw",
-             lambda: eval_J_raw(params, cfg.omega, cfg.gamma,
-                                rel_tol=cfg.rel_tol)),
-            ("mass_fd", lambda: eval_J_mass_fd(params, cfg.omega, cfg.gamma))):
+             lambda: eval_J_raw(params, ns.omega, ns.gamma,
+                                rel_tol=ns.rel_tol)),
+            ("mass_fd", lambda: eval_J_mass_fd(params, ns.omega, ns.gamma))):
         v = fn()
         rows.append("%-12s %-20s %-16s %s"
-                    % (name, _fmt(v.j), _fmt(v.abs_error), v.verdict()))
+                    % (name, format_float(v.j, 12),
+                       format_float(v.abs_error, 12), v.verdict()))
     print("method       j                    abs_error        verdict")
     for row in rows:
         print(row)
     return 0
 
 
-def _cmd_eval_j0(cfg: RunConfig, ns) -> int:
-    v = eval_J0(cfg.params(), cfg.gamma)
-    print("j0: %s" % _fmt(v.j))
-    print("abs_error: %s" % _fmt(v.abs_error))
+def _cmd_eval_j0(ns) -> int:
+    v = eval_J0(_params(ns), ns.gamma)
+    print("j0: %s" % format_float(v.j, 12))
+    print("abs_error: %s" % format_float(v.abs_error, 12))
     print("verdict: %s" % v.verdict())
     return 0
 
@@ -309,23 +245,24 @@ _DIRECTION_LABELS = (
 )
 
 
-def _cmd_limits(cfg: RunConfig, ns) -> int:
-    params = cfg.params()
+def _cmd_limits(ns) -> int:
+    params = _params(ns)
     for direction, label, which in _DIRECTION_LABELS:
-        value = cfg.gamma if which == "gamma" else cfg.omega
+        value = ns.gamma if which == "gamma" else ns.omega
         try:
             lc = classify_limit(params, direction, value)
         except _NUMERIC_ERRORS as exc:
             print("%-12s unsupported (%s)" % (label, exc))
             continue
-        expo = asymptotic_exponent(params, direction, gamma=cfg.gamma)
-        tail = "  [J ~ a^%s]" % _fmt(expo) if expo is not None else ""
+        expo = asymptotic_exponent(params, direction, gamma=ns.gamma)
+        tail = ("  [J ~ a^%s]" % format_float(expo, 12)
+                if expo is not None else "")
         print("%-12s %s (%s)%s" % (label, lc.kind.value, lc.detail, tail))
     return 0
 
 
-def _cmd_guarantees(cfg: RunConfig, ns) -> int:
-    out = sign_guarantees(cfg.params())
+def _cmd_guarantees(ns) -> int:
+    out = sign_guarantees(_params(ns))
     if not out:
         print("none")
         return 0
@@ -334,28 +271,29 @@ def _cmd_guarantees(cfg: RunConfig, ns) -> int:
     return 0
 
 
-def _cmd_diagram(cfg: RunConfig, ns) -> int:
-    params = cfg.params()
-    grid = diagram.sweep_grid(params, cfg.omega_range, cfg.gamma_range,
-                              cfg.nx, cfg.ny, jobs=cfg.jobs)
+def _cmd_diagram(ns) -> int:
+    params = _params(ns)
+    grid = diagram.sweep_grid(params, (ns.omega_min, ns.omega_max),
+                              (ns.gamma_min, ns.gamma_max), ns.nx, ns.ny,
+                              jobs=ns.jobs)
     vals = grid.values
     n_nan = int((vals != vals).sum())
     n_div = int((vals == math.inf).sum() + (vals == -math.inf).sum())
     print("grid: %d x %d (%d nonexistent, %d divergent)"
-          % (cfg.nx, cfg.ny, n_nan, n_div))
-    diagram.export_grid_csv(grid, cfg.out_grid)
-    print("wrote grid to %s" % cfg.out_grid)
-    contours = diagram.extract_contours(grid, cfg.levels)
-    diagram.export_contours_json(contours, cfg.out_contours)
+          % (ns.nx, ns.ny, n_nan, n_div))
+    diagram.export_grid_csv(grid, ns.out_grid)
+    print("wrote grid to %s" % ns.out_grid)
+    contours = diagram.extract_contours(grid, ns.levels)
+    diagram.export_contours_json(contours, ns.out_contours)
     for cs in contours:
         npts = sum(len(path) for path in cs.paths)
         print("level %s: %d paths, %d points"
-              % (_fmt(cs.level), len(cs.paths), npts))
-    print("wrote contours to %s" % cfg.out_contours)
+              % (format_float(cs.level, 12), len(cs.paths), npts))
+    print("wrote contours to %s" % ns.out_contours)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, ns) -> int:
+def _cmd_verify(ns) -> int:
     failures = verify.run_suite(ns.suite, seed=ns.seed)
     return 1 if failures else 0
 
@@ -378,14 +316,20 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     ns = ap.parse_args(argv)
-    cfg = _config_from(ns, ap)
+    if hasattr(ns, "p"):
+        # NonlinearityParams holds the exponent rule; breaking it is a bad
+        # argument, not a numeric failure
+        try:
+            NonlinearityParams(ns.p, ns.q, ns.r)
+        except ValueError as exc:
+            ap.error(str(exc))
     start = time.perf_counter()
     try:
-        code = _COMMANDS[cfg.subcommand](cfg, ns)
+        code = _COMMANDS[ns.subcommand](ns)
     except _NUMERIC_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    if not cfg.no_timing:
+    if not ns.no_timing:
         print("# elapsed %.3f s" % (time.perf_counter() - start))
     return code
 

@@ -240,14 +240,15 @@ def extract_contours(grid: DiagramGrid,
 # -- serialization ------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
+def format_float(v: float, digits: int = 17) -> str:
+    """v to `digits` significant digits, or the literal NaN, +Inf or -Inf."""
     if math.isnan(v):
         return "NaN"
     if v == math.inf:
         return "+Inf"
     if v == -math.inf:
         return "-Inf"
-    return "%.17g" % v
+    return "%.*g" % (digits, v)
 
 
 def export_grid_csv(grid: DiagramGrid, path: str) -> None:
@@ -255,10 +256,12 @@ def export_grid_csv(grid: DiagramGrid, path: str) -> None:
     try:
         with open(path, "w") as fh:
             fh.write("gamma\\omega," +
-                     ",".join(_fmt(w) for w in grid.omega_axis) + "\n")
+                     ",".join(format_float(w) for w in grid.omega_axis)
+                     + "\n")
             for iy, g in enumerate(grid.gamma_axis):
                 row = grid.values[iy]
-                fh.write(_fmt(g) + "," + ",".join(_fmt(v) for v in row) + "\n")
+                fh.write(format_float(g) + ","
+                         + ",".join(format_float(v) for v in row) + "\n")
     except OSError as exc:
         raise OSError("cannot write grid CSV to %r: %s" % (path, exc))
 
@@ -308,6 +311,7 @@ def export_contours_json(contours: Sequence[ContourSet], path: str) -> None:
 
 
 def import_contours_json(path: str) -> List[ContourSet]:
+    """Inverse of export_contours_json; an empty params object gives None."""
     with open(path) as fh:
         payload = json.load(fh)
     if isinstance(payload, dict):
@@ -316,7 +320,12 @@ def import_contours_json(path: str) -> List[ContourSet]:
     for obj in payload:
         paths = tuple(tuple((float(w), float(g)) for w, g in path)
                       for path in obj["paths"])
-        out.append(ContourSet(level=float(obj["level"]), paths=paths))
+        stored = obj.get("params")
+        params = (NonlinearityParams(stored["p"], stored["q"], stored["r"],
+                                     stored["sign1"], stored["sign3"])
+                  if stored else None)
+        out.append(ContourSet(level=float(obj["level"]), paths=paths,
+                              params=params))
     return out
 
 
@@ -326,6 +335,7 @@ def export_curve_csv(curve: BoundaryCurve, path: str) -> None:
         with open(path, "w") as fh:
             fh.write("a,omega_ne,gamma_ne\n")
             for a, om, ga in curve.samples:
-                fh.write("%s,%s,%s\n" % (_fmt(a), _fmt(om), _fmt(ga)))
+                fh.write("%s,%s,%s\n" % (format_float(a), format_float(om),
+                                          format_float(ga)))
     except OSError as exc:
         raise OSError("cannot write boundary CSV to %r: %s" % (path, exc))

@@ -11,11 +11,19 @@ built from the pieces A_l(a, s).  Everything in this module is pure
 closed-form evaluation with derivatives coded term by term; root finding
 lives in the profile module.
 
-All evaluators accept scalars or numpy arrays in s and broadcast.
+``terms(params, gamma)`` is the one home of these closed forms: it holds
+the exponents e_l = (l-1)/2 and the coefficient triples of F1, U' - omega,
+N and D, and the root finder, the J integrands and the evaluators below all
+read them from it.  Evaluation keeps the float type of s: Python floats go
+through Python's ``**`` and arrays through numpy's ``power``, which differ
+in the last bit on some inputs, so ``power_sum`` never converts its
+argument.  The public evaluators take scalars or numpy arrays in s,
+broadcast, and pass s through np.asarray on entry.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,36 +41,89 @@ class LandscapeEval:
     second_deriv: float
 
 
+@dataclass(frozen=True)
+class Terms:
+    """Exponents and coefficients of the closed forms at one (params, gamma).
+
+    Entry l of each triple belongs to the p, q and r power in turn.
+    F1(s) = sum f1_l s^{e_l}, U'(s) = omega + sum up_l s^{e_l} and
+    U(s) = omega s - sum f1_l s^{eu_l}.  N(a, s) and D(a, s) are
+    sum n_l a^{e_l} (1 - s^{e_l}) and the same with d_l.
+    """
+
+    e: tuple
+    eu: tuple
+    f1: tuple
+    up: tuple
+    n: tuple
+    d: tuple
+
+    def nd_row(self, a: float) -> tuple:
+        """The N then the D coefficients of 1 - s^{e_l} at amplitude a."""
+        powers = [a ** e for e in self.e]
+        return (tuple(c * x for c, x in zip(self.n, powers))
+                + tuple(c * x for c, x in zip(self.d, powers)))
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def terms(params: NonlinearityParams, gamma: float) -> Terms:
+    """The term table at (params, gamma), cached: a sweep row shares one.
+
+    typed keeps a numpy gamma's table apart, so its coefficients stay numpy
+    scalars as an inline expression in that gamma would make them.
+    """
+    p, q, r = params.p, params.q, params.r
+    a1, a3 = params.a1, params.a3
+    return Terms(
+        e=((p - 1.0) / 2.0, (q - 1.0) / 2.0, (r - 1.0) / 2.0),
+        # not e + 1, which rounds differently for some exponents
+        eu=((p + 1.0) / 2.0, (q + 1.0) / 2.0, (r + 1.0) / 2.0),
+        f1=(2.0 * a1 / (p + 1.0), -2.0 * gamma / (q + 1.0),
+            2.0 * a3 / (r + 1.0)),
+        up=(-a1, gamma, -a3),
+        n=(a1 * (5.0 - p) / (p + 1.0), -gamma * (5.0 - q) / (q + 1.0),
+           a3 * (5.0 - r) / (r + 1.0)),
+        d=(a1 / (p + 1.0), -gamma / (q + 1.0), a3 / (r + 1.0)),
+    )
+
+
+def power_sum(c, e, s, lead=None):
+    """lead + c_0 s^{e_0} + c_1 s^{e_1} + c_2 s^{e_2}, summed left to right
+    in the type of s."""
+    out = c[0] * s ** e[0]
+    if lead is not None:
+        out = lead + out
+    return out + c[1] * s ** e[1] + c[2] * s ** e[2]
+
+
+def one_minus_powers(u, e) -> list:
+    """1 - s^{e_l} at s = 1 - u^2, to full relative precision near u = 0."""
+    L = np.log1p(-u * u)
+    return [-np.expm1(x * L) for x in e]
+
+
+def _scalar(out):
+    return float(out) if out.ndim == 0 else out
+
+
 def eval_F1(params: NonlinearityParams, gamma: float, s):
     """F1(s) = (2a1/(p+1)) s^{(p-1)/2} - (2g/(q+1)) s^{(q-1)/2} + (2a3/(r+1)) s^{(r-1)/2}."""
-    p, q, r = params.p, params.q, params.r
-    s = np.asarray(s, dtype=float)
-    out = (2.0 * params.a1 / (p + 1.0) * s ** ((p - 1.0) / 2.0)
-           - 2.0 * gamma / (q + 1.0) * s ** ((q - 1.0) / 2.0)
-           + 2.0 * params.a3 / (r + 1.0) * s ** ((r - 1.0) / 2.0))
-    return float(out) if out.ndim == 0 else out
+    t = terms(params, gamma)
+    return _scalar(power_sum(t.f1, t.e, np.asarray(s, dtype=float)))
 
 
 def u_value(params: NonlinearityParams, omega: float, gamma: float, s):
     """U(s); vectorized."""
-    p, q, r = params.p, params.q, params.r
+    t = terms(params, gamma)
     s = np.asarray(s, dtype=float)
-    out = (omega * s
-           - 2.0 * params.a1 / (p + 1.0) * s ** ((p + 1.0) / 2.0)
-           + 2.0 * gamma / (q + 1.0) * s ** ((q + 1.0) / 2.0)
-           - 2.0 * params.a3 / (r + 1.0) * s ** ((r + 1.0) / 2.0))
-    return float(out) if out.ndim == 0 else out
+    return _scalar(power_sum([-c for c in t.f1], t.eu, s, lead=omega * s))
 
 
 def u_prime(params: NonlinearityParams, omega: float, gamma: float, s):
     """U'(s) = omega - a1 s^{(p-1)/2} + g s^{(q-1)/2} - a3 s^{(r-1)/2}; vectorized."""
-    p, q, r = params.p, params.q, params.r
-    s = np.asarray(s, dtype=float)
-    out = (omega
-           - params.a1 * s ** ((p - 1.0) / 2.0)
-           + gamma * s ** ((q - 1.0) / 2.0)
-           - params.a3 * s ** ((r - 1.0) / 2.0))
-    return float(out) if out.ndim == 0 else out
+    t = terms(params, gamma)
+    return _scalar(power_sum(t.up, t.e, np.asarray(s, dtype=float),
+                             lead=omega))
 
 
 def u_second(params: NonlinearityParams, gamma: float, s):
@@ -72,15 +133,15 @@ def u_second(params: NonlinearityParams, gamma: float, s):
     classifies points of the nonexistence curve, so this is kept exact
     term by term.
     """
-    p, q, r = params.p, params.q, params.r
+    t = terms(params, gamma)
     scalar = np.isscalar(s) or np.ndim(s) == 0
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     out = np.empty_like(s_arr)
     pos = s_arr > 0
-    sp = s_arr[pos]
-    out[pos] = (-params.a1 * (p - 1.0) / 2.0 * sp ** ((p - 3.0) / 2.0)
-                + gamma * (q - 1.0) / 2.0 * sp ** ((q - 3.0) / 2.0)
-                - params.a3 * (r - 1.0) / 2.0 * sp ** ((r - 3.0) / 2.0))
+    out[pos] = power_sum([c * e for c, e in zip(t.up, t.e)],
+                         [(l - 3.0) / 2.0 for l in (params.p, params.q,
+                                                    params.r)],
+                         s_arr[pos])
     if np.any(~pos):
         out[~pos] = _u_second_at_zero(params)
     return float(out[0]) if scalar else out
@@ -121,8 +182,7 @@ def eval_A(l: float, a: float, s):
         raise ValueError("need amplitude a > 0")
     e = (l - 1.0) / 2.0
     s = np.asarray(s, dtype=float)
-    out = (1.0 - s ** e) / (l + 1.0) * a ** e
-    return float(out) if out.ndim == 0 else out
+    return _scalar((1.0 - s ** e) / (l + 1.0) * a ** e)
 
 
 def eval_ND(params: NonlinearityParams, gamma: float, a: float, s):
@@ -132,14 +192,15 @@ def eval_ND(params: NonlinearityParams, gamma: float, a: float, s):
     D(a,s) = a1 A_p       - gamma A_q       + a3 A_r
 
     When a is the first zero of U, the identity 2*a*s*D(a,s) = U(a*s) makes
-    D positive on [0, 1).  Returns the pair (N, D), vectorized over s.
+    D positive on [0, 1).  Returns the pair (N, D), vectorized over s, from
+    the coefficient rows the J integrand uses.
     """
-    p, q, r = params.p, params.q, params.r
-    Ap = eval_A(p, a, s)
-    Aq = eval_A(q, a, s)
-    Ar = eval_A(r, a, s)
-    N = (params.a1 * (5.0 - p) * Ap
-         - gamma * (5.0 - q) * Aq
-         + params.a3 * (5.0 - r) * Ar)
-    D = params.a1 * Ap - gamma * Aq + params.a3 * Ar
-    return N, D
+    if a <= 0.0:
+        raise ValueError("need amplitude a > 0")
+    t = terms(params, gamma)
+    s = np.asarray(s, dtype=float)
+    row = t.nd_row(a)
+    E = [1.0 - s ** e for e in t.e]
+    N = row[0] * E[0] + row[1] * E[1] + row[2] * E[2]
+    D = row[3] * E[0] + row[4] * E[1] + row[5] * E[2]
+    return _scalar(N), _scalar(D)

@@ -62,24 +62,6 @@ class NonlinearityParams:
 
 
 @dataclass(frozen=True)
-class QueryPoint:
-    """A frequency/coupling pair (omega, gamma).
-
-    omega = 0 is admitted only so the omega-zero functional can be addressed;
-    every interior-point operation requires omega > 0.
-    """
-
-    omega: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.omega) and math.isfinite(self.gamma)):
-            raise ValueError("omega and gamma must be finite")
-        if self.omega < 0:
-            raise ValueError("omega must be nonnegative")
-
-
-@dataclass(frozen=True)
 class ScalingReduction:
     """Result of normalizing raw coefficients (a1, a2, a3)."""
 

@@ -30,6 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 
+from .landscape import power_sum, terms
 from .model import NonlinearityParams
 
 # |U'(a)| below this (relative) scale counts as a double zero
@@ -47,18 +48,6 @@ class ProfileResult:
     uprime_at_a: float
     exists: bool
     on_boundary: bool
-
-
-def _coeffs(params: NonlinearityParams, gamma: float):
-    """Closure-friendly coefficient bundle for F1 and friends."""
-    p, q, r = params.p, params.q, params.r
-    cp = 2.0 * params.a1 / (p + 1.0)
-    cq = -2.0 * gamma / (q + 1.0)
-    cr = 2.0 * params.a3 / (r + 1.0)
-    ep = (p - 1.0) / 2.0
-    eq = (q - 1.0) / 2.0
-    er = (r - 1.0) / 2.0
-    return cp, cq, cr, ep, eq, er
 
 
 @functools.lru_cache(maxsize=256)
@@ -151,7 +140,9 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
     A boundary double zero (*D cases: F1 max exactly omega) is returned as
     the touch point itself.
     """
-    cp, cq, cr, ep, eq, er = _coeffs(params, gamma)
+    t = terms(params, gamma)
+    cp, cq, cr = t.f1
+    ep, eq, er = t.e
 
     def phi(s: float) -> float:
         return omega - (cp * s ** ep + cq * s ** eq + cr * s ** er)
@@ -226,10 +217,9 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
 
 def _uprime_scale(params: NonlinearityParams, omega: float, gamma: float,
                   a: float) -> float:
-    p, q, r = params.p, params.q, params.r
-    return (abs(omega) + a ** ((p - 1.0) / 2.0)
-            + abs(gamma) * a ** ((q - 1.0) / 2.0)
-            + a ** ((r - 1.0) / 2.0))
+    """Size of the terms of U'(a), the scale BOUNDARY_TOL is relative to."""
+    t = terms(params, gamma)
+    return power_sum([abs(c) for c in t.up], t.e, a, lead=abs(omega))
 
 
 def find_a(params: NonlinearityParams, omega: float, gamma: float):
@@ -243,10 +233,8 @@ def find_a(params: NonlinearityParams, omega: float, gamma: float):
     a = _first_crossing(params, omega, gamma)
     if a is None:
         return None
-    p, q, r = params.p, params.q, params.r
-    up = (omega - params.a1 * a ** ((p - 1.0) / 2.0)
-          + gamma * a ** ((q - 1.0) / 2.0)
-          - params.a3 * a ** ((r - 1.0) / 2.0))
+    t = terms(params, gamma)
+    up = power_sum(t.up, t.e, a, lead=omega)
     tol = BOUNDARY_TOL * (1.0 + _uprime_scale(params, omega, gamma, a))
     on_b = abs(up) <= tol
     return ProfileResult(a=a, uprime_at_a=up, exists=(not on_b and up < 0.0),

@@ -36,9 +36,10 @@ import numpy as np
 
 from .boundary import omega_star
 from .errors import DivergingIntegral, NoStandingWave, NotOnCurve, UnsupportedRegime
-from .landscape import u_prime, u_value
+from .landscape import one_minus_powers, terms, u_prime, u_value
 from .model import NonlinearityParams
-from .profile import ProfileResult, find_a, find_a0
+from .profile import (BOUNDARY_TOL, ProfileResult, _uprime_scale, find_a,
+                      find_a0)
 from .quadrature import QuadratureResult, integrate, integrate_many
 
 _SQRT2 = math.sqrt(2.0)
@@ -128,23 +129,14 @@ def _batch_integrand(params: NonlinearityParams, gamma: float,
     """Integrand in u after s = 1 - u^2 for a batch of cells, vectorized.
 
     Cell k has the first zero amplitudes[k] and one row of coefficients
-    (cnp, cnq, cnr, cdp, cdq, cdr): N and D are cn* and cd* times
-    1 - s^e* for the p, q and r powers.  The returned g(u, cells)
+    (cnp, cnq, cnr, cdp, cdq, cdr), ``Terms.nd_row``: N and D are cn* and
+    cd* times 1 - s^e* for the p, q and r powers.  The returned g(u, cells)
     evaluates row i of u for cell cells[i], as ``integrate_many`` expects.
     A_l(a, 1-u^2) needs 1 - (1-u^2)^e to full relative precision near
     u = 0, so the powers go through expm1/log1p.
     """
-    p, q, r = params.p, params.q, params.r
-    ep, eq, er = (p - 1.0) / 2.0, (q - 1.0) / 2.0, (r - 1.0) / 2.0
-    coefficients = []
-    for a in amplitudes:
-        ap, aq, ar = a ** ep, a ** eq, a ** er
-        coefficients.append((params.a1 * (5.0 - p) / (p + 1.0) * ap,
-                             -gamma * (5.0 - q) / (q + 1.0) * aq,
-                             params.a3 * (5.0 - r) / (r + 1.0) * ar,
-                             params.a1 / (p + 1.0) * ap,
-                             -gamma / (q + 1.0) * aq,
-                             params.a3 / (r + 1.0) * ar))
+    t = terms(params, gamma)
+    coefficients = [t.nd_row(a) for a in amplitudes]
     table = np.array(coefficients).T[:, :, None]
 
     def g(u, cells):
@@ -153,10 +145,7 @@ def _batch_integrand(params: NonlinearityParams, gamma: float,
         cnp, cnq, cnr, cdp, cdq, cdr = (table[:, cells] if len(table[0]) > 1
                                         else coefficients[0])
         with np.errstate(divide="ignore", invalid="ignore"):
-            L = np.log1p(-u * u)
-            Ep = -np.expm1(ep * L)
-            Eq = -np.expm1(eq * L)
-            Er = -np.expm1(er * L)
+            Ep, Eq, Er = one_minus_powers(u, t.e)
             N = cnp * Ep + cnq * Eq + cnr * Er
             D = cdp * Ep + cdq * Eq + cdr * Er
             safe = D > 0.0
@@ -358,7 +347,7 @@ def omega_zero_pieces(params: NonlinearityParams,
     """The N1, N2, D1, D2 pieces and beta for the omega = 0 integrand."""
     p, q, r = params.p, params.q, params.r
     a1, a3 = params.a1, params.a3
-    ep, eq, er = (p - 1.0) / 2.0, (q - 1.0) / 2.0, (r - 1.0) / 2.0
+    ep, eq, er = terms(params, 0.0).e  # the exponents do not depend on gamma
     beta = (p + 1.0) / (r + 1.0) * a0 ** ((r - p) / 2.0)
 
     def n1(s):
@@ -400,15 +389,13 @@ def eval_J0(params: NonlinearityParams, gamma: float,
             "no zero-frequency amplitude at gamma=%g (case %s)"
             % (gamma, params.case))
     up0 = u_prime(params, 0.0, gamma, a0)
-    scale = (a0 ** ((p - 1.0) / 2.0) + abs(gamma) * a0 ** ((q - 1.0) / 2.0)
-             + a0 ** ((r - 1.0) / 2.0))
-    if up0 >= -1e-9 * (1.0 + scale):
+    if up0 >= -BOUNDARY_TOL * (1.0 + _uprime_scale(params, 0.0, gamma, a0)):
         raise DivergingIntegral(
             "degenerate zero-frequency amplitude at gamma=%g" % gamma)
     pieces = omega_zero_pieces(params, a0)
     beta = pieces.beta
     a1, a3 = params.a1, params.a3
-    ep, eq, er = (p - 1.0) / 2.0, (q - 1.0) / 2.0, (r - 1.0) / 2.0
+    e = terms(params, gamma).e
 
     # left half (0, 1/2]: s = 0.5 t^m flattens the s^{-3(p-1)/4} endpoint;
     # direct powers are exact here and the expm1 forms would cancel instead
@@ -433,10 +420,7 @@ def eval_J0(params: NonlinearityParams, gamma: float,
     def g_right(u):
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            L = np.log1p(-u * u)
-            Ep = -np.expm1(ep * L)
-            Eq = -np.expm1(eq * L)
-            Er = -np.expm1(er * L)
+            Ep, Eq, Er = one_minus_powers(u, e)
             num = (a1 * ((5.0 - p) * Ep - (5.0 - q) * Eq)
                    + beta * a3 * ((5.0 - r) * Er - (5.0 - q) * Eq))
             den = a1 * (Ep - Eq) + beta * a3 * (Er - Eq)
@@ -451,7 +435,7 @@ def eval_J0(params: NonlinearityParams, gamma: float,
     quad_r = integrate(g_right, 0.0, 1.0 / _SQRT2, rel_tol=rel_tol,
                        max_panels=2000, initial=2)
     C = -a0 / (4.0 * _SQRT2 * up0)
-    pref = C * math.sqrt((p + 1.0) / a0 ** ep)
+    pref = C * math.sqrt((p + 1.0) / a0 ** e[0])
     j = pref * (quad_l.value + quad_r.value)
     err = abs(pref) * (quad_l.abs_error + quad_r.abs_error)
     return StabilityValue(j=j, abs_error=err, diverging=False,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tristab import (
+    ContourSet,
     DiagramGrid,
     NonlinearityParams,
     NoStandingWave,
@@ -211,6 +212,18 @@ def test_contour_json_round_trip(tmp_path):
     assert back[0].paths == cs.paths
     assert back[0].level == cs.level
 
+
+
+def test_contour_json_round_trip_keeps_params(tmp_path):
+    grid = synthetic_grid(np.tile(np.linspace(-1, 1, 5), (4, 1)),
+                          np.linspace(1, 2, 5), np.linspace(0, 1, 4),
+                          params=FD357)
+    cs = extract_contours(grid, [0.0])[0]
+    path = str(tmp_path / "contours.json")
+    export_contours_json([cs, ContourSet(level=1.0, paths=())], path)
+    back = import_contours_json(path)
+    assert back[0].params == FD357
+    assert back[1].params is None  # written as {}
 
 def test_contour_json_multiple_sets(tmp_path):
     grid = synthetic_grid(np.tile(np.linspace(-1, 1, 5), (4, 1)),

@@ -14,6 +14,7 @@ from tristab import (
     find_a,
     u_second,
 )
+from tristab.landscape import terms
 
 FF234 = NonlinearityParams(2.0, 3.0, 4.0)
 DF234 = NonlinearityParams(2.0, 3.0, 4.0, sign1=-1)
@@ -161,3 +162,28 @@ def test_nd_identity_against_u():
             u = eval_U(params, omega, gamma, a * s).value
             assert abs(2.0 * d - u / (a * s)) <= 1e-10 * (1.0 + abs(u / (a * s)))
         checked += 1
+
+
+@pytest.mark.parametrize("params, gamma, column", [
+    pytest.param(NonlinearityParams(5.0, 6.0, 7.0, sign3=-1), -2.0, 0,
+                 id="p=5"),
+    pytest.param(NonlinearityParams(2.0, 3.0, 5.0, sign1=-1), -1.0, 2,
+                 id="r=5"),
+    pytest.param(NonlinearityParams(7.0 / 3.0, 3.0, 4.0, sign3=-1), 0.0, 1,
+                 id="gamma=0"),
+])
+def test_term_table_where_a_coefficient_vanishes(params, gamma, column):
+    # (5 - l) kills the l-power term of N at l = 5, and gamma = 0 the whole
+    # q column; N still equals its A_l form term by term
+    t = terms(params, gamma)
+    assert t.n[column] == 0.0
+    if column == 1:
+        assert t.f1[1] == t.up[1] == t.d[1] == 0.0
+    s = np.linspace(0.0, 1.0, 11)
+    n, d = eval_ND(params, gamma, 0.7, s)
+    coef = (params.a1, -gamma, params.a3)
+    ls = (params.p, params.q, params.r)
+    n_ref = sum(c * (5.0 - l) * eval_A(l, 0.7, s) for c, l in zip(coef, ls))
+    d_ref = sum(c * eval_A(l, 0.7, s) for c, l in zip(coef, ls))
+    assert np.allclose(n, n_ref, rtol=1e-13, atol=1e-15)
+    assert np.allclose(d, d_ref, rtol=1e-13, atol=1e-15)
