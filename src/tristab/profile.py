@@ -74,6 +74,10 @@ def _f1_critical_points(params: NonlinearityParams, gamma: float) -> tuple:
     for lo, hi in pieces:
         flo = dp if lo == 0.0 else h(lo)
         if hi is None:
+            # past its last critical point h runs monotonically from flo
+            # towards sign(dr) * inf, so ends of one sign leave no root
+            if (dr > 0.0) == (flo > 0.0):
+                continue
             # extend until the dominant x^beta term decides the sign
             x = 2.0 * lo if lo > 0.0 else 1.0
             x = max(x, 1.0)

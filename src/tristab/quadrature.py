@@ -7,10 +7,29 @@ bounded after substitution, so a finite-interval rule is enough.
 
 One kernel, ``integrate_many``, runs m integrands side by side, over one
 shared interval or over one interval per integrand.  Each keeps its own
-heap, panel budget, width floor and stopping test.  In every round the
-worst panel of each unfinished integrand is bisected, and the integrand is
-called once, on the nodes of all the new halves (and once on all the
-initial panels before the first round).  ``integrate`` is a batch of one.
+heap, panel budget, width floor, round-off counters and stopping test.  In
+every round the worst panel of each unfinished integrand is bisected, and
+the integrand is called once, on the nodes of all the new halves (and once
+on all the initial panels before the first round).  ``integrate`` is a
+batch of one.
+
+An integrand stops when its summed error passes max(abs_tol, rel_tol *
+|value|), when its panel budget runs out, when its only splittable panels
+are narrower than its width floor, or when refinement only churns
+round-off.  The last is QUADPACK's test (Piessens et al. 1983, ``qage``,
+``ier = 2``): a split whose halves move the panel's value by at most 1e-5
+relative while keeping 99% of its error counts in iroff1, and a split that
+raises the error, once the integrand has more than 10 panels, in iroff2; 6
+of the first or 20 of the second stop it.  This is what ends the
+refinement at a zero of J, where rel_tol * |value| sits below the summed
+round-off floors 50 eps resabs of the panels.  After a round-off stop the
+result is converged when its error passes the tolerance measured against
+the integral of |f| (the summed resabs of its unfrozen panels) instead of
+|value|: an error at the round-off floor passes, a noise plateau far above
+it does not.  ``QuadratureResult.stop`` names the test that ended it.  The
+heap order is untouched, so an integrand that meets its tolerance before
+the counters trip is refined through exactly the same splits as without
+them.
 
 A round is reduced in one set of array calls.  Each of the four G7/K15
 sums is a stacked vector product, ``(k, 1, 15) @ (15, 1)``, which numpy
@@ -71,18 +90,24 @@ _EPS = float(np.finfo(float).eps)
 
 
 class QuadratureResult(object):
-    __slots__ = ("value", "abs_error", "n_panels", "converged")
+    """One integral: value, error estimate, panels used, whether the error
+    met the tolerance, and why refinement stopped (``stop``): "tolerance",
+    "roundoff", "budget" or "width_floor"."""
 
-    def __init__(self, value, abs_error, n_panels, converged):
+    __slots__ = ("value", "abs_error", "n_panels", "converged", "stop")
+
+    def __init__(self, value, abs_error, n_panels, converged, stop):
         self.value = value
         self.abs_error = abs_error
         self.n_panels = n_panels
         self.converged = converged
+        self.stop = stop
 
     def __repr__(self):
         return ("QuadratureResult(value=%r, abs_error=%r, n_panels=%d, "
-                "converged=%r)" % (self.value, self.abs_error,
-                                   self.n_panels, self.converged))
+                "converged=%r, stop=%r)" % (self.value, self.abs_error,
+                                            self.n_panels, self.converged,
+                                            self.stop))
 
 
 def _dots(Y, w):
@@ -94,9 +119,10 @@ def _dots(Y, w):
     return np.matmul(Y[:, None, :], w[:, None])[:, 0, 0]
 
 
-def _reduce(Y, lo, hi):
+def _reduce(Y, lo, hi, resabs=None):
     """G7/K15 values and errors of the panels [lo[i], hi[i]] from their 15
-    values Y[i], as two lists of floats.
+    values Y[i], as two lists of floats.  When resabs is a list, the K15
+    integral of |f| over each panel is appended to it.
 
     The four weighted sums of every panel come from ``_dots``; the error
     formula runs per panel on Python floats, because its ``** 1.5`` must be
@@ -106,17 +132,19 @@ def _reduce(Y, lo, hi):
     half = 0.5 * width
     kron = half * _dots(Y, _W_K)
     gauss = half * _dots(Y, _W_G)
-    resabs = half * _dots(np.abs(Y), _W_K)
+    absolute = half * _dots(np.abs(Y), _W_K)
     resasc = half * _dots(np.abs(Y - (kron / width)[:, None]), _W_K)
     errs = []
     for err, asc, floor in zip(np.abs(kron - gauss).tolist(),
                                resasc.tolist(),
-                               (50.0 * _EPS * resabs).tolist()):
+                               (50.0 * _EPS * absolute).tolist()):
         if asc != 0.0 and err != 0.0:
             err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
         if floor > 0.0:
             err = max(err, floor)
         errs.append(err)
+    if resabs is not None:
+        resabs += absolute.tolist()
     return kron.tolist(), errs
 
 
@@ -127,11 +155,21 @@ def _nodes(lo, hi):
 
 def _round(f, lo, hi, cells):
     """Evaluate f once on every panel [lo[i], hi[i]] of integrand cells[i]
-    and reduce each panel: (values, errors)."""
+    and reduce each panel: (values, errors, integrals of |f|)."""
     lo, hi = np.array(lo), np.array(hi)
     x = _nodes(lo, hi)
     y = np.asarray(f(x, cells), dtype=float).reshape(x.shape)
-    return _reduce(y, lo, hi)
+    resabs = []
+    vals, errs = _reduce(y, lo, hi, resabs)
+    return vals, errs, resabs
+
+
+# the constants of qage's round-off counters (module docstring)
+_ROFF_REL = 1e-5
+_ROFF_KEEP = 0.99
+_ROFF_PANELS = 10
+_ROFF1_STOP = 6
+_ROFF2_STOP = 20
 
 
 def integrate_many(f, lo, hi, m: int,
@@ -146,9 +184,12 @@ def integrate_many(f, lo, hi, m: int,
     of integrand cells[i] (a list of k indices in range(m)), and returns the
     k x 15 values.  Each integrand is refined exactly as it would be alone:
     panels are bisected worst-error-first until its summed error passes the
-    tolerance (relative to its running total) or its panel budget runs out.
-    An empty interval (hi <= lo) gives 0 without calling f.  Returns one
-    QuadratureResult per integrand.
+    tolerance (relative to its running total), its splits show that only
+    round-off is left (QUADPACK's counters), or its panel budget runs out.
+    After a round-off stop it is converged when its error passes the
+    tolerance relative to the integral of |f|.  An empty interval
+    (hi <= lo) gives 0 without calling f.  Returns one QuadratureResult per
+    integrand.
     """
     los = [float(lo)] * m if np.ndim(lo) == 0 else [float(v) for v in lo]
     his = [float(hi)] * m if np.ndim(hi) == 0 else [float(v) for v in hi]
@@ -159,7 +200,7 @@ def integrate_many(f, lo, hi, m: int,
     live = []
     for c, (a, b) in enumerate(zip(los, his)):
         if b <= a:
-            results[c] = QuadratureResult(0.0, 0.0, 0, True)
+            results[c] = QuadratureResult(0.0, 0.0, 0, True, "tolerance")
         else:
             live.append(c)
     if not live:
@@ -169,20 +210,22 @@ def integrate_many(f, lo, hi, m: int,
     cells = [c for c in live for _ in range(initial)]
     span_lo = edges[:, :-1].ravel().tolist()
     span_hi = edges[:, 1:].ravel().tolist()
-    vals, errs = _round(f, span_lo, span_hi, cells)
+    vals, errs, absols = _round(f, span_lo, span_hi, cells)
     heaps = [[] for _ in range(m)]
     totals = [0.0] * m
     errors = [0.0] * m
-    for i, (c, a, b, val, err) in enumerate(zip(cells, span_lo, span_hi,
-                                                vals, errs)):
+    for i, (c, a, b, val, err, ab) in enumerate(zip(cells, span_lo, span_hi,
+                                                    vals, errs, absols)):
         totals[c] += val
         errors[c] += err
-        heaps[c].append((-err, i, a, b, val, err))
+        heaps[c].append((-err, i, a, b, val, err, ab))
     for heap in heaps:
         heapq.heapify(heap)
     counter = len(cells)
     n = [initial] * m
     frozen = [0.0] * m
+    iroff1 = [0] * m
+    iroff2 = [0] * m
     width_floors = [4.0 * _EPS * max(abs(a), abs(b), 1.0)
                     for a, b in zip(los, his)]
     active = [c for c in range(m) if results[c] is None]
@@ -191,22 +234,33 @@ def integrate_many(f, lo, hi, m: int,
         for c in active:
             heap = heaps[c]
             while True:
-                if (n[c] >= max_panels
-                        or errors[c] <= max(abs_tol,
-                                            rel_tol * abs(totals[c]))):
-                    toterr = errors[c] + frozen[c]
-                    results[c] = QuadratureResult(
-                        totals[c], toterr, n[c],
-                        toterr <= max(abs_tol, rel_tol * abs(totals[c])))
+                tol = max(abs_tol, rel_tol * abs(totals[c]))
+                toterr = errors[c] + frozen[c]
+                if errors[c] <= tol:
+                    # only frozen panels can keep it from converging
+                    stop = "tolerance" if toterr <= tol else "width_floor"
+                elif iroff1[c] >= _ROFF1_STOP or iroff2[c] >= _ROFF2_STOP:
+                    stop = "roundoff"
+                    # the integral of |f| over the live panels, summed here
+                    # once rather than carried through every split
+                    tol = max(abs_tol, rel_tol * sum(p[6] for p in heap))
+                elif n[c] >= max_panels:
+                    stop = "budget"
+                else:
+                    stop = None
+                if stop is not None:
+                    results[c] = QuadratureResult(totals[c], toterr, n[c],
+                                                  toterr <= tol, stop)
                     break
-                _, _, a, b, val, err = heapq.heappop(heap)
+                _, _, a, b, val, err, _ = heapq.heappop(heap)
                 if b - a <= width_floors[c]:
                     # cannot subdivide further in float; freeze its error
                     frozen[c] += err
                     errors[c] -= err
                     if not heap:
                         results[c] = QuadratureResult(
-                            totals[c], errors[c] + frozen[c], n[c], False)
+                            totals[c], errors[c] + frozen[c], n[c], False,
+                            "width_floor")
                         break
                     continue
                 splits.append((c, a, 0.5 * (a + b), b, val, err))
@@ -218,16 +272,26 @@ def integrate_many(f, lo, hi, m: int,
         for _, a, mid, b, _, _ in splits:
             span_lo += (a, mid)
             span_hi += (mid, b)
-        vals, errs = _round(f, span_lo, span_hi,
-                            [c for c in active for _ in (0, 1)])
-        for (c, a, mid, b, val, err), v1, v2, e1, e2 in zip(
-                splits, vals[::2], vals[1::2], errs[::2], errs[1::2]):
-            totals[c] += (v1 + v2) - val
-            errors[c] += (e1 + e2) - err
-            heapq.heappush(heaps[c], (-e1, counter, a, mid, v1, e1))
-            heapq.heappush(heaps[c], (-e2, counter + 1, mid, b, v2, e2))
+        vals, errs, absols = _round(f, span_lo, span_hi,
+                                    [c for c in active for _ in (0, 1)])
+        for (c, a, mid, b, val, err), v1, v2, e1, e2, ab1, ab2 in zip(
+                splits, vals[::2], vals[1::2], errs[::2], errs[1::2],
+                absols[::2], absols[1::2]):
+            area12 = v1 + v2
+            erro12 = e1 + e2
+            totals[c] += area12 - val
+            errors[c] += erro12 - err
+            heapq.heappush(heaps[c], (-e1, counter, a, mid, v1, e1, ab1))
+            heapq.heappush(heaps[c], (-e2, counter + 1, mid, b, v2, e2, ab2))
             counter += 2
             n[c] += 1
+            # both counters need erro12 >= 0.99 err (erro12 > err implies
+            # it), which a split that makes progress fails: one test then
+            if erro12 >= _ROFF_KEEP * err:
+                if abs(val - area12) <= _ROFF_REL * abs(area12):
+                    iroff1[c] += 1
+                if erro12 > err and n[c] > _ROFF_PANELS:
+                    iroff2[c] += 1
 
 
 def integrate(f, lo: float, hi: float,

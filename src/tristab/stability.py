@@ -12,6 +12,8 @@ so each can serve as an oracle for the others:
 * ``eval_J_raw``: the direct form
   (-1/(2U'(a))) * integral of (3 + s(U'(a)-U'(s))/U(s)) sqrt(s)/sqrt(U(s))
   over [0, a], with the (a-s)^{-1/2} endpoint removed by s = a - u^2.
+  U(s)/s and U'(a) - U'(s) are sums of the differences 1 - (s/a)^e in
+  expm1/log1p form, so the bracket does not cancel near s = a.
 * ``eval_J_mass_fd``: central finite difference of the mass integral
   ``mass_Q`` in omega, with a Richardson consistency estimate.  Its four
   stencil masses run as one batched quadrature, each equal to ``mass_Q``
@@ -214,21 +216,29 @@ def eval_J_row(params: NonlinearityParams, omegas: Sequence[float],
 # -- raw route ---------------------------------------------------------------
 
 
-def _raw_integrand(params: NonlinearityParams, omega: float, gamma: float,
-                   a: float, up: float) -> Callable:
+def _raw_integrand(params: NonlinearityParams, gamma: float,
+                   a: float) -> Callable:
+    """Integrand in u after s = a - u^2, written so that nothing cancels.
+
+    With E_l = 1 - (s/a)^{e_l}, U(s)/s = V = sum f1_l a^{e_l} E_l (as
+    F1(a) = omega) and U'(a) - U'(s) = W = sum up_l a^{e_l} E_l, so the
+    integrand 2u (3 + s (U'(a) - U'(s)) / U(s)) sqrt(s / U(s)) is
+    2u (3 + W/V) / sqrt(V), with E_l in expm1/log1p form.
+    """
+    t = terms(params, gamma)
+    powers = [a ** e for e in t.e]
+    fp, fq, fr = [c * x for c, x in zip(t.f1, powers)]
+    wp, wq, wr = [c * x for c, x in zip(t.up, powers)]
+    root_a = math.sqrt(a)
+
     def g(u):
-        u = np.asarray(u, dtype=float)
-        s = a - u * u
-        s = np.where(s < 0.0, 0.0, s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            Us = u_value(params, omega, gamma, s)
-            Ups = u_prime(params, omega, gamma, s)
-            safe = np.asarray(Us, dtype=float) > 0.0
-            Us_safe = np.where(safe, Us, 1.0)
-            bracket = 3.0 + s * (up - Ups) / Us_safe
-            out = np.where(safe,
-                           2.0 * u * bracket * np.sqrt(s) / np.sqrt(Us_safe),
-                           0.0)
+            Ep, Eq, Er = one_minus_powers(u / root_a, t.e)
+            V = fp * Ep + fq * Eq + fr * Er
+            W = wp * Ep + wq * Eq + wr * Er
+            safe = V > 0.0
+            V = np.where(safe, V, 1.0)
+            out = np.where(safe, 2.0 * u * (3.0 + W / V) / np.sqrt(V), 0.0)
         return out
 
     return g
@@ -242,7 +252,7 @@ def eval_J_raw(params: NonlinearityParams, omega: float, gamma: float,
         return _sentinel(params, omega, gamma, "raw")
     a, up = res.a, res.uprime_at_a
     pref = -1.0 / (2.0 * up)
-    quad = integrate(_raw_integrand(params, omega, gamma, a, up),
+    quad = integrate(_raw_integrand(params, gamma, a),
                      0.0, math.sqrt(a), rel_tol=rel_tol, max_panels=2000,
                      initial=2)
     return StabilityValue(j=pref * quad.value,

@@ -216,3 +216,15 @@ def test_sweep_row_finds_critical_points_once_per_gamma():
     assert info.hits >= grid.values.size - len(grid.gamma_axis)
     crits = profile._f1_critical_points(fd367, float(grid.gamma_axis[0]))
     assert isinstance(crits, tuple)
+
+
+@pytest.mark.parametrize("r", [7.5, 8.0])
+def test_wide_exponent_gap_does_not_overflow(r):
+    # with r - p above about 5.1 the doubling search on the last monotone
+    # piece of h overflowed x ** beta; that piece runs from h's value at
+    # its start towards sign(d_r) * inf, so ends of one sign are skipped
+    params = NonlinearityParams(2.0, 3.0, r)
+    prof = find_a(params, 0.1, -1.0)
+    assert prof.exists and not prof.on_boundary
+    assert prof.uprime_at_a < 0.0
+    assert abs(u_value(params, 0.1, -1.0, prof.a)) <= 1e-14 * 0.1 * prof.a

@@ -298,3 +298,59 @@ def test_batch_with_one_interval_per_integrand_repeats_each_alone():
     assert (results[5].value, results[5].n_panels) == (0.0, 0)
     with pytest.raises(ValueError):
         integrate_many(batch, los[:-1], his, len(fs), **kw)
+
+
+def _noisy(x):
+    # e^x with a deterministic relative wobble of 1e-7 from node to node:
+    # no rule resolves it, so refinement only churns round-off-like noise
+    return np.exp(x) * (1.0 + 1e-7 * np.sin(1e9 * x))
+
+
+def _sin_2pi(x):
+    return np.sin(2.0 * np.pi * x)
+
+
+def test_noise_plateau_stops_on_roundoff_unconverged():
+    # without the round-off counters this runs to its 2,000-panel budget
+    res = integrate(_noisy, 0.0, 1.0, rel_tol=1e-10)
+    assert res.stop == "roundoff"
+    assert res.n_panels < 100
+    assert not res.converged
+    assert abs(res.value - (math.e - 1.0)) <= res.abs_error
+
+
+def test_zero_integral_stops_on_roundoff_converged():
+    # the integral is 0, so rel_tol * |total| sits below the round-off
+    # floor; measured against the integral of |f| (2/pi) the error passes
+    res = integrate(_sin_2pi, 0.0, 1.0)
+    assert res.stop == "roundoff"
+    assert res.converged
+    assert res.n_panels < 30
+    assert abs(res.value) <= res.abs_error
+    assert "stop='roundoff'" in repr(res)
+
+
+@pytest.mark.parametrize("initial", [1, 2])
+def test_roundoff_counters_are_kept_per_integrand(initial):
+    fs = [p.values[0] for p in _MIX] + [_sin_2pi, _noisy]
+
+    def batch(x, cells):
+        out = np.empty_like(x)
+        for i, c in enumerate(cells):
+            out[i] = fs[c](x[i])
+        return out
+
+    kw = dict(rel_tol=1e-10, max_panels=150, initial=initial)
+    results = integrate_many(batch, 0.0, 1.0, len(fs), **kw)
+    for f, res in zip(fs, results):
+        ref = integrate(f, 0.0, 1.0, **kw)
+        assert (res.value, res.abs_error, res.n_panels, res.converged,
+                res.stop) == (ref.value, ref.abs_error, ref.n_panels,
+                              ref.converged, ref.stop)
+    # 1/sqrt(x) and x^-0.9 meet the tolerance on their live panels but
+    # carry the error of a panel frozen at the width floor
+    assert [r.stop for r in results] == ["tolerance", "width_floor", "budget",
+                                         "width_floor", "roundoff",
+                                         "roundoff"]
+    assert [r.converged for r in results] == [True, False, False, False,
+                                              True, False]

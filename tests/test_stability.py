@@ -19,10 +19,12 @@ from tristab import (
     find_a,
     find_a0,
     gamma_omega_ne,
+    integrate_many,
     mass_Q,
     omega_star,
     omega_zero_pieces,
 )
+from tristab import stability
 from tristab.landscape import eval_ND
 from tristab.stability import _batch_integrand
 
@@ -33,6 +35,7 @@ DD357 = NonlinearityParams(3.0, 5.0, 7.0, sign1=-1, sign3=-1)
 DF_LOW = NonlinearityParams(1.3, 1.8, 2.5, sign1=-1)
 DF_HIGH = NonlinearityParams(2.2, 2.8, 4.0, sign1=-1)
 DF_CRIT = NonlinearityParams(2.0, 2.5, 3.0, sign1=-1)
+FD367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)
 
 
 def trapezoid_mass(params, omega, gamma, n=400001):
@@ -313,3 +316,61 @@ def test_border_points_match_the_oracle(method, params, omega, gamma, j_ref,
     sv = method(params, omega, gamma)
     assert sv.converged
     assert abs(sv.j - j_ref) <= sv.abs_error + ref_err
+
+
+# J(omega, -10) of FD(3,6,7) changes sign here (brentq on eval_J)
+FD367_J_ZERO = 0.39620117873208216
+
+
+def _record_quadratures(monkeypatch):
+    results = []
+
+    def recorded(*args, **kwargs):
+        out = integrate_many(*args, **kwargs)
+        results.extend(out)
+        return out
+
+    monkeypatch.setattr(stability, "integrate_many", recorded)
+    return results
+
+
+@pytest.mark.parametrize("rel, verdict", [(-1e-6, "stable"),
+                                          (1e-6, "unstable")])
+def test_eval_J_next_to_a_zero_of_J_is_cheap_and_definite(monkeypatch, rel,
+                                                          verdict):
+    # rel_tol * |J| falls below the round-off floor of the panels here; the
+    # quadrature used to spend its 2,000 panels and read indeterminate
+    quads = _record_quadratures(monkeypatch)
+    sv = eval_J(FD367, FD367_J_ZERO * (1.0 + rel), -10.0)
+    (quad,) = quads
+    assert quad.n_panels < 30 and quad.stop == "roundoff"
+    assert sv.converged and sv.verdict() == verdict
+
+
+def test_eval_J_at_a_zero_of_J_converges_indeterminate(monkeypatch):
+    quads = _record_quadratures(monkeypatch)
+    sv = eval_J(FD367, FD367_J_ZERO, -10.0)
+    (quad,) = quads
+    assert quad.n_panels < 30 and quad.stop == "roundoff"
+    assert sv.converged
+    assert abs(sv.j) <= sv.abs_error
+    assert sv.verdict() == "indeterminate"
+
+
+# j from perfbench/reference_points.json (40-digit mpmath quadrature)
+@pytest.mark.parametrize("params, omega, gamma, j_ref", [
+    pytest.param(FD367, 0.1, 0.0, 7.497052781074686, id="FD367-interior"),
+    pytest.param(DD357, 1.0, -5.0, 0.007004510234107258, id="DD357-w1"),
+    pytest.param(DD357, 5.0, -8.0, 0.00916121912428323, id="DD357-w5"),
+    pytest.param(FF234, 0.14640159712457032, 1.8973665961010275,
+                 6401685.752195047, id="FF234-1e-6-below-curve"),
+    pytest.param(FD367, 0.34999965, -0.35, 1904760.9786480851,
+                 id="FD367-1e-6-below-curve"),
+])
+def test_raw_bracket_does_not_cancel(params, omega, gamma, j_ref):
+    # 3 + s (U'(a) - U'(s)) / U(s) written as differences of powers of s
+    # used to cancel near s = a: 7.1e-13 off against a stated 8.3e-14 at
+    # the FD367 interior point, and unconverged next to the curves
+    sv = eval_J_raw(params, omega, gamma)
+    assert sv.converged
+    assert abs(sv.j - j_ref) <= sv.abs_error
