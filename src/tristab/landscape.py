@@ -58,9 +58,9 @@ class Terms:
     n: tuple
     d: tuple
 
-    def nd_row(self, a: float) -> tuple:
-        """The N then the D coefficients of 1 - s^{e_l} at amplitude a."""
-        powers = [a ** e for e in self.e]
+    def nd_row(self, powers) -> tuple:
+        """The N then the D coefficients of 1 - s^{e_l} at the powers
+        a^{e_l} of amplitude a."""
         return (tuple(c * x for c, x in zip(self.n, powers))
                 + tuple(c * x for c, x in zip(self.d, powers)))
 
@@ -199,7 +199,7 @@ def eval_ND(params: NonlinearityParams, gamma: float, a: float, s):
         raise ValueError("need amplitude a > 0")
     t = terms(params, gamma)
     s = np.asarray(s, dtype=float)
-    row = t.nd_row(a)
+    row = t.nd_row([a ** e for e in t.e])
     E = [1.0 - s ** e for e in t.e]
     N = row[0] * E[0] + row[1] * E[1] + row[2] * E[2]
     D = row[3] * E[0] + row[4] * E[1] + row[5] * E[2]

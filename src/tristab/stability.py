@@ -5,10 +5,14 @@ stable, negative unstable.  Three independent evaluation routes are provided
 so each can serve as an oracle for the others:
 
 * ``eval_J``: the transformed integrand C * N(a,s)/D(a,s)^{3/2} on [0,1],
-  with the (1-s)^{-1/2} endpoint removed by s = 1 - u^2.  ``eval_J_row``
-  evaluates it at every omega of one gamma row, with one batched
-  quadrature for the whole row; ``eval_J`` is a row of one, so the two
-  agree bit for bit.
+  split at s = 1/2 and integrated as one integrand in x on [0, 2].  On
+  x in [0, 1], s = 1 - x^2/2 removes the (1-s)^{-1/2} endpoint; on
+  x in [1, 2], s = 0.5 (2 - x)^m with m the smallest integer with
+  m (p-1)/2 >= 1 flattens the s^{(p-1)/2} endpoint at s = 0.  x = 1 is
+  an edge of the first two panels, so no panel straddles the split.
+  ``eval_J_row`` evaluates it at every omega of one gamma row, with one
+  batched quadrature for the whole row; ``eval_J`` is a row of one, so
+  the two agree bit for bit.
 * ``eval_J_raw``: the direct form
   (-1/(2U'(a))) * integral of (3 + s(U'(a)-U'(s))/U(s)) sqrt(s)/sqrt(U(s))
   over [0, a], with the (a-s)^{-1/2} endpoint removed by s = a - u^2.
@@ -18,6 +22,13 @@ so each can serve as an oracle for the others:
   ``mass_Q`` in omega, with a Richardson consistency estimate.  Its four
   stencil masses run as one batched quadrature, each equal to ``mass_Q``
   alone bit for bit, and their quadrature errors enter its error bar.
+
+The abs_error of ``eval_J`` and ``eval_J_raw`` adds to the quadrature
+error the error J carries from a: the computed a is the exact zero at an
+omega off by at most eps S, S = |omega| + sum |f1_l| a^{e_l}, and J moves
+by |J| eps S (2 |a^2 F1''(a)| / U'(a)^2 + 1/|U'(a)|) with it; the first
+part is one over the distance to the fold, the second the residual in the
+prefactor's U'(a).
 
 For defocusing-lowest-power (D*) cases with p < 7/3, the omega -> 0 limit
 J(0, gamma) is finite and computed by ``eval_J0`` from the gamma-eliminated
@@ -38,13 +49,15 @@ import numpy as np
 
 from .boundary import omega_star
 from .errors import DivergingIntegral, NoStandingWave, NotOnCurve, UnsupportedRegime
-from .landscape import one_minus_powers, terms, u_prime, u_value
+from .landscape import Terms, one_minus_powers, terms, u_prime, u_value
 from .model import NonlinearityParams
 from .profile import (BOUNDARY_TOL, ProfileResult, _uprime_scale, find_a,
                       find_a0)
 from .quadrature import QuadratureResult, integrate, integrate_many
 
 _SQRT2 = math.sqrt(2.0)
+_LN_HALF = math.log(0.5)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -126,37 +139,63 @@ def _sentinel(params, omega, gamma, method: str) -> StabilityValue:
 # -- transformed route -------------------------------------------------------
 
 
-def _batch_integrand(params: NonlinearityParams, gamma: float,
-                      amplitudes: Sequence[float]) -> Callable:
-    """Integrand in u after s = 1 - u^2 for a batch of cells, vectorized.
+def _batch_integrand(t: Terms, powers: Sequence[Sequence[float]]) -> Callable:
+    """Integrand in x on [0, 2] for a batch of cells, vectorized.
 
-    Cell k has the first zero amplitudes[k] and one row of coefficients
-    (cnp, cnq, cnr, cdp, cdq, cdr), ``Terms.nd_row``: N and D are cn* and
-    cd* times 1 - s^e* for the p, q and r powers.  The returned g(u, cells)
-    evaluates row i of u for cell cells[i], as ``integrate_many`` expects.
-    A_l(a, 1-u^2) needs 1 - (1-u^2)^e to full relative precision near
-    u = 0, so the powers go through expm1/log1p.
+    Cell k has one row of coefficients (cnp, cnq, cnr, cdp, cdq, cdr),
+    ``Terms.nd_row`` at its powers a_k^{e_l}: N and D are cn* and cd* times
+    1 - s^e* for the p, q and r powers.  The integral over s in [0, 1] is
+    split at s = 1/2, which sits at x = 1.  On [0, 1], s = 1 - x^2/2 with
+    Jacobian x removes the (1-s)^{-1/2} endpoint; on [1, 2], t = 2 - x and
+    s = 0.5 t^m with Jacobian 0.5 m t^{m-1}, m the smallest integer with
+    m (p-1)/2 >= 1, flatten the s^{(p-1)/2} endpoint at s = 0.  Both pieces
+    write 1 - s^e as -expm1(e ln s), with ln s = log1p(-x^2/2) on the right
+    (full relative precision near s = 1) and ln 0.5 + m ln t on the left.
+    The returned g(x, cells) evaluates row i of x for cell cells[i], as
+    ``integrate_many`` expects, elementwise.
     """
-    t = terms(params, gamma)
-    coefficients = [t.nd_row(a) for a in amplitudes]
+    m = math.ceil(1.0 / t.e[0])
+    coefficients = [t.nd_row(pw) for pw in powers]
     table = np.array(coefficients).T[:, :, None]
 
-    def g(u, cells):
+    def g(x, cells):
         # one cell multiplies by plain floats: on arrays this small,
         # broadcasting a (k, 1) column costs twice as much
         cnp, cnq, cnr, cdp, cdq, cdr = (table[:, cells] if len(table[0]) > 1
                                         else coefficients[0])
         with np.errstate(divide="ignore", invalid="ignore"):
-            Ep, Eq, Er = one_minus_powers(u, t.e)
+            right = x <= 1.0
+            tl = 2.0 - x
+            ln_s = np.where(right, np.log1p(-0.5 * x * x),
+                            _LN_HALF + m * np.log(tl))
+            jac = np.where(right, x, 0.5 * m * tl ** (m - 1))
+            Ep, Eq, Er = [-np.expm1(e * ln_s) for e in t.e]
             N = cnp * Ep + cnq * Eq + cnr * Er
             D = cdp * Ep + cdq * Eq + cdr * Er
             safe = D > 0.0
             out = np.where(safe,
-                           2.0 * u * N / np.where(safe, D, 1.0) ** 1.5,
+                           jac * N / np.where(safe, D, 1.0) ** 1.5,
                            0.0)
         return out
 
     return g
+
+
+def _root_error(t: Terms, omega: float, up: float, powers) -> float:
+    """Relative error that J carries from its amplitude a and from U'(a).
+
+    The computed a is the exact first zero at an omega off by at most
+    eps S, S = |omega| + sum |f1_l| a^{e_l}.  J grows like one over the
+    distance to the fold, about U'(a)^2 / (2 |a^2 F1''(a)|) in omega, and
+    its prefactor divides by U'(a), whose residual is of the same eps S.
+    Python floats throughout: a row of one must not pay numpy's overhead.
+    """
+    size = abs(omega)
+    curvature = 0.0  # a^2 F1''(a)
+    for c, e, x in zip(t.f1, t.e, powers):
+        size += abs(c) * x
+        curvature += c * e * (e - 1.0) * x
+    return _EPS * size * (2.0 * abs(curvature) / (up * up) + 1.0 / abs(up))
 
 
 def _transformed_row(params: NonlinearityParams, gamma: float, cells,
@@ -164,7 +203,9 @@ def _transformed_row(params: NonlinearityParams, gamma: float, cells,
     """J at each (omega, profile) of one gamma row.
 
     A None profile gives NaN and a profile on the curve the signed
-    sentinel; every other cell goes into one ``integrate_many`` call.
+    sentinel; every other cell goes into one ``integrate_many`` call over
+    x in [0, 2], whose two initial panels meet at the split x = 1.
+    abs_error is the quadrature error times |C| plus |J| ``_root_error``.
     """
     out = [None] * len(cells)
     waves = []
@@ -178,15 +219,19 @@ def _transformed_row(params: NonlinearityParams, gamma: float, cells,
             waves.append(i)
     if not waves:
         return out
-    g = _batch_integrand(params, gamma, [cells[i][1].a for i in waves])
-    quads = integrate_many(g, 0.0, 1.0, len(waves), rel_tol=rel_tol,
-                           max_panels=2000, initial=2)
-    for i, quad in zip(waves, quads):
-        res = cells[i][1]
+    t = terms(params, gamma)
+    powers = [[cells[i][1].a ** e for e in t.e] for i in waves]
+    quads = integrate_many(_batch_integrand(t, powers), 0.0, 2.0,
+                           len(waves), rel_tol=rel_tol, max_panels=2000,
+                           initial=2)
+    for i, quad, pw in zip(waves, quads, powers):
+        omega, res = cells[i]
         C = -res.a / (4.0 * _SQRT2 * res.uprime_at_a)
-        out[i] = StabilityValue(j=C * quad.value,
-                                abs_error=abs(C) * quad.abs_error,
-                                diverging=False, method="transformed",
+        j = C * quad.value
+        err = (abs(C) * quad.abs_error
+               + abs(j) * _root_error(t, omega, res.uprime_at_a, pw))
+        out[i] = StabilityValue(j=j, abs_error=err, diverging=False,
+                                method="transformed",
                                 converged=quad.converged)
     return out
 
@@ -216,8 +261,7 @@ def eval_J_row(params: NonlinearityParams, omegas: Sequence[float],
 # -- raw route ---------------------------------------------------------------
 
 
-def _raw_integrand(params: NonlinearityParams, gamma: float,
-                   a: float) -> Callable:
+def _raw_integrand(t: Terms, a: float, powers) -> Callable:
     """Integrand in u after s = a - u^2, written so that nothing cancels.
 
     With E_l = 1 - (s/a)^{e_l}, U(s)/s = V = sum f1_l a^{e_l} E_l (as
@@ -225,8 +269,6 @@ def _raw_integrand(params: NonlinearityParams, gamma: float,
     integrand 2u (3 + s (U'(a) - U'(s)) / U(s)) sqrt(s / U(s)) is
     2u (3 + W/V) / sqrt(V), with E_l in expm1/log1p form.
     """
-    t = terms(params, gamma)
-    powers = [a ** e for e in t.e]
     fp, fq, fr = [c * x for c, x in zip(t.f1, powers)]
     wp, wq, wr = [c * x for c, x in zip(t.up, powers)]
     root_a = math.sqrt(a)
@@ -246,17 +288,25 @@ def _raw_integrand(params: NonlinearityParams, gamma: float,
 
 def eval_J_raw(params: NonlinearityParams, omega: float, gamma: float,
                rel_tol: float = 1e-9) -> StabilityValue:
-    """J via the direct integrand on [0, a]; oracle for the transformed route."""
+    """J via the direct integrand on [0, a]; oracle for the transformed route.
+
+    abs_error carries the same ``_root_error`` as ``eval_J``.
+    """
     res = _require_profile(params, omega, gamma)
     if res.on_boundary:
         return _sentinel(params, omega, gamma, "raw")
     a, up = res.a, res.uprime_at_a
+    t = terms(params, gamma)
+    powers = [a ** e for e in t.e]
     pref = -1.0 / (2.0 * up)
-    quad = integrate(_raw_integrand(params, gamma, a),
+    quad = integrate(_raw_integrand(t, a, powers),
                      0.0, math.sqrt(a), rel_tol=rel_tol, max_panels=2000,
                      initial=2)
-    return StabilityValue(j=pref * quad.value,
-                          abs_error=abs(pref) * quad.abs_error,
+    j = pref * quad.value
+    return StabilityValue(j=j,
+                          abs_error=(abs(pref) * quad.abs_error
+                                     + abs(j) * _root_error(t, omega, up,
+                                                            powers)),
                           diverging=False, method="raw",
                           converged=quad.converged)
 

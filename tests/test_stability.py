@@ -14,6 +14,7 @@ from tristab import (
     eval_J,
     eval_J0,
     eval_J_mass_fd,
+    eval_J_row,
     endpoints,
     eval_J_raw,
     find_a,
@@ -23,9 +24,10 @@ from tristab import (
     mass_Q,
     omega_star,
     omega_zero_pieces,
+    sweep_grid,
 )
 from tristab import stability
-from tristab.landscape import eval_ND
+from tristab.landscape import eval_ND, terms
 from tristab.stability import _batch_integrand
 
 FF234 = NonlinearityParams(2.0, 3.0, 4.0)
@@ -297,12 +299,24 @@ BORDER_POINTS = [
                          BORDER_POINTS)
 def test_transformed_integrand_is_n_over_d_at_borders(params, omega, gamma,
                                                       j_ref, ref_err):
-    # u >= 0.1 keeps eval_ND's direct 1 - s^e clear of its cancellation
+    # u >= 0.1 keeps eval_ND's direct 1 - s^e clear of its cancellation.
+    # s >= 1/2 lies on the right piece, x = sqrt(2 (1 - s)) with Jacobian
+    # x; s < 1/2 on the left, x = 2 - t with s = 0.5 t^m and Jacobian
+    # 0.5 m t^(m-1), m the smallest integer with m (p-1)/2 >= 1
     a = find_a(params, omega, gamma).a
     u = np.linspace(0.1, 0.95, 18)
-    n, d = eval_ND(params, gamma, a, 1.0 - u * u)
-    expect = 2.0 * u * n / d ** 1.5
-    got = _batch_integrand(params, gamma, [a])(u, [0])
+    s = 1.0 - u * u
+    m = 1
+    while m * (params.p - 1.0) / 2.0 < 1.0:
+        m += 1
+    t = (2.0 * s) ** (1.0 / m)
+    right = s >= 0.5
+    x = np.where(right, math.sqrt(2.0) * u, 2.0 - t)
+    jacobian = np.where(right, x, 0.5 * m * t ** (m - 1))
+    n, d = eval_ND(params, gamma, a, s)
+    expect = jacobian * n / d ** 1.5
+    table = terms(params, gamma)
+    got = _batch_integrand(table, [[a ** e for e in table.e]])(x, [0])
     assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
 
 
@@ -372,5 +386,62 @@ def test_raw_bracket_does_not_cancel(params, omega, gamma, j_ref):
     # used to cancel near s = a: 7.1e-13 off against a stated 8.3e-14 at
     # the FD367 interior point, and unconverged next to the curves
     sv = eval_J_raw(params, omega, gamma)
+    assert sv.converged
+    assert abs(sv.j - j_ref) <= sv.abs_error
+
+
+def _record_integrand_rows(monkeypatch):
+    rows = []
+
+    def recorded(f, *args, **kwargs):
+        def g(x, cells):
+            rows.extend(x.reshape(len(cells), -1))
+            return f(x, cells)
+        return integrate_many(g, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "integrate_many", recorded)
+    return rows
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(FF234, id="FF234"),
+    pytest.param(NonlinearityParams(1.5, 2.5, 3.5), id="FF(1.5,2.5,3.5)"),
+])
+def test_ff_sweep_cells_take_few_panels(monkeypatch, params):
+    # the s^{(p-1)/2} endpoint at s = 0, left rough by s = 1 - u^2 alone,
+    # cost 23 panels a cell; the left piece's s = 0.5 t^m flattens it
+    quads = _record_quadratures(monkeypatch)
+    sweep_grid(params, (0.02, 0.6), (0.0, 8.0), 12, 12, jobs=1)
+    assert len(quads) == 144
+    assert sum(q.n_panels for q in quads) / len(quads) <= 8.0
+
+
+def test_no_panel_straddles_the_split(monkeypatch):
+    # x = 1 is an edge of the first round, and bisection only adds edges
+    rows = _record_integrand_rows(monkeypatch)
+    eval_J_row(FF234, np.linspace(0.02, 0.6, 8), 1.0)
+    eval_J(FF234, 0.14640174206229642, 1.8973665961010275)
+    eval_J(FD367, 0.34999999649999997, -0.35)
+    assert any(row.max() < 1.0 for row in rows)
+    assert any(row.min() > 1.0 for row in rows)
+    assert not any(row.min() < 1.0 < row.max() for row in rows)
+
+
+# j from perfbench/reference_points.json (40-digit mpmath quadrature); the
+# quadrature error alone no longer covers the error that J carries from a
+@pytest.mark.parametrize("method", [eval_J, eval_J_raw])
+@pytest.mark.parametrize("params, omega, gamma, j_ref", [
+    pytest.param(FF234, 0.14640159712457032, 1.8973665961010275,
+                 6401685.752195047, id="FF234-1e-6-below-curve"),
+    pytest.param(FF234, 0.14640174206229642, 1.8973665961010275,
+                 640180417.1714835, id="FF234-1e-8-below-curve"),
+    pytest.param(FD367, 0.34999965, -0.35, 1904760.9786480851,
+                 id="FD367-1e-6-below-curve"),
+    pytest.param(FD367, 0.34999999649999997, -0.35, 190476187.28650555,
+                 id="FD367-1e-8-below-curve"),
+])
+def test_error_bar_carries_the_root_residual(method, params, omega, gamma,
+                                             j_ref):
+    sv = method(params, omega, gamma)
     assert sv.converged
     assert abs(sv.j - j_ref) <= sv.abs_error
