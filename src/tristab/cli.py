@@ -138,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the numeric verification suites")
     sp.add_argument("--suite", default="all",
                     choices=list(verify.SUITES) + ["all"])
-    sp.add_argument("--seed", type=int, default=20260819)
     sp.add_argument("--no-timing", action="store_true")
 
     return ap
@@ -294,7 +293,7 @@ def _cmd_diagram(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    failures = verify.run_suite(ns.suite, seed=ns.seed)
+    failures = verify.run_suite(ns.suite)
     return 1 if failures else 0
 
 

@@ -2,48 +2,29 @@
 
 Run with `pytest -v -s tests/test_acceptance.py`.  Every test prints a
 single PASS line on success (an assertion failure is the FAIL line) and
-enforces its stated runtime budget where one applies.  The checks are
-self-contained: closed forms are compared against independent arithmetic
-and defining-integral quadrature written out here, not against the
-library's own formulas.
+enforces its stated runtime budget where one applies.  Criteria 1-9 live in
+`tristab.verify`, which `tristab verify` runs too; each fixes its own seeds,
+counts, point sets and bounds.  Their checks are self-contained: closed
+forms are compared against independent arithmetic and against the
+defining-integral quadrature oracles in `tristab.verify`, not against
+`special.py`'s own formulas.
 """
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
 from tristab import (
-    GeneralizedPolynomial,
     NonlinearityParams,
-    beta_deriv_bounds,
-    count_positive_roots_sampled,
-    dbeta_dx,
     endpoints,
-    eval_J,
-    eval_J0,
-    eval_J_mass_fd,
-    eval_J_raw,
-    eval_U,
     extract_contours,
-    find_a,
-    gamma_omega_ne,
-    h_fn,
-    integrate,
-    omega_star,
-    sample_curve,
-    sign_changes,
     sweep_grid,
-    two_power_integral,
 )
+from tristab import verify
 
 FF234 = NonlinearityParams(2.0, 3.0, 4.0)
-FF347 = NonlinearityParams(3.0, 4.0, 7.0)
-FD357 = NonlinearityParams(3.0, 5.0, 7.0, sign3=-1)
 FD367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)
-DF357 = NonlinearityParams(3.0, 5.0, 7.0, sign1=-1)
-DD347 = NonlinearityParams(3.0, 4.0, 7.0, sign1=-1, sign3=-1)
 DD357 = NonlinearityParams(3.0, 5.0, 7.0, sign1=-1, sign3=-1)
 
 
@@ -55,307 +36,67 @@ def _report(num: int, detail: str, elapsed: float, limit=None) -> None:
     print("PASS criterion %2d: %s [%.2f s]" % (num, detail, elapsed))
 
 
-def test_criterion_01_closed_form_boundary_constants():
+def _criterion(num: int, criterion, detail: str, limit=None) -> None:
+    """Run one criterion, assert that every check passed, report."""
     t0 = time.perf_counter()
-    # fold endpoint of the focusing-focusing curve, via exact rational
-    # arithmetic: a = (q-p)(p-1)(r+1) / ((r-q)(r-1)(p+1))
-    p, q, r = 2, 3, 4
-    a_sharp_ind = Fraction((q - p) * (p - 1) * (r + 1),
-                           (r - q) * (r - 1) * (p + 1))
-    assert a_sharp_ind == Fraction(5, 9)
-    a_sharp, gamma1, _ = endpoints(FF234)
-    assert abs(a_sharp - float(a_sharp_ind)) <= 1e-12
-    assert abs(gamma1 - 4.0 / math.sqrt(5.0)) <= 1e-12
-    om, ga = gamma_omega_ne(FF234, a_sharp)
-    assert abs(om - 2.0 * math.sqrt(5.0) / 27.0) <= 1e-12
-    assert abs(ga - gamma1) <= 1e-12
-    # defocusing-defocusing onset: a^((r-p)/2) = (q-p)(r+1) / ((r-q)(p+1))
-    p, q, r = 3, 4, 7
-    ab_pow = Fraction((q - p) * (r + 1), (r - q) * (p + 1))
-    assert ab_pow == Fraction(2, 3)
-    a_b, _, _ = endpoints(DD347)
-    assert abs(a_b - math.sqrt(2.0 / 3.0)) <= 1e-12
-    om_b, _ = gamma_omega_ne(DD347, a_b)
-    assert abs(om_b) <= 1e-12
-    _report(1, "closed-form curve constants, FF(2,3,4) and DD(3,4,7)",
-            time.perf_counter() - t0, limit=1.0)
+    checks = criterion()
+    elapsed = time.perf_counter() - t0
+    failed = ["%s: %s" % (c.name, c.detail) for c in checks if not c.ok]
+    assert checks and not failed, failed
+    _report(num, detail, elapsed, limit)
+
+
+def test_criterion_01_closed_form_boundary_constants():
+    _criterion(1, verify.criterion_01,
+               "closed-form curve constants, FF(2,3,4) and DD(3,4,7)",
+               limit=1.0)
 
 
 def test_criterion_02_curve_consistency():
-    t0 = time.perf_counter()
-    for params in (FF234, FD357, DD347):
-        curve = sample_curve(params, n=200)
-        assert len(curve.samples) == 200
-        for a, om, ga in curve.samples:
-            out = eval_U(params, om, ga, a)
-            assert abs(out.value) <= 1e-10 * (1.0 + a)
-            assert abs(out.first_deriv) <= 1e-10
-            assert out.second_deriv >= -1e-10
-    _report(2, "degenerate double zero at 200 curve samples per case",
-            time.perf_counter() - t0, limit=1.0)
-
-
-def _interior_grid(params, kind):
-    """25 points per case, all well inside the existence region."""
-    if kind == "free":
-        return [(float(om), float(ga))
-                for ga in np.linspace(-3.0, 3.0, 5)
-                for om in np.linspace(0.1, 2.0, 5)]
-    if kind == "low_gamma":
-        return [(float(om), float(ga))
-                for ga in np.linspace(-2.0, 1.0, 5)
-                for om in np.linspace(0.05, 1.0, 5)]
-    # scaled: stay a fixed fraction below the fold frequency
-    gammas = (np.linspace(-3.0, 3.0, 5) if kind == "scaled"
-              else np.linspace(-6.0, -3.0, 5))
-    pts = []
-    for ga in gammas:
-        ws = omega_star(params, float(ga))
-        pts += [(t * ws, float(ga)) for t in (0.15, 0.3, 0.45, 0.6, 0.75)]
-    return pts
+    _criterion(2, verify.criterion_02,
+               "degenerate double zero at 200 curve samples per case",
+               limit=1.0)
 
 
 def test_criterion_03_three_method_agreement():
-    t0 = time.perf_counter()
-    cases = ((FF234, "low_gamma"), (FD357, "scaled"),
-             (DF357, "free"), (DD357, "scaled_neg"))
-    for params, kind in cases:
-        checked = 0
-        for om, ga in _interior_grid(params, kind):
-            prof = find_a(params, om, ga)
-            if prof is None or not prof.exists:
-                continue
-            jt = eval_J(params, om, ga).j
-            jr = eval_J_raw(params, om, ga).j
-            jm = eval_J_mass_fd(params, om, ga).j
-            assert abs(jr - jt) <= 1e-4 * abs(jt)
-            assert abs(jm - jt) <= 1e-3 * abs(jt)
-            checked += 1
-        assert checked >= 20
-    _report(3, "transformed vs raw (1e-4) vs mass-derivative (1e-3), "
-               "25 interior points x 4 cases",
-            time.perf_counter() - t0, limit=30.0)
-
-
-def _h_quad(x: float, y: float) -> float:
-    """int_0^1 t^(x-1) (1 - t^y) (1-t)^(-3/2) dt, split and regularized."""
-    kx = max(2, math.ceil(1.0 / x) + 1)
-
-    def left(u):
-        u = np.asarray(u, dtype=float)
-        t = 0.5 * u ** kx
-        return (t ** (x - 1.0) * (1.0 - t ** y)
-                * (1.0 - t) ** (-1.5) * 0.5 * kx * u ** (kx - 1))
-
-    def right(u):
-        u = np.asarray(u, dtype=float)
-        t = 1.0 - u ** 2
-        out = np.full_like(u, 2.0 * y)
-        nz = u > 0
-        out[nz] = (2.0 * t[nz] ** (x - 1.0)
-                   * (-np.expm1(y * np.log1p(-u[nz] ** 2)))
-                   / u[nz] ** 2)
-        return out
-
-    a = integrate(left, 0.0, 1.0, rel_tol=1e-10, max_panels=4000)
-    b = integrate(right, 0.0, math.sqrt(0.5), rel_tol=1e-10,
-                  max_panels=4000)
-    return a.value + b.value
-
-
-def _two_power_quad(p: float, q: float) -> float:
-    """Defining integral of the two-power slope constant, regularized."""
-    ep = (p - 1.0) / 2.0
-    eq = (q - 1.0) / 2.0
-    m = max(2, math.ceil(4.0 / (7.0 - 3.0 * p)) + 1)
-
-    def num(s):
-        return ((5.0 - q) * (1.0 - s ** eq) - (5.0 - p) * (1.0 - s ** ep))
-
-    def den(s):
-        return s ** ep - s ** eq
-
-    def left(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        nz = t > 0
-        s = 0.5 * t[nz] ** m
-        out[nz] = num(s) / den(s) ** 1.5 * 0.5 * m * t[nz] ** (m - 1)
-        return out
-
-    def right(u):
-        u = np.asarray(u, dtype=float)
-        lim = (2.0 * ((5.0 - q) * eq - (5.0 - p) * ep)
-               / (eq - ep) ** 1.5)
-        out = np.full_like(u, lim)
-        nz = u > 0
-        lg = np.log1p(-u[nz] ** 2)
-        nmu = ((5.0 - p) * np.expm1(ep * lg)
-               - (5.0 - q) * np.expm1(eq * lg))
-        dnu = np.expm1(ep * lg) - np.expm1(eq * lg)
-        out[nz] = 2.0 * u[nz] * nmu / dnu ** 1.5
-        return out
-
-    a = integrate(left, 0.0, 1.0, rel_tol=1e-10, max_panels=4000)
-    b = integrate(right, 0.0, math.sqrt(0.5), rel_tol=1e-10,
-                  max_panels=4000)
-    return a.value + b.value
+    _criterion(3, verify.criterion_03,
+               "transformed vs raw (1e-4) vs mass-derivative (1e-3), "
+               "25 interior points x 4 cases", limit=30.0)
 
 
 def test_criterion_04_special_function_identities():
-    t0 = time.perf_counter()
-    # Beta-combination closed form vs defining quadrature, 10x10 log grid
-    for x in np.geomspace(0.1, 5.0, 10):
-        for y in np.geomspace(0.1, 5.0, 10):
-            got = h_fn(float(x), float(y))
-            want = _h_quad(float(x), float(y))
-            assert abs(got - want) <= 1e-8 * (1.0 + abs(got))
-    # two-power slope constant vs quadrature, 20 random exponent pairs
-    rng = np.random.default_rng(20260819)
-    accepted = 0
-    while accepted < 20:
-        p = float(1.05 + rng.uniform(0.0, 7.0 / 3.0 - 1.1))
-        q = float(p + rng.uniform(0.2, 2.0))
-        if abs(7.0 - 2.0 * p - q) < 0.2:
-            continue
-        got = two_power_integral(p, q)
-        want = _two_power_quad(p, q)
-        assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
-        accepted += 1
-    assert two_power_integral(2.0, 3.0) == 0.0
-    # strict Beta-derivative bracket at 50 sampled widths
-    for b in np.geomspace(0.01, 1000.0, 50):
-        bounds = beta_deriv_bounds(float(b))
-        mid = dbeta_dx(float(b) + 0.5, 0.5)
-        assert bounds.lower < mid < bounds.upper < 0.0
-    _report(4, "Beta-combination, two-power constant, derivative bracket",
-            time.perf_counter() - t0, limit=10.0)
+    _criterion(4, verify.criterion_04,
+               "Beta-combination, two-power constant, derivative bracket",
+               limit=10.0)
 
 
 def test_criterion_05_regionwide_sign_checks():
-    t0 = time.perf_counter()
-    # FD with q = 5: J positive wherever the wave exists
-    checked = 0
-    for ga in np.linspace(-5.0, 5.0, 30):
-        ws = omega_star(FD357, float(ga))
-        for i in range(30):
-            om = (i + 0.5) / 30.0 * ws
-            prof = find_a(FD357, float(om), float(ga))
-            if prof is None or not prof.exists:
-                continue
-            assert eval_J(FD357, float(om), float(ga)).j > 0.0
-            checked += 1
-    assert checked >= 800
-    # DF with q = 5: J negative everywhere
-    for ga in np.linspace(-5.0, 5.0, 30):
-        for om in np.linspace(0.05, 10.0, 30):
-            assert eval_J(DF357, float(om), float(ga)).j < 0.0
-    # DF small-exponent family: the zero-frequency limit stays positive
-    low = NonlinearityParams(1.3, 1.8, 2.5, sign1=-1)
-    for ga in (-10.0, 0.0, 10.0):
-        assert eval_J0(low, ga).j > 0.0
-    # DF with 2p + q > 7: the zero-frequency limit stays negative
-    high = NonlinearityParams(2.2, 2.8, 4.0, sign1=-1)
-    for ga in (-10.0, 0.0, 10.0):
-        assert eval_J0(high, ga).j < 0.0
-    _report(5, "FD(3,5,7) all positive, DF(3,5,7) all negative, "
-               "omega->0 signs for both DF families",
-            time.perf_counter() - t0, limit=60.0)
+    _criterion(5, verify.criterion_05,
+               "FD(3,5,7) all positive, DF(3,5,7) all negative, "
+               "omega->0 signs for both DF families", limit=60.0)
 
 
 def test_criterion_06_blowup_at_curve():
-    t0 = time.perf_counter()
-    om_b, ga_b = gamma_omega_ne(FF234, 0.3)   # interior curve point
-    lower_left = []
-    upper_right = []
-    for eps in (1e-2, 1e-3, 1e-4):
-        lower_left.append(eval_J(FF234, om_b * (1 - eps),
-                                 ga_b * (1 - eps)).j)
-        upper_right.append(eval_J(FF234, om_b * (1 + eps),
-                                  ga_b * (1 + eps)).j)
-    assert lower_left[0] < lower_left[1] < lower_left[2]
-    assert lower_left[2] > 1e3
-    assert upper_right[0] > upper_right[1] > upper_right[2]
-    assert upper_right[2] < -1e3
-    _report(6, "J -> +inf from lower-left, -inf from upper-right of the "
-               "curve at a = 0.3",
-            time.perf_counter() - t0)
+    _criterion(6, verify.criterion_06,
+               "J -> +inf from lower-left, -inf from upper-right of the "
+               "curve at a = 0.3")
 
 
 def test_criterion_07_asymptotic_rates():
-    t0 = time.perf_counter()
-    # small frequency, focusing low power p = 2: J ~ a^((7-3p)/4)
-    la, lj = [], []
-    for om in (1e-3, 1e-4, 1e-5, 1e-6):
-        prof = find_a(FF234, om, 0.0)
-        sv = eval_J(FF234, om, 0.0)
-        assert sv.j > 0.0
-        la.append(math.log(prof.a))
-        lj.append(math.log(sv.j))
-    slope = float(np.polyfit(la, lj, 1)[0])
-    assert abs(slope - 0.25) <= 0.1 * 0.25
-    # large frequency, focusing high power r = 7: J ~ -a^((7-3r)/4)
-    la, lj = [], []
-    for om in (1e2, 1e3, 1e4, 1e5):
-        prof = find_a(FF347, om, 0.0)
-        sv = eval_J(FF347, om, 0.0)
-        assert sv.j < 0.0
-        la.append(math.log(prof.a))
-        lj.append(math.log(-sv.j))
-    slope = float(np.polyfit(la, lj, 1)[0])
-    assert abs(slope - (-3.5)) <= 0.1 * 3.5
-    _report(7, "log-log slopes 1/4 (omega->0, p=2) and -7/2 (omega->inf, "
-               "r=7) within 10%",
-            time.perf_counter() - t0)
+    _criterion(7, verify.criterion_07,
+               "log-log slopes 1/4 (omega->0, p=2) and -7/2 (omega->inf, "
+               "r=7) within 10%")
 
 
 def test_criterion_08_rule_of_signs():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(47)
-    for _ in range(1000):
-        k = int(rng.integers(2, 7))
-        expo = np.sort(rng.uniform(-2.0, 6.0, size=k))
-        while np.min(np.diff(expo)) < 1e-6:
-            expo = np.sort(rng.uniform(-2.0, 6.0, size=k))
-        coeff = rng.normal(size=k)
-        coeff[coeff == 0.0] = 1.0
-        gp = GeneralizedPolynomial(tuple(zip(coeff.tolist(), expo.tolist())))
-        assert count_positive_roots_sampled(gp, 50.0) <= sign_changes(gp)
-    _report(8, "sampled positive-root count within the sign-change bound, "
-               "1000 generalized polynomials",
-            time.perf_counter() - t0)
+    _criterion(8, verify.criterion_08,
+               "sampled positive-root count within the sign-change bound, "
+               "1000 generalized polynomials")
 
 
 def test_criterion_09_amplitude_monotonicity():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(53)
-    done = 0
-    while done < 1000:
-        p = 1.2 + 2.8 * rng.random()
-        q = p + 0.2 + 2.0 * rng.random()
-        r = q + 0.2 + 2.0 * rng.random()
-        params = NonlinearityParams(p, q, r,
-                                    sign1=int(rng.choice([-1, 1])),
-                                    sign3=int(rng.choice([-1, 1])))
-        # larger omega -> larger amplitude, at fixed gamma
-        gamma = rng.normal() * 2.0
-        w2 = 10.0 ** rng.uniform(-2, 0.5)
-        w1 = w2 * (1.0 + rng.uniform(0.01, 0.5))
-        pw1 = find_a(params, w1, gamma)
-        pw2 = find_a(params, w2, gamma)
-        # smaller gamma -> smaller amplitude, at fixed omega
-        omega = 10.0 ** rng.uniform(-2, 0.5)
-        g1 = rng.normal() * 2.0
-        g2 = g1 - rng.uniform(0.05, 2.0)
-        pg1 = find_a(params, omega, g1)
-        pg2 = find_a(params, omega, g2)
-        if any(pr is None or pr.on_boundary for pr in (pw1, pw2, pg1, pg2)):
-            continue
-        assert pw2.a < pw1.a
-        assert pg2.a < pg1.a
-        done += 1
-    _report(9, "amplitude ordering in omega and gamma, 1000 random draws",
-            time.perf_counter() - t0)
+    _criterion(9, verify.criterion_09,
+               "amplitude ordering in omega and gamma, 1000 random draws")
 
 
 def test_criterion_10_diagram_reproduction():

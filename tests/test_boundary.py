@@ -10,6 +10,7 @@ from tristab import (
     NotOnCurve,
     endpoints,
     eval_U,
+    find_a,
     gamma_omega_ne,
     omega_star,
     sample_curve,
@@ -93,6 +94,14 @@ def test_omega_star_round_trip():
         for a, om, ga in curve.samples:
             got = omega_star(params, ga)
             assert abs(got - om) <= 1e-9 * (1.0 + abs(om))
+
+
+def test_find_a_at_omega_star_is_on_the_curve():
+    # at the fold frequency the root finder lands on the double zero
+    _, g1, _ = endpoints(FF234)
+    for ga in np.linspace(g1 + 0.1, g1 + 5.0, 8):
+        prof = find_a(FF234, omega_star(FF234, float(ga)), float(ga))
+        assert prof is not None and prof.on_boundary
 
 
 def test_omega_star_at_ff_endpoint():

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from tristab import verify
 from tristab.cli import main
 
 
@@ -230,9 +231,16 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_verify_suite_special(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "signs",
-                           "--seed", "20260819", "--no-timing")
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_verify_suite(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--no-timing")
     assert code == 0
-    assert "PASS" in out
+    assert any(ln.startswith("PASS ") for ln in out.splitlines())
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [("--suite", "nope"), ("--seed", "1")])
+def test_verify_bad_arguments_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv, "--no-timing"])
+    assert exc.value.code == 2

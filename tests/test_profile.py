@@ -16,7 +16,7 @@ from tristab import (
     sweep_grid,
     u_value,
 )
-from tristab import profile
+from tristab import profile, verify
 
 FF234 = NonlinearityParams(2.0, 3.0, 4.0)
 FD357 = NonlinearityParams(3.0, 5.0, 7.0, sign3=-1)
@@ -123,45 +123,13 @@ def test_a0_requires_defocusing_low_power():
 
 
 def test_monotonic_in_omega():
-    rng = np.random.default_rng(29)
-    done = 0
-    while done < 200:
-        p = 1.2 + 2.8 * rng.random()
-        q = p + 0.2 + 2.0 * rng.random()
-        r = q + 0.2 + 2.0 * rng.random()
-        params = NonlinearityParams(p, q, r,
-                                    sign1=int(rng.choice([-1, 1])),
-                                    sign3=int(rng.choice([-1, 1])))
-        gamma = rng.normal() * 2.0
-        w2 = 10.0 ** rng.uniform(-2, 0.5)
-        w1 = w2 * (1.0 + rng.uniform(0.01, 0.5))
-        p1 = find_a(params, w1, gamma)
-        p2 = find_a(params, w2, gamma)
-        if p1 is None or p2 is None or p1.on_boundary or p2.on_boundary:
-            continue
-        assert p2.a < p1.a
-        done += 1
+    name, ok, detail = verify.amplitude_order(29, 200)[0]
+    assert ok, (name, detail)
 
 
 def test_monotonic_in_gamma():
-    rng = np.random.default_rng(31)
-    done = 0
-    while done < 200:
-        p = 1.2 + 2.8 * rng.random()
-        q = p + 0.2 + 2.0 * rng.random()
-        r = q + 0.2 + 2.0 * rng.random()
-        params = NonlinearityParams(p, q, r,
-                                    sign1=int(rng.choice([-1, 1])),
-                                    sign3=int(rng.choice([-1, 1])))
-        omega = 10.0 ** rng.uniform(-2, 0.5)
-        g1 = rng.normal() * 2.0
-        g2 = g1 - rng.uniform(0.05, 2.0)
-        p1 = find_a(params, omega, g1)
-        p2 = find_a(params, omega, g2)
-        if p1 is None or p2 is None or p1.on_boundary or p2.on_boundary:
-            continue
-        assert p2.a < p1.a
-        done += 1
+    name, ok, detail = verify.amplitude_order(31, 200)[1]
+    assert ok, (name, detail)
 
 
 def test_amplitude_vanishes_as_gamma_to_minus_infinity():

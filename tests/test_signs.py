@@ -11,6 +11,7 @@ from tristab import (
     ratio_h,
     sign_changes,
 )
+from tristab import verify
 
 
 def test_construction_sorts_and_drops_zeros():
@@ -59,16 +60,8 @@ def test_no_sign_change_means_no_roots():
 
 def test_descartes_bound_randomized():
     # the sampled positive-root count never exceeds the sign-change bound
-    rng = np.random.default_rng(20260819)
-    for _ in range(1000):
-        k = int(rng.integers(2, 7))
-        expo = np.sort(rng.uniform(-2.0, 6.0, size=k))
-        while np.min(np.diff(expo)) < 1e-6:
-            expo = np.sort(rng.uniform(-2.0, 6.0, size=k))
-        coeff = rng.normal(size=k)
-        coeff[coeff == 0.0] = 1.0
-        gp = GeneralizedPolynomial(tuple(zip(coeff.tolist(), expo.tolist())))
-        assert count_positive_roots_sampled(gp, 50.0) <= sign_changes(gp)
+    name, ok, detail = verify.rule_of_signs(20260819, 1000)
+    assert ok, detail
 
 
 def test_ratio_h_basic():

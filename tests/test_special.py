@@ -1,8 +1,9 @@
 """Tests for the Gamma/Beta/digamma helpers and the two-power closed forms.
 
 Oracle strategy: closed-form anchors with known decimal values, plus
-defining-integral cross-checks computed with the in-repo adaptive
-integrator (a fully independent code path from the Lanczos series).
+defining-integral cross-checks by the quadrature oracles of `tristab.verify`
+(the in-repo adaptive integrator, a code path independent of the Lanczos
+series).
 """
 
 import math
@@ -16,38 +17,12 @@ from tristab import (
     dbeta_dx,
     digamma,
     h_fn,
-    integrate,
     log_gamma,
     two_power_integral,
 )
+from tristab.verify import beta_quad, h_quad, two_power_quad
 
 EULER_GAMMA = 0.5772156649015329
-
-
-def beta_quad(x: float, y: float) -> float:
-    """B(x, y) by adaptive quadrature of the defining integral.
-
-    Splits at 1/2 and substitutes t = u^k (resp. 1 - t = v^k) so the
-    endpoint factors t^{x-1}, (1-t)^{y-1} become integrable powers.
-    """
-    kx = max(2, math.ceil(1.0 / x) + 1)
-    ky = max(2, math.ceil(1.0 / y) + 1)
-
-    def left(u):
-        u = np.asarray(u, dtype=float)
-        t = 0.5 * u ** kx
-        return (t ** (x - 1.0) * (1.0 - t) ** (y - 1.0)
-                * 0.5 * kx * u ** (kx - 1))
-
-    def right(v):
-        v = np.asarray(v, dtype=float)
-        t = 1.0 - 0.5 * v ** ky
-        return (t ** (x - 1.0) * (0.5 * v ** ky) ** (y - 1.0)
-                * 0.5 * ky * v ** (ky - 1))
-
-    a = integrate(left, 0.0, 1.0, rel_tol=1e-12, max_panels=4000)
-    b = integrate(right, 0.0, 1.0, rel_tol=1e-12, max_panels=4000)
-    return a.value + b.value
 
 
 def test_log_gamma_anchors():
@@ -121,33 +96,6 @@ def test_h_fn_anchors():
 
 
 def test_h_fn_against_quadrature():
-    # H(x, y) = int_0^1 t^{x-1} (1 - t^y) (1-t)^{-3/2} dt.  Split at 1/2:
-    # t = 0.5 u^kx tames the t^{x-1} end, u = sqrt(1-t) tames the
-    # (1-t)^{-3/2} end (the u = 0 limit of that integrand is 2 y).
-    def h_quad(x, y):
-        kx = max(2, math.ceil(1.0 / x) + 1)
-
-        def left(u):
-            u = np.asarray(u, dtype=float)
-            t = 0.5 * u ** kx
-            return (t ** (x - 1.0) * (1.0 - t ** y)
-                    * (1.0 - t) ** (-1.5) * 0.5 * kx * u ** (kx - 1))
-
-        def right(u):
-            u = np.asarray(u, dtype=float)
-            t = 1.0 - u ** 2
-            out = np.full_like(u, 2.0 * y)
-            nz = u > 0
-            out[nz] = (2.0 * t[nz] ** (x - 1.0)
-                       * (-np.expm1(y * np.log1p(-u[nz] ** 2)))
-                       / u[nz] ** 2)
-            return out
-
-        a = integrate(left, 0.0, 1.0, rel_tol=1e-10, max_panels=4000)
-        b = integrate(right, 0.0, math.sqrt(0.5), rel_tol=1e-10,
-                      max_panels=4000)
-        return a.value + b.value
-
     for (x, y) in ((0.5, 0.5), (1.0, 1.0), (0.3, 2.0), (2.2, 0.8)):
         got = h_fn(x, y)
         assert abs(got - h_quad(x, y)) <= 1e-8 * (1.0 + abs(got))
@@ -165,46 +113,6 @@ def test_two_power_integral_values():
 
 
 def test_two_power_integral_against_quadrature():
-    # defining integral int_0^1 N0 / D0^{3/2} ds for the p,q two-power
-    # problem, regularized at both endpoints
-    def quad_oracle(p, q):
-        ep = (p - 1.0) / 2.0
-        eq = (q - 1.0) / 2.0
-        m = max(2, math.ceil(4.0 / (7.0 - 3.0 * p)) + 1)
-
-        def num(s):
-            return ((5.0 - q) * (1.0 - s ** eq) - (5.0 - p) * (1.0 - s ** ep))
-
-        def den(s):
-            return s ** ep - s ** eq
-
-        def left(t):
-            t = np.asarray(t, dtype=float)
-            out = np.zeros_like(t)
-            nz = t > 0
-            s = 0.5 * t[nz] ** m
-            out[nz] = num(s) / den(s) ** 1.5 * 0.5 * m * t[nz] ** (m - 1)
-            return out
-
-        def right(u):
-            # s = 1 - u^2; the u -> 0 limit is finite and nonzero
-            u = np.asarray(u, dtype=float)
-            lim = (2.0 * ((5.0 - q) * eq - (5.0 - p) * ep)
-                   / (eq - ep) ** 1.5)
-            out = np.full_like(u, lim)
-            nz = u > 0
-            lg = np.log1p(-u[nz] ** 2)
-            nmu = ((5.0 - p) * np.expm1(ep * lg)
-                   - (5.0 - q) * np.expm1(eq * lg))
-            dnu = np.expm1(ep * lg) - np.expm1(eq * lg)
-            out[nz] = 2.0 * u[nz] * nmu / dnu ** 1.5
-            return out
-
-        a = integrate(left, 0.0, 1.0, rel_tol=1e-10, max_panels=4000)
-        b = integrate(right, 0.0, math.sqrt(0.5), rel_tol=1e-10,
-                      max_panels=4000)
-        return a.value + b.value
-
     rng = np.random.default_rng(20260819)
     for _ in range(8):
         p = 1.1 + rng.uniform(0.0, 7.0 / 3.0 - 1.2)
@@ -212,7 +120,7 @@ def test_two_power_integral_against_quadrature():
         if abs(7.0 - 2.0 * p - q) < 0.2:
             continue
         got = two_power_integral(p, q)
-        want = quad_oracle(p, q)
+        want = two_power_quad(p, q)
         assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
 
 
@@ -232,6 +140,15 @@ def test_beta_deriv_bounds_strict():
         assert bounds.lower < mid < bounds.upper
         # bracket shape: -B(b+1/2,1/2)/(2b) < -B(b+1/2,1/2)/(2b+1) < 0
         assert bounds.lower < bounds.upper < 0.0
+
+
+def test_beta_deriv_bounds_gap_shrinks():
+    # the bracket tightens as b grows: relative width 1/3 at b = 1
+    g1 = beta_deriv_bounds(1.0)
+    g3 = beta_deriv_bounds(1000.0)
+    rel1 = (g1.upper - g1.lower) / abs(g1.lower)
+    rel3 = (g3.upper - g3.lower) / abs(g3.lower)
+    assert rel3 < 0.1 * rel1
 
 
 def test_beta_deriv_bounds_domain():
