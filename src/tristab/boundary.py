@@ -18,16 +18,20 @@ valid on an a-range that depends on the sign case:
 
 On the valid range omega_ne is increasing and gamma_ne is decreasing, so
 gamma_ne inverts by bisection; omega_star(gamma) is omega_ne at that a.
+The bisection is ``signs.bisect`` on gamma_ne(a) - gamma, from the lower
+end of the a-range (0 or a_b) to its upper end, a_sharp in the FF case and
+otherwise ``signs.grow``'s doubling.  It stops at 1e-15 relative in a, so
+omega_star is off by a few ulps times its condition number in gamma.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import NotOnCurve
 from .model import NonlinearityParams
+from .signs import bisect, grow
 
 
 @dataclass(frozen=True)
@@ -78,23 +82,6 @@ def endpoints(params: NonlinearityParams):
     return a_b, gamma1, "(a_b, inf)"
 
 
-def _invert_gamma_ne(params: NonlinearityParams, gamma: float,
-                     lo: float, hi: float, rel_tol: float = 1e-12) -> float:
-    """Solve gamma_ne(a) = gamma on [lo, hi] where gamma_ne is decreasing."""
-    for _ in range(400):
-        mid = math.sqrt(lo * hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
-        g = gamma_omega_ne(params, mid)[1]
-        if g > gamma:
-            lo = mid
-        elif g < gamma:
-            hi = mid
-        else:
-            return mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
 def omega_star(params: NonlinearityParams, gamma: float) -> float:
     """The curve frequency above gamma: omega_ne at the a with gamma_ne(a) = gamma.
 
@@ -106,50 +93,24 @@ def omega_star(params: NonlinearityParams, gamma: float) -> float:
     if case == "DF":
         raise NotOnCurve("the DF case has no nonexistence curve")
     endpoint_a, gamma1, _ = endpoints(params)
+    if case == "FF" and gamma < gamma1:
+        raise NotOnCurve("gamma below the curve endpoint value %g" % gamma1)
+    if case == "DD" and gamma >= gamma1:
+        raise NotOnCurve("gamma at or above the curve endpoint value %g"
+                         % gamma1)
 
-    if case == "FF":
-        if gamma < gamma1:
-            raise NotOnCurve("gamma below the curve endpoint value %g" % gamma1)
-        if gamma == gamma1:
-            return gamma_omega_ne(params, endpoint_a)[0]
-        # gamma_ne decreases from +inf (a -> 0) to gamma1 at a_sharp
-        lo = endpoint_a
-        for _ in range(4000):
-            lo *= 0.5
-            if gamma_omega_ne(params, lo)[1] >= gamma:
-                break
-        else:
-            raise NotOnCurve("failed to bracket gamma = %g" % gamma)
-        a = _invert_gamma_ne(params, gamma, lo, endpoint_a)
-    elif case == "FD":
-        # gamma_ne spans all of R, decreasing
-        lo, hi = 1.0, 1.0
-        for _ in range(4000):
-            if gamma_omega_ne(params, lo)[1] >= gamma:
-                break
-            lo *= 0.5
-        else:
-            raise NotOnCurve("failed to bracket gamma = %g" % gamma)
-        for _ in range(4000):
-            if gamma_omega_ne(params, hi)[1] <= gamma:
-                break
-            hi *= 2.0
-        else:
-            raise NotOnCurve("failed to bracket gamma = %g" % gamma)
-        a = _invert_gamma_ne(params, gamma, lo, hi)
-    else:  # DD
-        if gamma >= gamma1:
-            raise NotOnCurve("gamma at or above the curve endpoint value %g"
-                             % gamma1)
-        hi = 2.0 * endpoint_a
-        for _ in range(4000):
-            if gamma_omega_ne(params, hi)[1] <= gamma:
-                break
-            hi *= 2.0
-        else:
-            raise NotOnCurve("failed to bracket gamma = %g" % gamma)
-        a = _invert_gamma_ne(params, gamma, endpoint_a, hi)
-    return gamma_omega_ne(params, a)[0]
+    def f(a: float) -> float:
+        return gamma_omega_ne(params, a)[1] - gamma
+
+    # gamma_ne falls from +inf at a -> 0 (FF, FD) or from gamma1 at a_b (DD)
+    lo = endpoint_a if case == "DD" else 0.0
+    flo = f(lo) if lo > 0.0 else 1.0
+    bracket = ((endpoint_a, f(endpoint_a)) if case == "FF"
+               else grow(f, lo, flo))
+    if bracket is None:
+        raise NotOnCurve("failed to bracket gamma = %g" % gamma)
+    hi, fhi = bracket
+    return gamma_omega_ne(params, bisect(f, lo, hi, flo, fhi))[0]
 
 
 def sample_curve(params: NonlinearityParams, n: int = 200,

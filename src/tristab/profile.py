@@ -11,14 +11,16 @@ most one interior critical point, so h has at most two positive roots and F1
 at most two critical points.  omega - F1 is monotone between consecutive
 critical points, so scanning those pieces finds the first sign change without
 any sampling grid; closely spaced root pairs near the nonexistence curve
-cannot be skipped this way.  Bisection on the bracketed piece is finished
-with a few Newton steps on the analytic derivative.
+cannot be skipped this way.  The bracket search and the bisection are
+``signs.grow`` and ``signs.bisect``, the package's one root solver; the
+bisected root is finished with a few Newton steps on the analytic
+derivative.
 
 A piece whose two ends share a sign holds no root, because the function is
-monotone on it; _bisect returns at once instead of walking down towards 0.
-F1's critical points do not depend on omega, so they are found once per
-(params, gamma) and kept in a small bounded cache: a sweep row and the
-four mass_Q points of eval_J_mass_fd all share one gamma.
+monotone on it; the bisection returns at once instead of walking down
+towards 0.  F1's critical points do not depend on omega, so they are found
+once per (params, gamma) and kept in a small bounded cache: a sweep row and
+the four mass_Q points of eval_J_mass_fd all share one gamma.
 
 Everything here is scalar float arithmetic on purpose: grid sweeps call
 find_a once per cell and the numpy dispatch overhead would dominate.
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 
 from .landscape import power_sum, terms
 from .model import NonlinearityParams
+from .signs import bisect as _bisect, grow
 
 # |U'(a)| below this (relative) scale counts as a double zero
 BOUNDARY_TOL = 1e-9
@@ -75,67 +78,18 @@ def _f1_critical_points(params: NonlinearityParams, gamma: float) -> tuple:
         flo = dp if lo == 0.0 else h(lo)
         if hi is None:
             # past its last critical point h runs monotonically from flo
-            # towards sign(dr) * inf, so ends of one sign leave no root
-            if (dr > 0.0) == (flo > 0.0):
+            # towards sign(dr) * inf, so ends of one sign leave no root;
+            # else grow until the dominant x^beta term decides the sign
+            bracket = grow(h, lo, flo) if (dr > 0.0) != (flo > 0.0) else None
+            if bracket is None:
                 continue
-            # extend until the dominant x^beta term decides the sign
-            x = 2.0 * lo if lo > 0.0 else 1.0
-            x = max(x, 1.0)
-            fx = h(x)
-            grow = 0
-            while fx != 0.0 and (fx > 0.0) == (flo > 0.0) and grow < 400:
-                x *= 2.0
-                fx = h(x)
-                grow += 1
-            if fx != 0.0 and (fx > 0.0) == (flo > 0.0):
-                continue
-            hi, fhi = x, fx
+            hi, fhi = bracket
         else:
             fhi = h(hi)
         root = _bisect(h, lo, hi, flo, fhi)
         if root is not None and root > 0.0:
             roots.append(root)
     return tuple(sorted(roots))
-
-
-def _bisect(f, lo: float, hi: float, flo: float, fhi: float, iters: int = 200):
-    """Bisection on a bracketed sign change; geometric steps while lo == 0.
-
-    f must be monotone on (lo, hi), so ends of one sign mean no root.
-    """
-    if fhi == 0.0:
-        return hi
-    if flo == 0.0 and lo > 0.0:
-        return lo
-    if (flo > 0.0) == (fhi > 0.0):
-        return None
-    if lo == 0.0:
-        # phi(0+) sign is carried by flo even though f(0) may be indeterminate:
-        # walk down geometrically to find a positive lower endpoint
-        lo2 = hi
-        for _ in range(4200):
-            lo2 *= 0.5
-            f2 = f(lo2)
-            if f2 == 0.0:
-                return lo2
-            if (f2 > 0.0) != (fhi > 0.0):
-                lo, flo = lo2, f2
-                break
-            hi, fhi = lo2, f2
-        else:
-            return None
-    for _ in range(iters):
-        mid = math.sqrt(lo * hi) if hi > 16.0 * lo else 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
 
 
 def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
@@ -159,17 +113,10 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
 
     if params.a3 > 0:
         # F1 -> +inf: a crossing always exists; find S past it
-        S = 2.0 * crits[-1] if crits else 1.0
-        S = max(S, 1.0)
-        fS = phi(S)
-        grow = 0
-        while fS >= 0.0 and grow < 600:
-            S *= 2.0
-            fS = phi(S)
-            grow += 1
-        if fS >= 0.0:
+        bracket = grow(phi, crits[-1] if crits else 0.0, 1.0)
+        if bracket is None:
             return None
-        pts = [0.0] + [c for c in crits if c < S] + [S]
+        pts = [0.0] + list(crits) + [bracket[0]]
     else:
         # F1 -> -inf: a crossing needs max F1 >= omega
         if not crits:
@@ -197,17 +144,15 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
             if abs(f_hi) <= _TOUCH_TOL * (1.0 + scale):
                 return hi
         if f_hi == 0.0 or (f_hi > 0.0) != (f_prev > 0.0):
-            root = hi if f_hi == 0.0 else _bisect(phi, lo, hi, f_prev, f_hi)
-            if root is None:
+            s = _bisect(phi, lo, hi, f_prev, f_hi)
+            if s is None:
                 return None
             # Newton polish; bisection already has ~1e-15 relative accuracy
-            s = root
             for _ in range(8):
-                fv = phi(s)
                 dv = phi_prime(s)
                 if dv == 0.0 or not math.isfinite(dv):
                     break
-                s_new = s - fv / dv
+                s_new = s - phi(s) / dv
                 if s_new <= 0.0 or not math.isfinite(s_new):
                     break
                 done = abs(s_new - s) <= 1e-16 * s

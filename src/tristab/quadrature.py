@@ -13,10 +13,10 @@ the integrand is called once, on the nodes of all the new halves (and once
 on all the initial panels before the first round).  ``integrate`` is a
 batch of one.
 
-An integrand stops when its summed error passes max(abs_tol, rel_tol *
-|value|), when its panel budget runs out, when its only splittable panels
-are narrower than its width floor, or when refinement only churns
-round-off.  The last is QUADPACK's test (Piessens et al. 1983, ``qage``,
+An integrand stops when its summed error passes rel_tol * |value| (a
+purely relative tolerance: there is no absolute one), when its panel
+budget runs out, when its only splittable panels are narrower than its
+width floor, or when refinement only churns round-off.  The last is QUADPACK's test (Piessens et al. 1983, ``qage``,
 ``ier = 2``): a split whose halves move the panel's value by at most 1e-5
 relative while keeping 99% of its error counts in iroff1, and a split that
 raises the error, once the integrand has more than 10 panels, in iroff2; 6
@@ -173,8 +173,7 @@ _ROFF2_STOP = 20
 
 
 def integrate_many(f, lo, hi, m: int,
-                   rel_tol: float = 1e-9, abs_tol: float = 0.0,
-                   max_panels: int = 2000,
+                   rel_tol: float = 1e-9, max_panels: int = 2000,
                    initial: int = 1) -> List[QuadratureResult]:
     """Integrate m integrands adaptively, side by side.
 
@@ -234,7 +233,7 @@ def integrate_many(f, lo, hi, m: int,
         for c in active:
             heap = heaps[c]
             while True:
-                tol = max(abs_tol, rel_tol * abs(totals[c]))
+                tol = rel_tol * abs(totals[c])
                 toterr = errors[c] + frozen[c]
                 if errors[c] <= tol:
                     # only frozen panels can keep it from converging
@@ -243,7 +242,7 @@ def integrate_many(f, lo, hi, m: int,
                     stop = "roundoff"
                     # the integral of |f| over the live panels, summed here
                     # once rather than carried through every split
-                    tol = max(abs_tol, rel_tol * sum(p[6] for p in heap))
+                    tol = rel_tol * sum(p[6] for p in heap)
                 elif n[c] >= max_panels:
                     stop = "budget"
                 else:
@@ -295,8 +294,8 @@ def integrate_many(f, lo, hi, m: int,
 
 
 def integrate(f, lo: float, hi: float,
-              rel_tol: float = 1e-9, abs_tol: float = 0.0,
-              max_panels: int = 2000, initial: int = 1) -> QuadratureResult:
+              rel_tol: float = 1e-9, max_panels: int = 2000,
+              initial: int = 1) -> QuadratureResult:
     """Integrate f over [lo, hi] adaptively: integrate_many with m = 1.
 
     f must accept a 1-D float ndarray and return same-shaped values; it is
@@ -304,5 +303,5 @@ def integrate(f, lo: float, hi: float,
     per split on the 30 nodes of both halves.
     """
     return integrate_many(lambda x, cells: f(x.ravel()), lo, hi, 1,
-                          rel_tol=rel_tol, abs_tol=abs_tol,
-                          max_panels=max_panels, initial=initial)[0]
+                          rel_tol=rel_tol, max_panels=max_panels,
+                          initial=initial)[0]

@@ -1,4 +1,5 @@
-"""Sign-counting tools for generalized polynomials.
+"""Sign-counting tools for generalized polynomials, and the package's one
+bracketed root solver.
 
 A generalized polynomial is a finite sum c_1 x^{e_1} + ... + c_k x^{e_k}
 with real (not necessarily integer) exponents, considered on x > 0.  The
@@ -6,13 +7,20 @@ Descartes bound carries over: the number of positive roots is at most the
 number of sign changes in the coefficient sequence ordered by exponent.
 Every numerator and denominator appearing in the slope analysis is of this
 form, which is what makes the sign classifications tractable.
+
+``bisect`` finds the sign change of a function monotone on a bracket and
+``grow`` finds a bracket's upper end by doubling.  Every root in the
+package comes from this pair: the roots counted here, the amplitude a and
+F1's critical points in ``profile``, and the curve inversion behind
+``boundary.omega_star``.  Both are scalar float arithmetic, since their
+callers evaluate one point at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -55,8 +63,59 @@ def sign_changes(gp: GeneralizedPolynomial) -> int:
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
-def _scalar(terms, x: float) -> float:
-    return sum(c * x ** e for c, e in terms)
+def bisect(f, lo: float, hi: float, flo: float, fhi: float):
+    """Root of f in (lo, hi) from the values (or signs) flo and fhi at the
+    ends, where f is monotone, so ends of one sign give None at once.
+
+    At lo == 0, flo is the sign of f just right of 0, and lo walks down
+    from hi by halving until f changes sign.  Then each step takes the
+    geometric mean while hi > 16 lo, else the midpoint, until
+    hi - lo <= 1e-15 hi or f is zero at a step.
+    """
+    if fhi == 0.0:
+        return hi
+    if flo == 0.0 and lo > 0.0:
+        return lo
+    if (flo > 0.0) == (fhi > 0.0):
+        return None
+    if lo == 0.0:
+        lo2 = hi
+        for _ in range(4200):
+            lo2 *= 0.5
+            f2 = f(lo2)
+            if f2 == 0.0:
+                return lo2
+            if (f2 > 0.0) != (fhi > 0.0):
+                lo, flo = lo2, f2
+                break
+            hi, fhi = lo2, f2
+        else:
+            return None
+    for _ in range(200):
+        mid = math.sqrt(lo * hi) if hi > 16.0 * lo else 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+        if hi - lo <= 1e-15 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def grow(f, lo: float, flo: float):
+    """(x, f(x)) at the first x = max(2 lo, 1) 2^k, k = 0, 1, ..., where f
+    is zero or has the sign opposite to flo: an upper end for ``bisect``.
+    None after 600 doublings, far past any root the package brackets."""
+    x = max(2.0 * lo, 1.0)
+    for _ in range(600):
+        fx = f(x)
+        if fx == 0.0 or (fx > 0.0) != (flo > 0.0):
+            return x, fx
+        x *= 2.0
+    return None
 
 
 def _roots(terms, s_max: float) -> list:
@@ -72,36 +131,21 @@ def _roots(terms, s_max: float) -> list:
     c1, e1 = terms[0]
     g = [(c, e - e1) for c, e in terms]
     dg = [(c * e, e - 1.0) for c, e in g[1:]]
+
+    def g_at(x: float) -> float:
+        return sum(c * x ** e for c, e in g)
+
     ends = [x for x in _roots(dg, s_max) if x < s_max] + [s_max]
     roots = []
     lo, flo = 0.0, c1            # g(0+) = c_1: the other exponents are > 0
     for hi in ends:
         if hi <= lo:
             continue
-        fhi = _scalar(g, hi)
-        if fhi == 0.0:
-            roots.append(hi)
-        elif flo != 0.0 and (flo > 0.0) != (fhi > 0.0):
-            roots.append(_bisect(g, lo, hi, flo))
+        fhi = g_at(hi)
+        if fhi == 0.0 or flo != 0.0 and (flo > 0.0) != (fhi > 0.0):
+            roots.append(bisect(g_at, lo, hi, flo, fhi))
         lo, flo = hi, fhi
     return roots
-
-
-def _bisect(terms, lo: float, hi: float, flo: float) -> float:
-    """Sign change of sum c x^e inside (lo, hi); halving while lo == 0."""
-    for _ in range(2200):
-        mid = math.sqrt(lo * hi) if lo > 0.0 and hi > 16.0 * lo \
-            else 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        fm = _scalar(terms, mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def count_positive_roots_sampled(gp: GeneralizedPolynomial,

@@ -19,9 +19,13 @@ so each can serve as an oracle for the others:
   U(s)/s and U'(a) - U'(s) are sums of the differences 1 - (s/a)^e in
   expm1/log1p form, so the bracket does not cancel near s = a.
 * ``eval_J_mass_fd``: central finite difference of the mass integral
-  ``mass_Q`` in omega, with a Richardson consistency estimate.  Its four
-  stencil masses run as one batched quadrature, each equal to ``mass_Q``
-  alone bit for bit, and their quadrature errors enter its error bar.
+  ``mass_Q`` in omega, with a Richardson consistency estimate.  The mass
+  integrand is 2u / sqrt(V) after s = a - u^2, with the raw route's
+  cancellation-free V = U(s)/s.  Where the case has a curve at gamma, the
+  step is at most a quarter of the distance to omega_star(gamma), so the
+  stencil keeps to the query's side of it.  Its four stencil masses run
+  as one batched quadrature, each equal to ``mass_Q`` alone bit for bit,
+  and their quadrature errors enter its error bar.
 
 The abs_error of ``eval_J`` and ``eval_J_raw`` adds to the quadrature
 error the error J carries from a: the computed a is the exact zero at an
@@ -49,7 +53,7 @@ import numpy as np
 
 from .boundary import omega_star
 from .errors import DivergingIntegral, NoStandingWave, NotOnCurve, UnsupportedRegime
-from .landscape import Terms, one_minus_powers, terms, u_prime, u_value
+from .landscape import Terms, one_minus_powers, terms, u_prime
 from .model import NonlinearityParams
 from .profile import (BOUNDARY_TOL, ProfileResult, _uprime_scale, find_a,
                       find_a0)
@@ -261,23 +265,43 @@ def eval_J_row(params: NonlinearityParams, omegas: Sequence[float],
 # -- raw route ---------------------------------------------------------------
 
 
-def _raw_integrand(t: Terms, a: float, powers) -> Callable:
+def _difference_sums(t: Terms, amplitudes, *triples) -> Callable:
+    """The sums sum_l c_l a^{e_l} E_l, E_l = 1 - (s/a)^{e_l}, at s = a - u^2,
+    one per coefficient triple c, for a batch of amplitudes a.
+
+    With c = f1 the sum is V = U(s)/s (as F1(a) = omega), with c = up it is
+    W = U'(a) - U'(s); E_l is in expm1/log1p form, so neither cancels near
+    s = a.  The returned sums(u, cells) evaluates row i of u at amplitude
+    amplitudes[cells[i]], elementwise; a batch of one ignores cells and
+    multiplies by plain floats.
+    """
+    rows = []
+    for a in amplitudes:
+        powers = [a ** e for e in t.e]
+        rows.append([math.sqrt(a)] + [c * x for triple in triples
+                                      for c, x in zip(triple, powers)])
+    table = np.array(rows).T[:, :, None]
+
+    def sums(u, cells):
+        root, *c = table[:, cells] if len(rows) > 1 else rows[0]
+        Ep, Eq, Er = one_minus_powers(u / root, t.e)
+        return [c[k] * Ep + c[k + 1] * Eq + c[k + 2] * Er
+                for k in range(0, len(c), 3)]
+
+    return sums
+
+
+def _raw_integrand(t: Terms, a: float) -> Callable:
     """Integrand in u after s = a - u^2, written so that nothing cancels.
 
-    With E_l = 1 - (s/a)^{e_l}, U(s)/s = V = sum f1_l a^{e_l} E_l (as
-    F1(a) = omega) and U'(a) - U'(s) = W = sum up_l a^{e_l} E_l, so the
-    integrand 2u (3 + s (U'(a) - U'(s)) / U(s)) sqrt(s / U(s)) is
-    2u (3 + W/V) / sqrt(V), with E_l in expm1/log1p form.
+    The integrand 2u (3 + s (U'(a) - U'(s)) / U(s)) sqrt(s / U(s)) is
+    2u (3 + W/V) / sqrt(V) with the ``_difference_sums`` V and W.
     """
-    fp, fq, fr = [c * x for c, x in zip(t.f1, powers)]
-    wp, wq, wr = [c * x for c, x in zip(t.up, powers)]
-    root_a = math.sqrt(a)
+    vw = _difference_sums(t, [a], t.f1, t.up)
 
     def g(u):
         with np.errstate(divide="ignore", invalid="ignore"):
-            Ep, Eq, Er = one_minus_powers(u / root_a, t.e)
-            V = fp * Ep + fq * Eq + fr * Er
-            W = wp * Ep + wq * Eq + wr * Er
+            V, W = vw(u, None)
             safe = V > 0.0
             V = np.where(safe, V, 1.0)
             out = np.where(safe, 2.0 * u * (3.0 + W / V) / np.sqrt(V), 0.0)
@@ -299,9 +323,8 @@ def eval_J_raw(params: NonlinearityParams, omega: float, gamma: float,
     t = terms(params, gamma)
     powers = [a ** e for e in t.e]
     pref = -1.0 / (2.0 * up)
-    quad = integrate(_raw_integrand(t, a, powers),
-                     0.0, math.sqrt(a), rel_tol=rel_tol, max_panels=2000,
-                     initial=2)
+    quad = integrate(_raw_integrand(t, a), 0.0, math.sqrt(a),
+                     rel_tol=rel_tol, max_panels=2000, initial=2)
     j = pref * quad.value
     return StabilityValue(j=j,
                           abs_error=(abs(pref) * quad.abs_error
@@ -320,8 +343,9 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
 
     Every profile is found before anything is integrated, in the order of
     omegas, so the first omega without a wave raises NoStandingWave and the
-    first on the nonexistence curve DivergingIntegral.  Integrand k runs on
-    its own interval [0, sqrt(a_k)] after s = a_k - u^2.
+    first on the nonexistence curve DivergingIntegral.  Integrand k is
+    2u / sqrt(V) on its own interval [0, sqrt(a_k)] after s = a_k - u^2,
+    with the raw route's cancellation-free V = U(s)/s.
     """
     amplitudes = []
     for omega in omegas:
@@ -331,19 +355,14 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
                 "mass integral diverges on the nonexistence curve at "
                 "omega=%g, gamma=%g" % (omega, gamma))
         amplitudes.append(res.a)
-    omega_col = np.array(omegas, dtype=float)[:, None]
-    a_col = np.array(amplitudes)[:, None]
+    t = terms(params, gamma)
+    v = _difference_sums(t, amplitudes, t.f1)
 
     def g(u, cells):
-        w, a = omega_col[cells], a_col[cells]
-        s = a - u * u
-        s = np.where(s < 0.0, 0.0, s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            Us = u_value(params, w, gamma, s)
-            safe = Us > 0.0
-            out = np.where(safe,
-                           2.0 * u * np.sqrt(s)
-                           / np.sqrt(np.where(safe, Us, 1.0)),
+            V, = v(u, cells)
+            safe = V > 0.0
+            out = np.where(safe, 2.0 * u / np.sqrt(np.where(safe, V, 1.0)),
                            0.0)
         return out
 
@@ -367,7 +386,9 @@ def eval_J_mass_fd(params: NonlinearityParams, omega: float,
                    gamma: float) -> StabilityValue:
     """J as a central difference of mass_Q in omega, Richardson-checked.
 
-    Step h = max(1e-4*omega, 1e-6) clamped to omega/2; shrunk further if a
+    Step h = max(1e-4*omega, 1e-6) clamped to omega/2 and, where the case
+    has a curve at gamma, to a quarter of the distance to omega_star, so
+    the stencil keeps to the query's side of the curve; shrunk further if a
     stencil point falls outside the existence region.  The four stencil
     masses are one batch.  abs_error is the Richardson estimate plus the
     quadrature error of each difference amplified by its 1/(2h) or 1/h, and
@@ -376,8 +397,11 @@ def eval_J_mass_fd(params: NonlinearityParams, omega: float,
     res = _require_profile(params, omega, gamma)
     if res.on_boundary:
         return _sentinel(params, omega, gamma, "mass_fd")
-    h = max(1e-4 * omega, 1e-6)
-    h = min(h, 0.5 * omega)
+    h = min(max(1e-4 * omega, 1e-6), 0.5 * omega)
+    try:
+        h = min(h, 0.25 * abs(omega_star(params, gamma) - omega))
+    except NotOnCurve:
+        pass
     last_exc = None
     for _ in range(6):
         try:

@@ -1,6 +1,7 @@
 """Tests for the existence-boundary curve, its endpoints, and omega*."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ FF234 = NonlinearityParams(2.0, 3.0, 4.0)
 FD357 = NonlinearityParams(3.0, 5.0, 7.0, sign3=-1)
 DF357 = NonlinearityParams(3.0, 5.0, 7.0, sign1=-1)
 DD347 = NonlinearityParams(3.0, 4.0, 7.0, sign1=-1, sign3=-1)
+FD367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)
+DD357 = NonlinearityParams(3.0, 5.0, 7.0, sign1=-1, sign3=-1)
 
 
 def test_closed_form_constants_ff():
@@ -142,3 +145,49 @@ def test_gamma_omega_ne_requires_positive_a():
         gamma_omega_ne(FF234, 0.0)
     with pytest.raises(ValueError):
         gamma_omega_ne(FF234, -1.0)
+
+
+# omega_star(gamma) from a 50-digit mpmath bisection of gamma_ne(a) = gamma
+# at these exact floats, and kappa = |gamma omega_star'(gamma) / omega_star|,
+# its condition number in gamma.  In double precision gamma_ne is only known
+# to round-off, so an error of a few ulps times kappa is what any float
+# inversion leaves; kappa grows without bound as omega_star -> 0 at the DD
+# endpoint.
+OMEGA_STAR_REFERENCE = [
+    pytest.param(FF234, 1.7888543819998317,
+                 "0.165634664999984421956235086573", 0.0, id="FF-gamma1"),
+    pytest.param(FF234, 1.8973665961,
+                 "0.146401743526456592073241853518", 1.8, id="FF-1.897"),
+    pytest.param(FF234, 2.5,
+                 "0.0984719910274744847874952724211", 1.25, id="FF-2.5"),
+    pytest.param(FF234, 20.0,
+                 "0.0111259705489820680475148684425", 1.0, id="FF-20"),
+    pytest.param(FD367, -3.0,
+                 "31.3213597669807298723789756222", 5.47, id="FD-m3"),
+    pytest.param(FD367, -10.0,
+                 "37356.1249802580979742579050796", 6.0, id="FD-m10"),
+    pytest.param(FD367, 0.0,
+                 "0.272165526975908677577476008301", 0.0, id="FD-0"),
+    pytest.param(FD367, 5.0,
+                 "0.0764582234337649241744305347662", 0.597, id="FD-5"),
+    # gamma1 - 1e-3
+    pytest.param(DD357, -2.1223203435596427,
+                 "0.000667295206167231420533454759815", 2120.0,
+                 id="DD-below-gamma1"),
+    pytest.param(DD357, -3.0,
+                 "1.10412549262377395037016547119", 5.16, id="DD-m3"),
+    pytest.param(DD357, -5.0,
+                 "8.79010427452499514989529566427", 3.49, id="DD-m5"),
+    pytest.param(DD357, -8.0,
+                 "41.4173376643697035090470283571", 3.17, id="DD-m8"),
+]
+
+
+@pytest.mark.parametrize("params, gamma, reference, kappa",
+                         OMEGA_STAR_REFERENCE)
+def test_omega_star_matches_high_precision_inversion(params, gamma,
+                                                     reference, kappa):
+    exact = Fraction(reference)
+    ulps = abs(Fraction(omega_star(params, gamma)) - exact) \
+        / Fraction(math.ulp(float(exact)))
+    assert ulps <= 4.0 * max(1.0, kappa)

@@ -252,13 +252,14 @@ def test_mass_fd_is_the_difference_of_scalar_masses(params, omega, gamma):
     assert sv.converged
 
 
-def test_mass_fd_unconverged_near_curve_is_indeterminate():
-    # 1e-5 above the FF curve at a = a#/2 the stencil masses exhaust their
-    # panel budget; the value (+1.27e6 where J = -1.28e6) decides nothing
+def test_mass_fd_stencil_keeps_to_its_side_of_the_fold():
+    # 1e-5 above the FF curve at a = a#/2 a stencil of h = 1e-4 omega would
+    # straddle the fold (+1.27e6 where J = -1.28e6); kept to a quarter of
+    # the distance, it converges on the oracle value of perfbench/oracle.py
     om, ga = gamma_omega_ne(FF234, endpoints(FF234)[0] / 2.0)
     sv = eval_J_mass_fd(FF234, om * (1.0 + 1e-5), ga)
-    assert not sv.converged
-    assert sv.verdict() == "indeterminate"
+    assert sv.converged and sv.verdict() == "unstable"
+    assert abs(sv.j - (-1280555.4088662195)) <= sv.abs_error
 
 
 def test_mass_fd_error_covers_the_oracle():
@@ -320,13 +321,11 @@ def test_transformed_integrand_is_n_over_d_at_borders(params, omega, gamma,
     assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
 
 
-@pytest.mark.parametrize("method", [eval_J, eval_J_raw])
+@pytest.mark.parametrize("method", [eval_J, eval_J_raw, eval_J_mass_fd])
 @pytest.mark.parametrize("params, omega, gamma, j_ref, ref_err",
                          BORDER_POINTS)
 def test_border_points_match_the_oracle(method, params, omega, gamma, j_ref,
                                         ref_err):
-    # eval_J_mass_fd is left out: at DF567 it misses the oracle by 4.2e-9
-    # against a stated 3.5e-9
     sv = method(params, omega, gamma)
     assert sv.converged
     assert abs(sv.j - j_ref) <= sv.abs_error + ref_err
