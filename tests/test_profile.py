@@ -1,7 +1,10 @@
 """Tests for amplitude root finding a(omega, gamma) and the omega -> 0 limit."""
 
+import json
 import math
+import os
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,11 +20,114 @@ from tristab import (
     u_value,
 )
 from tristab import profile, verify
+from tristab.landscape import power_sum, terms
 
 FF234 = NonlinearityParams(2.0, 3.0, 4.0)
 FD357 = NonlinearityParams(3.0, 5.0, 7.0, sign3=-1)
 DF234 = NonlinearityParams(2.0, 3.0, 4.0, sign1=-1)
 DD357 = NonlinearityParams(3.0, 5.0, 7.0, sign1=-1, sign3=-1)
+
+EPS = np.finfo(float).eps
+# omega - F1(a) at a float a within a few ulps of the root rounds to a few
+# eps S, where S = |omega| + sum |f1_l| a^{e_l} is the size of its terms
+RESIDUAL_C = 4.0
+# a float root moved by k eps S of residual sits k eps S / |F1'(a)| away
+FORWARD_K = 4.0
+FORWARD_ULPS = 4.0
+
+
+def _term_scale(params, omega, gamma, a):
+    """S = |omega| + sum |f1_l| a^{e_l}, the scale of omega - F1(a)."""
+    t = terms(params, gamma)
+    return power_sum([abs(c) for c in t.f1], t.e, a, lead=abs(omega))
+
+
+def _forward_bound(params, omega, gamma, a):
+    """FORWARD_K eps S / |F1'(a)| plus FORWARD_ULPS ulps of a."""
+    t = terms(params, gamma)
+    slope = abs(sum(c * e * a ** (e - 1.0) for c, e in zip(t.f1, t.e)))
+    return (FORWARD_K * EPS * _term_scale(params, omega, gamma, a) / slope
+            + FORWARD_ULPS * math.ulp(a))
+
+
+def _mp_root_near(params, omega, gamma, a):
+    """A 40-digit root of omega - F1 next to the float a, or None: bisection
+    on the narrowest bracket a -/+ a 2^-k, k = 52, 51, ..., 20, whose ends
+    differ in sign.  The coefficients are those of the float inputs, exactly."""
+    with mpmath.workdps(40):
+        p, q, r = (mpmath.mpf(x) for x in (params.p, params.q, params.r))
+        c = (2 * params.sign1 / (p + 1), -2 * mpmath.mpf(gamma) / (q + 1),
+             2 * params.sign3 / (r + 1))
+        e = ((p - 1) / 2, (q - 1) / 2, (r - 1) / 2)
+        w, x = mpmath.mpf(omega), mpmath.mpf(a)
+
+        def phi(s):
+            return w - c[0] * s ** e[0] - c[1] * s ** e[1] - c[2] * s ** e[2]
+
+        for k in range(52, 19, -1):
+            lo, hi = x - x * 2.0 ** -k, x + x * 2.0 ** -k
+            flo, fhi = phi(lo), phi(hi)
+            if (flo > 0) != (fhi > 0):
+                break
+        else:
+            return None
+        while hi - lo > x * mpmath.mpf(10) ** -35:
+            mid = (lo + hi) / 2
+            fm = phi(mid)
+            if fm == 0:
+                return mid
+            if (fm > 0) == (flo > 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def _reference_points():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "reference_points.json")
+    with open(path) as fh:
+        return json.load(fh)["points"]
+
+
+def _random_roots(seed, n):
+    """(params, omega, gamma, a) at n random draws with a root: a from
+    find_a, or from find_a0 at omega = 0; exponents also on the borders
+    p = 7/3, p = 5, r = 5 and 2p + q = 7."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        kind = rng.integers(5)
+        p = 1.1 + 3.9 * rng.random()
+        q = p + 0.05 + 3.0 * rng.random()
+        r = q + 0.05 + 3.0 * rng.random()
+        if kind == 1:
+            p = 7.0 / 3.0
+            q = p + 0.05 + 3.0 * rng.random()
+            r = q + 0.05 + 3.0 * rng.random()
+        elif kind == 2:
+            p, q = 5.0, 5.05 + 2.0 * rng.random()
+            r = q + 0.05 + 2.0 * rng.random()
+        elif kind == 3:
+            q = 1.5 + 3.0 * rng.random()
+            p, r = 1.05 + (q - 1.1) * rng.random(), 5.0
+        elif kind == 4:
+            p = 1.1 + 1.2 * rng.random()
+            q = 7.0 - 2.0 * p
+            r = q + 0.05 + 3.0 * rng.random()
+        params = NonlinearityParams(p, q, r,
+                                    sign1=int(rng.choice([-1, 1])),
+                                    sign3=int(rng.choice([-1, 1])))
+        gamma = 3.0 * rng.normal()
+        if params.sign1 == -1 and rng.random() < 0.25:
+            omega, a = 0.0, find_a0(params, gamma)
+        else:
+            omega = 10.0 ** rng.uniform(-3, 1.5)
+            prof = find_a(params, omega, gamma)
+            a = None if prof is None or prof.on_boundary else prof.a
+        if a is not None:
+            out.append((params, omega, gamma, a))
+    return out
 
 
 def test_amplitude_forward_inverse():
@@ -50,7 +156,8 @@ def test_amplitude_satisfies_defining_equation():
         if prof is None:
             continue
         out = eval_U(params, omega, gamma, prof.a)
-        assert abs(out.value / prof.a) <= 1e-12 * (1.0 + omega)
+        assert abs(out.value / prof.a) \
+            <= RESIDUAL_C * EPS * _term_scale(params, omega, gamma, prof.a)
         # U > 0 strictly before the first zero
         if prof.exists:
             s = np.linspace(prof.a * 1e-4, prof.a * 0.999, 60)
@@ -101,7 +208,39 @@ def test_a0_satisfies_f1_zero():
         if a0 is None:
             assert params.sign3 == -1
             continue
-        assert abs(eval_F1(params, gamma, a0)) <= 1e-12 * (1.0 + abs(gamma))
+        assert abs(eval_F1(params, gamma, a0)) \
+            <= RESIDUAL_C * EPS * _term_scale(params, 0.0, gamma, a0)
+
+
+def _assert_near_mp_root(params, omega, gamma, a):
+    root = _mp_root_near(params, omega, gamma, a)
+    assert root is not None, (params, omega, gamma, a)
+    assert float(abs(mpmath.mpf(a) - root)) \
+        <= _forward_bound(params, omega, gamma, a), (params, omega, gamma, a)
+
+
+def test_roots_match_high_precision_at_reference_points():
+    checked = 0
+    for pt in _reference_points():
+        params = NonlinearityParams(pt["p"], pt["q"], pt["r"],
+                                    pt["s1"], pt["s3"])
+        omega, gamma = pt["omega"], pt["gamma"]
+        if omega == 0.0:
+            a = find_a0(params, gamma)
+        else:
+            prof = find_a(params, omega, gamma)
+            # a touch point is a double zero: no sign change to bracket
+            if prof is None or prof.on_boundary:
+                continue
+            a = prof.a
+        _assert_near_mp_root(params, omega, gamma, a)
+        checked += 1
+    assert checked >= 35
+
+
+def test_roots_match_high_precision_at_random_draws():
+    for params, omega, gamma, a in _random_roots(41, 150):
+        _assert_near_mp_root(params, omega, gamma, a)
 
 
 def test_a0_dd_near_endpoint():
