@@ -17,11 +17,13 @@ valid on an a-range that depends on the sign case:
     DD: (a_b, inf) with a_b^{(r-p)/2} = (q-p)(r+1)/((r-q)(p+1))
 
 On the valid range omega_ne is increasing and gamma_ne is decreasing, so
-gamma_ne inverts by bisection; omega_star(gamma) is omega_ne at that a.
-The bisection is ``signs.bisect`` on gamma_ne(a) - gamma, from the lower
-end of the a-range (0 or a_b) to its upper end, a_sharp in the FF case and
-otherwise ``signs.grow``'s doubling.  It stops at 1e-15 relative in a, so
-omega_star is off by a few ulps times its condition number in gamma.
+gamma_ne inverts by a bracketed solve; omega_star(gamma) is omega_ne at
+that a.  The solve is ``signs.bisect`` (Anderson-Bjorck false position) on
+gamma_ne(a) - gamma, which evaluates gamma_ne alone, from the lower end of
+the a-range (0 or a_b) to its upper end, a_sharp in the FF case and
+otherwise ``signs.grow``'s doubling; omega_ne is evaluated once, at the
+root.  The solve stops at 1e-15 relative in a, so omega_star is off by a
+few ulps times its condition number in gamma.
 """
 
 from __future__ import annotations
@@ -51,10 +53,18 @@ def gamma_omega_ne(params: NonlinearityParams, a: float) -> Tuple[float, float]:
     a1, a3 = params.a1, params.a3
     omega_ne = (2.0 * a1 * (q - p) / ((q - 1.0) * (p + 1.0)) * a ** ((p - 1.0) / 2.0)
                 - 2.0 * a3 * (r - q) / ((q - 1.0) * (r + 1.0)) * a ** ((r - 1.0) / 2.0))
-    gamma_ne = (q + 1.0) / (q - 1.0) * (
-        a1 * (p - 1.0) / (p + 1.0) * a ** ((p - q) / 2.0)
-        + a3 * (r - 1.0) / (r + 1.0) * a ** ((r - q) / 2.0))
-    return omega_ne, gamma_ne
+    return omega_ne, _gamma_ne(params)(a)
+
+
+def _gamma_ne(params: NonlinearityParams):
+    """gamma_ne as a function of a, the half of the curve omega_star
+    inverts; its constants are folded in the order the closed form
+    evaluates them, so values are those of gamma_omega_ne."""
+    p, q, r = params.p, params.q, params.r
+    k = (q + 1.0) / (q - 1.0)
+    cp, ep = params.a1 * (p - 1.0) / (p + 1.0), (p - q) / 2.0
+    cr, er = params.a3 * (r - 1.0) / (r + 1.0), (r - q) / 2.0
+    return lambda a: k * (cp * a ** ep + cr * a ** er)
 
 
 def endpoints(params: NonlinearityParams):
@@ -99,8 +109,10 @@ def omega_star(params: NonlinearityParams, gamma: float) -> float:
         raise NotOnCurve("gamma at or above the curve endpoint value %g"
                          % gamma1)
 
+    gamma_ne = _gamma_ne(params)
+
     def f(a: float) -> float:
-        return gamma_omega_ne(params, a)[1] - gamma
+        return gamma_ne(a) - gamma
 
     # gamma_ne falls from +inf at a -> 0 (FF, FD) or from gamma1 at a_b (DD)
     lo = endpoint_a if case == "DD" else 0.0

@@ -11,13 +11,14 @@ most one interior critical point, so h has at most two positive roots and F1
 at most two critical points.  omega - F1 is monotone between consecutive
 critical points, so scanning those pieces finds the first sign change without
 any sampling grid; closely spaced root pairs near the nonexistence curve
-cannot be skipped this way.  The bracket search and the bisection are
-``signs.grow`` and ``signs.bisect``, the package's one root solver; the
-bisected root is finished with a few Newton steps on the analytic
-derivative.
+cannot be skipped this way.  The bracket search and the bracketed solve
+are ``signs.grow`` and ``signs.bisect`` (Anderson-Bjorck false position),
+the package's one root solver; its root is finished with at most 8 Newton
+steps on the analytic derivative, which end early once they cycle, with
+the value the 8th step would give.
 
 A piece whose two ends share a sign holds no root, because the function is
-monotone on it; the bisection returns at once instead of walking down
+monotone on it; the solver returns at once instead of walking down
 towards 0.  F1's critical points do not depend on omega, so they are found
 once per (params, gamma) and kept in a small bounded cache: a sweep row and
 the four mass_Q points of eval_J_mass_fd all share one gamma.
@@ -92,6 +93,29 @@ def _f1_critical_points(params: NonlinearityParams, gamma: float) -> tuple:
     return tuple(sorted(roots))
 
 
+def _polish(phi, phi_prime, s: float) -> float:
+    """s after 8 Newton steps on phi, or fewer where a step fails.
+
+    Newton is deterministic in s, so once a step returns to an earlier s
+    the steps left run round that cycle: the s the 8th step would land on
+    is returned at once.  A fixed point is a cycle of length 1.
+    """
+    seen = [s]
+    for _ in range(8):
+        dv = phi_prime(s)
+        if dv == 0.0 or not math.isfinite(dv):
+            break
+        s_new = s - phi(s) / dv
+        if s_new <= 0.0 or not math.isfinite(s_new):
+            break
+        if s_new in seen:
+            j = seen.index(s_new)
+            return seen[j + (8 - j) % (len(seen) - j)]
+        s = s_new
+        seen.append(s)
+    return s
+
+
 def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
     """First positive zero of phi(s) = omega - F1(s), or None.
 
@@ -147,19 +171,7 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
             s = _bisect(phi, lo, hi, f_prev, f_hi)
             if s is None:
                 return None
-            # Newton polish; bisection already has ~1e-15 relative accuracy
-            for _ in range(8):
-                dv = phi_prime(s)
-                if dv == 0.0 or not math.isfinite(dv):
-                    break
-                s_new = s - phi(s) / dv
-                if s_new <= 0.0 or not math.isfinite(s_new):
-                    break
-                done = abs(s_new - s) <= 1e-16 * s
-                s = s_new
-                if done:
-                    break
-            return s
+            return _polish(phi, phi_prime, s)
         f_prev = f_hi
     return None
 

@@ -8,9 +8,10 @@ number of sign changes in the coefficient sequence ordered by exponent.
 Every numerator and denominator appearing in the slope analysis is of this
 form, which is what makes the sign classifications tractable.
 
-``bisect`` finds the sign change of a function monotone on a bracket and
-``grow`` finds a bracket's upper end by doubling.  Every root in the
-package comes from this pair: the roots counted here, the amplitude a and
+``bisect`` finds the sign change of a function monotone on a bracket, by
+Anderson-Bjorck false position kept safe by geometric means on wide
+brackets and midpoints where it stalls, and ``grow`` finds a bracket's
+upper end by doubling.  Every root in the package comes from this pair: the roots counted here, the amplitude a and
 F1's critical points in ``profile``, and the curve inversion behind
 ``boundary.omega_star``.  Both are scalar float arithmetic, since their
 callers evaluate one point at a time.
@@ -69,8 +70,15 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
 
     At lo == 0, flo is the sign of f just right of 0, and lo walks down
     from hi by halving until f changes sign.  Then each step takes the
-    geometric mean while hi > 16 lo, else the midpoint, until
-    hi - lo <= 1e-15 hi or f is zero at a step.
+    geometric mean while hi > 16 lo, else the false-position point of
+    Anderson & Bjorck (BIT 13, 1973): when a step keeps the same end as
+    the step before, that end's value is scaled by 1 - f(x)/f(replaced),
+    or by 1/2 if that factor is not positive, so both ends close in
+    superlinearly.  The midpoint replaces a point not strictly inside
+    (lo, hi), and follows any three steps that did not halve the bracket,
+    so a stalled false position still halves it every four steps.  It
+    stops when hi - lo <= 1e-15 hi, when f is zero at a step, or after 200
+    steps.
     """
     if fhi == 0.0:
         return hi
@@ -91,17 +99,38 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
             hi, fhi = lo2, f2
         else:
             return None
+    # scaling keeps signs but may underflow a value to 0: test the sign of
+    # lo's end, fixed from here on, not the scaled value
+    pos = flo > 0.0
+    kept = 0                     # -1: lo was kept last step, +1: hi
+    mark, steps = hi - lo, 0     # a width, and the steps taken since
     for _ in range(200):
-        mid = math.sqrt(lo * hi) if hi > 16.0 * lo else 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
+        steps += 1
+        if hi > 16.0 * lo:
+            x, kept = math.sqrt(lo * hi), 0
+        elif steps == 4:         # three steps did not halve the bracket
+            x, kept = 0.5 * (lo + hi), 0
         else:
-            hi, fhi = mid, fm
+            x = lo - flo * (hi - lo) / (fhi - flo)
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == pos:
+            if kept > 0:
+                m = 1.0 - fx / flo
+                fhi *= m if m > 0.0 else 0.5
+            lo, flo, kept = x, fx, 1
+        else:
+            if kept < 0:
+                m = 1.0 - fx / fhi
+                flo *= m if m > 0.0 else 0.5
+            hi, fhi, kept = x, fx, -1
         if hi - lo <= 1e-15 * hi:
             break
+        if steps == 4 or hi - lo <= 0.5 * mark:
+            mark, steps = hi - lo, 0
     return 0.5 * (lo + hi)
 
 
