@@ -58,8 +58,8 @@ def gamma_omega_ne(params: NonlinearityParams, a: float) -> Tuple[float, float]:
 
 def _gamma_ne(params: NonlinearityParams):
     """gamma_ne as a function of a, the half of the curve omega_star
-    inverts; its constants are folded in the order the closed form
-    evaluates them, so values are those of gamma_omega_ne."""
+    inverts.  Its constants are computed once, in the order the written-out
+    closed form evaluates them, so each value is unchanged bit for bit."""
     p, q, r = params.p, params.q, params.r
     k = (q + 1.0) / (q - 1.0)
     cp, ep = params.a1 * (p - 1.0) / (p + 1.0), (p - q) / 2.0

@@ -11,10 +11,11 @@ form, which is what makes the sign classifications tractable.
 ``bisect`` finds the sign change of a function monotone on a bracket, by
 Anderson-Bjorck false position kept safe by geometric means on wide
 brackets and midpoints where it stalls, and ``grow`` finds a bracket's
-upper end by doubling.  Every root in the package comes from this pair: the roots counted here, the amplitude a and
-F1's critical points in ``profile``, and the curve inversion behind
-``boundary.omega_star``.  Both are scalar float arithmetic, since their
-callers evaluate one point at a time.
+upper end by doubling.  Every root in the package comes from this pair:
+the roots counted here, the amplitude a and F1's critical points in
+``profile``, and the curve inversion behind ``boundary.omega_star``.  Both
+are scalar float arithmetic, since their callers evaluate one point at a
+time.
 """
 
 from __future__ import annotations

@@ -335,3 +335,57 @@ def test_wide_exponent_gap_does_not_overflow(r):
     assert prof.exists and not prof.on_boundary
     assert prof.uprime_at_a < 0.0
     assert abs(u_value(params, 0.1, -1.0, prof.a)) <= 1e-14 * 0.1 * prof.a
+
+
+def _eight_newton_steps(phi, phi_prime, s):
+    """The Newton polish without the cycle exit: 8 steps, or fewer at a
+    fixed point, a zero or non-finite slope, or a step out of (0, inf)."""
+    for _ in range(8):
+        dv = phi_prime(s)
+        if dv == 0.0 or not math.isfinite(dv):
+            break
+        s_new = s - phi(s) / dv
+        if s_new <= 0.0 or not math.isfinite(s_new):
+            break
+        done = abs(s_new - s) <= 1e-16 * s
+        s = s_new
+        if done:
+            break
+    return s
+
+
+def _enters_cycle(phi, phi_prime, s):
+    """Whether 8 Newton steps from s return to an earlier s other than by a
+    fixed point."""
+    seq = [s]
+    for _ in range(8):
+        dv = phi_prime(seq[-1])
+        if dv == 0.0 or not math.isfinite(dv):
+            return False
+        seq.append(seq[-1] - phi(seq[-1]) / dv)
+        if seq[-1] == seq[-2]:
+            return False
+        if seq[-1] in seq[:-2]:
+            return True
+    return False
+
+
+def test_polish_cycle_exit_returns_what_eight_steps_return():
+    # Newton in floats often ends going round two to five neighbours of
+    # the root; the early exit must return the one the 8th step lands on
+    cycles = 0
+    for params, omega, gamma, a in _random_roots(43, 60):
+        t = terms(params, gamma)
+
+        def phi(s):
+            return omega - power_sum(t.f1, t.e, s)
+
+        def phi_prime(s):
+            return -sum(c * e * s ** (e - 1.0) for c, e in zip(t.f1, t.e))
+
+        for k in range(-12, 13):
+            s = a + k * math.ulp(a)
+            cycles += _enters_cycle(phi, phi_prime, s)
+            assert profile._polish(phi, phi_prime, s) \
+                == _eight_newton_steps(phi, phi_prime, s)
+    assert cycles >= 100

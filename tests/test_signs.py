@@ -11,7 +11,7 @@ from tristab import (
     ratio_h,
     sign_changes,
 )
-from tristab import verify
+from tristab import signs, verify
 
 
 def test_construction_sorts_and_drops_zeros():
@@ -97,6 +97,21 @@ def test_close_root_pair_is_counted():
     assert count_positive_roots_sampled(gp, 10.0) == 2
 
 
+def test_root_count_where_a_piece_is_flat_then_steep():
+    # the derivative's piece (3.38, 50) is flat near 3.38 and falls to
+    # -1.4e9 at 50: false position without a midpoint safeguard kept its
+    # lower end for 200 steps, returned 8.89 for the critical point 4.03
+    # and counted 0 roots
+    gp = GeneralizedPolynomial((
+        (-1.048864324176278, -0.8432484611688347),
+        (-0.9269267496131243, -0.16562211520101489),
+        (0.20442317649662195, 3.1164023718705707),
+        (-0.5278197155872505, 3.983771947645767),
+        (0.47582094388154905, 4.615069344195943),
+        (-0.08359649758070431, 5.432335575017549)))
+    assert count_positive_roots_sampled(gp, 50.0) == 2
+
+
 def test_root_count_matches_known_roots():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -107,3 +122,86 @@ def test_root_count_matches_known_roots():
             (float(c), float(deg - i)) for i, c in enumerate(coeffs)))
         assert count_positive_roots_sampled(gp, 10.0) == \
             int(np.sum(roots <= 10.0))
+
+
+def _counted(f):
+    """f and the list of points it is evaluated at."""
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    return g, seen
+
+
+@pytest.mark.parametrize("lo, hi, flo, fhi", [
+    (1.0, 2.0, 3.0, 0.5), (1.0, 2.0, -3.0, -0.5),
+    (0.0, 2.0, 1.0, 4.0), (0.0, 2.0, -1.0, -4.0),
+])
+def test_bisect_ends_of_one_sign_give_none(lo, hi, flo, fhi):
+    f, seen = _counted(lambda x: 1.0)
+    assert signs.bisect(f, lo, hi, flo, fhi) is None
+    assert seen == []
+
+
+def test_bisect_zero_at_an_end_or_a_step():
+    f, seen = _counted(lambda x: x - 0.5)
+    assert signs.bisect(f, 0.25, 0.5, -0.25, 0.0) == 0.5
+    assert signs.bisect(f, 0.5, 1.0, 0.0, 0.5) == 0.5
+    assert seen == []
+    # the false-position point of a line is its root, where f is exactly 0
+    assert signs.bisect(f, 0.25, 1.0, -0.25, 0.5) == 0.5
+    assert seen == [0.5]
+
+
+def test_bisect_walks_down_from_a_zero_lower_end():
+    # flo is only the sign of f just right of 0; lo walks down from hi by
+    # halving until f changes sign, then the solve runs on that bracket
+    f, seen = _counted(lambda x: x - 1e-5)
+    root = signs.bisect(f, 0.0, 1.0, -1.0, 1.0 - 1e-5)
+    walk = [2.0 ** -k for k in range(1, 18)]
+    assert seen[:len(walk)] == walk
+    assert abs(root - 1e-5) <= 1e-15 * 1e-5
+    assert len(seen) <= len(walk) + 8
+
+
+def test_bisect_takes_geometric_means_on_a_wide_bracket():
+    f, seen = _counted(lambda x: math.log(x / 3.0))
+    root = signs.bisect(f, 1e-3, 1e6, math.log(1e-3 / 3.0), math.log(1e6 / 3.0))
+    assert seen[0] == math.sqrt(1e-3 * 1e6)
+    assert seen[1] == math.sqrt(1e-3 * seen[0])
+    assert abs(root - 3.0) <= 2e-15 * 3.0
+
+
+# functions on which plain false position keeps one end and stalls: the
+# midpoint must still bring the bracket to the 1e-15 stop, well inside the
+# 200-step cap; the step function has no slope for false position to use
+@pytest.mark.parametrize("f, lo, hi, root", [
+    pytest.param(lambda x: x ** 40 - 1e-30, 0.1, 1.0, 10.0 ** -0.75,
+                 id="x^40"),
+    pytest.param(lambda x: math.exp(50.0 * x) - 1e10, 0.1, 1.0,
+                 math.log(1e10) / 50.0, id="steep-exp"),
+    pytest.param(lambda x: (x - 1.0) ** 3, 0.5, 2.0, 1.0, id="triple-root"),
+    pytest.param(lambda x: -1.0 if x < 0.3 else 1.0, 0.1, 1.0, 0.3,
+                 id="step"),
+])
+def test_bisect_reaches_the_stop_where_false_position_stalls(f, lo, hi, root):
+    g, seen = _counted(f)
+    x = signs.bisect(g, lo, hi, f(lo), f(hi))
+    assert abs(x - root) <= 2e-15 * root
+    assert len(seen) < 200
+
+
+def test_bisect_converges_superlinearly_on_a_smooth_function():
+    # halving from a bracket of width 0.5 or 1 to 1e-15 takes about 50
+    # steps; false position with Anderson-Bjorck scaling takes 6 to 10 here
+    for f, lo, hi, root in ((lambda x: x ** 3 - 2.0, 1.0, 1.5, 2.0 ** (1 / 3)),
+                            (lambda x: math.log(x) - 0.5, 1.0, 2.0,
+                             math.exp(0.5)),
+                            (lambda x: 1.0 - 2.0 * x ** -1.5, 1.0, 2.0,
+                             2.0 ** (2 / 3))):
+        g, seen = _counted(f)
+        x = signs.bisect(g, lo, hi, f(lo), f(hi))
+        assert abs(x - root) <= 2e-15 * root
+        assert len(seen) <= 12
