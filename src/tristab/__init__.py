@@ -12,19 +12,19 @@ from .errors import (DivergingIntegral, NoStandingWave, NotOnCurve,
                      UnsupportedRegime)
 from .model import (NonlinearityParams, ScalingReduction, classify_case,
                     normalize)
-from .landscape import (LandscapeEval, eval_A, eval_F1, eval_ND, eval_U,
-                        u_prime, u_second, u_value)
+from .landscape import (LandscapeEval, eval_F1, eval_ND, eval_U, u_prime,
+                        u_second, u_value)
 from .quadrature import QuadratureResult, integrate, integrate_many
 from .special import (BetaDerivBounds, beta_deriv_bounds, beta_fn, dbeta_dx,
                       digamma, h_fn, log_gamma, two_power_integral)
 from .signs import (GeneralizedPolynomial, count_positive_roots_sampled,
-                    ratio_h, sign_changes)
+                    sign_changes)
 from .profile import ProfileResult, find_a, find_a0
 from .boundary import (BoundaryCurve, endpoints, gamma_omega_ne, omega_star,
                        sample_curve)
 from .stability import (OmegaZeroPieces, StabilityValue, eval_J, eval_J0,
-                        eval_J_mass_fd, eval_J_raw, eval_J_row, mass_Q,
-                        omega_zero_pieces)
+                        eval_J_mass_fd, eval_J_raw, eval_J_row, eval_J_rows,
+                        mass_Q, omega_zero_pieces)
 from .asymptotics import (Direction, GuaranteeStatement, LimitClass,
                           LimitKind, SignGuarantee, asymptotic_exponent,
                           classify_limit, sign_guarantees)
@@ -37,18 +37,17 @@ __version__ = "0.1.0"
 __all__ = [
     "DivergingIntegral", "NoStandingWave", "NotOnCurve", "UnsupportedRegime",
     "NonlinearityParams", "ScalingReduction", "classify_case", "normalize",
-    "LandscapeEval", "eval_A", "eval_F1", "eval_ND", "eval_U", "u_prime",
-    "u_second", "u_value",
+    "LandscapeEval", "eval_F1", "eval_ND", "eval_U", "u_prime", "u_second",
+    "u_value",
     "QuadratureResult", "integrate", "integrate_many",
     "BetaDerivBounds", "beta_deriv_bounds", "beta_fn", "dbeta_dx", "digamma",
     "h_fn", "log_gamma", "two_power_integral",
-    "GeneralizedPolynomial", "count_positive_roots_sampled", "ratio_h",
-    "sign_changes",
+    "GeneralizedPolynomial", "count_positive_roots_sampled", "sign_changes",
     "ProfileResult", "find_a", "find_a0",
     "BoundaryCurve", "endpoints", "gamma_omega_ne", "omega_star",
     "sample_curve",
     "OmegaZeroPieces", "StabilityValue", "eval_J", "eval_J0", "eval_J_mass_fd",
-    "eval_J_raw", "eval_J_row", "mass_Q", "omega_zero_pieces",
+    "eval_J_raw", "eval_J_row", "eval_J_rows", "mass_Q", "omega_zero_pieces",
     "Direction", "GuaranteeStatement", "LimitClass", "LimitKind",
     "SignGuarantee", "asymptotic_exponent", "classify_limit",
     "sign_guarantees",

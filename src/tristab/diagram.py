@@ -30,7 +30,7 @@ import numpy as np
 from .boundary import BoundaryCurve
 from .errors import NoStandingWave
 from .model import NonlinearityParams
-from .stability import eval_J, eval_J_row
+from .stability import eval_J, eval_J_rows
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,15 @@ def _cell_value(params: NonlinearityParams, omega: float,
         return math.nan
 
 
-def _sweep_row(task):
-    params, gamma, omegas = task
-    return [sv.j for sv in eval_J_row(params, omegas, gamma)]
+# the fewest cells one task of a sweep holds: its rows' quadratures run as
+# one batch, and a bound on the block keeps memory flat on large grids
+_BLOCK_CELLS = 256
+
+
+def _sweep_block(task):
+    params, gammas, omegas = task
+    return [[sv.j for sv in row] for row in eval_J_rows(params, omegas,
+                                                        gammas)]
 
 
 def sweep_grid(params: NonlinearityParams,
@@ -74,9 +80,11 @@ def sweep_grid(params: NonlinearityParams,
                jobs: Optional[int] = None) -> DiagramGrid:
     """Evaluate J on an nx (omega) by ny (gamma) mesh.
 
-    Each gamma row is evaluated as one batch by ``eval_J_row``, whose cells
-    equal scalar ``eval_J`` bit for bit.  jobs > 1 distributes rows over a
-    process pool; the evaluation order is unspecified either way.
+    The gamma rows are cut into blocks of consecutive rows holding at least
+    256 cells (one row once nx >= 256), and each block is evaluated as one
+    batch by ``eval_J_rows``, whose cells equal scalar ``eval_J`` bit for
+    bit.  jobs > 1 distributes the blocks over a process pool; a mesh that
+    fits in one block runs in process and starts no pool.
     """
     w_lo, w_hi = float(omega_range[0]), float(omega_range[1])
     g_lo, g_hi = float(gamma_range[0]), float(gamma_range[1])
@@ -90,13 +98,15 @@ def sweep_grid(params: NonlinearityParams,
     gamma_axis = np.linspace(g_lo, g_hi, int(ny))
     if jobs is None:
         jobs = os.cpu_count() or 1
-    tasks = [(params, g, list(omega_axis)) for g in gamma_axis]
-    if jobs > 1 and ny > 1:
-        with multiprocessing.Pool(processes=min(jobs, ny)) as pool:
-            rows = pool.map(_sweep_row, tasks)
+    step = -(-_BLOCK_CELLS // len(omega_axis))  # rows per block
+    tasks = [(params, list(gamma_axis[i:i + step]), list(omega_axis))
+             for i in range(0, len(gamma_axis), step)]
+    if jobs > 1 and len(tasks) > 1:
+        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
+            blocks = pool.map(_sweep_block, tasks)
     else:
-        rows = [_sweep_row(t) for t in tasks]
-    values = np.array(rows, dtype=float)
+        blocks = [_sweep_block(t) for t in tasks]
+    values = np.array([row for block in blocks for row in block], dtype=float)
     return DiagramGrid(params=params, omega_axis=omega_axis,
                        gamma_axis=gamma_axis, values=values)
 

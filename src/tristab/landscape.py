@@ -171,20 +171,6 @@ def eval_U(params: NonlinearityParams, omega: float, gamma: float, s) -> Landsca
     )
 
 
-def eval_A(l: float, a: float, s):
-    """A_l(a, s) = (1 - s^{(l-1)/2}) / (l+1) * a^{(l-1)/2} for s in [0, 1].
-
-    Nonnegative, and zero exactly at s = 1.
-    """
-    if l <= 1.0:
-        raise ValueError("need exponent l > 1")
-    if a <= 0.0:
-        raise ValueError("need amplitude a > 0")
-    e = (l - 1.0) / 2.0
-    s = np.asarray(s, dtype=float)
-    return _scalar((1.0 - s ** e) / (l + 1.0) * a ** e)
-
-
 def eval_ND(params: NonlinearityParams, gamma: float, a: float, s):
     """Numerator and denominator base of the transformed slope integrand.
 

@@ -40,7 +40,8 @@ from .signs import bisect as _bisect, grow
 # |U'(a)| below this (relative) scale counts as a double zero
 BOUNDARY_TOL = 1e-9
 
-# relative slack for deciding that max F1 merely touches omega (*D cases)
+# slack, relative to the size of F1's terms, for deciding that max F1
+# merely touches omega (*D cases)
 _TOUCH_TOL = 5e-13
 
 
@@ -133,6 +134,10 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
         return -(cp * ep * s ** (ep - 1.0) + cq * eq * s ** (eq - 1.0)
                  + cr * er * s ** (er - 1.0))
 
+    def size(s: float) -> float:
+        # the size of F1's terms at s, the scale of phi's round-off there
+        return power_sum([abs(c) for c in t.f1], t.e, s, lead=abs(omega))
+
     crits = _f1_critical_points(params, gamma)
 
     if params.a3 > 0:
@@ -148,10 +153,10 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
         vals = [omega - phi(c) for c in crits]
         k = max(range(len(crits)), key=lambda i: vals[i])
         peak_s, peak_v = crits[k], vals[k]
-        scale = abs(omega) + abs(peak_v)
-        if peak_v < omega - _TOUCH_TOL * (1.0 + scale):
+        tol = _TOUCH_TOL * (1.0 + size(peak_s))
+        if peak_v < omega - tol:
             return None
-        if abs(peak_v - omega) <= _TOUCH_TOL * (1.0 + scale):
+        if abs(peak_v - omega) <= tol:
             return peak_s  # double zero: the touch point itself
         pts = [0.0] + [c for c in crits if c < peak_s] + [peak_s]
 
@@ -163,9 +168,7 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
         if hi is not last:
             # critical point: a |phi| below round-off scale is a double zero
             # (exactly-on-curve inputs must not fall to the far branch)
-            scale = abs(omega) + abs(cp) * hi ** ep + abs(cq) * hi ** eq \
-                + abs(cr) * hi ** er
-            if abs(f_hi) <= _TOUCH_TOL * (1.0 + scale):
+            if abs(f_hi) <= _TOUCH_TOL * (1.0 + size(hi)):
                 return hi
         if f_hi == 0.0 or (f_hi > 0.0) != (f_prev > 0.0):
             s = _bisect(phi, lo, hi, f_prev, f_hi)

@@ -195,24 +195,3 @@ def count_positive_roots_sampled(gp: GeneralizedPolynomial,
         raise ValueError("s_max must be positive")
     return len(_roots(list(gp.terms), float(s_max)))
 
-
-def ratio_h(x, p1: float, q1: float, p2: float, q2: float):
-    """(x^p1 - x^q1) / (x^p2 - x^q2) on x > 0, extended by its x -> 1 limit.
-
-    The limit value (p1 - q1)/(p2 - q2) follows from l'Hopital.  Vectorized;
-    requires p2 != q2 so the denominator is not identically zero.
-    """
-    if p2 == q2:
-        raise ValueError("denominator exponents must differ")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("ratio_h is defined for x > 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num = x ** p1 - x ** q1
-        den = x ** p2 - x ** q2
-        out = num / den
-    limit = (p1 - q1) / (p2 - q2)
-    out = np.where(den == 0.0, limit, out)
-    if out.ndim == 0:
-        return float(out)
-    return out

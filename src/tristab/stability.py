@@ -10,16 +10,17 @@ so each can serve as an oracle for the others:
   x in [1, 2], s = 0.5 (2 - x)^m with m the smallest integer with
   m (p-1)/2 >= 1 flattens the s^{(p-1)/2} endpoint at s = 0.  x = 1 is
   an edge of the first two panels, so no panel straddles the split.
-  ``eval_J_row`` evaluates it at every omega of one gamma row, with one
-  batched quadrature for the whole row; ``eval_J`` is a row of one, so
-  the two agree bit for bit.
+  ``eval_J_rows`` evaluates it at every omega of a block of gamma rows,
+  with one batched quadrature for the whole block; ``eval_J_row`` is a
+  block of one row and ``eval_J`` a block of one cell, so all three agree
+  bit for bit.
 * ``eval_J_raw``: the direct form
   (-1/(2U'(a))) * integral of (3 + s(U'(a)-U'(s))/U(s)) sqrt(s)/sqrt(U(s))
   over [0, a], with the (a-s)^{-1/2} endpoint removed by s = a - u^2.
   U(s)/s and U'(a) - U'(s) are sums of the differences 1 - (s/a)^e in
   expm1/log1p form, so the bracket does not cancel near s = a.
 * ``eval_J_mass_fd``: central finite difference of the mass integral
-  ``mass_Q`` in omega, with a Richardson consistency estimate.  The mass
+  ``mass_Q`` in omega at steps h and h/2, Richardson-extrapolated.  The mass
   integrand is 2u / sqrt(V) after s = a - u^2, with the raw route's
   cancellation-free V = U(s)/s.  Where the case has a curve at gamma, the
   step is at most a quarter of the distance to omega_star(gamma), so the
@@ -143,11 +144,13 @@ def _sentinel(params, omega, gamma, method: str) -> StabilityValue:
 # -- transformed route -------------------------------------------------------
 
 
-def _batch_integrand(t: Terms, powers: Sequence[Sequence[float]]) -> Callable:
+def _batch_integrand(e: Sequence[float],
+                     rows: Sequence[Sequence[float]]) -> Callable:
     """Integrand in x on [0, 2] for a batch of cells, vectorized.
 
-    Cell k has one row of coefficients (cnp, cnq, cnr, cdp, cdq, cdr),
-    ``Terms.nd_row`` at its powers a_k^{e_l}: N and D are cn* and cd* times
+    e holds the exponents (l-1)/2 of the p, q and r powers.  Cell k has one
+    row of coefficients (cnp, cnq, cnr, cdp, cdq, cdr), ``Terms.nd_row`` at
+    its gamma and its powers a_k^{e_l}: N and D are cn* and cd* times
     1 - s^e* for the p, q and r powers.  The integral over s in [0, 1] is
     split at s = 1/2, which sits at x = 1.  On [0, 1], s = 1 - x^2/2 with
     Jacobian x removes the (1-s)^{-1/2} endpoint; on [1, 2], t = 2 - x and
@@ -158,22 +161,21 @@ def _batch_integrand(t: Terms, powers: Sequence[Sequence[float]]) -> Callable:
     The returned g(x, cells) evaluates row i of x for cell cells[i], as
     ``integrate_many`` expects, elementwise.
     """
-    m = math.ceil(1.0 / t.e[0])
-    coefficients = [t.nd_row(pw) for pw in powers]
-    table = np.array(coefficients).T[:, :, None]
+    m = math.ceil(1.0 / e[0])
+    table = np.array(rows).T[:, :, None]
 
     def g(x, cells):
         # one cell multiplies by plain floats: on arrays this small,
         # broadcasting a (k, 1) column costs twice as much
-        cnp, cnq, cnr, cdp, cdq, cdr = (table[:, cells] if len(table[0]) > 1
-                                        else coefficients[0])
+        cnp, cnq, cnr, cdp, cdq, cdr = (table[:, cells] if len(rows) > 1
+                                        else rows[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             right = x <= 1.0
             tl = 2.0 - x
             ln_s = np.where(right, np.log1p(-0.5 * x * x),
                             _LN_HALF + m * np.log(tl))
             jac = np.where(right, x, 0.5 * m * tl ** (m - 1))
-            Ep, Eq, Er = [-np.expm1(e * ln_s) for e in t.e]
+            Ep, Eq, Er = [-np.expm1(ex * ln_s) for ex in e]
             N = cnp * Ep + cnq * Eq + cnr * Er
             D = cdp * Ep + cdq * Eq + cdr * Er
             safe = D > 0.0
@@ -202,18 +204,19 @@ def _root_error(t: Terms, omega: float, up: float, powers) -> float:
     return _EPS * size * (2.0 * abs(curvature) / (up * up) + 1.0 / abs(up))
 
 
-def _transformed_row(params: NonlinearityParams, gamma: float, cells,
-                     rel_tol: float) -> List[StabilityValue]:
-    """J at each (omega, profile) of one gamma row.
+def _transformed(params: NonlinearityParams, cells,
+                 rel_tol: float) -> List[StabilityValue]:
+    """J at each (omega, gamma, profile) cell.
 
     A None profile gives NaN and a profile on the curve the signed
     sentinel; every other cell goes into one ``integrate_many`` call over
-    x in [0, 2], whose two initial panels meet at the split x = 1.
-    abs_error is the quadrature error times |C| plus |J| ``_root_error``.
+    x in [0, 2], whose two initial panels meet at the split x = 1.  A cell
+    takes its N/D row from the terms at its own gamma.  abs_error is the
+    quadrature error times |C| plus |J| ``_root_error``.
     """
     out = [None] * len(cells)
     waves = []
-    for i, (omega, res) in enumerate(cells):
+    for i, (omega, gamma, res) in enumerate(cells):
         if res is None:
             out[i] = StabilityValue(j=math.nan, abs_error=math.nan,
                                     diverging=False, method="transformed")
@@ -223,13 +226,14 @@ def _transformed_row(params: NonlinearityParams, gamma: float, cells,
             waves.append(i)
     if not waves:
         return out
-    t = terms(params, gamma)
-    powers = [[cells[i][1].a ** e for e in t.e] for i in waves]
-    quads = integrate_many(_batch_integrand(t, powers), 0.0, 2.0,
-                           len(waves), rel_tol=rel_tol, max_panels=2000,
-                           initial=2)
-    for i, quad, pw in zip(waves, quads, powers):
-        omega, res = cells[i]
+    tables = [terms(params, cells[i][1]) for i in waves]
+    e = tables[0].e  # the exponents depend on p, q, r alone
+    powers = [[cells[i][2].a ** x for x in e] for i in waves]
+    rows = [t.nd_row(pw) for t, pw in zip(tables, powers)]
+    quads = integrate_many(_batch_integrand(e, rows), 0.0, 2.0, len(waves),
+                           rel_tol=rel_tol, max_panels=2000, initial=2)
+    for i, t, quad, pw in zip(waves, tables, quads, powers):
+        omega, _, res = cells[i]
         C = -res.a / (4.0 * _SQRT2 * res.uprime_at_a)
         j = C * quad.value
         err = (abs(C) * quad.abs_error
@@ -242,24 +246,33 @@ def _transformed_row(params: NonlinearityParams, gamma: float, cells,
 
 def eval_J(params: NonlinearityParams, omega: float, gamma: float,
            rel_tol: float = 1e-9) -> StabilityValue:
-    """J via the transformed integrand at one point: a row of one."""
+    """J via the transformed integrand at one point: a block of one cell."""
     res = _require_profile(params, omega, gamma)
-    return _transformed_row(params, gamma, [(omega, res)], rel_tol)[0]
+    return _transformed(params, [(omega, gamma, res)], rel_tol)[0]
+
+
+def eval_J_rows(params: NonlinearityParams, omegas: Sequence[float],
+                gammas: Sequence[float],
+                rel_tol: float = 1e-9) -> List[List[StabilityValue]]:
+    """eval_J at every omega of each gamma row, the route of grid sweeps.
+
+    Each value equals scalar ``eval_J`` at the same floats bit for bit; a
+    point with no standing wave gives j = NaN instead of raising.  The
+    profiles are found one by one and the quadratures of all rows run as
+    one batch.
+    """
+    omegas = [float(w) for w in omegas]
+    gammas = [float(g) for g in gammas]
+    values = _transformed(params, [(w, g, find_a(params, w, g))
+                                   for g in gammas for w in omegas], rel_tol)
+    n = len(omegas)
+    return [values[i * n:(i + 1) * n] for i in range(len(gammas))]
 
 
 def eval_J_row(params: NonlinearityParams, omegas: Sequence[float],
                gamma: float, rel_tol: float = 1e-9) -> List[StabilityValue]:
-    """eval_J at every omega of one gamma row, the default route for sweeps.
-
-    Each value equals scalar ``eval_J`` at the same floats bit for bit; a
-    point with no standing wave gives j = NaN instead of raising.  The
-    profiles are found one by one and the quadratures run as one batch.
-    """
-    gamma = float(gamma)
-    omegas = [float(w) for w in omegas]
-    return _transformed_row(params, gamma,
-                            [(w, find_a(params, w, gamma)) for w in omegas],
-                            rel_tol)
+    """``eval_J_rows`` on the one gamma row."""
+    return eval_J_rows(params, omegas, [gamma], rel_tol)[0]
 
 
 # -- raw route ---------------------------------------------------------------
@@ -384,13 +397,14 @@ def mass_Q(params: NonlinearityParams, omega: float, gamma: float,
 
 def eval_J_mass_fd(params: NonlinearityParams, omega: float,
                    gamma: float) -> StabilityValue:
-    """J as a central difference of mass_Q in omega, Richardson-checked.
+    """J as a central difference of mass_Q in omega, Richardson-extrapolated.
 
     Step h = max(1e-4*omega, 1e-6) clamped to omega/2 and, where the case
     has a curve at gamma, to a quarter of the distance to omega_star, so
     the stencil keeps to the query's side of the curve; shrunk further if a
     stencil point falls outside the existence region.  The four stencil
-    masses are one batch.  abs_error is the Richardson estimate plus the
+    masses are one batch.  j is the extrapolated (4 d_{h/2} - d_h) / 3 of
+    the steps h and h/2.  abs_error is the Richardson estimate plus the
     quadrature error of each difference amplified by its 1/(2h) or 1/h, and
     converged holds only when all four quadratures converged.
     """
@@ -417,8 +431,8 @@ def eval_J_mass_fd(params: NonlinearityParams, omega: float,
         err = (abs(d_h - d_h2) / 3.0 + 1e-9 * abs(d_h2)
                + (q[0].abs_error + q[1].abs_error) / (2.0 * h)
                + (q[2].abs_error + q[3].abs_error) / h)
-        return StabilityValue(j=d_h2, abs_error=err, diverging=False,
-                              method="mass_fd",
+        return StabilityValue(j=(4.0 * d_h2 - d_h) / 3.0, abs_error=err,
+                              diverging=False, method="mass_fd",
                               converged=all(x.converged for x in q))
     raise last_exc
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from tristab import diagram
 from tristab import (
     ContourSet,
     DiagramGrid,
@@ -63,10 +64,33 @@ def test_sweep_grid_values_and_shape():
     assert math.isclose(direct, float(grid.values[3, 2]), rel_tol=1e-12)
 
 
-def test_sweep_grid_parallel_matches_serial():
-    serial = sweep_grid(DF357, (0.1, 1.0), (-1.0, 1.0), 5, 4, jobs=1)
-    parallel = sweep_grid(DF357, (0.1, 1.0), (-1.0, 1.0), 5, 4, jobs=2)
+def _count_pools(monkeypatch):
+    pools = []
+    real = diagram.multiprocessing.Pool
+
+    def counted(*args, **kwargs):
+        pools.append(kwargs.get("processes"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diagram.multiprocessing, "Pool", counted)
+    return pools
+
+
+def test_sweep_grid_parallel_matches_serial(monkeypatch):
+    # 64x9 is three blocks of 4, 4 and 1 rows
+    pools = _count_pools(monkeypatch)
+    serial = sweep_grid(DF357, (0.1, 1.0), (-1.0, 1.0), 64, 9, jobs=1)
+    assert pools == []
+    parallel = sweep_grid(DF357, (0.1, 1.0), (-1.0, 1.0), 64, 9, jobs=2)
+    assert pools == [2]
     assert np.array_equal(serial.values, parallel.values)
+
+
+def test_sweep_grid_in_one_block_starts_no_pool(monkeypatch):
+    pools = _count_pools(monkeypatch)
+    grid = sweep_grid(DF357, (0.1, 1.0), (-1.0, 1.0), 64, 4, jobs=2)
+    assert pools == []
+    assert grid.values.shape == (4, 64)
 
 
 def test_sweep_grid_nan_outside_existence():
@@ -273,22 +297,7 @@ FD367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)
 DD357 = NonlinearityParams(3.0, 5.0, 7.0, sign1=-1, sign3=-1)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("params, omega_range, gamma_range, kinds", [
-    # kinds: whether the window holds (NaN, J > 0, J < 0) cells; FF and DF
-    # waves exist off the curve everywhere, and DF has J < 0 throughout
-    pytest.param(FD367, (0.05, 3.0), (-25.0, 2.0), (True, True, True),
-                 id="FD367"),
-    pytest.param(FF234, (0.02, 0.6), (0.0, 8.0), (False, True, True),
-                 id="FF234"),
-    pytest.param(DD357, (0.05, 20.0), (-10.0, 2.0), (True, True, True),
-                 id="DD357"),
-    pytest.param(DF357, (0.05, 10.0), (-5.0, 5.0), (False, False, True),
-                 id="DF357"),
-])
-def test_sweep_cells_repeat_scalar_eval_j_bit_for_bit(
-        jobs, params, omega_range, gamma_range, kinds):
-    grid = sweep_grid(params, omega_range, gamma_range, 7, 6, jobs=jobs)
+def _scalar_grid(params, grid):
     expect = np.empty_like(grid.values)
     for iy, g in enumerate(grid.gamma_axis):
         for ix, w in enumerate(grid.omega_axis):
@@ -296,8 +305,62 @@ def test_sweep_cells_repeat_scalar_eval_j_bit_for_bit(
                 expect[iy, ix] = eval_J(params, float(w), float(g)).j
             except NoStandingWave:
                 expect[iy, ix] = math.nan
-    assert (bool(np.isnan(expect).any()), bool((expect > 0).any()),
-            bool((expect < 0).any())) == kinds
+    return expect
+
+
+def _kinds(values):
+    """Whether values hold NaN, sentinel, finite J > 0 and J < 0 cells."""
+    finite = values[np.isfinite(values)]
+    return (bool(np.isnan(values).any()), bool(np.isinf(values).any()),
+            bool((finite > 0).any()), bool((finite < 0).any()))
+
+
+def _on_curve(params, omega_lo, gamma_range, ny, row):
+    """An omega range ending on the curve at gamma row `row` of the mesh,
+    so that its last cell in that row is a sentinel."""
+    gamma = float(np.linspace(gamma_range[0], gamma_range[1], ny)[row])
+    return (omega_lo, omega_star(params, gamma))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("params, omega_range, gamma_range, nx, ny, kinds", [
+    # kinds: whether the window holds (NaN, sentinel, J > 0, J < 0) cells;
+    # FF and DF waves exist off the curve everywhere, DF has no curve and
+    # J < 0 throughout.  7x6 fits in one block of rows; 40x20 spans three
+    pytest.param(FD367, (0.05, 3.0), (-25.0, 2.0), 7, 6,
+                 (True, False, True, True), id="FD367"),
+    pytest.param(FF234, (0.02, 0.6), (0.0, 8.0), 7, 6,
+                 (False, False, True, True), id="FF234"),
+    pytest.param(DD357, (0.05, 20.0), (-10.0, 2.0), 7, 6,
+                 (True, False, True, True), id="DD357"),
+    pytest.param(DF357, (0.05, 10.0), (-5.0, 5.0), 7, 6,
+                 (False, False, False, True), id="DF357"),
+    pytest.param(FD367, _on_curve(FD367, 0.05, (-25.0, 2.0), 20, 16),
+                 (-25.0, 2.0), 40, 20, (True, True, True, True),
+                 id="FD367-blocks"),
+    pytest.param(FF234, _on_curve(FF234, 0.02, (2.0, 8.0), 20, 0),
+                 (2.0, 8.0), 40, 20, (False, True, True, True),
+                 id="FF234-blocks"),
+    pytest.param(DD357, _on_curve(DD357, 0.05, (-10.0, 2.0), 20, 0),
+                 (-10.0, 2.0), 40, 20, (True, True, True, True),
+                 id="DD357-blocks"),
+    pytest.param(DF357, (0.05, 10.0), (-5.0, 5.0), 40, 20,
+                 (False, False, False, True), id="DF357-blocks"),
+])
+def test_sweep_cells_repeat_scalar_eval_j_bit_for_bit(
+        jobs, params, omega_range, gamma_range, nx, ny, kinds):
+    grid = sweep_grid(params, omega_range, gamma_range, nx, ny, jobs=jobs)
+    expect = _scalar_grid(params, grid)
+    assert _kinds(expect) == kinds
+    assert grid.values.tobytes() == expect.tobytes()
+
+
+def test_sweep_row_wider_than_a_block_repeats_scalar_eval_j():
+    # 300 cells a row: every row is a block of its own, mapped by the pool
+    omega_range = _on_curve(DD357, 0.05, (-10.0, 2.0), 3, 0)
+    grid = sweep_grid(DD357, omega_range, (-10.0, 2.0), 300, 3, jobs=2)
+    expect = _scalar_grid(DD357, grid)
+    assert _kinds(expect) == (True, True, True, True)
     assert grid.values.tobytes() == expect.tobytes()
 
 

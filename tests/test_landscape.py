@@ -7,7 +7,6 @@ import pytest
 
 from tristab import (
     NonlinearityParams,
-    eval_A,
     eval_F1,
     eval_ND,
     eval_U,
@@ -19,6 +18,15 @@ from tristab.landscape import terms
 FF234 = NonlinearityParams(2.0, 3.0, 4.0)
 DF234 = NonlinearityParams(2.0, 3.0, 4.0, sign1=-1)
 FD357 = NonlinearityParams(3.0, 5.0, 7.0, sign3=-1)
+
+
+def eval_A(l, a, s):
+    """A_l(a, s) = (1 - s^{(l-1)/2}) / (l+1) * a^{(l-1)/2} on s in [0, 1]:
+    the direct reference form of the pieces of N and D."""
+    e = (l - 1.0) / 2.0
+    s = np.asarray(s, dtype=float)
+    out = (1.0 - s ** e) / (l + 1.0) * a ** e
+    return float(out) if out.ndim == 0 else out
 
 
 def test_f1_anchor_ff():

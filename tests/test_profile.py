@@ -389,3 +389,24 @@ def test_polish_cycle_exit_returns_what_eight_steps_return():
             assert profile._polish(phi, phi_prime, s) \
                 == _eight_newton_steps(phi, phi_prime, s)
     assert cycles >= 100
+
+
+# A DD point on the curve where F1's terms exceed omega by about 2e4, so
+# phi is round-off over about 1e-4 relative around the peak of F1
+DD_FLAT_PEAK = NonlinearityParams(5.0, 5.207900562210743, 5.320054348093732,
+                                  sign1=-1, sign3=-1)
+
+
+@pytest.mark.parametrize("ulps", [0, -5, -2, -1, 1, 2, 5, 23, 40])
+def test_touch_at_a_flat_peak_reads_on_boundary_when_the_peak_moves(monkeypatch, ulps):
+    # the touch test scales its slack by the size of F1's terms at the peak;
+    # scaled by |omega| + |max F1| it was below their round-off, and a peak
+    # moved by one ulp could read exists
+    omega, gamma = 0.01408496608371479, -1.9117443822455904
+    crits = list(profile._f1_critical_points(DD_FLAT_PEAK, gamma))
+    for _ in range(abs(ulps)):
+        crits[-1] = math.nextafter(crits[-1], math.copysign(math.inf, ulps))
+    monkeypatch.setattr(profile, "_f1_critical_points",
+                        lambda params, g: tuple(crits))
+    res = find_a(DD_FLAT_PEAK, omega, gamma)
+    assert res.on_boundary and not res.exists

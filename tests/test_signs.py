@@ -8,7 +8,6 @@ import pytest
 from tristab import (
     GeneralizedPolynomial,
     count_positive_roots_sampled,
-    ratio_h,
     sign_changes,
 )
 from tristab import signs, verify
@@ -62,33 +61,6 @@ def test_descartes_bound_randomized():
     # the sampled positive-root count never exceeds the sign-change bound
     name, ok, detail = verify.rule_of_signs(20260819, 1000)
     assert ok, detail
-
-
-def test_ratio_h_basic():
-    # (x^3 - x) / (x^2 - x) = x (x+1)(x-1) / (x (x-1)) = x + 1
-    assert math.isclose(ratio_h(2.0, 3.0, 1.0, 2.0, 1.0), 3.0, rel_tol=1e-12)
-
-
-def test_ratio_h_limit_at_one():
-    # both numerator and denominator vanish at x = 1; the limit is
-    # (p1 - q1) / (p2 - q2)
-    val = ratio_h(1.0, 3.0, 1.0, 5.0, 2.0)
-    assert math.isclose(val, 2.0 / 3.0, rel_tol=1e-12)
-    # continuity approaching the removable singularity
-    for eps in (1e-7, 1e-9):
-        lo = ratio_h(1.0 - eps, 3.0, 1.0, 5.0, 2.0)
-        hi = ratio_h(1.0 + eps, 3.0, 1.0, 5.0, 2.0)
-        assert abs(lo - 2.0 / 3.0) <= 1e-5
-        assert abs(hi - 2.0 / 3.0) <= 1e-5
-
-
-def test_ratio_h_domain():
-    with pytest.raises(ValueError):
-        ratio_h(0.0, 3.0, 1.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        ratio_h(-1.0, 3.0, 1.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        ratio_h(2.0, 3.0, 1.0, 2.0, 2.0)
 
 
 def test_close_root_pair_is_counted():

@@ -247,8 +247,11 @@ def test_mass_fd_is_the_difference_of_scalar_masses(params, omega, gamma):
     # the four stencil masses run as one batch, each as mass_Q alone
     h = min(max(1e-4 * omega, 1e-6), 0.5 * omega)
     sv = eval_J_mass_fd(params, omega, gamma)
-    assert sv.j == (mass_Q(params, omega + 0.5 * h, gamma)
-                    - mass_Q(params, omega - 0.5 * h, gamma)) / h
+    d_h = (mass_Q(params, omega + h, gamma)
+           - mass_Q(params, omega - h, gamma)) / (2.0 * h)
+    d_h2 = (mass_Q(params, omega + 0.5 * h, gamma)
+            - mass_Q(params, omega - 0.5 * h, gamma)) / h
+    assert sv.j == (4.0 * d_h2 - d_h) / 3.0
     assert sv.converged
 
 
@@ -317,7 +320,8 @@ def test_transformed_integrand_is_n_over_d_at_borders(params, omega, gamma,
     n, d = eval_ND(params, gamma, a, s)
     expect = jacobian * n / d ** 1.5
     table = terms(params, gamma)
-    got = _batch_integrand(table, [[a ** e for e in table.e]])(x, [0])
+    row = table.nd_row([a ** e for e in table.e])
+    got = _batch_integrand(table.e, [row])(x, [0])
     assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
 
 
