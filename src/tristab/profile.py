@@ -136,7 +136,8 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
 
     def size(s: float) -> float:
         # the size of F1's terms at s, the scale of phi's round-off there
-        return power_sum([abs(c) for c in t.f1], t.e, s, lead=abs(omega))
+        return (abs(omega) + abs(cp) * s ** ep + abs(cq) * s ** eq
+                + abs(cr) * s ** er)
 
     crits = _f1_critical_points(params, gamma)
 
