@@ -22,9 +22,8 @@ from .signs import (GeneralizedPolynomial, count_positive_roots_sampled,
 from .profile import ProfileResult, find_a, find_a0
 from .boundary import (BoundaryCurve, endpoints, gamma_omega_ne, omega_star,
                        sample_curve)
-from .stability import (OmegaZeroPieces, StabilityValue, eval_J, eval_J0,
-                        eval_J_mass_fd, eval_J_raw, eval_J_row, eval_J_rows,
-                        mass_Q, omega_zero_pieces)
+from .stability import (StabilityValue, eval_J, eval_J0, eval_J_mass_fd,
+                        eval_J_raw, eval_J_row, eval_J_rows, mass_Q)
 from .asymptotics import (Direction, GuaranteeStatement, LimitClass,
                           LimitKind, SignGuarantee, asymptotic_exponent,
                           classify_limit, sign_guarantees)
@@ -46,8 +45,8 @@ __all__ = [
     "ProfileResult", "find_a", "find_a0",
     "BoundaryCurve", "endpoints", "gamma_omega_ne", "omega_star",
     "sample_curve",
-    "OmegaZeroPieces", "StabilityValue", "eval_J", "eval_J0", "eval_J_mass_fd",
-    "eval_J_raw", "eval_J_row", "eval_J_rows", "mass_Q", "omega_zero_pieces",
+    "StabilityValue", "eval_J", "eval_J0", "eval_J_mass_fd", "eval_J_raw",
+    "eval_J_row", "eval_J_rows", "mass_Q",
     "Direction", "GuaranteeStatement", "LimitClass", "LimitKind",
     "SignGuarantee", "asymptotic_exponent", "classify_limit",
     "sign_guarantees",

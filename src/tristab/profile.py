@@ -58,12 +58,9 @@ class ProfileResult:
 @functools.lru_cache(maxsize=256)
 def _f1_critical_points(params: NonlinearityParams, gamma: float) -> tuple:
     """Positive critical points of F1, ascending; at most two."""
-    p, q, r = params.p, params.q, params.r
-    dp = params.a1 * (p - 1.0) / (p + 1.0)
-    dq = -gamma * (q - 1.0) / (q + 1.0)
-    dr = params.a3 * (r - 1.0) / (r + 1.0)
-    alpha = (q - p) / 2.0
-    beta = (r - p) / 2.0
+    t = terms(params, gamma)
+    dp, dq, dr = [c * e for c, e in zip(t.f1, t.e)]
+    alpha, beta = t.e[1] - t.e[0], t.e[2] - t.e[0]
 
     def h(x: float) -> float:
         return dp + dq * x ** alpha + dr * x ** beta

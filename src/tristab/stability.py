@@ -6,14 +6,17 @@ so each can serve as an oracle for the others:
 
 * ``eval_J``: the transformed integrand C * N(a,s)/D(a,s)^{3/2} on [0,1],
   split at s = 1/2 and integrated as one integrand in x on [0, 2].  On
-  x in [0, 1], s = 1 - x^2/2 removes the (1-s)^{-1/2} endpoint; on
-  x in [1, 2], s = 0.5 (2 - x)^m with m the smallest integer with
-  m (p-1)/2 >= 1 flattens the s^{(p-1)/2} endpoint at s = 0.  x = 1 is
-  an edge of the first two panels, so no panel straddles the split.
-  ``eval_J_rows`` evaluates it at every omega of a block of gamma rows,
-  with one batched quadrature for the whole block; ``eval_J_row`` is a
-  block of one row and ``eval_J`` a block of one cell, so all three agree
-  bit for bit.
+  x in [0, 1], s = 1 - x^2/2 removes the (1-s)^{-1/2} endpoint, and N and
+  D are sums of the differences 1 - s^e in expm1 form, which keep D's
+  relative precision as it vanishes at s = 1.  On x in [1, 2],
+  s = 0.5 (2 - x)^m flattens the endpoint at s = 0, and N and D are their
+  exact values at s = 0, 2 omega + U'(a) and omega/2, less sums of
+  powers s^e: sums of terms that can be 1e56 times omega/2 would leave only
+  round-off there.  x = 1 is an edge of the first two panels, so no panel
+  straddles the split.  ``eval_J_rows`` evaluates it at every omega of a
+  block of gamma rows, with one batched quadrature for the whole block;
+  ``eval_J_row`` is a block of one row and ``eval_J`` a block of one cell,
+  so all three agree bit for bit.
 * ``eval_J_raw``: the direct form
   (-1/(2U'(a))) * integral of (3 + s(U'(a)-U'(s))/U(s)) sqrt(s)/sqrt(U(s))
   over [0, a], with the (a-s)^{-1/2} endpoint removed by s = a - u^2.
@@ -28,16 +31,17 @@ so each can serve as an oracle for the others:
   as one batched quadrature, each equal to ``mass_Q`` alone bit for bit,
   and their quadrature errors enter its error bar.
 
-The abs_error of ``eval_J`` and ``eval_J_raw`` adds to the quadrature
-error the error J carries from a: the computed a is the exact zero at an
-omega off by at most eps S, S = |omega| + sum |f1_l| a^{e_l}, and J moves
-by |J| eps S (2 |a^2 F1''(a)| / U'(a)^2 + 1/|U'(a)|) with it; the first
-part is one over the distance to the fold, the second the residual in the
-prefactor's U'(a).
+The abs_error of ``eval_J``, ``eval_J0`` and ``eval_J_raw`` adds to the
+quadrature error the error J carries from a: the computed a is the exact
+zero at an omega off by at most eps S, S = |omega| + sum |f1_l| a^{e_l},
+and J moves by |J| eps S (2 |a^2 F1''(a)| / U'(a)^2 + 1/|U'(a)|) with it;
+the first part is one over the distance to the fold, the second the
+residual in the prefactor's U'(a).
 
 For defocusing-lowest-power (D*) cases with p < 7/3, the omega -> 0 limit
-J(0, gamma) is finite and computed by ``eval_J0`` from the gamma-eliminated
-pieces N1, N2, D1, D2.
+J(0, gamma) is finite.  ``eval_J0`` computes it as the transformed route's
+cell at omega = 0 and a = a0, the first zero of F1; there the integrand
+blows up like s^{-3(p-1)/4} at s = 0, which the left piece's m flattens.
 
 Near the nonexistence curve the integral genuinely diverges; evaluation is
 skipped there and a signed infinity sentinel is returned (positive on the
@@ -47,7 +51,7 @@ lower-left side, negative on the FF upper-right side).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -92,21 +96,6 @@ class StabilityValue:
         return "indeterminate"
 
 
-@dataclass(frozen=True)
-class OmegaZeroPieces:
-    """gamma-eliminated integrand pieces for the omega = 0 functional.
-
-    The integrand of J(0, gamma) is (N1 + beta*N2) / (D1 + beta*D2)^{3/2}.
-    In the DF case both D1 and D2 are positive on (0, 1).
-    """
-
-    beta: float
-    n1: Callable
-    n2: Callable
-    d1: Callable
-    d2: Callable
-
-
 def _require_profile(params: NonlinearityParams, omega: float,
                      gamma: float) -> ProfileResult:
     res = find_a(params, omega, gamma)
@@ -144,45 +133,57 @@ def _sentinel(params, omega, gamma, method: str) -> StabilityValue:
 # -- transformed route -------------------------------------------------------
 
 
-def _batch_integrand(e: Sequence[float],
+def _batch_integrand(e: Sequence[float], m: int,
                      rows: Sequence[Sequence[float]]) -> Callable:
     """Integrand in x on [0, 2] for a batch of cells, vectorized.
 
     e holds the exponents (l-1)/2 of the p, q and r powers.  Cell k has one
-    row of coefficients (cnp, cnq, cnr, cdp, cdq, cdr), ``Terms.nd_row`` at
-    its gamma and its powers a_k^{e_l}: N and D are cn* and cd* times
-    1 - s^e* for the p, q and r powers.  The integral over s in [0, 1] is
-    split at s = 1/2, which sits at x = 1.  On [0, 1], s = 1 - x^2/2 with
-    Jacobian x removes the (1-s)^{-1/2} endpoint; on [1, 2], t = 2 - x and
-    s = 0.5 t^m with Jacobian 0.5 m t^{m-1}, m the smallest integer with
-    m (p-1)/2 >= 1, flatten the s^{(p-1)/2} endpoint at s = 0.  Both pieces
-    write 1 - s^e as -expm1(e ln s), with ln s = log1p(-x^2/2) on the right
-    (full relative precision near s = 1) and ln 0.5 + m ln t on the left.
-    The returned g(x, cells) evaluates row i of x for cell cells[i], as
-    ``integrate_many`` expects, elementwise.
+    row (n0, d0, cnp, cnq, cnr, cdp, cdq, cdr): N(a, 0) = 2 omega + U'(a),
+    D(a, 0) = omega/2 and ``Terms.nd_row`` at its gamma and powers a_k^e.
+    On the right piece, x in [0, 1], s = 1 - x^2/2 with Jacobian x, and N
+    and D are cn* and cd* times 1 - s^e = -expm1(e log1p(-x^2/2)).  On the
+    left, x in [1, 2], s = 0.5 t^m with t = 2 - x and Jacobian
+    0.5 m t^{m-1}, and N = n0 - sum cn* s^e, D = d0 - sum cd* s^e with
+    s^e = exp(e (ln 0.5 + m ln t)).  g(x, cells) evaluates row i of x, one
+    panel, for cell cells[i], as ``integrate_many`` expects, elementwise;
+    a panel lies on one side of x = 1 and takes that side's form alone.
     """
-    m = math.ceil(1.0 / e[0])
     table = np.array(rows).T[:, :, None]
+    ln_half_m = math.log(0.5 * m)
+
+    def left(x, c):
+        n0, d0, cnp, cnq, cnr, cdp, cdq, cdr = c
+        ln_t = np.log(2.0 - x)
+        ln_s = _LN_HALF + m * ln_t
+        Sp, Sq, Sr = [np.exp(ex * ln_s) for ex in e]
+        N = n0 - (cnp * Sp + cnq * Sq + cnr * Sr)
+        D = d0 - (cdp * Sp + cdq * Sq + cdr * Sr)
+        # the Jacobian over D^{3/2} as one exp: at omega = 0 both underflow
+        # near t = 0, where their ratio stays of order one
+        return D, N * np.exp(ln_half_m + (m - 1) * ln_t - 1.5 * np.log(D))
+
+    def right(x, c):
+        _, _, cnp, cnq, cnr, cdp, cdq, cdr = c
+        Ep, Eq, Er = [-np.expm1(ex * np.log1p(-0.5 * x * x)) for ex in e]
+        D = cdp * Ep + cdq * Eq + cdr * Er
+        return D, x * (cnp * Ep + cnq * Eq + cnr * Er) / D ** 1.5
+
+    # one cell multiplies by plain floats: on arrays this small,
+    # broadcasting a (k, 1) column costs twice as much
+    one = len(rows) == 1
 
     def g(x, cells):
-        # one cell multiplies by plain floats: on arrays this small,
-        # broadcasting a (k, 1) column costs twice as much
-        cnp, cnq, cnr, cdp, cdq, cdr = (table[:, cells] if len(rows) > 1
-                                        else rows[0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            right = x <= 1.0
-            tl = 2.0 - x
-            ln_s = np.where(right, np.log1p(-0.5 * x * x),
-                            _LN_HALF + m * np.log(tl))
-            jac = np.where(right, x, 0.5 * m * tl ** (m - 1))
-            Ep, Eq, Er = [-np.expm1(ex * ln_s) for ex in e]
-            N = cnp * Ep + cnq * Eq + cnr * Er
-            D = cdp * Ep + cdq * Eq + cdr * Er
-            safe = D > 0.0
-            out = np.where(safe,
-                           jac * N / np.where(safe, D, 1.0) ** 1.5,
-                           0.0)
-        return out
+        c = rows[0] if one else table[:, cells]
+        on_left = x[:, x.shape[1] // 2] > 1.0  # the middle node of a panel
+        n_left = np.count_nonzero(on_left)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if n_left in (0, len(x)):
+                D, f = (left if n_left else right)(x, c)
+            else:
+                D, f = np.empty_like(x), np.empty_like(x)
+                for side, form in ((on_left, left), (~on_left, right)):
+                    D[side], f[side] = form(x[side], c if one else c[:, side])
+            return np.where(D > 0.0, f, 0.0)
 
     return g
 
@@ -211,8 +212,10 @@ def _transformed(params: NonlinearityParams, cells,
     A None profile gives NaN and a profile on the curve the signed
     sentinel; every other cell goes into one ``integrate_many`` call over
     x in [0, 2], whose two initial panels meet at the split x = 1.  A cell
-    takes its N/D row from the terms at its own gamma.  abs_error is the
-    quadrature error times |C| plus |J| ``_root_error``.
+    takes its N/D row from the terms at its own gamma and its profile.
+    The cells of one call are all at omega > 0 or all at omega = 0, which
+    decides the left piece's m.  abs_error is the quadrature error times
+    |C| plus |J| ``_root_error``.
     """
     out = [None] * len(cells)
     waves = []
@@ -229,9 +232,21 @@ def _transformed(params: NonlinearityParams, cells,
     tables = [terms(params, cells[i][1]) for i in waves]
     e = tables[0].e  # the exponents depend on p, q, r alone
     powers = [[cells[i][2].a ** x for x in e] for i in waves]
-    rows = [t.nd_row(pw) for t, pw in zip(tables, powers)]
-    quads = integrate_many(_batch_integrand(e, rows), 0.0, 2.0, len(waves),
-                           rel_tol=rel_tol, max_panels=2000, initial=2)
+    rows = []
+    for i, t, pw in zip(waves, tables, powers):
+        omega, _, res = cells[i]
+        rows.append((2.0 * omega + res.uprime_at_a, 0.5 * omega)
+                    + t.nd_row(pw))
+    # the left end sets m: for omega > 0 its s^{(p-1)/2} terms, flat once
+    # m (p-1)/2 >= 1; at omega = 0 its s^{-3(p-1)/4} blow-up (p < 7/3),
+    # flattened with a margin of one
+    if cells[waves[0]][0] > 0.0:
+        m = math.ceil(2.0 / (params.p - 1.0))
+    else:
+        m = max(2, math.ceil(4.0 / (7.0 - 3.0 * params.p)) + 1)
+    quads = integrate_many(_batch_integrand(e, m, rows), 0.0, 2.0,
+                           len(waves), rel_tol=rel_tol, max_panels=2000,
+                           initial=2)
     for i, t, quad, pw in zip(waves, tables, quads, powers):
         omega, _, res = cells[i]
         C = -res.a / (4.0 * _SQRT2 * res.uprime_at_a)
@@ -440,45 +455,20 @@ def eval_J_mass_fd(params: NonlinearityParams, omega: float,
 # -- omega = 0 functional ----------------------------------------------------
 
 
-def omega_zero_pieces(params: NonlinearityParams,
-                      a0: float) -> OmegaZeroPieces:
-    """The N1, N2, D1, D2 pieces and beta for the omega = 0 integrand."""
-    p, q, r = params.p, params.q, params.r
-    a1, a3 = params.a1, params.a3
-    ep, eq, er = terms(params, 0.0).e  # the exponents do not depend on gamma
-    beta = (p + 1.0) / (r + 1.0) * a0 ** ((r - p) / 2.0)
-
-    def n1(s):
-        s = np.asarray(s, dtype=float)
-        return a1 * ((5.0 - p) * (1.0 - s ** ep) - (5.0 - q) * (1.0 - s ** eq))
-
-    def n2(s):
-        s = np.asarray(s, dtype=float)
-        return a3 * ((5.0 - r) * (1.0 - s ** er) - (5.0 - q) * (1.0 - s ** eq))
-
-    def d1(s):
-        s = np.asarray(s, dtype=float)
-        return a1 * (s ** eq - s ** ep)
-
-    def d2(s):
-        s = np.asarray(s, dtype=float)
-        return a3 * (s ** eq - s ** er)
-
-    return OmegaZeroPieces(beta=beta, n1=n1, n2=n2, d1=d1, d2=d2)
-
-
 def eval_J0(params: NonlinearityParams, gamma: float,
             rel_tol: float = 1e-9) -> StabilityValue:
     """J(0, gamma), the omega -> 0 limit; D* cases with p < 7/3 only.
 
-    Raises UnsupportedRegime for p >= 7/3 (the limit is -infinity there),
-    NoStandingWave when F1 has no positive zero (DD with gamma at or above
-    the endpoint value), and DivergingIntegral at a degenerate zero.
+    The transformed route's cell at omega = 0 and a = a0, the first zero
+    of F1, where the left piece's exact constants are N = U'(a0) and
+    D = 0.  Raises UnsupportedRegime for p >= 7/3 (the limit is -infinity
+    there), NoStandingWave when F1 has no positive zero (DD with gamma at
+    or above the endpoint value), and DivergingIntegral at a degenerate
+    zero.
     """
     if params.sign1 != -1:
         raise ValueError("the omega = 0 functional applies to D* cases only")
-    p, q, r = params.p, params.q, params.r
-    if p >= 7.0 / 3.0:
+    if params.p >= 7.0 / 3.0:
         raise UnsupportedRegime(
             "J(0, gamma) is not finite for p >= 7/3 (the limit is -infinity)")
     a0 = find_a0(params, gamma)
@@ -490,52 +480,6 @@ def eval_J0(params: NonlinearityParams, gamma: float,
     if up0 >= -BOUNDARY_TOL * (1.0 + _uprime_scale(params, 0.0, gamma, a0)):
         raise DivergingIntegral(
             "degenerate zero-frequency amplitude at gamma=%g" % gamma)
-    pieces = omega_zero_pieces(params, a0)
-    beta = pieces.beta
-    a1, a3 = params.a1, params.a3
-    e = terms(params, gamma).e
-
-    # left half (0, 1/2]: s = 0.5 t^m flattens the s^{-3(p-1)/4} endpoint;
-    # direct powers are exact here and the expm1 forms would cancel instead
-    m = int(math.ceil(4.0 / (7.0 - 3.0 * p))) + 1
-    m = max(m, 2)
-
-    def g_left(t):
-        t = np.asarray(t, dtype=float)
-        s = 0.5 * t ** m
-        num = pieces.n1(s) + beta * pieces.n2(s)
-        den = pieces.d1(s) + beta * pieces.d2(s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            safe = den > 0.0
-            out = np.where(safe,
-                           num / np.where(safe, den, 1.0) ** 1.5
-                           * (0.5 * m) * t ** (m - 1),
-                           0.0)
-        return out
-
-    # right half [1/2, 1): s = 1 - u^2 with expm1 forms, since every piece
-    # is a difference of values that approach 1
-    def g_right(u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Ep, Eq, Er = one_minus_powers(u, e)
-            num = (a1 * ((5.0 - p) * Ep - (5.0 - q) * Eq)
-                   + beta * a3 * ((5.0 - r) * Er - (5.0 - q) * Eq))
-            den = a1 * (Ep - Eq) + beta * a3 * (Er - Eq)
-            safe = den > 0.0
-            out = np.where(safe,
-                           2.0 * u * num / np.where(safe, den, 1.0) ** 1.5,
-                           0.0)
-        return out
-
-    quad_l = integrate(g_left, 0.0, 1.0, rel_tol=rel_tol, max_panels=2000,
-                       initial=2)
-    quad_r = integrate(g_right, 0.0, 1.0 / _SQRT2, rel_tol=rel_tol,
-                       max_panels=2000, initial=2)
-    C = -a0 / (4.0 * _SQRT2 * up0)
-    pref = C * math.sqrt((p + 1.0) / a0 ** e[0])
-    j = pref * (quad_l.value + quad_r.value)
-    err = abs(pref) * (quad_l.abs_error + quad_r.abs_error)
-    return StabilityValue(j=j, abs_error=err, diverging=False,
-                          method="omega_zero",
-                          converged=quad_l.converged and quad_r.converged)
+    res = ProfileResult(a=a0, uprime_at_a=up0, exists=True, on_boundary=False)
+    sv, = _transformed(params, [(0.0, gamma, res)], rel_tol)
+    return replace(sv, method="omega_zero")

@@ -18,12 +18,10 @@ from tristab import (
     endpoints,
     eval_J_raw,
     find_a,
-    find_a0,
     gamma_omega_ne,
     integrate_many,
     mass_Q,
     omega_star,
-    omega_zero_pieces,
     sweep_grid,
 )
 from tristab import stability
@@ -219,12 +217,41 @@ def test_j0_domain_errors():
         eval_J0(dd234, gamma1 + 0.5)
 
 
-def test_omega_zero_pieces_beta():
-    # at gamma = 0 the defining equation forces beta = 1 exactly
-    for params in (DF_LOW, DF_CRIT):
-        a0 = find_a0(params, 0.0)
-        pieces = omega_zero_pieces(params, a0)
-        assert math.isclose(pieces.beta, 1.0, rel_tol=1e-12)
+# J(0, gamma) from perfbench/oracle.py's j_value at omega = 0 and 40 digits,
+# its s^{-3(p-1)/4} end at s = 0 flattened (tests/oracle_tables.py prints
+# this table); p = 2.3 lies 0.033 below 7/3
+J0_POINTS = [
+    (1.3, 1.8, 2.5, -1, 1, -10.0, 0.019187253933995774, 1.9e-42),
+    (1.3, 1.8, 2.5, -1, 1, -3.0, 0.570101535245691, 5.7e-41),
+    (1.3, 1.8, 2.5, -1, 1, 0.0, 4.798184523842615, 4.8e-40),
+    (1.3, 1.8, 2.5, -1, 1, 3.0, 4.655117081961273, 4.7e-40),
+    (1.3, 1.8, 2.5, -1, 1, 10.0, 3.179714448600631, 3.2e-40),
+    (2.2, 2.8, 4.0, -1, 1, -10.0, -2.3432139903162224, 1.9e-25),
+    (2.2, 2.8, 4.0, -1, 1, 0.0, -9.480627193296744, 9.5e-40),
+    (2.2, 2.8, 4.0, -1, 1, 10.0, -4.6526783848953235, 3e-26),
+    (2.0, 2.5, 3.0, -1, 1, -1000.0, 0.008573179092593163, 2.2e-37),
+    (2.0, 2.5, 3.0, -1, 1, 0.0, 6.924535123073913e-24, 6.9e-24),
+    (2.0, 2.5, 3.0, -1, 1, 1000.0, -0.008573179092593163, 8.6e-43),
+    (2.0, 3.0, 4.0, -1, -1, -3.0, 1.371903392201768, 3.5e-25),
+    (2.0, 3.0, 4.0, -1, -1, -2.5, 3.7064864374341706, 3.1e-24),
+    (2.3, 3.0, 4.0, -1, 1, -2.0, -39.50472854540113, 6.6e-25),
+    (2.3, 3.0, 4.0, -1, 1, 0.0, -42.009698117488156, 4.2e-39),
+    (2.3, 3.0, 4.0, -1, 1, 2.0, -39.48296059219395, 6.8e-26),
+]
+
+
+def _case(s1, s3):
+    return "DF"[s1 > 0] + "DF"[s3 > 0]
+
+
+@pytest.mark.parametrize("p, q, r, s1, s3, gamma, j_ref, ref_err", J0_POINTS,
+                         ids=["%s(%g,%g,%g)-g=%g" % (_case(*pt[3:5]), *pt[:3],
+                                                     pt[5])
+                              for pt in J0_POINTS])
+def test_j0_matches_the_oracle(p, q, r, s1, s3, gamma, j_ref, ref_err):
+    sv = eval_J0(NonlinearityParams(p, q, r, sign1=s1, sign3=s3), gamma)
+    assert sv.converged
+    assert abs(sv.j - j_ref) <= sv.abs_error + ref_err
 
 
 def test_mass_fd_handles_moderate_points():
@@ -307,7 +334,8 @@ def test_transformed_integrand_is_n_over_d_at_borders(params, omega, gamma,
     # s >= 1/2 lies on the right piece, x = sqrt(2 (1 - s)) with Jacobian
     # x; s < 1/2 on the left, x = 2 - t with s = 0.5 t^m and Jacobian
     # 0.5 m t^(m-1), m the smallest integer with m (p-1)/2 >= 1
-    a = find_a(params, omega, gamma).a
+    res = find_a(params, omega, gamma)
+    a = res.a
     u = np.linspace(0.1, 0.95, 18)
     s = 1.0 - u * u
     m = 1
@@ -321,7 +349,9 @@ def test_transformed_integrand_is_n_over_d_at_borders(params, omega, gamma,
     expect = jacobian * n / d ** 1.5
     table = terms(params, gamma)
     row = table.nd_row([a ** e for e in table.e])
-    got = _batch_integrand(table.e, [row])(x, [0])
+    # each point a panel of its own, on its side of x = 1
+    row = (2.0 * omega + res.uprime_at_a, 0.5 * omega) + row
+    got = _batch_integrand(table.e, m, [row])(x[:, None], [0]).ravel()
     assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
 
 
@@ -448,3 +478,109 @@ def test_error_bar_carries_the_root_residual(method, params, omega, gamma,
     sv = method(params, omega, gamma)
     assert sv.converged
     assert abs(sv.j - j_ref) <= sv.abs_error
+
+
+# Random draws where the terms of D(a, 0) = omega/2 are 1e6 to 1e55 times
+# larger, sum |d_l| a^{e_l} >= 1e6 omega/2, in ascending order of that
+# ratio, then three points of rounded exponents.  j and its error are
+# perfbench/oracle.py's j_value at 40 digits plus the log10 of the ratio;
+# tests/oracle_tables.py says how the draws were made and prints this
+# table.  Built as sums of those terms, D and N at s -> 0 were round-off:
+# 23 of these read converged=False, and 5 converged ones missed the oracle
+# by more than their error bar.
+CANCELLATION_DRAWS = [
+    (2.9249932898425257, 6.902659699589711, 7.726557153198099, 1, 1,
+     4.615823021616727, 6.948376364230029, -0.07578713286377532, 3.2e-35),
+    (4.467721067577404, 4.527422121286469, 5.220462502436159, 1, 1,
+     0.014134249130340754, 6.1475660801546095, -20.799811780035327, 2.1e-46),
+    (1.4873174483668654, 4.481806404453744, 5.267422994545744, -1, 1,
+     0.01974500617715637, 7.1573798263779835, -0.6380590320688385, 4.4e-32),
+    (1.6045327084654555, 5.335443241246633, 6.0421372093864045, -1, 1,
+     0.05350415389261383, 6.042199576246164, -0.8402397943214379, 8.4e-48),
+    (2.0495861560924378, 5.848938892735001, 6.61584927839611, -1, 1,
+     0.014522881194064445, 5.128672469565425, -2.4956849360487774, 2.5e-48),
+    (5.292429455007374, 6.111167774348035, 6.989728270095694, -1, 1,
+     0.018662647487216043, 6.752781086136064, -27.629208518237128, 2.8e-47),
+    (3.76077246912097, 4.28902250427422, 4.531416911080953, -1, 1,
+     15.718975157728293, 3.8727127034363544, -0.04092273788843429, 1.3e-34),
+    (4.070584436281296, 7.069324739405552, 7.762961704127293, 1, 1,
+     1.071856333887958, 6.622527264826232, -0.44308882780438674, 4.4e-49),
+    (3.6370594999801593, 7.497835659259938, 8.177661450994146, -1, 1,
+     0.12084545693890773, 5.524374107794255, -3.4826232212753463, 3.5e-49),
+    (5.401877201563616, 8.039640754692295, 8.867479171667846, 1, 1,
+     0.056525751523310255, 6.33478732070807, -20.301011837861953, 6.3e-37),
+    (3.08040856312315, 5.309494371648388, 5.729681979641844, -1, 1,
+     0.08767256891170942, 5.003895840235327, -3.0806831910979677, 5.2e-36),
+    (5.441675012614607, 8.835742273900859, 9.03334053823389, 1, 1,
+     14.840156185164172, 1.7917077950636475, -0.02961113334957791, 3e-52),
+    (1.3357761299738202, 3.0052435368100427, 3.174498041242033, -1, 1,
+     0.0127567279694077, 3.5004504794943223, -1.029990520807964, 7.4e-32),
+    (4.329885015483555, 5.021416245472036, 5.35365507564523, -1, 1,
+     9.545882824408165, 6.5132216252175485, -0.0363929688079393, 9.8e-40),
+    (5.6913480813949615, 7.576059490314535, 8.09849403882635, 1, 1,
+     0.13853019575630768, 4.884827513886258, -6.257113153752266, 6.3e-51),
+    (3.5362115788936626, 7.33318021202328, 7.8664837354407116, 1, 1,
+     0.13122374389101857, 6.194771646475996, -13.477254240622738, 2.4e-41),
+    (5.169257919322761, 8.59051168641922, 9.284088142859153, 1, 1,
+     0.04342836578660591, 7.5457576190345605, -35.85968198743917, 3.6e-51),
+    (5.4586870589334335, 8.230008378019372, 8.67296203796124, -1, 1,
+     0.49762610641693733, 4.790735711220886, -1.0060263061518622, 7.9e-44),
+    (5.002853192423771, 8.288419932729836, 8.835089558028816, 1, 1,
+     0.14186321200899965, 7.687951990827852, -6.01206474960557, 6e-54),
+    (2.9733773367322183, 5.770417909651233, 6.023079714855163, -1, 1,
+     0.4982957591015558, 5.375292685661503, -0.6792879144769348, 6.8e-56),
+    (4.447892669402501, 5.311842644581596, 5.515393775956795, -1, 1,
+     0.11508040360705794, 4.504085569742218, -3.5672233514935834, 3.6e-56),
+    (3.6429703456762033, 7.112548096215841, 7.337609238428991, 1, 1,
+     5.0493034726694805, 4.474661316349557, -0.08044584992201975, 4.1e-48),
+    (3.2265405612342226, 5.105162576235352, 5.2606726881051635, 1, 1,
+     12.360698996163858, 6.31791963170221, -0.03157323802383256, 1.2e-21),
+    (5.269767294366586, 8.648840547080553, 8.891973400033036, 1, 1,
+     4.640777647858231, 4.749391312554712, -0.07917935160954452, 9.9e-22),
+    (5.801920289408206, 9.439533108294693, 9.603606004919742, -1, 1,
+     29.750306622130495, 2.9420496298774257, -0.00785732007920879, 7.9e-67),
+    (2.482984762345003, 6.472729978317675, 6.634434081038258, -1, 1,
+     1.1828964791241878, 4.601870274317108, -0.30245213327290305, 3e-65),
+    (5.006416950514261, 7.014150282434923, 7.200760428401269, -1, 1,
+     2.136174580385492, 5.389176900000155, -0.17244356352729984, 1.7e-65),
+    (5.202786904299449, 7.615111697808426, 7.830013109551795, 1, 1,
+     28.467713407474644, 7.005775501376872, -0.007862922653850841, 1.3e-26),
+    (2.6539043693468223, 5.303147350358113, 5.385011342441861, 1, 1,
+     0.2964910465216359, 3.643146211650814, -5.245945096203795, 1.6e-29),
+    (4.996050442291837, 7.8802136018767905, 7.965763881689021, 1, 1,
+     0.23836554627768583, 2.7112176338616365, -6.00273974903525, 1.3e-34),
+    (4.977291742131865, 5.8394514504214055, 5.919338155619764, -1, 1,
+     0.017678554499232304, 7.020838317704152, -26.052621947947333, 1.6e-51),
+    (5.89456626260863, 8.460961838377038, 8.538088555338739, 1, 1,
+     0.036355156884285325, 3.5590586805810247, -71.88134378361654, 3.6e-53),
+    (3.344, 6.611, 7.134, 1, 1,
+     0.4183, 4.005, -2.2745563110596905, 3.1e-36),
+    (2.8, 5.851, 6.542, 1, 1,
+     0.1539, 7.125, -9.367569424009732, 3.7e-35),
+    (2.042, 5.365, 5.942, -1, 1,
+     0.02018, 6.006, -2.1301057389806166, 2.1e-49),
+]
+
+
+@pytest.mark.parametrize("p, q, r, s1, s3, omega, gamma, j_ref, ref_err",
+                         CANCELLATION_DRAWS,
+                         ids=["%s-%d" % (_case(*pt[3:5]), k)
+                              for k, pt in enumerate(CANCELLATION_DRAWS)])
+def test_cancelling_terms_keep_the_error_bar(p, q, r, s1, s3, omega, gamma,
+                                             j_ref, ref_err):
+    sv = eval_J(NonlinearityParams(p, q, r, sign1=s1, sign3=s3), omega, gamma)
+    if sv.converged:
+        assert abs(sv.j - j_ref) <= sv.abs_error + ref_err
+    else:
+        assert sv.verdict() == "indeterminate"
+
+
+def test_cancelling_terms_leave_few_unconverged():
+    # the four left have their layer, where the terms reach omega/2, at
+    # s = 1e-22 to 7e-10: x = 2 - t, spaced 4.4e-16 near x = 2, does not
+    # resolve it, and the quadrature stops on round-off
+    unconverged = [d for d in CANCELLATION_DRAWS
+                   if not eval_J(NonlinearityParams(*d[:3], sign1=d[3],
+                                                    sign3=d[4]),
+                                 d[5], d[6]).converged]
+    assert len(unconverged) <= 4
