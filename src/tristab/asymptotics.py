@@ -49,7 +49,7 @@ class Direction(enum.Enum):
 
 
 class GuaranteeStatement(enum.Enum):
-    """Sign statements.  NONE stands in for the absent-guarantee literal.
+    """Sign statements.
 
     The three OmegaZero* members extend the base set so the omega = 0 sign
     statements can be reported through the same channel.
@@ -58,7 +58,6 @@ class GuaranteeStatement(enum.Enum):
     AllStablePositiveJ = "AllStablePositiveJ"
     AllUnstableNegativeJ = "AllUnstableNegativeJ"
     UnstableForLargeOmega = "UnstableForLargeOmega"
-    NONE = "None"
     OmegaZeroAllPositive = "OmegaZeroAllPositive"
     OmegaZeroAllNegative = "OmegaZeroAllNegative"
     OmegaZeroSignChange = "OmegaZeroSignChange"

@@ -22,8 +22,9 @@ that a.  The solve is ``signs.bisect`` (Anderson-Bjorck false position) on
 gamma_ne(a) - gamma, which evaluates gamma_ne alone, from the lower end of
 the a-range (0 or a_b) to its upper end, a_sharp in the FF case and
 otherwise ``signs.grow``'s doubling; omega_ne is evaluated once, at the
-root.  The solve stops at 1e-15 relative in a, so omega_star is off by a
-few ulps times its condition number in gamma.
+root.  The solve runs until its bracket's ends are adjacent floats and
+returns the one nearer the root in gamma, so omega_star is off by a few
+ulps times its condition number in gamma.
 """
 
 from __future__ import annotations

@@ -50,15 +50,14 @@ def _levels_arg(text: str) -> List[float]:
         raise argparse.ArgumentTypeError("levels must be comma-separated reals")
 
 
-def _add_exponents(sp, signs: bool = True) -> None:
+def _add_exponents(sp) -> None:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--r", type=float, required=True)
-    if signs:
-        sp.add_argument("--s1", type=_sign, required=True,
-                        help="sign of the lowest power: +1/f or -1/d")
-        sp.add_argument("--s3", type=_sign, required=True,
-                        help="sign of the highest power: +1/f or -1/d")
+    sp.add_argument("--s1", type=_sign, required=True,
+                    help="sign of the lowest power: +1/f or -1/d")
+    sp.add_argument("--s3", type=_sign, required=True,
+                    help="sign of the highest power: +1/f or -1/d")
     sp.add_argument("--no-timing", action="store_true",
                     help="suppress the trailing elapsed-time line")
 

@@ -232,7 +232,10 @@ def extract_contours(grid: DiagramGrid,
                 x0, x1 = float(wx[ix]), float(wx[ix + 1])
                 y0, y1 = float(gy[iy]), float(gy[iy + 1])
 
-                def center_above(x0=x0, x1=x1, y0=y0, y1=y1, level=level):
+                def center_above(x0=x0, x1=x1, y0=y0, y1=y1, level=level,
+                                 mean=0.25 * (va + vb + vc + vd)):
+                    if grid.params is None:
+                        return mean > level
                     wc = 0.5 * (x0 + x1)
                     gc = 0.5 * (y0 + y1)
                     jc = _cell_value(grid.params, wc, gc)
@@ -278,17 +281,39 @@ def export_grid_csv(grid: DiagramGrid, path: str) -> None:
 
 def import_grid_csv(path: str,
                     params: Optional[NonlinearityParams] = None) -> DiagramGrid:
-    """Inverse of export_grid_csv; float() accepts the sentinel literals."""
+    """Inverse of export_grid_csv; float() accepts the sentinel literals.
+
+    Raises ValueError, naming the path and the line, for an empty file, a
+    header with no rows after it, a value float() rejects, and a row whose
+    count of values differs from the header's count of omegas.
+    """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    omega_axis = np.array([float(tok) for tok in header[1:]])
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1)
+                 if ln.strip()]
+    if not lines:
+        raise ValueError("grid CSV %r is empty" % path)
+
+    def floats(n, toks):
+        try:
+            return [float(tok) for tok in toks]
+        except ValueError as exc:
+            raise ValueError("grid CSV %r, line %d: %s" % (path, n, exc)) \
+                from None
+
+    n, header = lines[0]
+    omega_axis = np.array(floats(n, header.split(",")[1:]))
+    if len(lines) < 2:
+        raise ValueError("grid CSV %r has no rows after its header" % path)
     gammas = []
     rows = []
-    for ln in lines[1:]:
-        toks = ln.split(",")
-        gammas.append(float(toks[0]))
-        rows.append([float(tok) for tok in toks[1:]])
+    for n, ln in lines[1:]:
+        toks = floats(n, ln.split(","))
+        if len(toks) != len(omega_axis) + 1:
+            raise ValueError(
+                "grid CSV %r, line %d: %d values for %d omegas"
+                % (path, n, len(toks) - 1, len(omega_axis)))
+        gammas.append(toks[0])
+        rows.append(toks[1:])
     return DiagramGrid(params=params, omega_axis=omega_axis,
                        gamma_axis=np.array(gammas),
                        values=np.array(rows, dtype=float))

@@ -5,17 +5,17 @@ positive zero of U.  The wave exists when U crosses zero transversally there
 (U'(a) < 0); a degenerate double zero (U'(a) = 0) marks the nonexistence
 curve.
 
-Root bracketing works on the monotone pieces of F1.  F1'(s) factors as
-s^{(p-3)/2} * h(s) with h(x) = d_p + d_q x^alpha + d_r x^beta, which has at
-most one interior critical point, so h has at most two positive roots and F1
-at most two critical points.  omega - F1 is monotone between consecutive
-critical points, so scanning those pieces finds the first sign change without
-any sampling grid; closely spaced root pairs near the nonexistence curve
-cannot be skipped this way.  The bracket search and the bracketed solve
-are ``signs.grow`` and ``signs.bisect`` (Anderson-Bjorck false position),
-the package's one root solver; its root is finished with at most 8 Newton
-steps on the analytic derivative, which end early once they cycle, with
-the value the 8th step would give.
+Root bracketing works on the monotone pieces of F1, split at its critical
+points: the roots of F1'(s) = sum f1_l e_l s^{e_l - 1}, which
+``signs.roots`` finds on (0, inf) like any other generalized polynomial.
+omega - F1 is monotone between consecutive critical points, so scanning
+those pieces finds the first sign change without any sampling grid;
+closely spaced root pairs near the nonexistence curve cannot be skipped
+this way.  The bracket search and the bracketed solve are ``signs.grow``
+and ``signs.bisect`` (Anderson-Bjorck false position), the package's one
+root solver, which runs until the bracket's ends are adjacent floats and
+returns the one where |omega - F1| is smaller; a is that float, with no
+further refinement.
 
 A piece whose two ends share a sign holds no root, because the function is
 monotone on it; the solver returns at once instead of walking down
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .landscape import power_sum, terms
 from .model import NonlinearityParams
-from .signs import bisect as _bisect, grow
+from .signs import bisect as _bisect, grow, roots
 
 # |U'(a)| below this (relative) scale counts as a double zero
 BOUNDARY_TOL = 1e-9
@@ -59,59 +59,8 @@ class ProfileResult:
 def _f1_critical_points(params: NonlinearityParams, gamma: float) -> tuple:
     """Positive critical points of F1, ascending; at most two."""
     t = terms(params, gamma)
-    dp, dq, dr = [c * e for c, e in zip(t.f1, t.e)]
-    alpha, beta = t.e[1] - t.e[0], t.e[2] - t.e[0]
-
-    def h(x: float) -> float:
-        return dp + dq * x ** alpha + dr * x ** beta
-
-    # h' = alpha dq x^{alpha-1} + beta dr x^{beta-1} has one positive zero
-    # exactly when dq and dr have opposite signs
-    xh = None
-    if dq != 0.0 and (dq > 0.0) != (dr > 0.0):
-        xh = (-alpha * dq / (beta * dr)) ** (1.0 / (beta - alpha))
-
-    pieces = [(0.0, xh), (xh, None)] if xh is not None else [(0.0, None)]
-    roots = []
-    for lo, hi in pieces:
-        flo = dp if lo == 0.0 else h(lo)
-        if hi is None:
-            # past its last critical point h runs monotonically from flo
-            # towards sign(dr) * inf, so ends of one sign leave no root;
-            # else grow until the dominant x^beta term decides the sign
-            bracket = grow(h, lo, flo) if (dr > 0.0) != (flo > 0.0) else None
-            if bracket is None:
-                continue
-            hi, fhi = bracket
-        else:
-            fhi = h(hi)
-        root = _bisect(h, lo, hi, flo, fhi)
-        if root is not None and root > 0.0:
-            roots.append(root)
-    return tuple(sorted(roots))
-
-
-def _polish(phi, phi_prime, s: float) -> float:
-    """s after 8 Newton steps on phi, or fewer where a step fails.
-
-    Newton is deterministic in s, so once a step returns to an earlier s
-    the steps left run round that cycle: the s the 8th step would land on
-    is returned at once.  A fixed point is a cycle of length 1.
-    """
-    seen = [s]
-    for _ in range(8):
-        dv = phi_prime(s)
-        if dv == 0.0 or not math.isfinite(dv):
-            break
-        s_new = s - phi(s) / dv
-        if s_new <= 0.0 or not math.isfinite(s_new):
-            break
-        if s_new in seen:
-            j = seen.index(s_new)
-            return seen[j + (8 - j) % (len(seen) - j)]
-        s = s_new
-        seen.append(s)
-    return s
+    return tuple(roots([(c * e, e - 1.0) for c, e in zip(t.f1, t.e)
+                        if c != 0.0], math.inf))
 
 
 def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
@@ -126,10 +75,6 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
 
     def phi(s: float) -> float:
         return omega - (cp * s ** ep + cq * s ** eq + cr * s ** er)
-
-    def phi_prime(s: float) -> float:
-        return -(cp * ep * s ** (ep - 1.0) + cq * eq * s ** (eq - 1.0)
-                 + cr * er * s ** (er - 1.0))
 
     def size(s: float) -> float:
         # the size of F1's terms at s, the scale of phi's round-off there
@@ -169,10 +114,7 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
             if abs(f_hi) <= _TOUCH_TOL * (1.0 + size(hi)):
                 return hi
         if f_hi == 0.0 or (f_hi > 0.0) != (f_prev > 0.0):
-            s = _bisect(phi, lo, hi, f_prev, f_hi)
-            if s is None:
-                return None
-            return _polish(phi, phi_prime, s)
+            return _bisect(phi, lo, hi, f_prev, f_hi)
         f_prev = f_hi
     return None
 
@@ -192,6 +134,11 @@ def find_a(params: NonlinearityParams, omega: float, gamma: float):
     """
     if not omega > 0.0:
         raise ValueError("find_a requires omega > 0, got %r" % (omega,))
+    return _profile(params, omega, gamma)
+
+
+def _profile(params: NonlinearityParams, omega: float, gamma: float):
+    """find_a's result for any omega >= 0; at omega = 0, a is a0."""
     a = _first_crossing(params, omega, gamma)
     if a is None:
         return None

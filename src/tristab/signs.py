@@ -10,12 +10,13 @@ form, which is what makes the sign classifications tractable.
 
 ``bisect`` finds the sign change of a function monotone on a bracket, by
 Anderson-Bjorck false position kept safe by geometric means on wide
-brackets and midpoints where it stalls, and ``grow`` finds a bracket's
-upper end by doubling.  Every root in the package comes from this pair:
-the roots counted here, the amplitude a and F1's critical points in
-``profile``, and the curve inversion behind ``boundary.omega_star``.  Both
-are scalar float arithmetic, since their callers evaluate one point at a
-time.
+brackets and midpoints where it stalls, until the bracket's ends are
+adjacent floats, and returns the end where |f| is smaller; ``grow`` finds
+a bracket's upper end by doubling.  Every root in the package comes from
+this pair, and no root is refined after it: the roots counted here, the
+amplitude a and, through ``roots``, F1's critical points in ``profile``,
+and the curve inversion behind ``boundary.omega_star``.  Both are scalar
+float arithmetic, since their callers evaluate one point at a time.
 """
 
 from __future__ import annotations
@@ -78,8 +79,10 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
     superlinearly.  The midpoint replaces a point not strictly inside
     (lo, hi), and follows any three steps that did not halve the bracket,
     so a stalled false position still halves it every four steps.  It
-    stops when hi - lo <= 1e-15 hi, when f is zero at a step, or after 200
-    steps.
+    returns a step where f is zero, the midpoint after 200 steps, and once
+    no float lies strictly between lo and hi, the one of the two with the
+    smaller |f|: two fresh calls, since the scaling has changed the stored
+    end values.
     """
     if fhi == 0.0:
         return hi
@@ -128,8 +131,8 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
                 m = 1.0 - fx / fhi
                 flo *= m if m > 0.0 else 0.5
             hi, fhi, kept = x, fx, -1
-        if hi - lo <= 1e-15 * hi:
-            break
+        if not lo < 0.5 * (lo + hi) < hi:
+            return lo if abs(f(lo)) <= abs(f(hi)) else hi
         if steps == 4 or hi - lo <= 0.5 * mark:
             mark, steps = hi - lo, 0
     return 0.5 * (lo + hi)
@@ -148,13 +151,16 @@ def grow(f, lo: float, flo: float):
     return None
 
 
-def _roots(terms, s_max: float) -> list:
+def roots(terms, s_max: float) -> list:
     """Roots of sum c x^e on (0, s_max], ascending, for nonzero terms.
 
     g = gp / x^{e_1} has the same roots; g' has one term fewer, so its roots
     (the critical points of g) come from the same routine.  g is monotone
     between consecutive critical points, so each piece holds a root exactly
-    when its end values differ in sign, or at an end where g is zero.
+    when its end values differ in sign, or at an end where g is zero.  At
+    s_max = inf the last piece runs towards sign(c_k) * inf, so it holds a
+    root exactly when that sign differs from its lower end's, and ``grow``
+    brackets it.
     """
     if len(terms) < 2:
         return []
@@ -165,17 +171,22 @@ def _roots(terms, s_max: float) -> list:
     def g_at(x: float) -> float:
         return sum(c * x ** e for c, e in g)
 
-    ends = [x for x in _roots(dg, s_max) if x < s_max] + [s_max]
-    roots = []
+    ends = [x for x in roots(dg, s_max) if x < s_max] + [s_max]
+    found = []
     lo, flo = 0.0, c1            # g(0+) = c_1: the other exponents are > 0
     for hi in ends:
         if hi <= lo:
             continue
-        fhi = g_at(hi)
+        if hi == math.inf:
+            if flo == 0.0 or (terms[-1][0] > 0.0) == (flo > 0.0):
+                break
+            hi, fhi = grow(g_at, lo, flo)
+        else:
+            fhi = g_at(hi)
         if fhi == 0.0 or flo != 0.0 and (flo > 0.0) != (fhi > 0.0):
-            roots.append(bisect(g_at, lo, hi, flo, fhi))
+            found.append(bisect(g_at, lo, hi, flo, fhi))
         lo, flo = hi, fhi
-    return roots
+    return found
 
 
 def count_positive_roots_sampled(gp: GeneralizedPolynomial,
@@ -193,5 +204,5 @@ def count_positive_roots_sampled(gp: GeneralizedPolynomial,
         return 0
     if s_max <= 0.0:
         raise ValueError("s_max must be positive")
-    return len(_roots(list(gp.terms), float(s_max)))
+    return len(roots(list(gp.terms), float(s_max)))
 

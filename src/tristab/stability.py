@@ -58,10 +58,9 @@ import numpy as np
 
 from .boundary import omega_star
 from .errors import DivergingIntegral, NoStandingWave, NotOnCurve, UnsupportedRegime
-from .landscape import Terms, one_minus_powers, terms, u_prime
+from .landscape import Terms, one_minus_powers, terms
 from .model import NonlinearityParams
-from .profile import (BOUNDARY_TOL, ProfileResult, _uprime_scale, find_a,
-                      find_a0)
+from .profile import ProfileResult, _profile, find_a
 from .quadrature import QuadratureResult, integrate, integrate_many
 
 _SQRT2 = math.sqrt(2.0)
@@ -471,15 +470,13 @@ def eval_J0(params: NonlinearityParams, gamma: float,
     if params.p >= 7.0 / 3.0:
         raise UnsupportedRegime(
             "J(0, gamma) is not finite for p >= 7/3 (the limit is -infinity)")
-    a0 = find_a0(params, gamma)
-    if a0 is None:
+    res = _profile(params, 0.0, gamma)
+    if res is None:
         raise NoStandingWave(
             "no zero-frequency amplitude at gamma=%g (case %s)"
             % (gamma, params.case))
-    up0 = u_prime(params, 0.0, gamma, a0)
-    if up0 >= -BOUNDARY_TOL * (1.0 + _uprime_scale(params, 0.0, gamma, a0)):
+    if not res.exists:
         raise DivergingIntegral(
             "degenerate zero-frequency amplitude at gamma=%g" % gamma)
-    res = ProfileResult(a=a0, uprime_at_a=up0, exists=True, on_boundary=False)
     sv, = _transformed(params, [(0.0, gamma, res)], rel_tol)
     return replace(sv, method="omega_zero")

@@ -210,6 +210,37 @@ def test_grid_csv_round_trip(tmp_path):
     assert import_grid_csv(path).params is None
 
 
+def test_saddle_of_a_grid_without_params_reads_the_corner_mean(tmp_path):
+    # a grid read back without params has no J to evaluate at a saddle's
+    # centre; the mean of the four corners, here 0, decides it
+    path = tmp_path / "saddle.csv"
+    path.write_text("gamma\\omega,0.1,0.2\n0,1,-1\n1,-1,1\n")
+    grid = import_grid_csv(str(path))
+    assert grid.params is None
+    (cs,) = extract_contours(grid, [0.0])
+    assert cs.params is None
+    assert sorted(cs.paths) == [((0.1, 0.5), (0.15000000000000002, 0.0)),
+                                ((0.2, 0.5), (0.15000000000000002, 1.0))]
+    # below the mean the centre reads above the level: left joins top
+    (cs,) = extract_contours(grid, [-0.5])
+    assert sorted(cs.paths) == [((0.1, 0.75), (0.125, 1.0)),
+                                ((0.17500000000000002, 0.0), (0.2, 0.25))]
+
+
+@pytest.mark.parametrize("text, where", [
+    ("gamma\\omega,0.1,0.2,0.3\n0,1,2\n1,3,4\n", "line 2"),
+    ("gamma\\omega,0.1,0.2\n", "no rows"),
+    ("", "empty"),
+    ("gamma\\omega,0.1\n0,1\n\n1,x\n", "line 4"),
+], ids=["short-rows", "header-only", "empty", "not-a-float"])
+def test_import_grid_csv_rejects_a_malformed_file(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        import_grid_csv(str(path))
+    assert str(path) in str(info.value) and where in str(info.value)
+
+
 def test_grid_csv_header_format(tmp_path):
     grid = synthetic_grid(np.zeros((2, 2)), [0.5, 1.0], [0.0, 1.0])
     path = str(tmp_path / "grid.csv")

@@ -337,60 +337,6 @@ def test_wide_exponent_gap_does_not_overflow(r):
     assert abs(u_value(params, 0.1, -1.0, prof.a)) <= 1e-14 * 0.1 * prof.a
 
 
-def _eight_newton_steps(phi, phi_prime, s):
-    """The Newton polish without the cycle exit: 8 steps, or fewer at a
-    fixed point, a zero or non-finite slope, or a step out of (0, inf)."""
-    for _ in range(8):
-        dv = phi_prime(s)
-        if dv == 0.0 or not math.isfinite(dv):
-            break
-        s_new = s - phi(s) / dv
-        if s_new <= 0.0 or not math.isfinite(s_new):
-            break
-        done = abs(s_new - s) <= 1e-16 * s
-        s = s_new
-        if done:
-            break
-    return s
-
-
-def _enters_cycle(phi, phi_prime, s):
-    """Whether 8 Newton steps from s return to an earlier s other than by a
-    fixed point."""
-    seq = [s]
-    for _ in range(8):
-        dv = phi_prime(seq[-1])
-        if dv == 0.0 or not math.isfinite(dv):
-            return False
-        seq.append(seq[-1] - phi(seq[-1]) / dv)
-        if seq[-1] == seq[-2]:
-            return False
-        if seq[-1] in seq[:-2]:
-            return True
-    return False
-
-
-def test_polish_cycle_exit_returns_what_eight_steps_return():
-    # Newton in floats often ends going round two to five neighbours of
-    # the root; the early exit must return the one the 8th step lands on
-    cycles = 0
-    for params, omega, gamma, a in _random_roots(43, 60):
-        t = terms(params, gamma)
-
-        def phi(s):
-            return omega - power_sum(t.f1, t.e, s)
-
-        def phi_prime(s):
-            return -sum(c * e * s ** (e - 1.0) for c, e in zip(t.f1, t.e))
-
-        for k in range(-12, 13):
-            s = a + k * math.ulp(a)
-            cycles += _enters_cycle(phi, phi_prime, s)
-            assert profile._polish(phi, phi_prime, s) \
-                == _eight_newton_steps(phi, phi_prime, s)
-    assert cycles >= 100
-
-
 # A DD point on the curve where F1's terms exceed omega by about 2e4, so
 # phi is round-off over about 1e-4 relative around the peak of F1
 DD_FLAT_PEAK = NonlinearityParams(5.0, 5.207900562210743, 5.320054348093732,
@@ -410,3 +356,126 @@ def test_touch_at_a_flat_peak_reads_on_boundary_when_the_peak_moves(monkeypatch,
                         lambda params, g: tuple(crits))
     res = find_a(DD_FLAT_PEAK, omega, gamma)
     assert res.on_boundary and not res.exists
+
+
+def _probe_waves(n):
+    """(params, omega, gamma, a) at the first n waves that exist among the
+    draws of numpy default_rng(2024): p U(1.05, 6), q - p and r - q
+    U(0.05, 4), s1 and s3 from {-1, 1}, gamma U(-8, 8),
+    omega = 10^U(-2, 1.5), drawn in that order."""
+    rng = np.random.default_rng(2024)
+    out = []
+    while len(out) < n:
+        p = rng.uniform(1.05, 6)
+        q = p + rng.uniform(0.05, 4)
+        r = q + rng.uniform(0.05, 4)
+        params = NonlinearityParams(p, q, r, sign1=int(rng.choice([-1, 1])),
+                                    sign3=int(rng.choice([-1, 1])))
+        gamma = rng.uniform(-8, 8)
+        omega = 10.0 ** rng.uniform(-2, 1.5)
+        prof = find_a(params, omega, gamma)
+        if prof is not None and prof.exists:
+            out.append((params, omega, gamma, prof.a))
+    return out
+
+
+def test_amplitude_is_the_adjacent_float_with_the_smaller_residual():
+    # a is an exact zero of omega - F1, or one of the two adjacent floats
+    # where it changes sign, the one where |omega - F1| is smaller
+    for params, omega, gamma, a in _probe_waves(200):
+        t = terms(params, gamma)
+
+        def phi(s):
+            return omega - power_sum(t.f1, t.e, s)
+
+        fa = phi(a)
+        if fa == 0.0:
+            continue
+        other = [s for s in (math.nextafter(a, 0.0),
+                             math.nextafter(a, math.inf))
+                 if (phi(s) > 0.0) != (fa > 0.0)]
+        assert other, (params, omega, gamma, a)
+        assert any(abs(fa) <= abs(phi(s)) for s in other), \
+            (params, omega, gamma, a)
+
+
+def _mp_critical_points(params, gamma):
+    """F1's critical points at 40 digits, for the float inputs exactly: the
+    roots of h(x) = F1'(x) / x^{e_p - 1} = d_p + d_q x^al + d_r x^be,
+    bisected on the pieces of h split at the one zero of h', which exists
+    when d_q and d_r differ in sign."""
+    with mpmath.workdps(40):
+        p, q, r = (mpmath.mpf(x) for x in (params.p, params.q, params.r))
+        e = ((p - 1) / 2, (q - 1) / 2, (r - 1) / 2)
+        c = (2 * params.sign1 / (p + 1), -2 * mpmath.mpf(gamma) / (q + 1),
+             2 * params.sign3 / (r + 1))
+        d = [cl * el for cl, el in zip(c, e)]
+        al, be = e[1] - e[0], e[2] - e[0]
+
+        def h(x):
+            return d[0] + d[1] * x ** al + d[2] * x ** be
+
+        ends = [mpmath.mpf(0)]
+        if d[1] != 0 and (d[1] > 0) != (d[2] > 0):
+            ends.append((-al * d[1] / (be * d[2])) ** (1 / (be - al)))
+        ends.append(mpmath.inf)
+        found = []
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            flo = d[0] if lo == 0 else h(lo)
+            if hi == mpmath.inf:
+                if (d[2] > 0) == (flo > 0):
+                    continue
+                hi = max(2 * lo, mpmath.mpf(1))
+                while (h(hi) > 0) == (flo > 0):
+                    hi *= 2
+            elif (h(hi) > 0) == (flo > 0):
+                continue
+            while hi - lo > hi * mpmath.mpf(10) ** -36:
+                mid = (lo + hi) / 2
+                if (h(mid) > 0) == (flo > 0):
+                    lo = mid
+                else:
+                    hi = mid
+            found.append((lo + hi) / 2)
+        return found, h, d, (al, be)
+
+
+def _critical_point_draws(n):
+    """n draws of (params, gamma): exponents as in the probe, gamma = 0 at
+    every fifth, and FF(2, 3, 7.5) and FF(2, 3, 8), whose wide exponent
+    gap overflowed a doubling search, at gamma = -1 and +1."""
+    rng = np.random.default_rng(2026)
+    out = [(NonlinearityParams(2.0, 3.0, r), g)
+           for r in (7.5, 8.0) for g in (-1.0, 1.0)]
+    while len(out) < n:
+        p = rng.uniform(1.05, 6)
+        q = p + rng.uniform(0.05, 4)
+        r = q + rng.uniform(0.05, 4)
+        params = NonlinearityParams(p, q, r, sign1=int(rng.choice([-1, 1])),
+                                    sign3=int(rng.choice([-1, 1])))
+        gamma = 0.0 if len(out) % 5 == 0 else rng.uniform(-8, 8)
+        out.append((params, gamma))
+    return out
+
+
+def test_f1_critical_points_match_high_precision():
+    # each float critical point c lies within a few eps of h's round-off,
+    # over |h'(c)|, of its 40-digit root, plus a few ulps; h's terms carry
+    # the rounding of their exponents too, eps |g ln c| relative
+    counts = [0, 0, 0]
+    for params, gamma in _critical_point_draws(240):
+        crits = profile._f1_critical_points(params, gamma)
+        ref, h, d, gaps = _mp_critical_points(params, gamma)
+        assert len(crits) == len(ref), (params, gamma, crits, ref)
+        counts[len(crits)] += 1
+        for c, root in zip(crits, ref):
+            with mpmath.workdps(40):
+                x = mpmath.mpf(c)
+                slope = abs(d[1] * gaps[0] * x ** (gaps[0] - 1)
+                            + d[2] * gaps[1] * x ** (gaps[1] - 1))
+                size = abs(d[0]) + sum(
+                    abs(dl) * x ** g * (1 + abs(g * mpmath.log(x)))
+                    for dl, g in zip(d[1:], gaps))
+                bound = 8 * EPS * size / slope + 4 * math.ulp(c)
+                assert abs(x - root) <= bound, (params, gamma, c, root)
+    assert min(counts) >= 20, counts

@@ -3,6 +3,8 @@
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -55,8 +57,8 @@ def test_root_count_never_exceeds_sign_changes(gp, s_max):
 @given(polynomials(crossing=True),
        st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
 def test_every_bisection_root_brackets_a_sign_change(gp, lo):
-    # the root is an exact zero, or it lies between two evaluated points at
-    # most 1e-15 apart, relative, that carry the signs of the two ends
+    # the root is an exact zero, or it lies between two evaluated points,
+    # adjacent floats, that carry the signs of the two ends
     # at lo = 0 the lowest-power term decides the sign just right of 0
     flo = gp.terms[0][0] if lo == 0.0 else gp(lo)
     # the upper end: the first of lo + 2^k, k = -6 .. 6, where gp has the
@@ -82,7 +84,7 @@ def test_every_bisection_root_brackets_a_sign_change(gp, lo):
                 and (v > 0.0) == (flo > 0.0))
     above = min(x for x, v in seen if x >= root and v != 0.0
                 and (v > 0.0) == (fhi > 0.0))
-    assert above - below <= 1e-15 * above
+    assert above <= math.nextafter(below, math.inf)
 
 
 @derandomized

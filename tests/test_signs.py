@@ -107,6 +107,19 @@ def _counted(f):
     return g, seen
 
 
+def _assert_adjacent_pick(f, x):
+    """x is an exact zero of f, or one of two adjacent floats where f has
+    opposite signs, and the one of the two with the smaller |f|."""
+    fx = f(x)
+    if fx == 0.0:
+        return
+    other = [y for y in (math.nextafter(x, -math.inf),
+                         math.nextafter(x, math.inf))
+             if (f(y) > 0.0) != (fx > 0.0)]
+    assert other, x
+    assert any(abs(fx) <= abs(f(y)) for y in other), x
+
+
 @pytest.mark.parametrize("lo, hi, flo, fhi", [
     (1.0, 2.0, 3.0, 0.5), (1.0, 2.0, -3.0, -0.5),
     (0.0, 2.0, 1.0, 4.0), (0.0, 2.0, -1.0, -4.0),
@@ -147,8 +160,8 @@ def test_bisect_takes_geometric_means_on_a_wide_bracket():
 
 
 # functions on which plain false position keeps one end and stalls: the
-# midpoint must still bring the bracket to the 1e-15 stop, well inside the
-# 200-step cap; the step function has no slope for false position to use
+# midpoint must still bring the bracket down to adjacent floats, well inside
+# the 200-step cap; the step function has no slope for false position to use
 @pytest.mark.parametrize("f, lo, hi, root", [
     pytest.param(lambda x: x ** 40 - 1e-30, 0.1, 1.0, 10.0 ** -0.75,
                  id="x^40"),
@@ -163,11 +176,13 @@ def test_bisect_reaches_the_stop_where_false_position_stalls(f, lo, hi, root):
     x = signs.bisect(g, lo, hi, f(lo), f(hi))
     assert abs(x - root) <= 2e-15 * root
     assert len(seen) < 200
+    _assert_adjacent_pick(f, x)
 
 
 def test_bisect_converges_superlinearly_on_a_smooth_function():
-    # halving from a bracket of width 0.5 or 1 to 1e-15 takes about 50
-    # steps; false position with Anderson-Bjorck scaling takes 6 to 10 here
+    # halving from a bracket of width 0.5 or 1 to adjacent floats takes
+    # about 52 steps; false position with Anderson-Bjorck scaling and the
+    # two calls of the final pick take at most 12 here
     for f, lo, hi, root in ((lambda x: x ** 3 - 2.0, 1.0, 1.5, 2.0 ** (1 / 3)),
                             (lambda x: math.log(x) - 0.5, 1.0, 2.0,
                              math.exp(0.5)),
@@ -177,3 +192,4 @@ def test_bisect_converges_superlinearly_on_a_smooth_function():
         x = signs.bisect(g, lo, hi, f(lo), f(hi))
         assert abs(x - root) <= 2e-15 * root
         assert len(seen) <= 12
+        _assert_adjacent_pick(f, x)
