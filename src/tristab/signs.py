@@ -22,6 +22,7 @@ float arithmetic, since their callers evaluate one point at a time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -112,6 +113,8 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
         steps += 1
         if hi > 16.0 * lo:
             x, kept = math.sqrt(lo * hi), 0
+            if not lo < x < hi:  # lo * hi overflowed, or underflowed
+                x = math.sqrt(lo) * math.sqrt(hi)
         elif steps == 4:         # three steps did not halve the bracket
             x, kept = 0.5 * (lo + hi), 0
         else:
@@ -141,7 +144,7 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
 def grow(f, lo: float, flo: float):
     """(x, f(x)) at the first x = max(2 lo, 1) 2^k, k = 0, 1, ..., where f
     is zero or has the sign opposite to flo: an upper end for ``bisect``.
-    None after 600 doublings, far past any root the package brackets."""
+    None after 600 doublings; ``roots`` goes on to the largest float."""
     x = max(2.0 * lo, 1.0)
     for _ in range(600):
         fx = f(x)
@@ -157,34 +160,38 @@ def roots(terms, s_max: float) -> list:
     g = gp / x^{e_1} has the same roots; g' has one term fewer, so its roots
     (the critical points of g) come from the same routine.  g is monotone
     between consecutive critical points, so each piece holds a root exactly
-    when its end values differ in sign, or at an end where g is zero.  At
-    s_max = inf the last piece runs towards sign(c_k) * inf, so it holds a
-    root exactly when that sign differs from its lower end's, and ``grow``
-    brackets it.
+    when its end values differ in sign, or at an end where g is zero.  The
+    window ends at the largest float at most, where g is monotone even if
+    g' has a root beyond it, or at a tighter end ``grow`` finds; no root
+    past that float or below the smallest is returned.
     """
     if len(terms) < 2:
         return []
     c1, e1 = terms[0]
     g = [(c, e - e1) for c, e in terms]
     dg = [(c * e, e - 1.0) for c, e in g[1:]]
+    top, big = g[-1][1], sys.float_info.max
 
     def g_at(x: float) -> float:
-        return sum(c * x ** e for c, e in g)
+        # g / max(1, x)^top: g's signs, and no power of x above 1 to overflow
+        k = top if x > 1.0 else 0.0
+        return sum(c * x ** (e - k) for c, e in g)
 
-    ends = [x for x in roots(dg, s_max) if x < s_max] + [s_max]
+    ends = [x for x in roots(dg, s_max) if x < s_max] + [min(s_max, big)]
     found = []
     lo, flo = 0.0, c1            # g(0+) = c_1: the other exponents are > 0
     for hi in ends:
         if hi <= lo:
             continue
-        if hi == math.inf:
-            if flo == 0.0 or (terms[-1][0] > 0.0) == (flo > 0.0):
-                break
-            hi, fhi = grow(g_at, lo, flo)
-        else:
-            fhi = g_at(hi)
+        fhi = g_at(hi)
+        if hi == big and flo != 0.0 and (flo > 0.0) != (fhi > 0.0):
+            bracket = grow(g_at, lo, flo)
+            if bracket is not None and bracket[0] < hi:
+                hi, fhi = bracket
         if fhi == 0.0 or flo != 0.0 and (flo > 0.0) != (fhi > 0.0):
-            found.append(bisect(g_at, lo, hi, flo, fhi))
+            root = bisect(g_at, lo, hi, flo, fhi)
+            if root:             # None, or 0.0, where no float holds it
+                found.append(root)
         lo, flo = hi, fhi
     return found
 

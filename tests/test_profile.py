@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import sys
 
 import mpmath
 import numpy as np
@@ -337,6 +338,24 @@ def test_wide_exponent_gap_does_not_overflow(r):
     assert abs(u_value(params, 0.1, -1.0, prof.a)) <= 1e-14 * 0.1 * prof.a
 
 
+@pytest.mark.parametrize("gamma", [-10.0, 10.0])
+def test_narrow_exponent_gap_with_a_far_critical_point(gamma):
+    # at FF(2, 3, 3.01) and gamma = 10 F1's second critical point is near
+    # 6e199, past 600 doublings of 1; a is the first zero of omega - F1
+    params = NonlinearityParams(2.0, 3.0, 3.01)
+    prof = find_a(params, 0.1, gamma)
+    assert prof.exists and not prof.on_boundary
+    t = terms(params, gamma)
+
+    def phi(s):
+        return 0.1 - power_sum(t.f1, t.e, s)
+
+    below, above = (math.nextafter(prof.a, x) for x in (0.0, math.inf))
+    assert phi(below) * phi(above) <= 0.0
+    crits = profile._f1_critical_points(params, gamma)
+    assert len(crits) == (2 if gamma > 0 else 0)
+
+
 # A DD point on the curve where F1's terms exceed omega by about 2e4, so
 # phi is round-off over about 1e-4 relative around the peak of F1
 DD_FLAT_PEAK = NonlinearityParams(5.0, 5.207900562210743, 5.320054348093732,
@@ -403,7 +422,7 @@ def _mp_critical_points(params, gamma):
     """F1's critical points at 40 digits, for the float inputs exactly: the
     roots of h(x) = F1'(x) / x^{e_p - 1} = d_p + d_q x^al + d_r x^be,
     bisected on the pieces of h split at the one zero of h', which exists
-    when d_q and d_r differ in sign."""
+    when d_q and d_r differ in sign, up to the largest float."""
     with mpmath.workdps(40):
         p, q, r = (mpmath.mpf(x) for x in (params.p, params.q, params.r))
         e = ((p - 1) / 2, (q - 1) / 2, (r - 1) / 2)
@@ -437,25 +456,36 @@ def _mp_critical_points(params, gamma):
                 else:
                     hi = mid
             found.append((lo + hi) / 2)
+        found = [x for x in found if x <= sys.float_info.max]
         return found, h, d, (al, be)
 
 
-def _critical_point_draws(n):
+def _critical_point_draws(n, narrow):
     """n draws of (params, gamma): exponents as in the probe, gamma = 0 at
     every fifth, and FF(2, 3, 7.5) and FF(2, 3, 8), whose wide exponent
-    gap overflowed a doubling search, at gamma = -1 and +1."""
+    gap overflowed a doubling search, at gamma = -1 and +1; then `narrow`
+    draws with r - q U(0.005, 0.05) and |gamma| = 10^U(1, 5), and
+    FF(2, 3, 3.01) at gamma = -10, 10 and 1e4, where the zero of h' lies
+    past 600 doublings of 1 or past the largest float."""
     rng = np.random.default_rng(2026)
     out = [(NonlinearityParams(2.0, 3.0, r), g)
            for r in (7.5, 8.0) for g in (-1.0, 1.0)]
-    while len(out) < n:
+    while len(out) < n + narrow:
+        wide = len(out) < n
         p = rng.uniform(1.05, 6)
         q = p + rng.uniform(0.05, 4)
-        r = q + rng.uniform(0.05, 4)
+        r = q + (rng.uniform(0.05, 4) if wide else rng.uniform(0.005, 0.05))
         params = NonlinearityParams(p, q, r, sign1=int(rng.choice([-1, 1])),
                                     sign3=int(rng.choice([-1, 1])))
-        gamma = 0.0 if len(out) % 5 == 0 else rng.uniform(-8, 8)
+        if not wide:
+            gamma = float(rng.choice([-1, 1])) * 10.0 ** rng.uniform(1, 5)
+        elif len(out) % 5 == 0:
+            gamma = 0.0
+        else:
+            gamma = rng.uniform(-8, 8)
         out.append((params, gamma))
-    return out
+    return out + [(NonlinearityParams(2.0, 3.0, 3.01), g)
+                  for g in (-10.0, 10.0, 1e4)]
 
 
 def test_f1_critical_points_match_high_precision():
@@ -463,7 +493,7 @@ def test_f1_critical_points_match_high_precision():
     # over |h'(c)|, of its 40-digit root, plus a few ulps; h's terms carry
     # the rounding of their exponents too, eps |g ln c| relative
     counts = [0, 0, 0]
-    for params, gamma in _critical_point_draws(240):
+    for params, gamma in _critical_point_draws(240, 60):
         crits = profile._f1_critical_points(params, gamma)
         ref, h, d, gaps = _mp_critical_points(params, gamma)
         assert len(crits) == len(ref), (params, gamma, crits, ref)

@@ -193,3 +193,34 @@ def test_bisect_converges_superlinearly_on_a_smooth_function():
         assert abs(x - root) <= 2e-15 * root
         assert len(seen) <= 12
         _assert_adjacent_pick(f, x)
+
+
+def test_bisect_geometric_mean_of_a_bracket_whose_product_overflows():
+    # lo * hi = 1e320 is past the largest float; sqrt(lo) sqrt(hi) is not
+    f, seen = _counted(lambda x: math.log(x / 1e160))
+    root = signs.bisect(f, 1e150, 1e170, math.log(1e-10), math.log(1e10))
+    assert 1e150 < seen[0] < 1e170
+    assert abs(root - 1e160) <= 2e-15 * 1e160
+
+
+
+@pytest.mark.parametrize("terms, expect", [
+    # zero at (2.5 / 0.2531)^200, about 8e198: past 600 doublings of 1
+    pytest.param([(-2.5, 0.0), (0.2531, 0.005)], [(2.5 / 0.2531) ** 200],
+                 id="past-600-doublings"),
+    # critical point near 1e399: g is monotone up to the largest float
+    pytest.param([(1.0, 0.0), (-1e4, 0.5), (1.0, 0.51)], [1e-8],
+                 id="critical-point-past-the-largest-float"),
+    # zeros at 50^200, about 1e340, and at (1e-10)^200 = 1e-2000
+    pytest.param([(-50.0, 0.0), (1.0, 0.005)], [], id="past-the-largest"),
+    pytest.param([(-1e-10, 0.0), (1.0, 0.005)], [], id="below-the-smallest"),
+])
+def test_roots_of_an_unbounded_window(terms, expect):
+    def g(x):
+        return sum(c * x ** e for c, e in terms)
+
+    found = signs.roots(terms, math.inf)
+    assert len(found) == len(expect)
+    for x, root in zip(found, expect):
+        assert abs(x - root) <= 1e-3 * root
+        assert g(x * (1 - 1e-13)) * g(x * (1 + 1e-13)) < 0.0
