@@ -17,24 +17,25 @@ valid on an a-range that depends on the sign case:
     DD: (a_b, inf) with a_b^{(r-p)/2} = (q-p)(r+1)/((r-q)(p+1))
 
 On the valid range omega_ne is increasing and gamma_ne is decreasing, so
-gamma_ne inverts by a bracketed solve; omega_star(gamma) is omega_ne at
-that a.  The solve is ``signs.bisect`` (Anderson-Bjorck false position) on
-gamma_ne(a) - gamma, which evaluates gamma_ne alone, from the lower end of
-the a-range (0 or a_b) to its upper end, a_sharp in the FF case and
-otherwise ``signs.grow``'s doubling; omega_ne is evaluated once, at the
-root.  The solve runs until its bracket's ends are adjacent floats and
-returns the one nearer the root in gamma, so omega_star is off by a few
-ulps times its condition number in gamma.
+each gamma on the curve has one a: a critical point of F1 at gamma, since
+U'(a) = -a F1'(a) wherever F1(a) = omega; the first in the FF case, the
+peak of F1 otherwise.  omega_star reads it from the cache of
+``profile._f1_critical_points`` that ``find_a`` fills, and returns
+omega_ne there, plus the first-order step along the curve,
+d omega / d gamma = -2 a^{(q-1)/2} / (q+1), where gamma_ne(a) misses gamma
+by more than round-off.  It is off by a few ulps times its condition
+number in gamma.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import NotOnCurve
 from .model import NonlinearityParams
-from .signs import bisect, grow
+from .profile import _f1_critical_points
 
 
 @dataclass(frozen=True)
@@ -54,18 +55,10 @@ def gamma_omega_ne(params: NonlinearityParams, a: float) -> Tuple[float, float]:
     a1, a3 = params.a1, params.a3
     omega_ne = (2.0 * a1 * (q - p) / ((q - 1.0) * (p + 1.0)) * a ** ((p - 1.0) / 2.0)
                 - 2.0 * a3 * (r - q) / ((q - 1.0) * (r + 1.0)) * a ** ((r - 1.0) / 2.0))
-    return omega_ne, _gamma_ne(params)(a)
-
-
-def _gamma_ne(params: NonlinearityParams):
-    """gamma_ne as a function of a, the half of the curve omega_star
-    inverts.  Its constants are computed once, in the order the written-out
-    closed form evaluates them, so each value is unchanged bit for bit."""
-    p, q, r = params.p, params.q, params.r
-    k = (q + 1.0) / (q - 1.0)
-    cp, ep = params.a1 * (p - 1.0) / (p + 1.0), (p - q) / 2.0
-    cr, er = params.a3 * (r - 1.0) / (r + 1.0), (r - q) / 2.0
-    return lambda a: k * (cp * a ** ep + cr * a ** er)
+    gamma_ne = (q + 1.0) / (q - 1.0) * (
+        a1 * (p - 1.0) / (p + 1.0) * a ** ((p - q) / 2.0)
+        + a3 * (r - 1.0) / (r + 1.0) * a ** ((r - q) / 2.0))
+    return omega_ne, gamma_ne
 
 
 def endpoints(params: NonlinearityParams):
@@ -97,8 +90,9 @@ def omega_star(params: NonlinearityParams, gamma: float) -> float:
     """The curve frequency above gamma: omega_ne at the a with gamma_ne(a) = gamma.
 
     Raises NotOnCurve when gamma is outside the admissible range for the
-    case (FF: gamma >= gamma1; FD: any gamma; DD: gamma < gamma1) or in the
-    DF case, which has no curve.
+    case (FF: gamma >= gamma1; FD: any gamma; DD: gamma < gamma1), in the
+    DF case, which has no curve, and where F1 has no critical point in
+    floats (FD far out in gamma).
     """
     case = params.case
     if case == "DF":
@@ -110,20 +104,21 @@ def omega_star(params: NonlinearityParams, gamma: float) -> float:
         raise NotOnCurve("gamma at or above the curve endpoint value %g"
                          % gamma1)
 
-    gamma_ne = _gamma_ne(params)
-
-    def f(a: float) -> float:
-        return gamma_ne(a) - gamma
-
-    # gamma_ne falls from +inf at a -> 0 (FF, FD) or from gamma1 at a_b (DD)
-    lo = endpoint_a if case == "DD" else 0.0
-    flo = f(lo) if lo > 0.0 else 1.0
-    bracket = ((endpoint_a, f(endpoint_a)) if case == "FF"
-               else grow(f, lo, flo))
-    if bracket is None:
-        raise NotOnCurve("failed to bracket gamma = %g" % gamma)
-    hi, fhi = bracket
-    return gamma_omega_ne(params, bisect(f, lo, hi, flo, fhi))[0]
+    crits = _f1_critical_points(params, gamma)
+    if case == "FF":
+        # at gamma1 the two critical points merge, and may round to none
+        a = crits[0] if crits else endpoint_a
+    elif crits:
+        a = crits[-1]
+    else:
+        raise NotOnCurve("F1 has no critical point at gamma = %g" % gamma)
+    omega_ne, gamma_ne = gamma_omega_ne(params, a)
+    if abs(gamma_ne - gamma) > 2.0 * math.ulp(gamma):
+        # a is off by more than gamma_ne's round-off: step along the curve,
+        # whose slope d omega / d gamma is -2 a^{(q-1)/2} / (q+1)
+        q = params.q
+        omega_ne += (gamma_ne - gamma) * 2.0 * a ** ((q - 1.0) / 2.0) / (q + 1.0)
+    return omega_ne
 
 
 def sample_curve(params: NonlinearityParams, n: int = 200,

@@ -115,8 +115,8 @@ def sweep_grid(params: NonlinearityParams,
 
 
 def _interp(x1: float, x2: float, f1: float, f2: float) -> float:
-    t = f1 / (f1 - f2)
-    return x1 + t * (x2 - x1)
+    # the corner values are numpy scalars; a path holds Python floats
+    return float(x1 + f1 / (f1 - f2) * (x2 - x1))
 
 
 def _cell_segments(x0, x1, y0, y1, fa, fb, fc, fd, center_above):

@@ -8,20 +8,19 @@ curve.
 Root bracketing works on the monotone pieces of F1, split at its critical
 points: the roots of F1'(s) = sum f1_l e_l s^{e_l - 1}, which
 ``signs.roots`` finds on (0, inf) like any other generalized polynomial.
-omega - F1 is monotone between consecutive critical points, so scanning
-those pieces finds the first sign change without any sampling grid;
-closely spaced root pairs near the nonexistence curve cannot be skipped
-this way.  The bracket search and the bracketed solve are ``signs.grow``
-and ``signs.bisect`` (Anderson-Bjorck false position), the package's one
-root solver, which runs until the bracket's ends are adjacent floats and
-returns the one where |omega - F1| is smaller; a is that float, with no
-further refinement.
+omega - F1 is monotone between them, so one scan over them, ascending,
+finds the first sign change without any sampling grid, and closely spaced
+root pairs near the nonexistence curve cannot be skipped.  It stops at a
+critical point where omega - F1 is zero to round-off (a double zero) or
+has changed sign.  In the *D cases F1's peak is the last critical point,
+so a peak below omega means no wave; in the *F cases ``signs.grow`` looks
+for an upper end past the last one.  ``signs.bisect`` then runs until the
+bracket's ends are adjacent floats and returns the one where
+|omega - F1| is smaller; a is that float, with no further refinement.
 
-A piece whose two ends share a sign holds no root, because the function is
-monotone on it; the solver returns at once instead of walking down
-towards 0.  F1's critical points do not depend on omega, so they are found
-once per (params, gamma) and kept in a small bounded cache: a sweep row and
-the four mass_Q points of eval_J_mass_fd all share one gamma.
+F1's critical points do not depend on omega, so they are found once per
+(params, gamma) and kept in a small bounded cache, which a sweep row, the
+four mass_Q points of eval_J_mass_fd and ``boundary.omega_star`` share.
 
 Everything here is scalar float arithmetic on purpose: grid sweeps call
 find_a once per cell and the numpy dispatch overhead would dominate.
@@ -76,54 +75,31 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
     def phi(s: float) -> float:
         return omega - (cp * s ** ep + cq * s ** eq + cr * s ** er)
 
-    def size(s: float) -> float:
-        # the size of F1's terms at s, the scale of phi's round-off there
-        return (abs(omega) + abs(cp) * s ** ep + abs(cq) * s ** eq
-                + abs(cr) * s ** er)
+    def tol(s: float) -> float:
+        # slack for phi at s, scaled by the size of F1's terms there
+        return _TOUCH_TOL * (1.0 + (abs(omega) + abs(cp) * s ** ep
+                                    + abs(cq) * s ** eq + abs(cr) * s ** er))
 
     crits = _f1_critical_points(params, gamma)
-
-    if params.a3 > 0:
-        # F1 -> +inf: a crossing always exists; find S past it
-        bracket = grow(phi, crits[-1] if crits else 0.0, 1.0)
-        if bracket is None:
-            return None
-        pts = [0.0] + list(crits) + [bracket[0]]
-    else:
-        # F1 -> -inf: a crossing needs max F1 >= omega
-        if not crits:
-            return None
-        vals = [omega - phi(c) for c in crits]
-        k = max(range(len(crits)), key=lambda i: vals[i])
-        peak_s, peak_v = crits[k], vals[k]
-        tol = _TOUCH_TOL * (1.0 + size(peak_s))
-        if peak_v < omega - tol:
-            return None
-        if abs(peak_v - omega) <= tol:
-            return peak_s  # double zero: the touch point itself
-        pts = [0.0] + [c for c in crits if c < peak_s] + [peak_s]
-
+    # *D: F1 -> -inf, and a crossing needs its peak, crits[-1], to reach omega
+    if params.a3 < 0 and (not crits or phi(crits[-1]) > tol(crits[-1])):
+        return None
     # sign of phi just right of 0: omega when omega > 0, else -sign(a1)*0+
-    f_prev = omega if omega > 0.0 else -params.a1 * 5e-324
-    last = pts[-1]
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        f_hi = phi(hi)
-        if hi is not last:
-            # critical point: a |phi| below round-off scale is a double zero
-            # (exactly-on-curve inputs must not fall to the far branch)
-            if abs(f_hi) <= _TOUCH_TOL * (1.0 + size(hi)):
-                return hi
-        if f_hi == 0.0 or (f_hi > 0.0) != (f_prev > 0.0):
-            return _bisect(phi, lo, hi, f_prev, f_hi)
-        f_prev = f_hi
-    return None
-
-
-def _uprime_scale(params: NonlinearityParams, omega: float, gamma: float,
-                  a: float) -> float:
-    """Size of the terms of U'(a), the scale BOUNDARY_TOL is relative to."""
-    t = terms(params, gamma)
-    return power_sum([abs(c) for c in t.up], t.e, a, lead=abs(omega))
+    lo, f_lo = 0.0, (omega if omega > 0.0 else -params.a1 * 5e-324)
+    for c in crits:
+        f_c = phi(c)
+        # a |phi| below round-off scale at a critical point is a double zero
+        # (exactly-on-curve inputs must not fall to the far branch)
+        if abs(f_c) <= tol(c):
+            return c
+        if (f_c > 0.0) != (f_lo > 0.0):
+            return _bisect(phi, lo, c, f_lo, f_c)
+        lo, f_lo = c, f_c
+    # F1 -> +inf: the crossing lies past the last critical point
+    bracket = grow(phi, lo, f_lo)
+    if bracket is None:
+        return None
+    return _bisect(phi, lo, bracket[0], f_lo, bracket[1])
 
 
 def find_a(params: NonlinearityParams, omega: float, gamma: float):
@@ -144,7 +120,9 @@ def _profile(params: NonlinearityParams, omega: float, gamma: float):
         return None
     t = terms(params, gamma)
     up = power_sum(t.up, t.e, a, lead=omega)
-    tol = BOUNDARY_TOL * (1.0 + _uprime_scale(params, omega, gamma, a))
+    # |U'(a)| is measured against the size of its terms
+    tol = BOUNDARY_TOL * (1.0 + power_sum([abs(c) for c in t.up], t.e, a,
+                                          lead=abs(omega)))
     on_b = abs(up) <= tol
     return ProfileResult(a=a, uprime_at_a=up, exists=(not on_b and up < 0.0),
                          on_boundary=on_b)

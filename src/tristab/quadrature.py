@@ -47,6 +47,7 @@ some inputs, which would change panel errors and so the refinement order.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -89,25 +90,17 @@ _W_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 _EPS = float(np.finfo(float).eps)
 
 
-class QuadratureResult(object):
+@dataclass(slots=True, eq=False)
+class QuadratureResult:
     """One integral: value, error estimate, panels used, whether the error
     met the tolerance, and why refinement stopped (``stop``): "tolerance",
     "roundoff", "budget" or "width_floor"."""
 
-    __slots__ = ("value", "abs_error", "n_panels", "converged", "stop")
-
-    def __init__(self, value, abs_error, n_panels, converged, stop):
-        self.value = value
-        self.abs_error = abs_error
-        self.n_panels = n_panels
-        self.converged = converged
-        self.stop = stop
-
-    def __repr__(self):
-        return ("QuadratureResult(value=%r, abs_error=%r, n_panels=%d, "
-                "converged=%r, stop=%r)" % (self.value, self.abs_error,
-                                            self.n_panels, self.converged,
-                                            self.stop))
+    value: float
+    abs_error: float
+    n_panels: int
+    converged: bool
+    stop: str
 
 
 def _dots(Y, w):

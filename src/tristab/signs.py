@@ -15,7 +15,7 @@ adjacent floats, and returns the end where |f| is smaller; ``grow`` finds
 a bracket's upper end by doubling.  Every root in the package comes from
 this pair, and no root is refined after it: the roots counted here, the
 amplitude a and, through ``roots``, F1's critical points in ``profile``,
-and the curve inversion behind ``boundary.omega_star``.  Both are scalar
+among which ``boundary.omega_star`` finds the curve's a.  Both are scalar
 float arithmetic, since their callers evaluate one point at a time.
 """
 

@@ -3,9 +3,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tristab import profile
 from tristab import (
     NonlinearityParams,
     NotOnCurve,
@@ -156,6 +159,9 @@ def test_gamma_omega_ne_requires_positive_a():
 OMEGA_STAR_REFERENCE = [
     pytest.param(FF234, 1.7888543819998317,
                  "0.165634664999984421956235086573", 0.0, id="FF-gamma1"),
+    # nextafter(gamma1, inf): the two critical points lie 2.6e-15 apart
+    pytest.param(FF234, 1.788854381999832,
+                 "0.165634664999984373141878990838", 3.0, id="FF-gamma1-next"),
     pytest.param(FF234, 1.8973665961,
                  "0.146401743526456592073241853518", 1.8, id="FF-1.897"),
     pytest.param(FF234, 2.5,
@@ -170,6 +176,18 @@ OMEGA_STAR_REFERENCE = [
                  "0.272165526975908677577476008301", 0.0, id="FD-0"),
     pytest.param(FD367, 5.0,
                  "0.0764582234337649241744305347662", 0.597, id="FD-5"),
+    # the fold lies past 2^600, where a doubling search from 1 gives up
+    pytest.param(NonlinearityParams(1.05, 1.1, 1.15, sign3=-1), -1e6,
+                 "147892196267785291.881297054912", 3.0, id="FD-narrow-m1e6"),
+    # draws where F1's critical point is 15 and 221 ulps off the curve's a
+    pytest.param(NonlinearityParams(2.3775760470481004, 6.209339712641411,
+                                    6.9176011107389535, sign3=-1),
+                 -5.985359100700759, "80554.7247576313399407735704156",
+                 8.35, id="FD-draw"),
+    pytest.param(NonlinearityParams(1.0799951193559598, 3.689732179129587,
+                                    3.8257930503296023, sign1=-1, sign3=-1),
+                 -2.0259055229638427, "31796.3040603688865830788694476",
+                 20.8, id="DD-draw"),
     # gamma1 - 1e-3
     pytest.param(DD357, -2.1223203435596427,
                  "0.000667295206167231420533454759815", 2120.0,
@@ -191,3 +209,86 @@ def test_omega_star_matches_high_precision_inversion(params, gamma,
     ulps = abs(Fraction(omega_star(params, gamma)) - exact) \
         / Fraction(math.ulp(float(exact)))
     assert ulps <= 4.0 * max(1.0, kappa)
+
+
+def _fold(params, gamma):
+    """(omega_star, kappa) at gamma: a 50-digit bisection of
+    gamma_ne(a) = gamma in ln a over the case's a-range.  kappa is
+    |omega_star'(gamma)| G / omega_star, with G the sum of the absolute
+    terms of gamma_ne(a), the scale of its round-off in floats.  G = |gamma|
+    unless the terms cancel, as they do in the FD case near gamma = 0, so
+    kappa is the condition number of the table above except there."""
+    with mpmath.workdps(50):
+        p, q, r = (mpmath.mpf(x) for x in (params.p, params.q, params.r))
+        a1, a3, g = params.a1, params.a3, mpmath.mpf(gamma)
+
+        def terms(a):
+            k = (q + 1) / (q - 1)
+            return (k * a1 * (p - 1) / (p + 1) * a ** ((p - q) / 2),
+                    k * a3 * (r - 1) / (r + 1) * a ** ((r - q) / 2))
+
+        if params.case == "FF":
+            lo = hi = ((q - p) * (p - 1) * (r + 1)
+                       / ((r - q) * (r - 1) * (p + 1))) ** (2 / (r - p))
+        elif params.case == "DD":
+            lo = hi = ((q - p) * (r + 1) / ((r - q) * (p + 1))) ** (2 / (r - p))
+        else:
+            lo = hi = mpmath.mpf(1)
+        while params.case != "DD" and sum(terms(lo)) <= g:
+            lo /= 2
+        while params.case != "FF" and sum(terms(hi)) >= g:
+            hi *= 2
+        lo, hi = mpmath.log(lo), mpmath.log(hi)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if sum(terms(mpmath.exp(mid))) > g else (lo, mid)
+        a = mpmath.exp((lo + hi) / 2)
+        omega = (2 * a1 * (q - p) / ((q - 1) * (p + 1)) * a ** ((p - 1) / 2)
+                 - 2 * a3 * (r - q) / ((q - 1) * (r + 1)) * a ** ((r - 1) / 2))
+        # omega_star'(gamma) = -2 a^{(q-1)/2} / (q+1)
+        slope = 2 * a ** ((q - 1) / 2) / (q + 1)
+        return omega, float(slope * sum(abs(t) for t in terms(a)) / abs(omega))
+
+
+@st.composite
+def curve_points(draw):
+    """An FF, FD or DD triple and a gamma on its curve: FD gamma in (-8, 8),
+    FF and DD gamma 1e-3 to 10 past gamma1, on the admissible side."""
+    p = draw(st.floats(1.05, 6.0))
+    q = p + draw(st.floats(0.05, 4.0))
+    r = q + draw(st.floats(0.05, 4.0))
+    case = draw(st.sampled_from(["FF", "FD", "DD"]))
+    params = NonlinearityParams(p, q, r, sign1=-1 if case == "DD" else 1,
+                                sign3=1 if case == "FF" else -1)
+    if case == "FD":
+        return params, draw(st.floats(-8.0, 8.0))
+    gap = 10.0 ** draw(st.floats(-3.0, 1.0))
+    gamma1 = endpoints(params)[1]
+    return params, gamma1 + gap if case == "FF" else gamma1 - gap
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(curve_points())
+def test_omega_star_at_random_exponents(point):
+    params, gamma = point
+    exact, kappa = _fold(params, gamma)
+    ulps = abs(mpmath.mpf(omega_star(params, gamma)) - exact) \
+        / math.ulp(float(exact))
+    assert ulps <= 4.0 * max(1.0, kappa)
+
+
+def test_omega_star_without_a_critical_point_is_not_on_curve():
+    # at gamma = -1e300 F1's peak lies past the largest float
+    with pytest.raises(NotOnCurve):
+        omega_star(FD367, -1e300)
+
+
+def test_omega_star_shares_find_as_critical_points():
+    info = profile._f1_critical_points.cache_info
+    profile._f1_critical_points.cache_clear()
+    omega_star(FD367, -3.25)
+    assert info().misses == 1
+    find_a(DD357, 1.0, -6.5)
+    misses = info().misses
+    omega_star(DD357, -6.5)
+    assert info().misses == misses

@@ -227,6 +227,24 @@ def test_saddle_of_a_grid_without_params_reads_the_corner_mean(tmp_path):
                                 ((0.17500000000000002, 0.0), (0.2, 0.25))]
 
 
+def test_contour_paths_hold_python_floats(tmp_path):
+    # the interpolated coordinate was a numpy scalar; the JSON is unchanged
+    path = tmp_path / "saddle.csv"
+    path.write_text("gamma\\omega,0.1,0.2\n0,1,-1\n1,-1,1\n")
+    sets = extract_contours(import_grid_csv(str(path)), [0.0, -0.5])
+    assert all(type(x) is float
+               for cs in sets for seg in cs.paths for pt in seg for x in pt)
+    out = tmp_path / "contours.json"
+    export_contours_json(sets, str(out))
+    assert out.read_text() == (
+        '[{"params": {}, "level": 0.0, "paths": '
+        '[[[0.1, 0.5], [0.15000000000000002, 0.0]], '
+        '[[0.2, 0.5], [0.15000000000000002, 1.0]]]}, '
+        '{"params": {}, "level": -0.5, "paths": '
+        '[[[0.1, 0.75], [0.125, 1.0]], '
+        '[[0.17500000000000002, 0.0], [0.2, 0.25]]]}]\n')
+
+
 @pytest.mark.parametrize("text, where", [
     ("gamma\\omega,0.1,0.2,0.3\n0,1,2\n1,3,4\n", "line 2"),
     ("gamma\\omega,0.1,0.2\n", "no rows"),

@@ -356,6 +356,18 @@ def test_narrow_exponent_gap_with_a_far_critical_point(gamma):
     assert len(crits) == (2 if gamma > 0 else 0)
 
 
+def test_near_branch_is_found_before_a_critical_point_past_overflow():
+    # at FF(3, 5, 5.01) and gamma = 8 F1's second critical point is near
+    # 3.5e180, where s ** e_r overflows; the crossing on the first piece is
+    # found without looking past it
+    params = NonlinearityParams(3.0, 5.0, 5.01)
+    prof = find_a(params, 0.01, 8.0)
+    assert prof.exists and not prof.on_boundary
+    assert math.isclose(prof.a, 0.022334724078522886, rel_tol=1e-14)
+    grid = sweep_grid(params, (0.005, 0.02), (7.0, 9.0), 3, 3, jobs=1)
+    assert np.all(np.isfinite(grid.values))
+
+
 # A DD point on the curve where F1's terms exceed omega by about 2e4, so
 # phi is round-off over about 1e-4 relative around the peak of F1
 DD_FLAT_PEAK = NonlinearityParams(5.0, 5.207900562210743, 5.320054348093732,
