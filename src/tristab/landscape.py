@@ -96,12 +96,6 @@ def power_sum(c, e, s, lead=None):
     return out + c[1] * s ** e[1] + c[2] * s ** e[2]
 
 
-def one_minus_powers(u, e) -> list:
-    """1 - s^{e_l} at s = 1 - u^2, to full relative precision near u = 0."""
-    L = np.log1p(-u * u)
-    return [-np.expm1(x * L) for x in e]
-
-
 def _scalar(out):
     return float(out) if out.ndim == 0 else out
 

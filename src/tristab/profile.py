@@ -21,6 +21,8 @@ bracket's ends are adjacent floats and returns the one where
 F1's critical points do not depend on omega, so they are found once per
 (params, gamma) and kept in a small bounded cache, which a sweep row, the
 four mass_Q points of eval_J_mass_fd and ``boundary.omega_star`` share.
+``_f1_maxima`` caches, beside them, F1's local maxima with F1 and the size
+of its terms there, which J's error bar reads at every cell.
 
 Everything here is scalar float arithmetic on purpose: grid sweeps call
 find_a once per cell and the numpy dispatch overhead would dominate.
@@ -60,6 +62,23 @@ def _f1_critical_points(params: NonlinearityParams, gamma: float) -> tuple:
     t = terms(params, gamma)
     return tuple(roots([(c * e, e - 1.0) for c, e in zip(t.f1, t.e)
                         if c != 0.0], math.inf))
+
+
+@functools.lru_cache(maxsize=256)
+def _f1_maxima(params: NonlinearityParams, gamma: float) -> tuple:
+    """(c, F1(c), sum |f1_l| c^{e_l}) at each local maximum c of F1, the
+    critical points with F1''(c) < 0, ascending."""
+    t = terms(params, gamma)
+    out = []
+    for c in _f1_critical_points(params, gamma):
+        try:
+            f1 = [f * c ** e for f, e in zip(t.f1, t.e)]
+        except OverflowError:
+            break  # F1's terms overflow: no computed a lies past c
+        # c^2 F1''(c), which has the sign of F1''(c)
+        if sum(x * e * (e - 1.0) for x, e in zip(f1, t.e)) < 0.0:
+            out.append((c, sum(f1), sum(abs(x) for x in f1)))
+    return tuple(out)
 
 
 def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):

@@ -19,24 +19,36 @@ so each can serve as an oracle for the others:
   so all three agree bit for bit.
 * ``eval_J_raw``: the direct form
   (-1/(2U'(a))) * integral of (3 + s(U'(a)-U'(s))/U(s)) sqrt(s)/sqrt(U(s))
-  over [0, a], with the (a-s)^{-1/2} endpoint removed by s = a - u^2.
-  U(s)/s and U'(a) - U'(s) are sums of the differences 1 - (s/a)^e in
-  expm1/log1p form, so the bracket does not cancel near s = a.
+  over [0, a], on the same piecewise map, split at s = a/2.  With
+  V = U(s)/s and W = U'(a) - U'(s) the integrand is (3 + W/V) / sqrt(V).
+  On the right piece V and W are sums of the differences 1 - (s/a)^e in
+  expm1 form, so the bracket does not cancel near s = a; on the left they
+  are omega and U'(a) - omega less sums of powers of s/a, so they do not
+  cancel as s -> 0, and m flattens the s^{(p-1)/2} end there.
 * ``eval_J_mass_fd``: central finite difference of the mass integral
   ``mass_Q`` in omega at steps h and h/2, Richardson-extrapolated.  The mass
-  integrand is 2u / sqrt(V) after s = a - u^2, with the raw route's
-  cancellation-free V = U(s)/s.  Where the case has a curve at gamma, the
-  step is at most a quarter of the distance to omega_star(gamma), so the
-  stencil keeps to the query's side of it.  Its four stencil masses run
-  as one batched quadrature, each equal to ``mass_Q`` alone bit for bit,
-  and their quadrature errors enter its error bar.
+  integrand is 1 / sqrt(V) on the same map, with the raw route's V.  Where
+  the case has a curve at gamma, the step is at most a quarter of the
+  distance to omega_star(gamma), so the stencil keeps to the query's side
+  of it.  Its four stencil masses run as one batched quadrature at
+  rel_tol 3e-13, each equal to ``mass_Q`` alone bit for bit, and their
+  quadrature errors enter its error bar.
+
+The three routes share one map (``_piecewise``): x in [0, 2] in two
+initial panels that meet at s = a/2, s = a (1 - x^2/2) on the right and
+s = (a/2) (2 - x)^m on the left, m = ceil(2/(p-1)).
 
 The abs_error of ``eval_J``, ``eval_J0`` and ``eval_J_raw`` adds to the
-quadrature error the error J carries from a: the computed a is the exact
-zero at an omega off by at most eps S, S = |omega| + sum |f1_l| a^{e_l},
-and J moves by |J| eps S (2 |a^2 F1''(a)| / U'(a)^2 + 1/|U'(a)|) with it;
-the first part is one over the distance to the fold, the second the
-residual in the prefactor's U'(a).
+quadrature error two errors of the integrand that no quadrature sees.  The
+first is the error J carries from a: the computed a is the exact zero at
+an omega off by at most eps S, S = |omega| + sum |f1_l| a^{e_l}, and J
+moves by |J| eps S (2 |a^2 F1''(a)| / U'(a)^2 + 1/|U'(a)|) with it; the
+first part is one over the distance to the fold, the second the residual
+in the prefactor's U'(a).  The second is the round-off of the integrand's
+base where it nearly vanishes inside (0, a): at each local maximum c < a
+of F1, omega - F1 dips to delta = omega - F1(c), whose float sum is off by
+up to eps S(c), S(c) = |omega| + sum |f1_l| c^{e_l}, and J, which scales
+as 1/delta there, by |J| eps S(c) / delta.
 
 For defocusing-lowest-power (D*) cases with p < 7/3, the omega -> 0 limit
 J(0, gamma) is finite.  ``eval_J0`` computes it as the transformed route's
@@ -58,10 +70,13 @@ import numpy as np
 
 from .boundary import omega_star
 from .errors import DivergingIntegral, NoStandingWave, NotOnCurve, UnsupportedRegime
-from .landscape import Terms, one_minus_powers, terms
+from .landscape import Terms, terms
 from .model import NonlinearityParams
-from .profile import ProfileResult, _profile, find_a
-from .quadrature import QuadratureResult, integrate, integrate_many
+from .profile import ProfileResult, _f1_maxima, _profile, find_a
+# every route batches with integrate_many; integrate stays importable here
+# because perfbench's traced run wraps stability.integrate
+from .quadrature import (QuadratureResult, integrate,  # noqa: F401
+                         integrate_many)
 
 _SQRT2 = math.sqrt(2.0)
 _LN_HALF = math.log(0.5)
@@ -129,43 +144,50 @@ def _sentinel(params, omega, gamma, method: str) -> StabilityValue:
                           diverging=True, method=method)
 
 
-# -- transformed route -------------------------------------------------------
+# -- the piecewise map of all three routes -----------------------------------
 
 
-def _batch_integrand(e: Sequence[float], m: int,
-                     rows: Sequence[Sequence[float]]) -> Callable:
+def _piecewise(e: Sequence[float], m: int, rows: Sequence[Sequence[float]],
+               form: Callable, power: float) -> Callable:
     """Integrand in x on [0, 2] for a batch of cells, vectorized.
 
-    e holds the exponents (l-1)/2 of the p, q and r powers.  Cell k has one
-    row (n0, d0, cnp, cnq, cnr, cdp, cdq, cdr): N(a, 0) = 2 omega + U'(a),
-    D(a, 0) = omega/2 and ``Terms.nd_row`` at its gamma and powers a_k^e.
-    On the right piece, x in [0, 1], s = 1 - x^2/2 with Jacobian x, and N
-    and D are cn* and cd* times 1 - s^e = -expm1(e log1p(-x^2/2)).  On the
-    left, x in [1, 2], s = 0.5 t^m with t = 2 - x and Jacobian
-    0.5 m t^{m-1}, and N = n0 - sum cn* s^e, D = d0 - sum cd* s^e with
-    s^e = exp(e (ln 0.5 + m ln t)).  g(x, cells) evaluates row i of x, one
-    panel, for cell cells[i], as ``integrate_many`` expects, elementwise;
-    a panel lies on one side of x = 1 and takes that side's form alone.
+    Every route integrates over sigma = s/a in [0, 1], split at 1/2.  On the
+    right piece, x in [0, 1], sigma = 1 - x^2/2 with Jacobian x; on the
+    left, x in [1, 2], sigma = 0.5 t^m with t = 2 - x and Jacobian
+    0.5 m t^{m-1}, which flattens the s^{(p-1)/2} end at s = 0 once
+    m (p-1)/2 >= 1.  e holds the exponents (l-1)/2 of the p, q and r
+    powers.  Cell i has one row of K constants z_j followed by K triples
+    c_j, and sum j is sum_l c_jl (1 - sigma^{e_l}) on the right, with
+    1 - sigma^e = -expm1(e log1p(-x^2/2)), which keeps its relative
+    precision as sigma -> 1, and z_j - sum_l c_jl sigma^{e_l} on the left,
+    with sigma^e = exp(e (ln 0.5 + m ln t)), whose terms need not cancel
+    where they are far larger than z_j.  form(sums) gives the pair
+    (B, P), and the integrand is P B^{-power} times the Jacobian where B > 0,
+    else 0; on the left the Jacobian and B^{-power} are one exp, since at
+    omega = 0 both underflow near t = 0, where their ratio stays of order
+    one.  g(x, cells) evaluates row i of x, one panel, for cell cells[i],
+    as ``integrate_many`` expects, elementwise; a panel lies on one side of
+    x = 1 and takes that side's form alone.
     """
+    n_sums = len(rows[0]) // 4
     table = np.array(rows).T[:, :, None]
     ln_half_m = math.log(0.5 * m)
 
+    def triples(c, E):
+        return [c[j] * E[0] + c[j + 1] * E[1] + c[j + 2] * E[2]
+                for j in range(n_sums, 4 * n_sums, 3)]
+
     def left(x, c):
-        n0, d0, cnp, cnq, cnr, cdp, cdq, cdr = c
         ln_t = np.log(2.0 - x)
         ln_s = _LN_HALF + m * ln_t
-        Sp, Sq, Sr = [np.exp(ex * ln_s) for ex in e]
-        N = n0 - (cnp * Sp + cnq * Sq + cnr * Sr)
-        D = d0 - (cdp * Sp + cdq * Sq + cdr * Sr)
-        # the Jacobian over D^{3/2} as one exp: at omega = 0 both underflow
-        # near t = 0, where their ratio stays of order one
-        return D, N * np.exp(ln_half_m + (m - 1) * ln_t - 1.5 * np.log(D))
+        B, P = form([z - y for z, y in zip(
+            c, triples(c, [np.exp(ex * ln_s) for ex in e]))])
+        return B, P * np.exp(ln_half_m + (m - 1) * ln_t - power * np.log(B))
 
     def right(x, c):
-        _, _, cnp, cnq, cnr, cdp, cdq, cdr = c
-        Ep, Eq, Er = [-np.expm1(ex * np.log1p(-0.5 * x * x)) for ex in e]
-        D = cdp * Ep + cdq * Eq + cdr * Er
-        return D, x * (cnp * Ep + cnq * Eq + cnr * Er) / D ** 1.5
+        L = np.log1p(-0.5 * x * x)
+        B, P = form(triples(c, [-np.expm1(ex * L) for ex in e]))
+        return B, x * P / B ** power
 
     # one cell multiplies by plain floats: on arrays this small,
     # broadcasting a (k, 1) column costs twice as much
@@ -177,14 +199,51 @@ def _batch_integrand(e: Sequence[float], m: int,
         n_left = np.count_nonzero(on_left)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if n_left in (0, len(x)):
-                D, f = (left if n_left else right)(x, c)
+                B, f = (left if n_left else right)(x, c)
             else:
-                D, f = np.empty_like(x), np.empty_like(x)
-                for side, form in ((on_left, left), (~on_left, right)):
-                    D[side], f[side] = form(x[side], c if one else c[:, side])
-            return np.where(D > 0.0, f, 0.0)
+                B, f = np.empty_like(x), np.empty_like(x)
+                for side, piece in ((on_left, left), (~on_left, right)):
+                    B[side], f[side] = piece(x[side],
+                                             c if one else c[:, side])
+            return np.where(B > 0.0, f, 0.0)
 
     return g
+
+
+def _n_over_d(sums):
+    N, D = sums
+    return D, N
+
+
+def _raw_bracket(sums):
+    V, W = sums
+    return V, 3.0 + W / V
+
+
+def _unit(sums):
+    return sums[0], 1.0
+
+
+def _batch_integrand(e: Sequence[float], m: int,
+                     rows: Sequence[Sequence[float]]) -> Callable:
+    """The transformed route's integrand N / D^{3/2} on the piecewise map.
+
+    Cell k has one row (n0, d0, cnp, cnq, cnr, cdp, cdq, cdr):
+    N(a, 0) = 2 omega + U'(a), D(a, 0) = omega/2 and ``Terms.nd_row`` at its
+    gamma and powers a_k^e.
+    """
+    return _piecewise(e, m, rows, _n_over_d, 1.5)
+
+
+def _left_m(params: NonlinearityParams) -> int:
+    """The left piece's m at omega > 0: its s^{(p-1)/2} terms are flat once
+    m (p-1)/2 >= 1."""
+    return math.ceil(2.0 / (params.p - 1.0))
+
+
+def _scaled(powers, *triples) -> tuple:
+    """The coefficients of each triple times the powers a^{e_l}."""
+    return tuple(c * x for triple in triples for c, x in zip(triple, powers))
 
 
 def _root_error(t: Terms, omega: float, up: float, powers) -> float:
@@ -204,6 +263,27 @@ def _root_error(t: Terms, omega: float, up: float, powers) -> float:
     return _EPS * size * (2.0 * abs(curvature) / (up * up) + 1.0 / abs(up))
 
 
+def _maxima_error(params: NonlinearityParams, omega: float, gamma: float,
+                  a: float) -> float:
+    """Relative error that J carries from the dips of its integrand's base.
+
+    At a local maximum c < a of F1, omega - F1(s), and with it D(a, s/a)
+    and V, dips to delta = omega - F1(c), and the part of J near c scales
+    as 1/delta.  Their float sums are off by up to eps S(c),
+    S(c) = |omega| + sum |f1_l| c^{e_l}, so J is off by eps S(c) / delta
+    relative.  c, F1(c) and the sum come from the cache beside F1's
+    critical points.
+    """
+    err = 0.0
+    for c, f1_c, size in _f1_maxima(params, gamma):
+        if c < a and omega > f1_c:
+            err += _EPS * (abs(omega) + size) / (omega - f1_c)
+    return err
+
+
+# -- transformed route -------------------------------------------------------
+
+
 def _transformed(params: NonlinearityParams, cells,
                  rel_tol: float) -> List[StabilityValue]:
     """J at each (omega, gamma, profile) cell.
@@ -214,7 +294,7 @@ def _transformed(params: NonlinearityParams, cells,
     takes its N/D row from the terms at its own gamma and its profile.
     The cells of one call are all at omega > 0 or all at omega = 0, which
     decides the left piece's m.  abs_error is the quadrature error times
-    |C| plus |J| ``_root_error``.
+    |C| plus |J| times ``_root_error`` and ``_maxima_error``.
     """
     out = [None] * len(cells)
     waves = []
@@ -236,22 +316,22 @@ def _transformed(params: NonlinearityParams, cells,
         omega, _, res = cells[i]
         rows.append((2.0 * omega + res.uprime_at_a, 0.5 * omega)
                     + t.nd_row(pw))
-    # the left end sets m: for omega > 0 its s^{(p-1)/2} terms, flat once
-    # m (p-1)/2 >= 1; at omega = 0 its s^{-3(p-1)/4} blow-up (p < 7/3),
+    # at omega = 0 the left end blows up like s^{-3(p-1)/4} (p < 7/3),
     # flattened with a margin of one
     if cells[waves[0]][0] > 0.0:
-        m = math.ceil(2.0 / (params.p - 1.0))
+        m = _left_m(params)
     else:
         m = max(2, math.ceil(4.0 / (7.0 - 3.0 * params.p)) + 1)
     quads = integrate_many(_batch_integrand(e, m, rows), 0.0, 2.0,
                            len(waves), rel_tol=rel_tol, max_panels=2000,
                            initial=2)
     for i, t, quad, pw in zip(waves, tables, quads, powers):
-        omega, _, res = cells[i]
+        omega, gamma, res = cells[i]
         C = -res.a / (4.0 * _SQRT2 * res.uprime_at_a)
         j = C * quad.value
         err = (abs(C) * quad.abs_error
-               + abs(j) * _root_error(t, omega, res.uprime_at_a, pw))
+               + abs(j) * (_root_error(t, omega, res.uprime_at_a, pw)
+                           + _maxima_error(params, omega, gamma, res.a)))
         out[i] = StabilityValue(j=j, abs_error=err, diverging=False,
                                 method="transformed",
                                 converged=quad.converged)
@@ -292,56 +372,15 @@ def eval_J_row(params: NonlinearityParams, omegas: Sequence[float],
 # -- raw route ---------------------------------------------------------------
 
 
-def _difference_sums(t: Terms, amplitudes, *triples) -> Callable:
-    """The sums sum_l c_l a^{e_l} E_l, E_l = 1 - (s/a)^{e_l}, at s = a - u^2,
-    one per coefficient triple c, for a batch of amplitudes a.
-
-    With c = f1 the sum is V = U(s)/s (as F1(a) = omega), with c = up it is
-    W = U'(a) - U'(s); E_l is in expm1/log1p form, so neither cancels near
-    s = a.  The returned sums(u, cells) evaluates row i of u at amplitude
-    amplitudes[cells[i]], elementwise; a batch of one ignores cells and
-    multiplies by plain floats.
-    """
-    rows = []
-    for a in amplitudes:
-        powers = [a ** e for e in t.e]
-        rows.append([math.sqrt(a)] + [c * x for triple in triples
-                                      for c, x in zip(triple, powers)])
-    table = np.array(rows).T[:, :, None]
-
-    def sums(u, cells):
-        root, *c = table[:, cells] if len(rows) > 1 else rows[0]
-        Ep, Eq, Er = one_minus_powers(u / root, t.e)
-        return [c[k] * Ep + c[k + 1] * Eq + c[k + 2] * Er
-                for k in range(0, len(c), 3)]
-
-    return sums
-
-
-def _raw_integrand(t: Terms, a: float) -> Callable:
-    """Integrand in u after s = a - u^2, written so that nothing cancels.
-
-    The integrand 2u (3 + s (U'(a) - U'(s)) / U(s)) sqrt(s / U(s)) is
-    2u (3 + W/V) / sqrt(V) with the ``_difference_sums`` V and W.
-    """
-    vw = _difference_sums(t, [a], t.f1, t.up)
-
-    def g(u):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            V, W = vw(u, None)
-            safe = V > 0.0
-            V = np.where(safe, V, 1.0)
-            out = np.where(safe, 2.0 * u * (3.0 + W / V) / np.sqrt(V), 0.0)
-        return out
-
-    return g
-
-
 def eval_J_raw(params: NonlinearityParams, omega: float, gamma: float,
                rel_tol: float = 1e-9) -> StabilityValue:
-    """J via the direct integrand on [0, a]; oracle for the transformed route.
+    """J via the direct integrand on [0, a]; a check on the transformed route.
 
-    abs_error carries the same ``_root_error`` as ``eval_J``.
+    (-1/(2U'(a))) times the integral of (3 + W/V) / sqrt(V) ds with
+    V = U(s)/s and W = U'(a) - U'(s), on the piecewise map: a times the
+    integral in x, with V and W the sums of rows (omega, U'(a) - omega,
+    f1_l a^{e_l}, up_l a^{e_l}).  abs_error carries the same
+    ``_root_error`` and ``_maxima_error`` as ``eval_J``.
     """
     res = _require_profile(params, omega, gamma)
     if res.on_boundary:
@@ -349,19 +388,25 @@ def eval_J_raw(params: NonlinearityParams, omega: float, gamma: float,
     a, up = res.a, res.uprime_at_a
     t = terms(params, gamma)
     powers = [a ** e for e in t.e]
-    pref = -1.0 / (2.0 * up)
-    quad = integrate(_raw_integrand(t, a), 0.0, math.sqrt(a),
-                     rel_tol=rel_tol, max_panels=2000, initial=2)
+    row = (omega, up - omega) + _scaled(powers, t.f1, t.up)
+    quad, = integrate_many(_piecewise(t.e, _left_m(params), [row],
+                                      _raw_bracket, 0.5),
+                           0.0, 2.0, 1, rel_tol=rel_tol, max_panels=2000,
+                           initial=2)
+    pref = -a / (2.0 * up)
     j = pref * quad.value
-    return StabilityValue(j=j,
-                          abs_error=(abs(pref) * quad.abs_error
-                                     + abs(j) * _root_error(t, omega, up,
-                                                            powers)),
-                          diverging=False, method="raw",
+    err = (abs(pref) * quad.abs_error
+           + abs(j) * (_root_error(t, omega, up, powers)
+                       + _maxima_error(params, omega, gamma, a)))
+    return StabilityValue(j=j, abs_error=err, diverging=False, method="raw",
                           converged=quad.converged)
 
 
 # -- mass and finite-difference route ----------------------------------------
+
+
+# the stencil masses' tolerance: their errors enter J's bar times 1/h
+_MASS_TOL = 3e-13
 
 
 def _masses(params: NonlinearityParams, omegas: Sequence[float],
@@ -371,8 +416,8 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
     Every profile is found before anything is integrated, in the order of
     omegas, so the first omega without a wave raises NoStandingWave and the
     first on the nonexistence curve DivergingIntegral.  Integrand k is
-    2u / sqrt(V) on its own interval [0, sqrt(a_k)] after s = a_k - u^2,
-    with the raw route's cancellation-free V = U(s)/s.
+    1 / sqrt(V) on the piecewise map, V the sum of the row
+    (omega_k, f1_l a_k^{e_l}); its value and error are a_k times those in x.
     """
     amplitudes = []
     for omega in omegas:
@@ -383,23 +428,17 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
                 "omega=%g, gamma=%g" % (omega, gamma))
         amplitudes.append(res.a)
     t = terms(params, gamma)
-    v = _difference_sums(t, amplitudes, t.f1)
-
-    def g(u, cells):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            V, = v(u, cells)
-            safe = V > 0.0
-            out = np.where(safe, 2.0 * u / np.sqrt(np.where(safe, V, 1.0)),
-                           0.0)
-        return out
-
-    return integrate_many(g, 0.0, [math.sqrt(a) for a in amplitudes],
-                          len(omegas), rel_tol=rel_tol, max_panels=2000,
-                          initial=2)
+    rows = [(omega,) + _scaled([a ** e for e in t.e], t.f1)
+            for omega, a in zip(omegas, amplitudes)]
+    quads = integrate_many(_piecewise(t.e, _left_m(params), rows, _unit, 0.5),
+                           0.0, 2.0, len(omegas), rel_tol=rel_tol,
+                           max_panels=2000, initial=2)
+    return [replace(q, value=a * q.value, abs_error=a * q.abs_error)
+            for q, a in zip(quads, amplitudes)]
 
 
 def mass_Q(params: NonlinearityParams, omega: float, gamma: float,
-           rel_tol: float = 1e-11) -> float:
+           rel_tol: float = _MASS_TOL) -> float:
     """Profile mass integral Q = int_0^a sqrt(s)/sqrt(U(s)) ds.
 
     Raises NoStandingWave when no profile exists and DivergingIntegral when
@@ -417,10 +456,11 @@ def eval_J_mass_fd(params: NonlinearityParams, omega: float,
     has a curve at gamma, to a quarter of the distance to omega_star, so
     the stencil keeps to the query's side of the curve; shrunk further if a
     stencil point falls outside the existence region.  The four stencil
-    masses are one batch.  j is the extrapolated (4 d_{h/2} - d_h) / 3 of
-    the steps h and h/2.  abs_error is the Richardson estimate plus the
-    quadrature error of each difference amplified by its 1/(2h) or 1/h, and
-    converged holds only when all four quadratures converged.
+    masses are one batch, at mass_Q's tolerance.  j is the extrapolated
+    (4 d_{h/2} - d_h) / 3 of the steps h and h/2.  abs_error is the
+    Richardson estimate plus the quadrature error of each difference
+    amplified by its 1/(2h) or 1/h, and converged holds only when all four
+    quadratures converged.
     """
     res = _require_profile(params, omega, gamma)
     if res.on_boundary:
@@ -435,7 +475,7 @@ def eval_J_mass_fd(params: NonlinearityParams, omega: float,
         try:
             q = _masses(params, [omega + h, omega - h,
                                  omega + 0.5 * h, omega - 0.5 * h],
-                        gamma, 1e-11)
+                        gamma, _MASS_TOL)
         except (NoStandingWave, DivergingIntegral) as exc:
             last_exc = exc
             h *= 0.25

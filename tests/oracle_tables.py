@@ -14,6 +14,10 @@ terms of D(a, 0) = omega/2 are a million times larger or more.  Three
 points with rounded exponents follow.  The oracle works at 40 digits plus
 the log10 of that ratio, since its own phi = omega - F1 cancels alike.
 
+ROUTE_DRAWS are two draws of the same generator run 3,000 times where
+eval_J_raw missed the oracle by more than its bar, at the same digits as
+CANCELLATION_DRAWS.
+
 J0_POINTS are J(0, gamma).  There the integrand grows like s^{-3(p-1)/4} at
 s = 0, and tanh-sinh drops the nodes within about 10^-dps of that end,
 which misses 7e-5 of J at p = 2.2 and 8% at p = 2.3.  So the first
@@ -40,6 +44,10 @@ from tristab.landscape import terms  # noqa: E402
 ROUNDED = [(3.344, 6.611, 7.134, 1, 1, 0.4183, 4.005),
            (2.800, 5.851, 6.542, 1, 1, 0.1539, 7.125),
            (2.042, 5.365, 5.942, -1, 1, 0.02018, 6.006)]
+ROUTE = [(4.49484084073488, 5.294512391695198, 6.764033611233371, -1, 1,
+          0.24185080938609663, 4.727690316154831),
+         (3.042523005635259, 5.80203106446864, 9.399823420461601, -1, 1,
+          22.079026441988322, 5.988076350044629)]
 J0_GAMMAS = [((1.3, 1.8, 2.5, -1, 1), (-10.0, -3.0, 0.0, 3.0, 10.0)),
              ((2.2, 2.8, 4.0, -1, 1), (-10.0, 0.0, 10.0)),
              ((2.0, 2.5, 3.0, -1, 1), (-1000.0, 0.0, 1000.0)),
@@ -94,18 +102,26 @@ def flattened_quad(k):
     return flat
 
 
+def print_draw(pt, rat=None):
+    """One table row at 40 digits plus the log10 of the ratio."""
+    if rat is None:
+        params = NonlinearityParams(*pt[:3], sign1=pt[3], sign3=pt[4])
+        rat = ratio(params, pt[5], pt[6], find_a(params, *pt[5:]).a)
+    j, err = reference(pt, 40 + max(0, math.ceil(math.log10(rat))))
+    print("    (%r, %r, %r, %d, %d,\n     %r, %r, %r, %.2g),"
+          % (pt + (j, err)), flush=True)
+
+
 def main():
     print("CANCELLATION_DRAWS = [")
     found = sorted(draws(), key=lambda d: d[1])
-    picked = [d for d in found if d[1] >= 1e6]
-    picked += [(pt, None) for pt in ROUNDED]
-    for pt, rat in picked:
-        params = NonlinearityParams(*pt[:3], sign1=pt[3], sign3=pt[4])
-        if rat is None:
-            rat = ratio(params, pt[5], pt[6], find_a(params, *pt[5:]).a)
-        j, err = reference(pt, 40 + max(0, math.ceil(math.log10(rat))))
-        print("    (%r, %r, %r, %d, %d,\n     %r, %r, %r, %.2g),"
-              % (pt + (j, err)), flush=True)
+    for pt, rat in [d for d in found if d[1] >= 1e6]:
+        print_draw(pt, rat)
+    for pt in ROUNDED:
+        print_draw(pt)
+    print("]\n\nROUTE_DRAWS = [")
+    for pt in ROUTE:
+        print_draw(pt)
     print("]\n\nJ0_POINTS = [")
     for (p, q, r, s1, s3), gammas in J0_GAMMAS:
         oracle.mp.quad = flattened_quad(
