@@ -4,7 +4,7 @@ The nonlinearity is a1 |u|^{p-1} u + a2 |u|^{q-1} u + a3 |u|^{r-1} u with
 1 < p < q < r.  After scaling, only the signs of a1 and a3 and the reduced
 middle coefficient gamma = -a2 remain.  The package computes the standing
 wave profile amplitude a(omega, gamma), the nonexistence curve, the slope
-stability functional J(omega, gamma) by three independent methods, its
+stability functional J(omega, gamma), checked by two further routes, its
 limit classifications, and exportable stability diagrams.
 """
 
@@ -12,8 +12,8 @@ from .errors import (DivergingIntegral, NoStandingWave, NotOnCurve,
                      UnsupportedRegime)
 from .model import (NonlinearityParams, ScalingReduction, classify_case,
                     normalize)
-from .landscape import (LandscapeEval, eval_F1, eval_ND, eval_U, u_prime,
-                        u_second, u_value)
+from .landscape import (LandscapeEval, eval_F1, eval_U, u_prime, u_second,
+                        u_value)
 from .quadrature import QuadratureResult, integrate, integrate_many
 from .special import (BetaDerivBounds, beta_deriv_bounds, beta_fn, dbeta_dx,
                       digamma, h_fn, log_gamma, two_power_integral)
@@ -36,8 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DivergingIntegral", "NoStandingWave", "NotOnCurve", "UnsupportedRegime",
     "NonlinearityParams", "ScalingReduction", "classify_case", "normalize",
-    "LandscapeEval", "eval_F1", "eval_ND", "eval_U", "u_prime", "u_second",
-    "u_value",
+    "LandscapeEval", "eval_F1", "eval_U", "u_prime", "u_second", "u_value",
     "QuadratureResult", "integrate", "integrate_many",
     "BetaDerivBounds", "beta_deriv_bounds", "beta_fn", "dbeta_dx", "digamma",
     "h_fn", "log_gamma", "two_power_integral",

@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exponents(sp)
     sp.add_argument("--omega", type=float, required=True)
     sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--rel-tol", type=float, default=1e-9)
 
     sp = sub.add_parser("eval-j0", help="J(0, gamma) for D* cases, p < 7/3")
     _add_exponents(sp)
@@ -210,14 +209,9 @@ def _cmd_eval_j(ns) -> int:
     # evaluate everything before printing so a failed existence check
     # does not leave a dangling table header on stdout
     rows = []
-    for name, fn in (
-            ("transformed",
-             lambda: eval_J(params, ns.omega, ns.gamma, rel_tol=ns.rel_tol)),
-            ("raw",
-             lambda: eval_J_raw(params, ns.omega, ns.gamma,
-                                rel_tol=ns.rel_tol)),
-            ("mass_fd", lambda: eval_J_mass_fd(params, ns.omega, ns.gamma))):
-        v = fn()
+    for name, fn in (("transformed", eval_J), ("raw", eval_J_raw),
+                     ("mass_fd", eval_J_mass_fd)):
+        v = fn(params, ns.omega, ns.gamma)
         rows.append("%-12s %-20s %-16s %s"
                     % (name, format_float(v.j, 12),
                        format_float(v.abs_error, 12), v.verdict()))

@@ -52,16 +52,6 @@ class ContourSet:
     params: Optional[NonlinearityParams] = None
 
 
-def _cell_value(params: NonlinearityParams, omega: float,
-                gamma: float) -> float:
-    # plain floats: numpy scalars slow the per-point root find and
-    # quadrature down severalfold over a 200x200 mesh
-    try:
-        return eval_J(params, float(omega), float(gamma)).j
-    except NoStandingWave:
-        return math.nan
-
-
 # the fewest cells one task of a sweep holds: its rows' quadratures run as
 # one batch, and a bound on the block keeps memory flat on large grids
 _BLOCK_CELLS = 256
@@ -236,12 +226,14 @@ def extract_contours(grid: DiagramGrid,
                                  mean=0.25 * (va + vb + vc + vd)):
                     if grid.params is None:
                         return mean > level
-                    wc = 0.5 * (x0 + x1)
-                    gc = 0.5 * (y0 + y1)
-                    jc = _cell_value(grid.params, wc, gc)
-                    if math.isfinite(jc):
-                        return jc > level
-                    return False
+                    # eval_J is looked up at call time, where a tracer can
+                    # wrap it; no wave or the curve at the centre: not above
+                    try:
+                        jc = eval_J(grid.params, 0.5 * (x0 + x1),
+                                    0.5 * (y0 + y1)).j
+                    except NoStandingWave:
+                        return False
+                    return math.isfinite(jc) and jc > level
 
                 segments.extend(_cell_segments(x0, x1, y0, y1,
                                                fa, fb, fc, fd, center_above))

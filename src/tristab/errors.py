@@ -19,4 +19,4 @@ class DivergingIntegral(Exception):
 
 
 class UnsupportedRegime(Exception):
-    """The requested quantity has no finite value in this exponent regime."""
+    """The requested quantity has no finite float value in this regime."""

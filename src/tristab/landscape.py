@@ -163,24 +163,3 @@ def eval_U(params: NonlinearityParams, omega: float, gamma: float, s) -> Landsca
         first_deriv=u_prime(params, omega, gamma, s),
         second_deriv=u_second(params, gamma, s),
     )
-
-
-def eval_ND(params: NonlinearityParams, gamma: float, a: float, s):
-    """Numerator and denominator base of the transformed slope integrand.
-
-    N(a,s) = a1 (5-p) A_p - gamma (5-q) A_q + a3 (5-r) A_r
-    D(a,s) = a1 A_p       - gamma A_q       + a3 A_r
-
-    When a is the first zero of U, the identity 2*a*s*D(a,s) = U(a*s) makes
-    D positive on [0, 1).  Returns the pair (N, D), vectorized over s, from
-    the coefficient rows the J integrand uses.
-    """
-    if a <= 0.0:
-        raise ValueError("need amplitude a > 0")
-    t = terms(params, gamma)
-    s = np.asarray(s, dtype=float)
-    row = t.nd_row([a ** e for e in t.e])
-    E = [1.0 - s ** e for e in t.e]
-    N = row[0] * E[0] + row[1] * E[1] + row[2] * E[2]
-    D = row[3] * E[0] + row[4] * E[1] + row[5] * E[2]
-    return _scalar(N), _scalar(D)

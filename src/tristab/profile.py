@@ -34,6 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 
+from .errors import UnsupportedRegime
 from .landscape import power_sum, terms
 from .model import NonlinearityParams
 from .signs import bisect as _bisect, grow, roots
@@ -85,14 +86,20 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
     """First positive zero of phi(s) = omega - F1(s), or None.
 
     A boundary double zero (*D cases: F1 max exactly omega) is returned as
-    the touch point itself.
+    the touch point itself.  Raises UnsupportedRegime where F1's terms
+    overflow before the crossing: a lies beyond the float range.
     """
     t = terms(params, gamma)
     cp, cq, cr = t.f1
     ep, eq, er = t.e
 
     def phi(s: float) -> float:
-        return omega - (cp * s ** ep + cq * s ** eq + cr * s ** er)
+        try:
+            return omega - (cp * s ** ep + cq * s ** eq + cr * s ** er)
+        except OverflowError:
+            raise UnsupportedRegime(
+                "the amplitude at omega=%g, gamma=%g lies beyond the float "
+                "range: F1's terms overflow" % (omega, gamma)) from None
 
     def tol(s: float) -> float:
         # slack for phi at s, scaled by the size of F1's terms there

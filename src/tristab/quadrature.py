@@ -5,9 +5,9 @@ nodes, error per panel follows the classic QUADPACK refinement, and panels
 are split worst-first from a heap.  All integrands in this package are
 bounded after substitution, so a finite-interval rule is enough.
 
-One kernel, ``integrate_many``, runs m integrands side by side, over one
-shared interval or over one interval per integrand.  Each keeps its own
-heap, panel budget, width floor, round-off counters and stopping test.  In
+One kernel, ``integrate_many``, runs m integrands side by side over one
+shared interval.  Each keeps its own heap, panel budget, round-off
+counters and stopping test, and all share the interval's width floor.  In
 every round the worst panel of each unfinished integrand is bisected, and
 the integrand is called once, on the nodes of all the new halves (and once
 on all the initial panels before the first round).  ``integrate`` is a
@@ -165,13 +165,12 @@ _ROFF1_STOP = 6
 _ROFF2_STOP = 20
 
 
-def integrate_many(f, lo, hi, m: int,
+def integrate_many(f, lo: float, hi: float, m: int,
                    rel_tol: float = 1e-9, max_panels: int = 2000,
                    initial: int = 1) -> List[QuadratureResult]:
     """Integrate m integrands adaptively, side by side.
 
-    lo and hi are either floats, one interval [lo, hi] for every integrand,
-    or sequences of m bounds, the interval of each integrand.  f(x, cells)
+    Every integrand runs over the one interval [lo, hi].  f(x, cells)
     receives a (k, 15) float array whose row i holds the nodes of one panel
     of integrand cells[i] (a list of k indices in range(m)), and returns the
     k x 15 values.  Each integrand is refined exactly as it would be alone:
@@ -183,25 +182,15 @@ def integrate_many(f, lo, hi, m: int,
     (hi <= lo) gives 0 without calling f.  Returns one QuadratureResult per
     integrand.
     """
-    los = [float(lo)] * m if np.ndim(lo) == 0 else [float(v) for v in lo]
-    his = [float(hi)] * m if np.ndim(hi) == 0 else [float(v) for v in hi]
-    if len(los) != m or len(his) != m:
-        raise ValueError("need one interval bound per integrand (m = %d)" % m)
+    lo, hi = float(lo), float(hi)
+    if hi <= lo:
+        return [QuadratureResult(0.0, 0.0, 0, True, "tolerance")
+                for _ in range(m)]
     initial = max(1, int(initial))
-    results = [None] * m
-    live = []
-    for c, (a, b) in enumerate(zip(los, his)):
-        if b <= a:
-            results[c] = QuadratureResult(0.0, 0.0, 0, True, "tolerance")
-        else:
-            live.append(c)
-    if not live:
-        return results
-    edges = np.linspace([los[c] for c in live], [his[c] for c in live],
-                        initial + 1, axis=1)
-    cells = [c for c in live for _ in range(initial)]
-    span_lo = edges[:, :-1].ravel().tolist()
-    span_hi = edges[:, 1:].ravel().tolist()
+    edges = np.linspace(lo, hi, initial + 1).tolist()
+    cells = [c for c in range(m) for _ in range(initial)]
+    span_lo = edges[:-1] * m
+    span_hi = edges[1:] * m
     vals, errs, absols = _round(f, span_lo, span_hi, cells)
     heaps = [[] for _ in range(m)]
     totals = [0.0] * m
@@ -218,9 +207,9 @@ def integrate_many(f, lo, hi, m: int,
     frozen = [0.0] * m
     iroff1 = [0] * m
     iroff2 = [0] * m
-    width_floors = [4.0 * _EPS * max(abs(a), abs(b), 1.0)
-                    for a, b in zip(los, his)]
-    active = [c for c in range(m) if results[c] is None]
+    width_floor = 4.0 * _EPS * max(abs(lo), abs(hi), 1.0)
+    results = [None] * m
+    active = list(range(m))
     while True:
         splits = []
         for c in active:
@@ -245,7 +234,7 @@ def integrate_many(f, lo, hi, m: int,
                                                   toterr <= tol, stop)
                     break
                 _, _, a, b, val, err, _ = heapq.heappop(heap)
-                if b - a <= width_floors[c]:
+                if b - a <= width_floor:
                     # cannot subdivide further in float; freeze its error
                     frozen[c] += err
                     errors[c] -= err

@@ -26,8 +26,6 @@ import sys
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class GeneralizedPolynomial:
@@ -50,15 +48,6 @@ class GeneralizedPolynomial:
             if e1 == e2:
                 raise ValueError("duplicate exponent %g" % e1)
         object.__setattr__(self, "terms", tuple(cleaned))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for coeff, expo in self.terms:
-            out = out + coeff * x ** expo
-        if out.ndim == 0:
-            return float(out)
-        return out
 
 
 def sign_changes(gp: GeneralizedPolynomial) -> int:

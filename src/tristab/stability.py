@@ -1,8 +1,7 @@
 """The slope functional J(omega, gamma) = d/d omega of the profile mass.
 
 Sign of J decides orbital stability of the standing wave: positive J means
-stable, negative unstable.  Three independent evaluation routes are provided
-so each can serve as an oracle for the others:
+stable, negative unstable.  ``eval_J`` answers; two more routes check it:
 
 * ``eval_J``: the transformed integrand C * N(a,s)/D(a,s)^{3/2} on [0,1],
   split at s = 1/2 and integrated as one integrand in x on [0, 2].  On
@@ -24,15 +23,17 @@ so each can serve as an oracle for the others:
   On the right piece V and W are sums of the differences 1 - (s/a)^e in
   expm1 form, so the bracket does not cancel near s = a; on the left they
   are omega and U'(a) - omega less sums of powers of s/a, so they do not
-  cancel as s -> 0, and m flattens the s^{(p-1)/2} end there.
+  cancel as s -> 0, and m flattens the s^{(p-1)/2} end there.  As
+  N = 6D + W and V = 2D, this is the transformed integrand times a
+  constant: it checks the coefficients, and ``eval_J_mass_fd`` the quadrature.
 * ``eval_J_mass_fd``: central finite difference of the mass integral
   ``mass_Q`` in omega at steps h and h/2, Richardson-extrapolated.  The mass
   integrand is 1 / sqrt(V) on the same map, with the raw route's V.  Where
   the case has a curve at gamma, the step is at most a quarter of the
   distance to omega_star(gamma), so the stencil keeps to the query's side
   of it.  Its four stencil masses run as one batched quadrature at
-  rel_tol 3e-13, each equal to ``mass_Q`` alone bit for bit, and their
-  quadrature errors enter its error bar.
+  relative tolerance 3e-13, each equal to ``mass_Q`` alone bit for bit,
+  and their quadrature errors enter its error bar.
 
 The three routes share one map (``_piecewise``): x in [0, 2] in two
 initial panels that meet at s = a/2, s = a (1 - x^2/2) on the right and
@@ -81,6 +82,11 @@ from .quadrature import (QuadratureResult, integrate,  # noqa: F401
 _SQRT2 = math.sqrt(2.0)
 _LN_HALF = math.log(0.5)
 _EPS = float(np.finfo(float).eps)
+
+# the quadratures' relative tolerances: J's on the transformed and raw
+# routes, and the stencil masses', whose errors enter J's bar times 1/h
+_J_TOL = 1e-9
+_MASS_TOL = 3e-13
 
 
 @dataclass(frozen=True)
@@ -224,17 +230,6 @@ def _unit(sums):
     return sums[0], 1.0
 
 
-def _batch_integrand(e: Sequence[float], m: int,
-                     rows: Sequence[Sequence[float]]) -> Callable:
-    """The transformed route's integrand N / D^{3/2} on the piecewise map.
-
-    Cell k has one row (n0, d0, cnp, cnq, cnr, cdp, cdq, cdr):
-    N(a, 0) = 2 omega + U'(a), D(a, 0) = omega/2 and ``Terms.nd_row`` at its
-    gamma and powers a_k^e.
-    """
-    return _piecewise(e, m, rows, _n_over_d, 1.5)
-
-
 def _left_m(params: NonlinearityParams) -> int:
     """The left piece's m at omega > 0: its s^{(p-1)/2} terms are flat once
     m (p-1)/2 >= 1."""
@@ -284,8 +279,7 @@ def _maxima_error(params: NonlinearityParams, omega: float, gamma: float,
 # -- transformed route -------------------------------------------------------
 
 
-def _transformed(params: NonlinearityParams, cells,
-                 rel_tol: float) -> List[StabilityValue]:
+def _transformed(params: NonlinearityParams, cells) -> List[StabilityValue]:
     """J at each (omega, gamma, profile) cell.
 
     A None profile gives NaN and a profile on the curve the signed
@@ -322,8 +316,8 @@ def _transformed(params: NonlinearityParams, cells,
         m = _left_m(params)
     else:
         m = max(2, math.ceil(4.0 / (7.0 - 3.0 * params.p)) + 1)
-    quads = integrate_many(_batch_integrand(e, m, rows), 0.0, 2.0,
-                           len(waves), rel_tol=rel_tol, max_panels=2000,
+    quads = integrate_many(_piecewise(e, m, rows, _n_over_d, 1.5), 0.0, 2.0,
+                           len(waves), rel_tol=_J_TOL, max_panels=2000,
                            initial=2)
     for i, t, quad, pw in zip(waves, tables, quads, powers):
         omega, gamma, res = cells[i]
@@ -338,16 +332,15 @@ def _transformed(params: NonlinearityParams, cells,
     return out
 
 
-def eval_J(params: NonlinearityParams, omega: float, gamma: float,
-           rel_tol: float = 1e-9) -> StabilityValue:
+def eval_J(params: NonlinearityParams, omega: float,
+           gamma: float) -> StabilityValue:
     """J via the transformed integrand at one point: a block of one cell."""
     res = _require_profile(params, omega, gamma)
-    return _transformed(params, [(omega, gamma, res)], rel_tol)[0]
+    return _transformed(params, [(omega, gamma, res)])[0]
 
 
 def eval_J_rows(params: NonlinearityParams, omegas: Sequence[float],
-                gammas: Sequence[float],
-                rel_tol: float = 1e-9) -> List[List[StabilityValue]]:
+                gammas: Sequence[float]) -> List[List[StabilityValue]]:
     """eval_J at every omega of each gamma row, the route of grid sweeps.
 
     Each value equals scalar ``eval_J`` at the same floats bit for bit; a
@@ -358,22 +351,22 @@ def eval_J_rows(params: NonlinearityParams, omegas: Sequence[float],
     omegas = [float(w) for w in omegas]
     gammas = [float(g) for g in gammas]
     values = _transformed(params, [(w, g, find_a(params, w, g))
-                                   for g in gammas for w in omegas], rel_tol)
+                                   for g in gammas for w in omegas])
     n = len(omegas)
     return [values[i * n:(i + 1) * n] for i in range(len(gammas))]
 
 
 def eval_J_row(params: NonlinearityParams, omegas: Sequence[float],
-               gamma: float, rel_tol: float = 1e-9) -> List[StabilityValue]:
+               gamma: float) -> List[StabilityValue]:
     """``eval_J_rows`` on the one gamma row."""
-    return eval_J_rows(params, omegas, [gamma], rel_tol)[0]
+    return eval_J_rows(params, omegas, [gamma])[0]
 
 
 # -- raw route ---------------------------------------------------------------
 
 
-def eval_J_raw(params: NonlinearityParams, omega: float, gamma: float,
-               rel_tol: float = 1e-9) -> StabilityValue:
+def eval_J_raw(params: NonlinearityParams, omega: float,
+               gamma: float) -> StabilityValue:
     """J via the direct integrand on [0, a]; a check on the transformed route.
 
     (-1/(2U'(a))) times the integral of (3 + W/V) / sqrt(V) ds with
@@ -391,7 +384,7 @@ def eval_J_raw(params: NonlinearityParams, omega: float, gamma: float,
     row = (omega, up - omega) + _scaled(powers, t.f1, t.up)
     quad, = integrate_many(_piecewise(t.e, _left_m(params), [row],
                                       _raw_bracket, 0.5),
-                           0.0, 2.0, 1, rel_tol=rel_tol, max_panels=2000,
+                           0.0, 2.0, 1, rel_tol=_J_TOL, max_panels=2000,
                            initial=2)
     pref = -a / (2.0 * up)
     j = pref * quad.value
@@ -405,12 +398,8 @@ def eval_J_raw(params: NonlinearityParams, omega: float, gamma: float,
 # -- mass and finite-difference route ----------------------------------------
 
 
-# the stencil masses' tolerance: their errors enter J's bar times 1/h
-_MASS_TOL = 3e-13
-
-
 def _masses(params: NonlinearityParams, omegas: Sequence[float],
-            gamma: float, rel_tol: float) -> List[QuadratureResult]:
+            gamma: float) -> List[QuadratureResult]:
     """The mass integral at every omega of one gamma, as one batch.
 
     Every profile is found before anything is integrated, in the order of
@@ -431,21 +420,20 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
     rows = [(omega,) + _scaled([a ** e for e in t.e], t.f1)
             for omega, a in zip(omegas, amplitudes)]
     quads = integrate_many(_piecewise(t.e, _left_m(params), rows, _unit, 0.5),
-                           0.0, 2.0, len(omegas), rel_tol=rel_tol,
+                           0.0, 2.0, len(omegas), rel_tol=_MASS_TOL,
                            max_panels=2000, initial=2)
     return [replace(q, value=a * q.value, abs_error=a * q.abs_error)
             for q, a in zip(quads, amplitudes)]
 
 
-def mass_Q(params: NonlinearityParams, omega: float, gamma: float,
-           rel_tol: float = _MASS_TOL) -> float:
+def mass_Q(params: NonlinearityParams, omega: float, gamma: float) -> float:
     """Profile mass integral Q = int_0^a sqrt(s)/sqrt(U(s)) ds.
 
     Raises NoStandingWave when no profile exists and DivergingIntegral when
     the profile sits on the nonexistence curve (double zero makes the
     integral infinite).
     """
-    return _masses(params, [omega], gamma, rel_tol)[0].value
+    return _masses(params, [omega], gamma)[0].value
 
 
 def eval_J_mass_fd(params: NonlinearityParams, omega: float,
@@ -475,7 +463,7 @@ def eval_J_mass_fd(params: NonlinearityParams, omega: float,
         try:
             q = _masses(params, [omega + h, omega - h,
                                  omega + 0.5 * h, omega - 0.5 * h],
-                        gamma, _MASS_TOL)
+                        gamma)
         except (NoStandingWave, DivergingIntegral) as exc:
             last_exc = exc
             h *= 0.25
@@ -494,8 +482,7 @@ def eval_J_mass_fd(params: NonlinearityParams, omega: float,
 # -- omega = 0 functional ----------------------------------------------------
 
 
-def eval_J0(params: NonlinearityParams, gamma: float,
-            rel_tol: float = 1e-9) -> StabilityValue:
+def eval_J0(params: NonlinearityParams, gamma: float) -> StabilityValue:
     """J(0, gamma), the omega -> 0 limit; D* cases with p < 7/3 only.
 
     The transformed route's cell at omega = 0 and a = a0, the first zero
@@ -518,5 +505,5 @@ def eval_J0(params: NonlinearityParams, gamma: float,
     if not res.exists:
         raise DivergingIntegral(
             "degenerate zero-frequency amplitude at gamma=%g" % gamma)
-    sv, = _transformed(params, [(0.0, gamma, res)], rel_tol)
+    sv, = _transformed(params, [(0.0, gamma, res)])
     return replace(sv, method="omega_zero")

@@ -79,6 +79,16 @@ def test_profile_a_not_found(capsys):
     assert "no standing wave" in err
 
 
+def test_profile_a_beyond_the_float_range_exits_1(capsys):
+    # F1's terms overflow before the crossing: an error line, no traceback
+    code, out, err = run_cli(capsys, "profile-a", "--p", "3", "--q", "5",
+                             "--r", "5.01", "--s1", "f", "--s3", "f",
+                             "--omega", "0.1", "--gamma", "8", "--no-timing")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "beyond the float range" in err
+
+
 def test_omega_star(capsys):
     code, out, _ = run_cli(capsys, "omega-star", "--p", "3", "--q", "5",
                            "--r", "7", "--s1", "+1", "--s3", "-1",

@@ -227,6 +227,71 @@ def test_saddle_of_a_grid_without_params_reads_the_corner_mean(tmp_path):
                                 ((0.17500000000000002, 0.0), (0.2, 0.25))]
 
 
+FD367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)
+
+
+def _joined_edges(grid):
+    """The pairs of cell edges that the level-0 paths of a one-cell grid
+    join, sorted."""
+    (w0, w1), (g0, g1) = grid.omega_axis, grid.gamma_axis
+
+    def edge(point):
+        w, g = point
+        if w == w0:
+            return "left"
+        if w == w1:
+            return "right"
+        return "bottom" if g == g0 else "top"
+
+    (cs,) = extract_contours(grid, [0.0])
+    return sorted(tuple(sorted((edge(path[0]), edge(path[-1]))))
+                  for path in cs.paths)
+
+
+ABOVE = [("bottom", "right"), ("left", "top")]
+NOT_ABOVE = [("bottom", "left"), ("right", "top")]
+
+
+@pytest.mark.parametrize("omegas, gammas, values, expect", [
+    # J(0.1, 0) = 7.50 above a corner mean of -1
+    pytest.param((0.05, 0.15), (-1.0, 1.0), [[1.0, -3.0], [-3.0, 1.0]],
+                 ABOVE, id="positive-centre"),
+    # J(0.5, -10) = -0.028 below a corner mean of 1
+    pytest.param((0.45, 0.55), (-11.0, -9.0), [[3.0, -1.0], [-1.0, 3.0]],
+                 NOT_ABOVE, id="negative-centre"),
+])
+def test_saddle_with_params_reads_eval_j_at_the_centre(monkeypatch, omegas,
+                                                       gammas, values,
+                                                       expect):
+    grid = synthetic_grid(values, omegas, gammas, params=FD367)
+    centres = []
+
+    def recorded(params, omega, gamma):
+        centres.append((params, omega, gamma))
+        return eval_J(params, omega, gamma)
+
+    # looked up in diagram at call time, where a tracer can wrap it
+    monkeypatch.setattr(diagram, "eval_J", recorded)
+    assert _joined_edges(grid) == expect
+    assert centres == [(FD367, 0.5 * sum(omegas), 0.5 * sum(gammas))]
+    # the corner mean alone joins them the other way
+    no_params = synthetic_grid(values, omegas, gammas, params=None)
+    assert _joined_edges(no_params) == (NOT_ABOVE if expect == ABOVE
+                                        else ABOVE)
+
+
+def test_saddle_with_no_wave_at_the_centre_reads_not_above():
+    # FD(3,6,7) has no wave at (5, 0): the centre is not above the level,
+    # though the corner mean, 1, is
+    with pytest.raises(NoStandingWave):
+        eval_J(FD367, 5.0, 0.0)
+    values = [[3.0, -1.0], [-1.0, 3.0]]
+    grid = synthetic_grid(values, (4.0, 6.0), (-1.0, 1.0), params=FD367)
+    assert _joined_edges(grid) == NOT_ABOVE
+    no_params = synthetic_grid(values, (4.0, 6.0), (-1.0, 1.0), params=None)
+    assert _joined_edges(no_params) == ABOVE
+
+
 def test_contour_paths_hold_python_floats(tmp_path):
     # the interpolated coordinate was a numpy scalar; the JSON is unchanged
     path = tmp_path / "saddle.csv"

@@ -8,7 +8,6 @@ import pytest
 from tristab import (
     NonlinearityParams,
     eval_F1,
-    eval_ND,
     eval_U,
     find_a,
     u_second,
@@ -117,6 +116,19 @@ def test_eval_a_bounded_near_one():
         vals = eval_A(l, 1.0, s) / (1.0 - s)
         assert np.all(np.isfinite(vals))
         assert np.all(np.abs(vals) <= (l - 1) / (l + 1) + 1e-6)
+
+
+def eval_ND(params, gamma, a, s):
+    """N(a, s) and D(a, s) of the transformed slope integrand, summed
+    directly from the term table: sum n_l a^{e_l} (1 - s^{e_l}) and the
+    same with d_l.  A reference for the tests; vectorized over s."""
+    t = terms(params, gamma)
+    s = np.asarray(s, dtype=float)
+    row = t.nd_row([a ** e for e in t.e])
+    E = [1.0 - s ** e for e in t.e]
+    N = row[0] * E[0] + row[1] * E[1] + row[2] * E[2]
+    D = row[3] * E[0] + row[4] * E[1] + row[5] * E[2]
+    return N, D
 
 
 def test_eval_nd_at_one():

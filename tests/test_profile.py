@@ -11,8 +11,10 @@ import pytest
 
 from tristab import (
     NonlinearityParams,
+    UnsupportedRegime,
     endpoints,
     eval_F1,
+    eval_J_mass_fd,
     eval_U,
     find_a,
     find_a0,
@@ -366,6 +368,17 @@ def test_near_branch_is_found_before_a_critical_point_past_overflow():
     assert math.isclose(prof.a, 0.022334724078522886, rel_tol=1e-14)
     grid = sweep_grid(params, (0.005, 0.02), (7.0, 9.0), 3, 3, jobs=1)
     assert np.all(np.isfinite(grid.values))
+
+
+@pytest.mark.parametrize("gamma", [8.0, 20.0])
+def test_amplitude_beyond_the_float_range_is_unsupported(gamma):
+    # at omega = 0.1 the crossing lies past the critical point near 3.5e180
+    # (gamma = 8) or 1.4e260 (gamma = 20), where F1's terms overflow; this
+    # raised a bare OverflowError from s ** e_r
+    params = NonlinearityParams(3.0, 5.0, 5.01)
+    for fn in (find_a, eval_J_mass_fd):
+        with pytest.raises(UnsupportedRegime, match="beyond the float range"):
+            fn(params, 0.1, gamma)
 
 
 # A DD point on the curve where F1's terms exceed omega by about 2e4, so

@@ -1,4 +1,5 @@
-"""Property tests: the root counts, the shared bisection and the amplitude.
+"""Property tests: the root counts, the shared bisection, the amplitude
+and the agreement of the three J routes.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -11,7 +12,11 @@ from hypothesis import given, settings, strategies as st
 from tristab import (
     GeneralizedPolynomial,
     NonlinearityParams,
+    UnsupportedRegime,
     count_positive_roots_sampled,
+    eval_J,
+    eval_J_mass_fd,
+    eval_J_raw,
     find_a,
     sign_changes,
 )
@@ -47,6 +52,15 @@ def nonlinearities(draw):
                               sign3=draw(st.sampled_from([-1, 1])))
 
 
+def value(gp, x):
+    """gp at the float x, summed term by term in numpy."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for coeff, expo in gp.terms:
+        out = out + coeff * x ** expo
+    return float(out)
+
+
 @derandomized
 @given(polynomials(), st.floats(0.1, 100.0))
 def test_root_count_never_exceeds_sign_changes(gp, s_max):
@@ -60,16 +74,16 @@ def test_every_bisection_root_brackets_a_sign_change(gp, lo):
     # the root is an exact zero, or it lies between two evaluated points,
     # adjacent floats, that carry the signs of the two ends
     # at lo = 0 the lowest-power term decides the sign just right of 0
-    flo = gp.terms[0][0] if lo == 0.0 else gp(lo)
+    flo = gp.terms[0][0] if lo == 0.0 else value(gp, lo)
     # the upper end: the first of lo + 2^k, k = -6 .. 6, where gp has the
     # other sign, else lo + 64, where the ends may share a sign
     hi = next((x for x in lo + 2.0 ** np.arange(-6.0, 7.0)
-               if (gp(x) > 0.0) != (flo > 0.0)), lo + 64.0)
-    fhi = gp(hi)
+               if (value(gp, x) > 0.0) != (flo > 0.0)), lo + 64.0)
+    fhi = value(gp, hi)
     seen = [(lo, flo), (hi, fhi)]
 
     def f(x):
-        seen.append((x, gp(x)))
+        seen.append((x, value(gp, x)))
         return seen[-1][1]
 
     root = signs.bisect(f, lo, hi, flo, fhi)
@@ -107,3 +121,36 @@ def test_amplitude_increases_in_gamma(params, omega, gamma, rise):
     if low is None or high is None or low.on_boundary or high.on_boundary:
         return
     assert low.a < high.a
+
+
+@st.composite
+def route_points(draw):
+    """(params, omega, gamma) from the route-agreement probe's distribution:
+    p U(1.05, 6), q - p and r - q U(0.05, 4), both outer signs, gamma
+    U(-8, 8) and omega 10^U(-2, 1.5)."""
+    p = draw(st.floats(1.05, 6.0))
+    q = p + draw(st.floats(0.05, 4.0))
+    r = q + draw(st.floats(0.05, 4.0))
+    params = NonlinearityParams(p, q, r, sign1=draw(st.sampled_from([-1, 1])),
+                                sign3=draw(st.sampled_from([-1, 1])))
+    omega = 10.0 ** draw(st.floats(-2.0, 1.5))
+    return params, omega, draw(st.floats(-8.0, 8.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(route_points())
+def test_three_routes_agree_within_their_bars(point):
+    params, omega, gamma = point
+    try:
+        res = find_a(params, omega, gamma)
+    except UnsupportedRegime:    # the amplitude lies beyond the float range
+        return
+    if res is None or res.on_boundary:
+        return
+    values = [route(params, omega, gamma)
+              for route in (eval_J, eval_J_raw, eval_J_mass_fd)]
+    if not all(v.converged for v in values):
+        return
+    for i, u in enumerate(values):
+        for v in values[i + 1:]:
+            assert abs(u.j - v.j) <= u.abs_error + v.abs_error, (u, v)

@@ -270,36 +270,6 @@ def test_reduce_matches_one_dot_product_per_row(k):
                                      for y, a, b in zip(Y, lo, hi)]
 
 
-def test_batch_with_one_interval_per_integrand_repeats_each_alone():
-    # the width floor 4 eps max(|lo|, |hi|, 1) is 4 eps on [0, 1] and
-    # 256 eps on [0, 64]: a floor shared by the batch would freeze the
-    # panel of x^-0.9 at 0 too early on [0, 1] or too late on [0, 64]
-    fs = [lambda x: x ** -0.9, lambda x: x ** -0.9, lambda x: 1.0 / np.sqrt(x),
-          np.exp, lambda x: np.sin(1.0 / (x + 0.001)), np.cos]
-    los = [0.0, 0.0, 0.0, 2.0, -0.5, 1.0]
-    his = [1.0, 64.0, 4.0, 2.0, 1.5, 0.5]
-
-    def batch(x, cells):
-        assert 3 not in cells and 5 not in cells   # empty intervals
-        out = np.empty_like(x)
-        for i, c in enumerate(cells):
-            out[i] = fs[c](x[i])
-        return out
-
-    kw = dict(rel_tol=1e-10, max_panels=150, initial=2)
-    results = integrate_many(batch, los, his, len(fs), **kw)
-    for f, lo, hi, res in zip(fs, los, his, results):
-        ref = integrate(f, lo, hi, **kw)
-        assert (res.value, res.abs_error, res.n_panels, res.converged) == \
-            (ref.value, ref.abs_error, ref.n_panels, ref.converged)
-    for frozen in results[:2]:
-        assert frozen.n_panels < 150 and not frozen.converged
-    assert (results[3].value, results[3].n_panels) == (0.0, 0)
-    assert (results[5].value, results[5].n_panels) == (0.0, 0)
-    with pytest.raises(ValueError):
-        integrate_many(batch, los[:-1], his, len(fs), **kw)
-
-
 def _noisy(x):
     # e^x with a deterministic relative wobble of 1e-7 from node to node:
     # no rule resolves it, so refinement only churns round-off-like noise
