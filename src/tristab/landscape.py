@@ -58,12 +58,6 @@ class Terms:
     n: tuple
     d: tuple
 
-    def nd_row(self, powers) -> tuple:
-        """The N then the D coefficients of 1 - s^{e_l} at the powers
-        a^{e_l} of amplitude a."""
-        return (tuple(c * x for c, x in zip(self.n, powers))
-                + tuple(c * x for c, x in zip(self.d, powers)))
-
 
 @functools.lru_cache(maxsize=256, typed=True)
 def terms(params: NonlinearityParams, gamma: float) -> Terms:

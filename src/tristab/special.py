@@ -1,10 +1,10 @@
 """Beta-family special functions coded in-repo.
 
-Everything reduces to a Lanczos log-gamma and a digamma built from the
-shift recurrence plus the asymptotic series, so no external
-special-function dependency is needed and the precision is pinned by the
-coefficients below.  On top of those sit the Beta function, its partial
-derivative in the first argument, the H combination
+Everything reduces to the standard library's ``math.lgamma`` and a
+digamma built from the shift recurrence plus the asymptotic series, so no
+external special-function dependency is needed.  On top of those sit the
+Beta function, its partial derivative in the first argument, the H
+combination
 
     H(x, y) = integral_0^1 t^{x-1} (1 - t^y) / (1-t)^{3/2} dt
             = -(2x - 1) B(x, 1/2) + (2x + 2y - 1) B(x + y, 1/2),
@@ -19,19 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 @dataclass(frozen=True)
 class BetaDerivBounds:
@@ -42,21 +29,11 @@ class BetaDerivBounds:
 
 
 def log_gamma(x: float) -> float:
-    """log |Gamma(x)| for x > 0, Lanczos approximation with g = 7, n = 9."""
+    """log |Gamma(x)| for x > 0."""
     x = float(x)
     if x <= 0.0:
         raise ValueError("log_gamma requires x > 0")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return (math.log(math.pi / math.sin(math.pi * x))
-                - log_gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return (0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t
-            + math.log(acc))
+    return math.lgamma(x)
 
 
 def digamma(x: float) -> float:

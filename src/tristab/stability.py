@@ -15,8 +15,9 @@ stable, negative unstable.  ``eval_J`` answers; two more routes check it:
   straddles the split.  ``eval_J_rows`` evaluates it at every omega of a
   block of gamma rows, with one batched quadrature for the whole block;
   ``eval_J_row`` is a block of one row and ``eval_J`` a block of one cell,
-  so all three agree bit for bit.
-* ``eval_J_raw``: the direct form
+  so all three agree bit for bit.  A cell with no standing wave, or whose
+  amplitude lies beyond the float range, is NaN in a block.
+* ``eval_J_raw``: a block of one cell of the direct form
   (-1/(2U'(a))) * integral of (3 + s(U'(a)-U'(s))/U(s)) sqrt(s)/sqrt(U(s))
   over [0, a], on the same piecewise map, split at s = a/2.  With
   V = U(s)/s and W = U'(a) - U'(s) the integrand is (3 + W/V) / sqrt(V).
@@ -37,7 +38,12 @@ stable, negative unstable.  ``eval_J`` answers; two more routes check it:
 
 The three routes share one map (``_piecewise``): x in [0, 2] in two
 initial panels that meet at s = a/2, s = a (1 - x^2/2) on the right and
-s = (a/2) (2 - x)^m on the left, m = ceil(2/(p-1)).
+s = (a/2) (2 - x)^m on the left, m = ceil(2/(p-1)).  A private route table
+(``_ROUTES``) gives each of ``transformed``, ``raw`` and ``mass`` its row
+(constants from omega and U'(a), then coefficient triples of the terms
+times a^{e_l}), its form, the power of its base and the k of its
+prefactor -a / (k U'(a)); one driver (``_quads``) packs the rows of a
+batch of cells and makes the module's one ``integrate_many`` call.
 
 The abs_error of ``eval_J``, ``eval_J0`` and ``eval_J_raw`` adds to the
 quadrature error two errors of the integrand that no quadrature sees.  The
@@ -64,6 +70,7 @@ lower-left side, negative on the FF upper-right side).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable, List, Sequence
 
@@ -241,6 +248,42 @@ def _scaled(powers, *triples) -> tuple:
     return tuple(c * x for triple in triples for c, x in zip(triple, powers))
 
 
+# the route table of the module docstring; a mass is a times its integral,
+# with no k
+_Route = namedtuple("_Route", "consts coefs form power k")
+_ROUTES = {
+    # N and D at s = 0: 2 omega + U'(a) and omega/2
+    "transformed": _Route(lambda omega, up: (2.0 * omega + up, 0.5 * omega),
+                          ("n", "d"), _n_over_d, 1.5, 4.0 * _SQRT2),
+    # V = U(s)/s and W = U'(a) - U'(s) at s = 0: omega and U'(a) - omega
+    "raw": _Route(lambda omega, up: (omega, up - omega), ("f1", "up"),
+                  _raw_bracket, 0.5, 2.0),
+    "mass": _Route(lambda omega, up: (omega,), ("f1",), _unit, 0.5, None),
+}
+
+
+def _quads(params: NonlinearityParams, cells, route: str, m: int,
+           tol: float):
+    """The route's integral in x at each (omega, gamma, profile) cell.
+
+    One ``integrate_many`` call over x in [0, 2], whose two initial panels
+    meet at the split x = 1.  A cell takes its row from the terms at its
+    own gamma and the powers a^{e_l} of its amplitude.  Returns the
+    quadratures, the term tables and the powers, cell by cell.
+    """
+    consts, coefs, form, power, _ = _ROUTES[route]
+    tables = [terms(params, gamma) for _, gamma, _ in cells]
+    e = tables[0].e  # the exponents depend on p, q, r alone
+    powers = [[res.a ** x for x in e] for _, _, res in cells]
+    rows = [consts(omega, res.uprime_at_a)
+            + _scaled(pw, *(getattr(t, name) for name in coefs))
+            for (omega, _, res), t, pw in zip(cells, tables, powers)]
+    quads = integrate_many(_piecewise(e, m, rows, form, power), 0.0, 2.0,
+                           len(cells), rel_tol=tol, max_panels=2000,
+                           initial=2)
+    return quads, tables, powers
+
+
 def _root_error(t: Terms, omega: float, up: float, powers) -> float:
     """Relative error that J carries from its amplitude a and from U'(a).
 
@@ -276,59 +319,50 @@ def _maxima_error(params: NonlinearityParams, omega: float, gamma: float,
     return err
 
 
-# -- transformed route -------------------------------------------------------
+# -- the J routes ------------------------------------------------------------
 
 
-def _transformed(params: NonlinearityParams, cells) -> List[StabilityValue]:
-    """J at each (omega, gamma, profile) cell.
+def _transformed(params: NonlinearityParams, cells,
+                 route: str) -> List[StabilityValue]:
+    """J by the transformed or the raw route at each (omega, gamma, profile)
+    cell.
 
     A None profile gives NaN and a profile on the curve the signed
-    sentinel; every other cell goes into one ``integrate_many`` call over
-    x in [0, 2], whose two initial panels meet at the split x = 1.  A cell
-    takes its N/D row from the terms at its own gamma and its profile.
-    The cells of one call are all at omega > 0 or all at omega = 0, which
-    decides the left piece's m.  abs_error is the quadrature error times
-    |C| plus |J| times ``_root_error`` and ``_maxima_error``.
+    sentinel; every other cell goes into one ``_quads`` batch.  The cells
+    of one call are all at omega > 0 or all at omega = 0, which decides the
+    left piece's m.  abs_error is the quadrature error times the prefactor
+    plus |J| times ``_root_error`` and ``_maxima_error``.
     """
     out = [None] * len(cells)
     waves = []
     for i, (omega, gamma, res) in enumerate(cells):
         if res is None:
             out[i] = StabilityValue(j=math.nan, abs_error=math.nan,
-                                    diverging=False, method="transformed")
+                                    diverging=False, method=route)
         elif res.on_boundary:
-            out[i] = _sentinel(params, omega, gamma, "transformed")
+            out[i] = _sentinel(params, omega, gamma, route)
         else:
             waves.append(i)
     if not waves:
         return out
-    tables = [terms(params, cells[i][1]) for i in waves]
-    e = tables[0].e  # the exponents depend on p, q, r alone
-    powers = [[cells[i][2].a ** x for x in e] for i in waves]
-    rows = []
-    for i, t, pw in zip(waves, tables, powers):
-        omega, _, res = cells[i]
-        rows.append((2.0 * omega + res.uprime_at_a, 0.5 * omega)
-                    + t.nd_row(pw))
     # at omega = 0 the left end blows up like s^{-3(p-1)/4} (p < 7/3),
     # flattened with a margin of one
     if cells[waves[0]][0] > 0.0:
         m = _left_m(params)
     else:
         m = max(2, math.ceil(4.0 / (7.0 - 3.0 * params.p)) + 1)
-    quads = integrate_many(_piecewise(e, m, rows, _n_over_d, 1.5), 0.0, 2.0,
-                           len(waves), rel_tol=_J_TOL, max_panels=2000,
-                           initial=2)
+    k = _ROUTES[route].k
+    quads, tables, powers = _quads(params, [cells[i] for i in waves], route,
+                                   m, _J_TOL)
     for i, t, quad, pw in zip(waves, tables, quads, powers):
         omega, gamma, res = cells[i]
-        C = -res.a / (4.0 * _SQRT2 * res.uprime_at_a)
-        j = C * quad.value
-        err = (abs(C) * quad.abs_error
+        pref = -res.a / (k * res.uprime_at_a)
+        j = pref * quad.value
+        err = (abs(pref) * quad.abs_error
                + abs(j) * (_root_error(t, omega, res.uprime_at_a, pw)
                            + _maxima_error(params, omega, gamma, res.a)))
         out[i] = StabilityValue(j=j, abs_error=err, diverging=False,
-                                method="transformed",
-                                converged=quad.converged)
+                                method=route, converged=quad.converged)
     return out
 
 
@@ -336,22 +370,32 @@ def eval_J(params: NonlinearityParams, omega: float,
            gamma: float) -> StabilityValue:
     """J via the transformed integrand at one point: a block of one cell."""
     res = _require_profile(params, omega, gamma)
-    return _transformed(params, [(omega, gamma, res)])[0]
+    return _transformed(params, [(omega, gamma, res)], "transformed")[0]
+
+
+def _find_a_in_range(params: NonlinearityParams, omega: float, gamma: float):
+    """find_a, with None where the amplitude lies beyond the float range."""
+    try:
+        return find_a(params, omega, gamma)
+    except UnsupportedRegime:
+        return None
 
 
 def eval_J_rows(params: NonlinearityParams, omegas: Sequence[float],
                 gammas: Sequence[float]) -> List[List[StabilityValue]]:
     """eval_J at every omega of each gamma row, the route of grid sweeps.
 
-    Each value equals scalar ``eval_J`` at the same floats bit for bit; a
-    point with no standing wave gives j = NaN instead of raising.  The
-    profiles are found one by one and the quadratures of all rows run as
-    one batch.
+    Each value equals scalar ``eval_J`` at the same floats bit for bit.  A
+    point with no standing wave, or whose amplitude lies beyond the float
+    range, gives j = NaN where scalar ``eval_J`` raises NoStandingWave or
+    UnsupportedRegime.  The profiles are found one by one and the
+    quadratures of all rows run as one batch.
     """
     omegas = [float(w) for w in omegas]
     gammas = [float(g) for g in gammas]
-    values = _transformed(params, [(w, g, find_a(params, w, g))
-                                   for g in gammas for w in omegas])
+    values = _transformed(params, [(w, g, _find_a_in_range(params, w, g))
+                                   for g in gammas for w in omegas],
+                          "transformed")
     n = len(omegas)
     return [values[i * n:(i + 1) * n] for i in range(len(gammas))]
 
@@ -362,37 +406,13 @@ def eval_J_row(params: NonlinearityParams, omegas: Sequence[float],
     return eval_J_rows(params, omegas, [gamma])[0]
 
 
-# -- raw route ---------------------------------------------------------------
-
-
 def eval_J_raw(params: NonlinearityParams, omega: float,
                gamma: float) -> StabilityValue:
-    """J via the direct integrand on [0, a]; a check on the transformed route.
-
-    (-1/(2U'(a))) times the integral of (3 + W/V) / sqrt(V) ds with
-    V = U(s)/s and W = U'(a) - U'(s), on the piecewise map: a times the
-    integral in x, with V and W the sums of rows (omega, U'(a) - omega,
-    f1_l a^{e_l}, up_l a^{e_l}).  abs_error carries the same
-    ``_root_error`` and ``_maxima_error`` as ``eval_J``.
-    """
+    """J via the direct integrand (3 + W/V) / sqrt(V) on [0, a], a check on
+    the transformed route: a block of one cell of the raw route, whose
+    abs_error is built as ``eval_J``'s."""
     res = _require_profile(params, omega, gamma)
-    if res.on_boundary:
-        return _sentinel(params, omega, gamma, "raw")
-    a, up = res.a, res.uprime_at_a
-    t = terms(params, gamma)
-    powers = [a ** e for e in t.e]
-    row = (omega, up - omega) + _scaled(powers, t.f1, t.up)
-    quad, = integrate_many(_piecewise(t.e, _left_m(params), [row],
-                                      _raw_bracket, 0.5),
-                           0.0, 2.0, 1, rel_tol=_J_TOL, max_panels=2000,
-                           initial=2)
-    pref = -a / (2.0 * up)
-    j = pref * quad.value
-    err = (abs(pref) * quad.abs_error
-           + abs(j) * (_root_error(t, omega, up, powers)
-                       + _maxima_error(params, omega, gamma, a)))
-    return StabilityValue(j=j, abs_error=err, diverging=False, method="raw",
-                          converged=quad.converged)
+    return _transformed(params, [(omega, gamma, res)], "raw")[0]
 
 
 # -- mass and finite-difference route ----------------------------------------
@@ -408,22 +428,17 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
     1 / sqrt(V) on the piecewise map, V the sum of the row
     (omega_k, f1_l a_k^{e_l}); its value and error are a_k times those in x.
     """
-    amplitudes = []
+    cells = []
     for omega in omegas:
         res = _require_profile(params, omega, gamma)
         if res.on_boundary:
             raise DivergingIntegral(
                 "mass integral diverges on the nonexistence curve at "
                 "omega=%g, gamma=%g" % (omega, gamma))
-        amplitudes.append(res.a)
-    t = terms(params, gamma)
-    rows = [(omega,) + _scaled([a ** e for e in t.e], t.f1)
-            for omega, a in zip(omegas, amplitudes)]
-    quads = integrate_many(_piecewise(t.e, _left_m(params), rows, _unit, 0.5),
-                           0.0, 2.0, len(omegas), rel_tol=_MASS_TOL,
-                           max_panels=2000, initial=2)
-    return [replace(q, value=a * q.value, abs_error=a * q.abs_error)
-            for q, a in zip(quads, amplitudes)]
+        cells.append((omega, gamma, res))
+    quads, _, _ = _quads(params, cells, "mass", _left_m(params), _MASS_TOL)
+    return [replace(q, value=res.a * q.value, abs_error=res.a * q.abs_error)
+            for q, (_, _, res) in zip(quads, cells)]
 
 
 def mass_Q(params: NonlinearityParams, omega: float, gamma: float) -> float:
@@ -505,5 +520,5 @@ def eval_J0(params: NonlinearityParams, gamma: float) -> StabilityValue:
     if not res.exists:
         raise DivergingIntegral(
             "degenerate zero-frequency amplitude at gamma=%g" % gamma)
-    sv, = _transformed(params, [(0.0, gamma, res)])
+    sv, = _transformed(params, [(0.0, gamma, res)], "transformed")
     return replace(sv, method="omega_zero")

@@ -209,6 +209,21 @@ def test_diagram_smoke(capsys, tmp_path):
     assert payload["level"] == -0.5
 
 
+def test_diagram_beyond_the_float_range_exits_0(capsys, tmp_path):
+    # the gamma = 6 and 8 rows lie beyond the float range: NaN cells, no
+    # error
+    code, out, err = run_cli(capsys, "diagram", "--p", "3", "--q", "5",
+                             "--r", "5.01", "--s1", "f", "--s3", "f",
+                             "--omega-min", "0.05", "--omega-max", "0.2",
+                             "--gamma-min", "0", "--gamma-max", "8",
+                             "--nx", "3", "--ny", "5", "--levels", "0",
+                             "--out-grid", str(tmp_path / "g.csv"),
+                             "--out-contours", str(tmp_path / "c.json"),
+                             "--jobs", "1", "--no-timing")
+    assert code == 0 and err == ""
+    assert "grid: 3 x 5 (6 nonexistent, 0 divergent)" in out
+
+
 def test_exit_code_2_on_bad_exponents(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--p", "3", "--q", "2", "--r", "4",

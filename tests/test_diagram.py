@@ -12,6 +12,7 @@ from tristab import (
     DiagramGrid,
     NonlinearityParams,
     NoStandingWave,
+    UnsupportedRegime,
     eval_J,
     eval_J_row,
     export_contours_json,
@@ -476,6 +477,21 @@ def test_sweep_row_wider_than_a_block_repeats_scalar_eval_j():
     expect = _scalar_grid(DD357, grid)
     assert _kinds(expect) == (True, True, True, True)
     assert grid.values.tobytes() == expect.tobytes()
+
+
+def test_sweep_gives_nan_where_the_amplitude_is_beyond_the_float_range():
+    # at gamma = 6 and 8, F1's terms overflow before the crossing: scalar
+    # eval_J raises, the sweep gives those cells NaN and keeps the rest
+    params = NonlinearityParams(3.0, 5.0, 5.01)
+    grid = sweep_grid(params, (0.05, 0.2), (0.0, 8.0), 3, 5, jobs=1)
+    assert list(grid.gamma_axis) == [0.0, 2.0, 4.0, 6.0, 8.0]
+    assert np.isnan(grid.values[3:]).all()
+    for g in grid.gamma_axis[3:]:
+        with pytest.raises(UnsupportedRegime):
+            eval_J(params, float(grid.omega_axis[0]), float(g))
+    expect = [[eval_J(params, float(w), float(g)).j
+               for w in grid.omega_axis] for g in grid.gamma_axis[:3]]
+    assert grid.values[:3].tobytes() == np.array(expect).tobytes()
 
 
 def test_eval_j_row_mixes_values_nan_and_sentinels():

@@ -124,7 +124,8 @@ def eval_ND(params, gamma, a, s):
     same with d_l.  A reference for the tests; vectorized over s."""
     t = terms(params, gamma)
     s = np.asarray(s, dtype=float)
-    row = t.nd_row([a ** e for e in t.e])
+    powers = [a ** e for e in t.e]
+    row = [c * x for triple in (t.n, t.d) for c, x in zip(triple, powers)]
     E = [1.0 - s ** e for e in t.e]
     N = row[0] * E[0] + row[1] * E[1] + row[2] * E[2]
     D = row[3] * E[0] + row[4] * E[1] + row[5] * E[2]

@@ -69,6 +69,46 @@ def test_transformed_value_regression():
     assert sv.verdict() == "stable"
 
 
+# (j, abs_error) of every J route at one interior point per case, as
+# float.hex: any change to the rows, the map, the quadrature or the bar
+# shows in the last bits
+PINNED_ROUTES = [
+    (FF234, 0.05, 0.0, {
+        "transformed": ("0x1.f84e89ec1a1aep+0", "0x1.7ec0d8fc0645cp-35"),
+        "raw": ("0x1.f84e89ec1a1adp+0", "0x1.7ec0fe30f81bap-35"),
+        "mass_fd": ("0x1.f84e89ec21e11p+0", "0x1.712d65ad65736p-29")}),
+    (FD367, 0.1, 0.0, {
+        "transformed": ("0x1.dfcfb677c680fp+2", "0x1.239c182cabbefp-42"),
+        "raw": ("0x1.dfcfb677c680fp+2", "0x1.23a15e8ab02adp-42"),
+        "mass_fd": ("0x1.dfcfb677bfe5dp+2", "0x1.9497b05cf0f70p-26")}),
+    (DF357, 1.0, 0.0, {
+        "transformed": ("-0x1.b5249fcc02e22p-2", "0x1.95e5e2b1609bap-39"),
+        "raw": ("-0x1.b5249fcc02e24p-2", "0x1.95e60a8f4ef05p-39"),
+        "mass_fd": ("-0x1.b5249fcbe962bp-2", "0x1.8a9a6c58fdab0p-29")}),
+    (DD357, 1.0, -5.0, {
+        "transformed": ("0x1.cb0c2e6146e9ap-8", "0x1.24f4fab4b8965p-39"),
+        "raw": ("0x1.cb0c2e6146e18p-8", "0x1.24f540f074d67p-39"),
+        "mass_fd": ("0x1.cb0c2e65b1d55p-8", "0x1.611d63e118a4fp-29")}),
+]
+
+
+@pytest.mark.parametrize("params, omega, gamma, pinned", PINNED_ROUTES,
+                         ids=["FF234", "FD367", "DF357", "DD357"])
+def test_every_route_is_pinned_bit_for_bit(params, omega, gamma, pinned):
+    for method in (eval_J, eval_J_raw, eval_J_mass_fd):
+        sv = method(params, omega, gamma)
+        assert sv.converged and not sv.diverging
+        assert (sv.j.hex(), sv.abs_error.hex()) == pinned[sv.method]
+
+
+def test_mass_and_j0_are_pinned_bit_for_bit():
+    assert mass_Q(FF234, 0.05, 0.0).hex() == "0x1.1042a26d0fe73p-4"
+    sv = eval_J0(NonlinearityParams(2.0, 3.0, 4.0, sign1=-1), 0.0)
+    assert sv.converged and sv.method == "omega_zero"
+    assert (sv.j.hex(), sv.abs_error.hex()) == ("-0x1.5e48e77ca53e9p+1",
+                                                "0x1.33e7261876fd9p-29")
+
+
 def test_three_methods_agree_spot():
     pts = [
         (FF234, 0.05, 0.0),
@@ -348,7 +388,9 @@ def test_transformed_integrand_is_n_over_d_at_borders(params, omega, gamma,
     x = np.where(right, math.sqrt(2.0) * u, 2.0 - t)
     jacobian = np.where(right, x, 0.5 * m * t ** (m - 1))
     table = terms(params, gamma)
-    row = table.nd_row([a ** e for e in table.e])
+    powers = [a ** e for e in table.e]
+    row = tuple(c * x for triple in (table.n, table.d)
+                for c, x in zip(triple, powers))
     # N and D summed directly: sum n_l a^{e_l} (1 - s^{e_l}) and alike
     E = [1.0 - s ** e for e in table.e]
     n = row[0] * E[0] + row[1] * E[1] + row[2] * E[2]
