@@ -6,7 +6,9 @@ positive from the lower-left side, negative from the FF upper-right side).
 Level curves come from marching squares on the linearly interpolated field;
 cells touching a sentinel corner are skipped rather than clamped, since every
 level curve accumulates on the nonexistence curve and clamping would
-fabricate geometry there.
+fabricate geometry there.  numpy picks, in row-major order, the cells whose
+four corners are finite and not all on one side of the level, and only those
+run the per-cell interpolation and saddle test.
 
 Serialization formats:
 
@@ -202,41 +204,40 @@ def extract_contours(grid: DiagramGrid,
     vals = grid.values
     wx = grid.omega_axis
     gy = grid.gamma_axis
-    ny, nx = vals.shape
+    # a cell's corners a, b, c, d as (ny - 1, nx - 1) views
+    corners = (vals[:-1, :-1], vals[:-1, 1:], vals[1:, 1:], vals[1:, :-1])
+    finite = np.logical_and.reduce([np.isfinite(v) for v in corners])
     out = []
     for level in levels:
         level = float(level)
         segments = []
-        for iy in range(ny - 1):
-            for ix in range(nx - 1):
-                va = vals[iy, ix]
-                vb = vals[iy, ix + 1]
-                vc = vals[iy + 1, ix + 1]
-                vd = vals[iy + 1, ix]
-                if not (math.isfinite(va) and math.isfinite(vb)
-                        and math.isfinite(vc) and math.isfinite(vd)):
-                    continue
-                fa, fb, fc, fd = va - level, vb - level, vc - level, vd - level
-                if (fa > 0.0) == (fb > 0.0) == (fc > 0.0) == (fd > 0.0):
-                    continue
-                x0, x1 = float(wx[ix]), float(wx[ix + 1])
-                y0, y1 = float(gy[iy]), float(gy[iy + 1])
+        above = [v - level > 0.0 for v in corners]
+        crossed = finite & np.logical_or.reduce(above) \
+            & ~np.logical_and.reduce(above)
+        for iy, ix in zip(*np.nonzero(crossed)):  # row-major order
+            va = vals[iy, ix]
+            vb = vals[iy, ix + 1]
+            vc = vals[iy + 1, ix + 1]
+            vd = vals[iy + 1, ix]
+            fa, fb, fc, fd = va - level, vb - level, vc - level, vd - level
+            x0, x1 = float(wx[ix]), float(wx[ix + 1])
+            y0, y1 = float(gy[iy]), float(gy[iy + 1])
 
-                def center_above(x0=x0, x1=x1, y0=y0, y1=y1, level=level,
-                                 mean=0.25 * (va + vb + vc + vd)):
-                    if grid.params is None:
-                        return mean > level
-                    # eval_J is looked up at call time, where a tracer can
-                    # wrap it; no wave or the curve at the centre: not above
-                    try:
-                        jc = eval_J(grid.params, 0.5 * (x0 + x1),
-                                    0.5 * (y0 + y1)).j
-                    except NoStandingWave:
-                        return False
-                    return math.isfinite(jc) and jc > level
+            def center_above(x0=x0, x1=x1, y0=y0, y1=y1, level=level,
+                             mean=0.25 * (va + vb + vc + vd)):
+                if grid.params is None:
+                    return mean > level
+                # eval_J is looked up at call time, where a tracer can
+                # wrap it; no wave or the curve at the centre: not above
+                try:
+                    jc = eval_J(grid.params, 0.5 * (x0 + x1),
+                                0.5 * (y0 + y1)).j
+                except NoStandingWave:
+                    return False
+                return math.isfinite(jc) and jc > level
 
-                segments.extend(_cell_segments(x0, x1, y0, y1,
-                                               fa, fb, fc, fd, center_above))
+            segments.extend(_cell_segments(x0, x1, y0, y1,
+                                           fa, fb, fc, fd, center_above))
         paths = tuple(tuple(path) for path in _join_segments(segments))
         out.append(ContourSet(level=level, paths=paths, params=grid.params))
     return out

@@ -26,7 +26,11 @@ def classify_case(sign1: int, sign3: int) -> str:
 
 @dataclass(frozen=True)
 class NonlinearityParams:
-    """Exponents (p, q, r) and outer signs of the normalized nonlinearity."""
+    """Exponents (p, q, r) and outer signs of the normalized nonlinearity.
+
+    Its hash, the dataclass's own, is computed once: the cached closed
+    forms are keyed on the params, several times per sweep cell.
+    """
 
     p: float
     q: float
@@ -47,6 +51,11 @@ class NonlinearityParams:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "sign1", int(self.sign1))
         object.__setattr__(self, "sign3", int(self.sign3))
+        object.__setattr__(self, "_hash", hash((p, q, r, self.sign1,
+                                                self.sign3)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def a1(self) -> float:

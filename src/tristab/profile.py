@@ -24,6 +24,9 @@ four mass_Q points of eval_J_mass_fd and ``boundary.omega_star`` share.
 ``_f1_maxima`` caches, beside them, F1's local maxima with F1 and the size
 of its terms there, which J's error bar reads at every cell.
 
+``_profile`` computes the powers a^{e_l} once, for U'(a) and its tolerance,
+and its result carries them to J's rows and error bar in ``stability``.
+
 Everything here is scalar float arithmetic on purpose: grid sweeps call
 find_a once per cell and the numpy dispatch overhead would dominate.
 """
@@ -32,10 +35,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import UnsupportedRegime
-from .landscape import power_sum, terms
+from .landscape import terms
 from .model import NonlinearityParams
 from .signs import bisect as _bisect, grow, roots
 
@@ -49,12 +52,17 @@ _TOUCH_TOL = 5e-13
 
 @dataclass(frozen=True)
 class ProfileResult:
-    """First zero of U and the existence verdict at one (omega, gamma)."""
+    """First zero of U and the existence verdict at one (omega, gamma).
+
+    powers holds a^{e_l}, the p, q and r powers of the amplitude, which
+    U'(a), its tolerance and every J row share; it is not compared or shown.
+    """
 
     a: float
     uprime_at_a: float
     exists: bool
     on_boundary: bool
+    powers: tuple = field(default=(), compare=False, repr=False)
 
 
 @functools.lru_cache(maxsize=256)
@@ -145,13 +153,16 @@ def _profile(params: NonlinearityParams, omega: float, gamma: float):
     if a is None:
         return None
     t = terms(params, gamma)
-    up = power_sum(t.up, t.e, a, lead=omega)
+    powers = x0, x1, x2 = tuple(a ** e for e in t.e)
+    c0, c1, c2 = t.up
+    # U'(a), summed as landscape.power_sum sums it
+    up = omega + c0 * x0 + c1 * x1 + c2 * x2
     # |U'(a)| is measured against the size of its terms
-    tol = BOUNDARY_TOL * (1.0 + power_sum([abs(c) for c in t.up], t.e, a,
-                                          lead=abs(omega)))
+    tol = BOUNDARY_TOL * (1.0 + (abs(omega) + abs(c0) * x0 + abs(c1) * x1
+                                 + abs(c2) * x2))
     on_b = abs(up) <= tol
     return ProfileResult(a=a, uprime_at_a=up, exists=(not on_b and up < 0.0),
-                         on_boundary=on_b)
+                         on_boundary=on_b, powers=powers)
 
 
 def find_a0(params: NonlinearityParams, gamma: float):

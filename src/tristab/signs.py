@@ -57,8 +57,8 @@ def sign_changes(gp: GeneralizedPolynomial) -> int:
 
 
 def bisect(f, lo: float, hi: float, flo: float, fhi: float):
-    """Root of f in (lo, hi) from the values (or signs) flo and fhi at the
-    ends, where f is monotone, so ends of one sign give None at once.
+    """Root of f in (lo, hi) from the values flo and fhi of f at the ends,
+    where f is monotone, so ends of one sign give None at once.
 
     At lo == 0, flo is the sign of f just right of 0, and lo walks down
     from hi by halving until f changes sign.  Then each step takes the
@@ -71,8 +71,8 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
     so a stalled false position still halves it every four steps.  It
     returns a step where f is zero, the midpoint after 200 steps, and once
     no float lies strictly between lo and hi, the one of the two with the
-    smaller |f|: two fresh calls, since the scaling has changed the stored
-    end values.
+    smaller |f|, from f's values there, kept apart from the scaled ones:
+    its calls of f are at distinct points.
     """
     if fhi == 0.0:
         return hi
@@ -96,6 +96,7 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
     # scaling keeps signs but may underflow a value to 0: test the sign of
     # lo's end, fixed from here on, not the scaled value
     pos = flo > 0.0
+    vlo, vhi = flo, fhi          # f's values at the ends, never scaled
     kept = 0                     # -1: lo was kept last step, +1: hi
     mark, steps = hi - lo, 0     # a width, and the steps taken since
     for _ in range(200):
@@ -117,14 +118,14 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
             if kept > 0:
                 m = 1.0 - fx / flo
                 fhi *= m if m > 0.0 else 0.5
-            lo, flo, kept = x, fx, 1
+            lo, flo, vlo, kept = x, fx, fx, 1
         else:
             if kept < 0:
                 m = 1.0 - fx / fhi
                 flo *= m if m > 0.0 else 0.5
-            hi, fhi, kept = x, fx, -1
+            hi, fhi, vhi, kept = x, fx, fx, -1
         if not lo < 0.5 * (lo + hi) < hi:
-            return lo if abs(f(lo)) <= abs(f(hi)) else hi
+            return lo if abs(vlo) <= abs(vhi) else hi
         if steps == 4 or hi - lo <= 0.5 * mark:
             mark, steps = hi - lo, 0
     return 0.5 * (lo + hi)

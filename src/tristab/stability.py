@@ -43,7 +43,10 @@ s = (a/2) (2 - x)^m on the left, m = ceil(2/(p-1)).  A private route table
 (constants from omega and U'(a), then coefficient triples of the terms
 times a^{e_l}), its form, the power of its base and the k of its
 prefactor -a / (k U'(a)); one driver (``_quads``) packs the rows of a
-batch of cells and makes the module's one ``integrate_many`` call.
+batch of cells and makes the module's one ``integrate_many`` call.  A
+batch pays once per cell only for what the cell owns: the powers a^{e_l}
+come with its profile, and the term tables and F1's local maxima are
+looked up once per gamma of the batch.
 
 The abs_error of ``eval_J``, ``eval_J0`` and ``eval_J_raw`` adds to the
 quadrature error two errors of the integrand that no quadrature sees.  The
@@ -55,7 +58,9 @@ in the prefactor's U'(a).  The second is the round-off of the integrand's
 base where it nearly vanishes inside (0, a): at each local maximum c < a
 of F1, omega - F1 dips to delta = omega - F1(c), whose float sum is off by
 up to eps S(c), S(c) = |omega| + sum |f1_l| c^{e_l}, and J, which scales
-as 1/delta there, by |J| eps S(c) / delta.
+as 1/delta there, by |J| eps S(c) / delta.  A quadrature that underflows
+to 0 +- 0 is not converged, so J reads indeterminate there, not an exact
+zero.
 
 For defocusing-lowest-power (D*) cases with p < 7/3, the omega -> 0 limit
 J(0, gamma) is finite.  ``eval_J0`` computes it as the transformed route's
@@ -243,11 +248,6 @@ def _left_m(params: NonlinearityParams) -> int:
     return math.ceil(2.0 / (params.p - 1.0))
 
 
-def _scaled(powers, *triples) -> tuple:
-    """The coefficients of each triple times the powers a^{e_l}."""
-    return tuple(c * x for triple in triples for c, x in zip(triple, powers))
-
-
 # the route table of the module docstring; a mass is a times its integral,
 # with no k
 _Route = namedtuple("_Route", "consts coefs form power k")
@@ -268,20 +268,26 @@ def _quads(params: NonlinearityParams, cells, route: str, m: int,
 
     One ``integrate_many`` call over x in [0, 2], whose two initial panels
     meet at the split x = 1.  A cell takes its row from the terms at its
-    own gamma and the powers a^{e_l} of its amplitude.  Returns the
-    quadratures, the term tables and the powers, cell by cell.
+    own gamma, looked up once per gamma of the batch, and the powers
+    a^{e_l} its profile carries.  Returns the quadratures, cell by cell,
+    and the term tables by gamma.
     """
     consts, coefs, form, power, _ = _ROUTES[route]
-    tables = [terms(params, gamma) for _, gamma, _ in cells]
-    e = tables[0].e  # the exponents depend on p, q, r alone
-    powers = [[res.a ** x for x in e] for _, _, res in cells]
-    rows = [consts(omega, res.uprime_at_a)
-            + _scaled(pw, *(getattr(t, name) for name in coefs))
-            for (omega, _, res), t, pw in zip(cells, tables, powers)]
+    tables = {g: terms(params, g) for g in {gamma for _, gamma, _ in cells}}
+    triples = {g: [getattr(t, name) for name in coefs]
+               for g, t in tables.items()}
+    rows = []
+    for omega, gamma, res in cells:
+        x0, x1, x2 = res.powers
+        row = consts(omega, res.uprime_at_a)
+        for c0, c1, c2 in triples[gamma]:
+            row += (c0 * x0, c1 * x1, c2 * x2)
+        rows.append(row)
+    e = tables[cells[0][1]].e  # the exponents depend on p, q, r alone
     quads = integrate_many(_piecewise(e, m, rows, form, power), 0.0, 2.0,
                            len(cells), rel_tol=tol, max_panels=2000,
                            initial=2)
-    return quads, tables, powers
+    return quads, tables
 
 
 def _root_error(t: Terms, omega: float, up: float, powers) -> float:
@@ -293,27 +299,26 @@ def _root_error(t: Terms, omega: float, up: float, powers) -> float:
     its prefactor divides by U'(a), whose residual is of the same eps S.
     Python floats throughout: a row of one must not pay numpy's overhead.
     """
-    size = abs(omega)
-    curvature = 0.0  # a^2 F1''(a)
-    for c, e, x in zip(t.f1, t.e, powers):
-        size += abs(c) * x
-        curvature += c * e * (e - 1.0) * x
+    (c0, c1, c2), (e0, e1, e2), (x0, x1, x2) = t.f1, t.e, powers
+    size = abs(omega) + abs(c0) * x0 + abs(c1) * x1 + abs(c2) * x2
+    # a^2 F1''(a)
+    curvature = (c0 * e0 * (e0 - 1.0) * x0 + c1 * e1 * (e1 - 1.0) * x1
+                 + c2 * e2 * (e2 - 1.0) * x2)
     return _EPS * size * (2.0 * abs(curvature) / (up * up) + 1.0 / abs(up))
 
 
-def _maxima_error(params: NonlinearityParams, omega: float, gamma: float,
-                  a: float) -> float:
+def _maxima_error(maxima, omega: float, a: float) -> float:
     """Relative error that J carries from the dips of its integrand's base.
 
     At a local maximum c < a of F1, omega - F1(s), and with it D(a, s/a)
     and V, dips to delta = omega - F1(c), and the part of J near c scales
     as 1/delta.  Their float sums are off by up to eps S(c),
     S(c) = |omega| + sum |f1_l| c^{e_l}, so J is off by eps S(c) / delta
-    relative.  c, F1(c) and the sum come from the cache beside F1's
-    critical points.
+    relative.  maxima holds c, F1(c) and the sum at each maximum, from the
+    cache beside F1's critical points (``profile._f1_maxima``).
     """
     err = 0.0
-    for c, f1_c, size in _f1_maxima(params, gamma):
+    for c, f1_c, size in maxima:
         if c < a and omega > f1_c:
             err += _EPS * (abs(omega) + size) / (omega - f1_c)
     return err
@@ -352,17 +357,22 @@ def _transformed(params: NonlinearityParams, cells,
     else:
         m = max(2, math.ceil(4.0 / (7.0 - 3.0 * params.p)) + 1)
     k = _ROUTES[route].k
-    quads, tables, powers = _quads(params, [cells[i] for i in waves], route,
-                                   m, _J_TOL)
-    for i, t, quad, pw in zip(waves, tables, quads, powers):
+    quads, tables = _quads(params, [cells[i] for i in waves], route, m,
+                           _J_TOL)
+    maxima = {g: _f1_maxima(params, g) for g in tables}
+    for i, quad in zip(waves, quads):
         omega, gamma, res = cells[i]
         pref = -res.a / (k * res.uprime_at_a)
         j = pref * quad.value
         err = (abs(pref) * quad.abs_error
-               + abs(j) * (_root_error(t, omega, res.uprime_at_a, pw)
-                           + _maxima_error(params, omega, gamma, res.a)))
+               + abs(j) * (_root_error(tables[gamma], omega,
+                                       res.uprime_at_a, res.powers)
+                           + _maxima_error(maxima[gamma], omega, res.a)))
+        # an integral that underflows to 0 +- 0 has not converged to zero
+        converged = quad.converged and (quad.value != 0.0
+                                        or quad.abs_error != 0.0)
         out[i] = StabilityValue(j=j, abs_error=err, diverging=False,
-                                method=route, converged=quad.converged)
+                                method=route, converged=converged)
     return out
 
 
@@ -436,7 +446,7 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
                 "mass integral diverges on the nonexistence curve at "
                 "omega=%g, gamma=%g" % (omega, gamma))
         cells.append((omega, gamma, res))
-    quads, _, _ = _quads(params, cells, "mass", _left_m(params), _MASS_TOL)
+    quads, _ = _quads(params, cells, "mass", _left_m(params), _MASS_TOL)
     return [replace(q, value=res.a * q.value, abs_error=res.a * q.abs_error)
             for q, (_, _, res) in zip(quads, cells)]
 
@@ -463,7 +473,8 @@ def eval_J_mass_fd(params: NonlinearityParams, omega: float,
     (4 d_{h/2} - d_h) / 3 of the steps h and h/2.  abs_error is the
     Richardson estimate plus the quadrature error of each difference
     amplified by its 1/(2h) or 1/h, and converged holds only when all four
-    quadratures converged.
+    quadratures converged.  Raises UnsupportedRegime where j is not finite,
+    as find_a does where the amplitude lies beyond the float range.
     """
     res = _require_profile(params, omega, gamma)
     if res.on_boundary:
@@ -485,10 +496,16 @@ def eval_J_mass_fd(params: NonlinearityParams, omega: float,
             continue
         d_h = (q[0].value - q[1].value) / (2.0 * h)
         d_h2 = (q[2].value - q[3].value) / h
+        j = (4.0 * d_h2 - d_h) / 3.0
+        if not math.isfinite(j):
+            raise UnsupportedRegime(
+                "J by the mass difference is not finite at omega=%g, "
+                "gamma=%g: the stencil masses are not finite"
+                % (omega, gamma))
         err = (abs(d_h - d_h2) / 3.0 + 1e-9 * abs(d_h2)
                + (q[0].abs_error + q[1].abs_error) / (2.0 * h)
                + (q[2].abs_error + q[3].abs_error) / h)
-        return StabilityValue(j=(4.0 * d_h2 - d_h) / 3.0, abs_error=err,
+        return StabilityValue(j=j, abs_error=err,
                               diverging=False, method="mass_fd",
                               converged=all(x.converged for x in q))
     raise last_exc

@@ -179,6 +179,78 @@ def test_circle_field_contour():
     assert math.hypot(first[0] - last[0], first[1] - last[1]) <= 0.2
 
 
+def _contours_cell_by_cell(grid, levels):
+    """extract_contours as a loop over every cell: the reference for its
+    numpy selection of the cells that cross a level."""
+    vals, wx, gy = grid.values, grid.omega_axis, grid.gamma_axis
+    ny, nx = vals.shape
+    out = []
+    for level in levels:
+        level = float(level)
+        segments = []
+        for iy in range(ny - 1):
+            for ix in range(nx - 1):
+                va = vals[iy, ix]
+                vb = vals[iy, ix + 1]
+                vc = vals[iy + 1, ix + 1]
+                vd = vals[iy + 1, ix]
+                if not (math.isfinite(va) and math.isfinite(vb)
+                        and math.isfinite(vc) and math.isfinite(vd)):
+                    continue
+                fa, fb, fc, fd = va - level, vb - level, vc - level, vd - level
+                if (fa > 0.0) == (fb > 0.0) == (fc > 0.0) == (fd > 0.0):
+                    continue
+                x0, x1 = float(wx[ix]), float(wx[ix + 1])
+                y0, y1 = float(gy[iy]), float(gy[iy + 1])
+
+                def center_above(x0=x0, x1=x1, y0=y0, y1=y1, level=level,
+                                 mean=0.25 * (va + vb + vc + vd)):
+                    if grid.params is None:
+                        return mean > level
+                    try:
+                        jc = diagram.eval_J(grid.params, 0.5 * (x0 + x1),
+                                            0.5 * (y0 + y1)).j
+                    except NoStandingWave:
+                        return False
+                    return math.isfinite(jc) and jc > level
+
+                segments.extend(diagram._cell_segments(
+                    x0, x1, y0, y1, fa, fb, fc, fd, center_above))
+        paths = tuple(tuple(path) for path in diagram._join_segments(segments))
+        out.append(ContourSet(level=level, paths=paths, params=grid.params))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_contours_equal_the_cell_by_cell_loop(seed):
+    # corners from a few small integers, so that many sit exactly at a
+    # level and many cells are saddles, with NaN and +-Inf among them
+    rng = np.random.default_rng(seed)
+    ny, nx = rng.integers(2, 14, size=2)
+    pool = [-2.0, -1.0, -0.5, 0.0, 0.0, 0.0, 0.25, 1.0, 1.0, 2.0,
+            math.nan, math.inf, -math.inf]
+    vals = rng.choice(pool, size=(ny, nx))
+    smooth = rng.random((ny, nx)) < 0.3
+    vals[smooth] = rng.normal(size=np.count_nonzero(smooth))
+    # FF(2,3,4) has a wave at every centre of this window
+    params = FF234 if seed % 3 == 0 else None
+    grid = synthetic_grid(vals, np.linspace(0.05, 0.5, nx),
+                          np.linspace(-1.0, 1.0, ny), params=params)
+    levels = [0.0, 1.0, -0.5, 0.25]
+    got = extract_contours(grid, levels)
+    want = _contours_cell_by_cell(grid, levels)
+    assert repr(got) == repr(want)
+    assert got == want
+
+
+def test_contours_of_a_sweep_equal_the_cell_by_cell_loop():
+    grid = sweep_grid(FD367, (0.05, 3.0), (-25.0, 2.0), 16, 16, jobs=1)
+    assert np.isnan(grid.values).any()
+    got = extract_contours(grid, [0.0, 0.5])
+    assert got[0].paths
+    assert repr(got) == repr(_contours_cell_by_cell(grid, [0.0, 0.5]))
+
+
 def test_contour_consistency_on_real_grid():
     grid = sweep_grid(FF234, (0.2, 1.2), (-1.0, 1.0), 25, 13, jobs=1)
     sets = extract_contours(grid, [2.0])

@@ -1,6 +1,10 @@
 """Tests for case classification and the two-parameter scaling reduction."""
 
+import copy
+import dataclasses
+import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -46,6 +50,39 @@ def test_params_frozen():
     params = NonlinearityParams(2.0, 3.0, 4.0)
     with pytest.raises(Exception):
         params.p = 5.0
+
+
+def test_params_keep_eq_repr_and_hash_through_pickle_and_replace():
+    params = NonlinearityParams(3, 5, 7, sign1=-1)
+    text = "NonlinearityParams(p=3.0, q=5.0, r=7.0, sign1=-1, sign3=1)"
+    # the hash is the one the dataclass computes from its fields
+    assert hash(params) == hash((3.0, 5.0, 7.0, -1, 1))
+    for other in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params),
+                  dataclasses.replace(params),
+                  NonlinearityParams(3.0, 5.0, 7.0, -1, 1)):
+        assert other == params and hash(other) == hash(params)
+        assert repr(other) == repr(params) == text
+    moved = dataclasses.replace(params, sign3=-1)
+    assert moved != params and moved.case == "DD"
+    assert hash(moved) == hash((3.0, 5.0, 7.0, -1, -1))
+    assert dataclasses.astuple(params) == (3.0, 5.0, 7.0, -1, 1)
+
+
+def test_params_are_a_cache_key():
+    calls = []
+
+    @functools.lru_cache(maxsize=None)
+    def cached(params):
+        calls.append(params)
+        return params.case
+
+    params = NonlinearityParams(2.0, 3.0, 4.0, sign3=-1)
+    for other in (params, pickle.loads(pickle.dumps(params)),
+                  dataclasses.replace(params), NonlinearityParams(2, 3, 4, 1, -1)):
+        assert cached(other) == "FD"
+    assert cached(dataclasses.replace(params, sign3=1)) == "FF"
+    assert len(calls) == 2
+    assert {params: 1}[NonlinearityParams(2.0, 3.0, 4.0, 1, -1)] == 1
 
 
 def test_normalize_already_reduced():

@@ -317,6 +317,37 @@ def test_bisect_same_sign_piece_from_zero_is_not_walked():
     assert calls == []
 
 
+def test_profile_carries_the_powers_of_its_amplitude():
+    # U'(a), its tolerance and every J row read these; they are a ** e_l
+    # bit for bit, and a ProfileResult compares and prints without them
+    rng = np.random.default_rng(19)
+    points = [(FF234, 0.1, 1.0), (FD357, 0.1, 0.0), (DF234, 0.5, 2.0),
+              (DD357, 1.0, -5.0)]
+    for _ in range(40):
+        p = rng.uniform(1.05, 6.0)
+        q = p + rng.uniform(0.05, 4.0)
+        r = q + rng.uniform(0.05, 4.0)
+        params = NonlinearityParams(p, q, r, sign1=int(rng.choice((-1, 1))),
+                                    sign3=int(rng.choice((-1, 1))))
+        points.append((params, 10.0 ** rng.uniform(-2.0, 1.5),
+                       rng.uniform(-8.0, 8.0)))
+    found = 0
+    for params, omega, gamma in points:
+        res = find_a(params, omega, gamma)
+        if res is None:
+            continue
+        found += 1
+        t = terms(params, gamma)
+        assert [x.hex() for x in res.powers] == \
+            [(res.a ** e).hex() for e in t.e]
+        assert res.uprime_at_a == power_sum(t.up, t.e, res.a, lead=omega)
+        bare = profile.ProfileResult(res.a, res.uprime_at_a, res.exists,
+                                     res.on_boundary)
+        assert bare.powers == () and bare == res and repr(bare) == repr(res)
+        assert "powers" not in repr(res)
+    assert found >= 25
+
+
 def test_sweep_row_finds_critical_points_once_per_gamma():
     fd367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)
     profile._f1_critical_points.cache_clear()

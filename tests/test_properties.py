@@ -147,8 +147,11 @@ def test_three_routes_agree_within_their_bars(point):
         return
     if res is None or res.on_boundary:
         return
-    values = [route(params, omega, gamma)
-              for route in (eval_J, eval_J_raw, eval_J_mass_fd)]
+    try:
+        values = [route(params, omega, gamma)
+                  for route in (eval_J, eval_J_raw, eval_J_mass_fd)]
+    except UnsupportedRegime:    # mass_fd's stencil masses are not finite
+        return
     if not all(v.converged for v in values):
         return
     for i, u in enumerate(values):

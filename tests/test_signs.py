@@ -172,8 +172,8 @@ def test_bisect_reaches_the_stop_where_false_position_stalls(f, lo, hi, root):
 
 def test_bisect_converges_superlinearly_on_a_smooth_function():
     # halving from a bracket of width 0.5 or 1 to adjacent floats takes
-    # about 52 steps; false position with Anderson-Bjorck scaling and the
-    # two calls of the final pick take at most 12 here
+    # about 52 steps; false position with Anderson-Bjorck scaling takes at
+    # most 12 here
     for f, lo, hi, root in ((lambda x: x ** 3 - 2.0, 1.0, 1.5, 2.0 ** (1 / 3)),
                             (lambda x: math.log(x) - 0.5, 1.0, 2.0,
                              math.exp(0.5)),
@@ -184,6 +184,33 @@ def test_bisect_converges_superlinearly_on_a_smooth_function():
         assert abs(x - root) <= 2e-15 * root
         assert len(seen) <= 12
         _assert_adjacent_pick(f, x)
+
+
+def test_bisect_calls_f_at_most_once_per_point():
+    # the final pick reads the values the steps computed, and no call
+    # repeats an end given to bisect or a point evaluated before
+    rng = np.random.default_rng(19)
+    picks = 0
+    for _ in range(300):
+        c, k = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(0.2, 6.0)
+        root, sign = c ** (1.0 / k), float(rng.choice((-1.0, 1.0)))
+
+        def f(x, c=c, k=k, sign=sign):
+            return sign * (x ** k - c)
+
+        hi = root * 10.0 ** rng.uniform(0.01, 3.0)
+        lo = 0.0 if rng.random() < 0.25 else root / 10.0 ** rng.uniform(0.01,
+                                                                         3.0)
+        flo = -sign if lo == 0.0 else f(lo)
+        g, seen = _counted(f)
+        x = signs.bisect(g, lo, hi, flo, f(hi))
+        assert lo < x < hi
+        assert len(seen) == len(set(seen)) and hi not in seen
+        assert lo not in seen
+        if f(x) != 0.0:
+            picks += 1
+            _assert_adjacent_pick(f, x)
+    assert picks >= 150
 
 
 def test_bisect_geometric_mean_of_a_bracket_whose_product_overflows():

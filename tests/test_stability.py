@@ -196,6 +196,23 @@ def test_unconverged_quadrature_is_indeterminate(monkeypatch):
     assert unsure.verdict() == "indeterminate"
 
 
+@pytest.mark.parametrize("omega", [0.125, 0.2])
+def test_an_integral_that_underflows_is_not_converged(omega):
+    # FF(3,5,5.01) at gamma = 4 takes the far branch, a = 3.6e120 and
+    # U'(a) = -8.7e238: the transformed integral underflows to 0 +- 0 and
+    # the stencil masses of mass_fd are NaN
+    params = NonlinearityParams(3.0, 5.0, 5.01)
+    assert find_a(params, omega, 4.0).a > 1e120
+    for route in (eval_J, eval_J_raw):
+        sv = route(params, omega, 4.0)
+        assert not sv.converged and sv.verdict() == "indeterminate"
+    with pytest.raises(UnsupportedRegime):
+        eval_J_mass_fd(params, omega, 4.0)
+    # a sweep stores j alone, which is unchanged
+    row = eval_J_row(params, [omega], 4.0)
+    assert row[0] == eval_J(params, omega, 4.0) and row[0].j == 0.0
+
+
 def test_verdict_rules():
     assert StabilityValue(2.0, 1e-9, False, "transformed").verdict() == "stable"
     assert StabilityValue(-2.0, 1e-9, False, "raw").verdict() == "unstable"
