@@ -153,8 +153,8 @@ def _profile(params: NonlinearityParams, omega: float, gamma: float):
     if a is None:
         return None
     t = terms(params, gamma)
-    powers = x0, x1, x2 = tuple(a ** e for e in t.e)
-    c0, c1, c2 = t.up
+    (c0, c1, c2), (e0, e1, e2) = t.up, t.e
+    powers = x0, x1, x2 = a ** e0, a ** e1, a ** e2
     # U'(a), summed as landscape.power_sum sums it
     up = omega + c0 * x0 + c1 * x1 + c2 * x2
     # |U'(a)| is measured against the size of its terms

@@ -498,10 +498,8 @@ def eval_J_mass_fd(params: NonlinearityParams, omega: float,
         d_h2 = (q[2].value - q[3].value) / h
         j = (4.0 * d_h2 - d_h) / 3.0
         if not math.isfinite(j):
-            raise UnsupportedRegime(
-                "J by the mass difference is not finite at omega=%g, "
-                "gamma=%g: the stencil masses are not finite"
-                % (omega, gamma))
+            raise UnsupportedRegime("J by the mass difference is not finite "
+                                    "at omega=%g, gamma=%g" % (omega, gamma))
         err = (abs(d_h - d_h2) / 3.0 + 1e-9 * abs(d_h2)
                + (q[0].abs_error + q[1].abs_error) / (2.0 * h)
                + (q[2].abs_error + q[3].abs_error) / h)
