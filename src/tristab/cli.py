@@ -206,19 +206,26 @@ def _cmd_omega_star(ns) -> int:
 
 def _cmd_eval_j(ns) -> int:
     params = _params(ns)
-    # evaluate everything before printing so a failed existence check
-    # does not leave a dangling table header on stdout
-    rows = []
+    # evaluate everything before printing: when every route raises (no
+    # wave, say) the first error is the whole output, with no table header
+    rows, errors = [], []
     for name, fn in (("transformed", eval_J), ("raw", eval_J_raw),
                      ("mass_fd", eval_J_mass_fd)):
-        v = fn(params, ns.omega, ns.gamma)
+        try:
+            v = fn(params, ns.omega, ns.gamma)
+        except _NUMERIC_ERRORS as exc:
+            errors.append(exc)
+            rows.append("%-12s error: %s" % (name, exc))
+            continue
         rows.append("%-12s %-20s %-16s %s"
                     % (name, format_float(v.j, 12),
                        format_float(v.abs_error, 12), v.verdict()))
+    if len(errors) == len(rows):
+        raise errors[0]
     print("method       j                    abs_error        verdict")
     for row in rows:
         print(row)
-    return 0
+    return 1 if errors else 0
 
 
 def _cmd_eval_j0(ns) -> int:

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from tristab import verify
+from tristab import cli, verify
 from tristab.cli import main
+from tristab.errors import UnsupportedRegime
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +121,53 @@ def test_eval_j_negative_df(capsys):
         assert row[3] == "unstable"
     assert math.isclose(float(rows["transformed"][1]),
                         -0.4268975227612106, rel_tol=1e-8)
+
+
+_README_EVAL_J = ("eval-j", "--p", "3", "--q", "5", "--r", "7", "--s1", "d",
+                  "--s3", "f", "--omega", "1", "--gamma", "0", "--no-timing")
+
+
+@pytest.mark.parametrize("route", ["eval_J", "eval_J_mass_fd"])
+def test_eval_j_prints_the_routes_that_return(capsys, monkeypatch, route):
+    # one route raising drops no other route's row: it gets an error row
+    # in its place, and the exit code is 1
+    _, table, _ = run_cli(capsys, *_README_EVAL_J)
+
+    def fails(params, omega, gamma):
+        raise UnsupportedRegime("J by %s is not finite" % route)
+
+    monkeypatch.setattr(cli, route, fails)
+    code, out, err = run_cli(capsys, *_README_EVAL_J)
+    assert code == 1 and err == ""
+    name = {"eval_J": "transformed", "eval_J_mass_fd": "mass_fd"}[route]
+    expected = [("%-12s error: J by %s is not finite" % (name, route))
+                if ln.startswith(name + " ") else ln
+                for ln in table.splitlines()]
+    assert out.splitlines() == expected
+
+
+def test_eval_j_with_no_wave_prints_one_error(capsys):
+    # every route raises: the first error alone, as before any route could
+    # fail on its own
+    code, out, err = run_cli(capsys, "eval-j", "--p", "3", "--q", "5",
+                             "--r", "7", "--s1", "+1", "--s3", "-1",
+                             "--omega", "10", "--gamma", "0", "--no-timing")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "no standing wave" in err
+
+
+def test_eval_j_on_the_far_branch_prints_every_route(capsys):
+    # FF(3,5,5.01) at gamma = 4 has a = 3.6e120: the stencil masses of
+    # mass_fd were NaN once a node reached x = 2, and the command printed
+    # only mass_fd's error
+    code, out, err = run_cli(capsys, "eval-j", "--p", "3", "--q", "5",
+                             "--r", "5.01", "--s1", "f", "--s3", "f",
+                             "--omega", "0.125", "--gamma", "4",
+                             "--no-timing")
+    assert code == 0 and err == ""
+    rows = [ln.split() for ln in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["transformed", "raw", "mass_fd"]
+    assert all(row[3] == "indeterminate" for row in rows)
 
 
 def test_eval_j0(capsys):

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tristab import integrate, integrate_many
-from tristab.quadrature import _WG, _WGK, _XGK, _reduce
+from tristab.quadrature import _WG, _WGK, _XGK, _nodes, _reduce
 
 
 def test_polynomial_exactness():
@@ -151,6 +152,47 @@ def _reference_integrate(f, lo, hi, rel_tol=1e-9, max_panels=2000,
     return total, toterr + frozen, n
 
 
+def _dyadic_panel(row, edges):
+    """The panel [a, b] whose 15 nodes are row, found by bisecting the
+    initial panel that holds its centre, or None when no dyadic piece of
+    the initial panels has exactly those nodes."""
+    centre = row[7]
+    for a, b in zip(edges[:-1], edges[1:]):
+        if a < centre < b:
+            break
+    else:
+        return None
+    for _ in range(64):
+        if np.array_equal(_nodes(np.array([a]), np.array([b]))[0], row):
+            return a, b
+        mid = 0.5 * (a + b)
+        if centre == mid:
+            return None
+        a, b = (a, mid) if centre < mid else (mid, b)
+    return None
+
+
+def _check_calls(calls, lo, hi, m, initial, splits):
+    """The call pattern of integrate_many: calls holds (cells, x) per call.
+    The first call starts with the initial panels, every call after it
+    falls in a round that splits, and every other panel is a dyadic piece
+    of an initial panel of its own integrand, evaluated once."""
+    edges = np.linspace(lo, hi, initial + 1).tolist()
+    k = m * initial
+    assert list(calls[0][0][:k]) == [c for c in range(m)
+                                     for _ in range(initial)]
+    assert np.array_equal(calls[0][1][:k],
+                          _nodes(np.array(edges[:-1] * m),
+                                 np.array(edges[1:] * m)))
+    assert len(calls) <= 1 + max(splits)
+    seen = [set() for _ in range(m)]
+    rows = [(c, row) for cells, x in calls for c, row in zip(cells, x)]
+    for c, row in rows[k:]:
+        panel = _dyadic_panel(row, edges)
+        assert panel is not None and panel not in seen[c]
+        seen[c].add(panel)
+
+
 @pytest.mark.parametrize("initial", [1, 2, 5])
 @pytest.mark.parametrize("f, max_panels", [
     pytest.param(lambda x: 1.0 / np.sqrt(x), 2000, id="inv_sqrt"),
@@ -160,21 +202,37 @@ def _reference_integrate(f, lo, hi, rel_tol=1e-9, max_panels=2000,
                  id="sin40_inv_sqrt_budget"),
 ])
 def test_one_integrand_call_per_split(f, max_panels, initial):
+    # at most one call per split: the panels that refinement needs next
+    # ride along with a split's halves, so a later split may need no call
     calls = []
 
     def counted(x):
-        calls.append(len(x))
+        rows = x.reshape(-1, 15)
+        calls.append(([0] * len(rows), rows.copy()))
         return f(x)
 
     res = integrate(counted, 0.0, 1.0, rel_tol=1e-12,
                     max_panels=max_panels, initial=initial)
-    assert len(calls) == res.n_panels - initial + 1
-    assert calls[0] == 15 * initial
-    assert all(c == 30 for c in calls[1:])
+    _check_calls(calls, 0.0, 1.0, 1, initial, [res.n_panels - initial])
     value, err, n = _reference_integrate(f, 0.0, 1.0, rel_tol=1e-12,
                                          max_panels=max_panels,
                                          initial=initial)
     assert (res.value, res.abs_error, res.n_panels) == (value, err, n)
+
+
+def test_long_refinement_takes_half_a_call_per_split():
+    # 1/sqrt(x) refines at x = 0, one split after another: each call also
+    # evaluates the halves the next split needs
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return 1.0 / np.sqrt(x)
+
+    res = integrate(counted, 0.0, 1.0, rel_tol=1e-12)
+    splits = res.n_panels - 1
+    assert splits >= 40
+    assert len(calls) <= 2 + splits // 2
 
 
 _MIX = [
@@ -193,7 +251,7 @@ def test_batch_repeats_each_integrand_alone(initial):
     calls = []
 
     def batch(x, cells):
-        calls.append(list(cells))
+        calls.append((list(cells), x.copy()))
         out = np.empty_like(x)
         for i, c in enumerate(cells):
             out[i] = fs[c](x[i])
@@ -210,14 +268,45 @@ def test_batch_repeats_each_integrand_alone(initial):
     assert abs(inv_sqrt.value - 2.0) <= 1e-6
     assert budget.n_panels == 150 and not budget.converged
     assert floor.n_panels < 150 and not floor.converged
-    # one call per round: the initial panels, then one split of every
-    # integrand still refining
-    splits = [r.n_panels - initial for r in results]
-    assert len(calls) == 1 + max(splits)
-    assert calls[0] == [c for c in range(len(fs)) for _ in range(initial)]
-    for k, cells in enumerate(calls[1:]):
-        assert cells == [c for c in range(len(fs)) if splits[c] > k
-                         for _ in (0, 1)]
+    _check_calls(calls, 0.0, 1.0, len(fs), initial,
+                 [r.n_panels - initial for r in results])
+
+
+def _smooth(w, phase, c):
+    # positive, so no cancellation brings in the round-off counters, which
+    # _reference_integrate leaves out
+    return lambda x: 2.0 + np.sin(w * x + phase) + c * x * x
+
+
+_SMOOTH = st.builds(_smooth, st.floats(1.0, 60.0), st.floats(0.0, 6.3),
+                    st.floats(0.0, 3.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(fs=st.lists(st.one_of(st.sampled_from([p.values[0] for p in _MIX]),
+                             _SMOOTH), min_size=1, max_size=8),
+       initial=st.sampled_from([1, 2, 5]))
+def test_random_batches_equal_the_reference(fs, initial):
+    # batches above the look-ahead threshold start on plain rounds and
+    # end on look-ahead ones
+    calls = []
+
+    def batch(x, cells):
+        calls.append((list(cells), x.copy()))
+        out = np.empty_like(x)
+        for i, c in enumerate(cells):
+            out[i] = fs[c](x[i])
+        return out
+
+    kw = dict(rel_tol=1e-10, max_panels=150, initial=initial)
+    results = integrate_many(batch, 0.0, 1.0, len(fs), **kw)
+    for f, res in zip(fs, results):
+        assert (res.value, res.abs_error, res.n_panels) == \
+            _reference_integrate(f, 0.0, 1.0, **kw)
+        alone = integrate(f, 0.0, 1.0, **kw)
+        assert (res.converged, res.stop) == (alone.converged, alone.stop)
+    _check_calls(calls, 0.0, 1.0, len(fs), initial,
+                 [r.n_panels - initial for r in results])
 
 
 def test_panel_reduction_does_not_depend_on_the_batch():

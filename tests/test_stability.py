@@ -199,18 +199,28 @@ def test_unconverged_quadrature_is_indeterminate(monkeypatch):
 @pytest.mark.parametrize("omega", [0.125, 0.2])
 def test_an_integral_that_underflows_is_not_converged(omega):
     # FF(3,5,5.01) at gamma = 4 takes the far branch, a = 3.6e120 and
-    # U'(a) = -8.7e238: the transformed integral underflows to 0 +- 0 and
-    # the stencil masses of mass_fd are NaN
+    # U'(a) = -8.7e238: the transformed integral underflows to 0 +- 0, and
+    # mass_fd's difference of stencil masses near 1e106 is noise
     params = NonlinearityParams(3.0, 5.0, 5.01)
     assert find_a(params, omega, 4.0).a > 1e120
-    for route in (eval_J, eval_J_raw):
+    for route in (eval_J, eval_J_raw, eval_J_mass_fd):
         sv = route(params, omega, 4.0)
         assert not sv.converged and sv.verdict() == "indeterminate"
-    with pytest.raises(UnsupportedRegime):
-        eval_J_mass_fd(params, omega, 4.0)
     # a sweep stores j alone, which is unchanged
     row = eval_J_row(params, [omega], 4.0)
     assert row[0] == eval_J(params, omega, 4.0) and row[0].j == 0.0
+
+
+def test_left_piece_is_finite_at_its_end():
+    # p = 3 gives the left piece m = 1, and refinement at x = 2 reaches a
+    # node at exactly x = 2, where the Jacobian's (m - 1) ln t was
+    # 0 * -inf = NaN: the stencil masses were NaN and mass_fd raised
+    params = NonlinearityParams(3.0, 4.0, 4.0625, -1, 1)
+    sv = eval_J_mass_fd(params, 1.0, 3.0)
+    assert math.isfinite(sv.j) and math.isfinite(sv.abs_error)
+    assert not sv.converged and sv.verdict() == "indeterminate"
+    ref = eval_J(params, 1.0, 3.0)
+    assert abs(sv.j - ref.j) <= sv.abs_error + ref.abs_error
 
 
 def test_verdict_rules():
