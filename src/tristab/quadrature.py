@@ -10,14 +10,14 @@ shared interval.  Each keeps its own heap, panel budget, round-off
 counters and stopping test, and all share the interval's width floor.  In
 every round the worst panel of each unfinished integrand is bisected, and
 the integrand is called at most once, on the new halves.  A call costs
-about as much for 6 panels as for 2 (some 100 numpy calls), so a round of
-at most ``_AHEAD_SPLITS`` integrands also evaluates the halves of every new
-panel (or initial one), the panels worst-first refinement needs next, kept
-by their integrand and exact (a, b) until a split takes them: a long
-refinement makes about one call per two splits.  Splits, sums, counters
-and stop tests are those of one split per call, and a panel's values do
-not depend on its batch (below), so no result changes.  ``integrate`` is
-a batch of one.
+about as much for 6 panels as for 2 (some 100 numpy calls), so in a batch
+of at most ``_AHEAD_BATCH`` integrands every call also evaluates the halves
+of every new panel (or initial one), the panels worst-first refinement
+needs next, kept by their integrand and exact (a, b) until a split takes
+them: a long refinement makes about one call per two splits.  Splits,
+sums, counters and stop tests are those of one split per call, and a
+panel's values do not depend on its batch (below), so no result changes.
+``integrate`` is a batch of one.
 
 An integrand stops when its summed error passes rel_tol * |value| (a
 purely relative tolerance: there is no absolute one), when its panel
@@ -183,8 +183,9 @@ _ROFF_PANELS = 10
 _ROFF1_STOP = 6
 _ROFF2_STOP = 20
 
-# a round that refines at most this many integrands looks one level ahead
-_AHEAD_SPLITS = 5
+# a batch of at most this many integrands looks one level ahead; in the
+# last rounds of a larger one (a sweep block) it saved no call
+_AHEAD_BATCH = 5
 
 
 def integrate_many(f, lo: float, hi: float, m: int,
@@ -214,9 +215,8 @@ def integrate_many(f, lo: float, hi: float, m: int,
     cells = [c for c in range(m) for _ in range(initial)]
     span_lo = edges[:-1] * m
     span_hi = edges[1:] * m
-    ahead = {}
-    vals, errs, absols = _round(f, span_lo, span_hi, cells,
-                                ahead if m <= _AHEAD_SPLITS else None)
+    ahead = {} if m <= _AHEAD_BATCH else None
+    vals, errs, absols = _round(f, span_lo, span_hi, cells, ahead)
     heaps = [[] for _ in range(m)]
     totals = [0.0] * m
     errors = [0.0] * m
@@ -278,11 +278,9 @@ def integrate_many(f, lo: float, hi: float, m: int,
         for _, a, mid, b, _, _ in splits:
             span_lo += (a, mid)
             span_hi += (mid, b)
-        # rounds only shrink, so a large one follows no round that stored
         vals, errs, absols = _round(f, span_lo, span_hi,
                                     [c for c in active for _ in (0, 1)],
-                                    ahead if len(splits) <= _AHEAD_SPLITS
-                                    else None)
+                                    ahead)
         for (c, a, mid, b, val, err), v1, v2, e1, e2, ab1, ab2 in zip(
                 splits, vals[::2], vals[1::2], errs[::2], errs[1::2],
                 absols[::2], absols[1::2]):

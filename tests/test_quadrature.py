@@ -287,8 +287,7 @@ _SMOOTH = st.builds(_smooth, st.floats(1.0, 60.0), st.floats(0.0, 6.3),
                              _SMOOTH), min_size=1, max_size=8),
        initial=st.sampled_from([1, 2, 5]))
 def test_random_batches_equal_the_reference(fs, initial):
-    # batches above the look-ahead threshold start on plain rounds and
-    # end on look-ahead ones
+    # batches of up to 5 integrands look ahead, larger ones do not
     calls = []
 
     def batch(x, cells):
