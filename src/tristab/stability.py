@@ -200,9 +200,11 @@ def _piecewise(e: Sequence[float], m: int, rows: Sequence[Sequence[float]],
         ln_s = _LN_HALF + m * ln_t
         B, P = form([z - y for z, y in zip(
             c, triples(c, [np.exp(ex * ln_s) for ex in e]))])
-        # at t = 0 (x = 2) a zero power of t would be 0 * -inf = NaN
-        jac = ln_half_m + (m - 1) * ln_t if m > 1 else ln_half_m
-        return B, P * np.exp(jac - power * np.log(B))
+        if m > 1:
+            return B, P * np.exp(ln_half_m + (m - 1) * ln_t
+                                 - power * np.log(B))
+        # t^0 needs no term, and (m - 1) ln t is 0 * -inf = NaN at t = 0
+        return B, P * np.exp(ln_half_m - power * np.log(B))
 
     def right(x, c):
         L = np.log1p(-0.5 * x * x)
