@@ -21,8 +21,8 @@ bracket's ends are adjacent floats and returns the one where
 F1's critical points do not depend on omega, so they are found once per
 (params, gamma) and kept in a small bounded cache, which a sweep row, the
 four mass_Q points of eval_J_mass_fd and ``boundary.omega_star`` share.
-``_f1_maxima`` caches, beside them, F1's local maxima with F1 and the size
-of its terms there, which J's error bar reads at every cell.
+``_f1_maxima`` caches, beside them, F1's local maxima with F1, F1'' and
+the size of its terms there, which J's bar and rule read at every cell.
 
 ``_profile`` computes the powers a^{e_l} once, for U'(a) and its tolerance,
 and its result carries them to J's rows and error bar in ``stability``.
@@ -75,8 +75,8 @@ def _f1_critical_points(params: NonlinearityParams, gamma: float) -> tuple:
 
 @functools.lru_cache(maxsize=256)
 def _f1_maxima(params: NonlinearityParams, gamma: float) -> tuple:
-    """(c, F1(c), sum |f1_l| c^{e_l}) at each local maximum c of F1, the
-    critical points with F1''(c) < 0, ascending."""
+    """(c, F1(c), sum |f1_l| c^{e_l}, F1''(c)) at each local maximum c of
+    F1, the critical points with F1''(c) < 0, ascending."""
     t = terms(params, gamma)
     out = []
     for c in _f1_critical_points(params, gamma):
@@ -85,8 +85,9 @@ def _f1_maxima(params: NonlinearityParams, gamma: float) -> tuple:
         except OverflowError:
             break  # F1's terms overflow: no computed a lies past c
         # c^2 F1''(c), which has the sign of F1''(c)
-        if sum(x * e * (e - 1.0) for x, e in zip(f1, t.e)) < 0.0:
-            out.append((c, sum(f1), sum(abs(x) for x in f1)))
+        if (curvature := sum(x * e * (e - 1.0) for x, e in zip(f1, t.e))) < 0:
+            out.append((c, sum(f1), sum(abs(x) for x in f1),
+                        curvature / c / c))
     return tuple(out)
 
 

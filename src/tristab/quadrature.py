@@ -48,10 +48,12 @@ changes the last bits, and ``(Y * w).sum(axis=1)`` differs from the dot
 product.  The ``** 1.5`` of the error formula stays a Python float power
 per panel: numpy's ``power`` differs from libm's ``pow`` in the last bit on
 some inputs, which would change panel errors and so the refinement order.
+``rule_sums`` reduces the rows of a fixed rule by the same products.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from typing import List
@@ -100,7 +102,7 @@ _EPS = float(np.finfo(float).eps)
 class QuadratureResult:
     """One integral: value, error estimate, panels used, whether the error
     met the tolerance, and why refinement stopped (``stop``): "tolerance",
-    "roundoff", "budget" or "width_floor"."""
+    "roundoff", "budget", "width_floor", or "rule" for a fixed rule."""
 
     value: float
     abs_error: float
@@ -116,6 +118,28 @@ def _dots(Y, w):
     ``w.dot(y)`` makes on that row alone, so each sum is independent of k.
     """
     return np.matmul(Y[:, None, :], w[:, None])[:, 0, 0]
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int):
+    """The n-point Gauss-Legendre nodes on [-1, 1], ascending, and weights:
+    Newton steps on P_n by its recurrence from Tricomi's estimates, and
+    2 / ((1 - x^2) P_n'^2).  LAPACK's buffers would cost memory."""
+    x = np.cos(np.pi * (np.arange(n, 0.0, -1.0) - 0.25) / (n + 0.5))
+    for _ in range(6):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2.0 * k - 1.0) * x * p1 - (k - 1.0) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def rule_sums(Y, n: int):
+    """The n- and 2n-point Gauss-Legendre sums of each row of Y (its first
+    n values and the next 2n), and the 2n-point sum of |Y|."""
+    w, w2 = gauss_legendre(n)[1], gauss_legendre(2 * n)[1]
+    return _dots(Y[:, :n], w), _dots(Y[:, n:], w2), _dots(abs(Y[:, n:]), w2)
 
 
 def _reduce(Y, lo, hi, resabs=None):

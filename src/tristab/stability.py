@@ -4,52 +4,53 @@ Sign of J decides orbital stability of the standing wave: positive J means
 stable, negative unstable.  ``eval_J`` answers; two more routes check it:
 
 * ``eval_J``: the transformed integrand C * N(a,s)/D(a,s)^{3/2} on [0,1],
-  split at s = 1/2 and integrated as one integrand in x on [0, 2].  On
-  x in [0, 1], s = 1 - x^2/2 removes the (1-s)^{-1/2} endpoint, and N and
-  D are sums of the differences 1 - s^e in expm1 form, which keep D's
-  relative precision as it vanishes at s = 1.  On x in [1, 2],
-  s = 0.5 (2 - x)^m flattens the endpoint at s = 0, and N and D are their
-  exact values at s = 0, 2 omega + U'(a) and omega/2, less sums of
-  powers s^e: sums of terms that can be 1e56 times omega/2 would leave only
-  round-off there.  x = 1 is an edge of the first two panels, so no panel
-  straddles the split.  ``eval_J_rows`` evaluates it at every omega of a
-  block of gamma rows, with one batched quadrature for the whole block;
-  ``eval_J_row`` is a block of one row and ``eval_J`` a block of one cell,
+  split at s = 1/2.  On the right piece s = 1 - x^2/2 removes the
+  (1-s)^{-1/2} endpoint, and N and D are sums of the differences 1 - s^e
+  in expm1 form, which keep D's relative precision as it vanishes at s = 1.
+  On the left, s = 0.5 (2 - x)^m flattens the endpoint at s = 0, and N and
+  D are their exact values at s = 0, 2 omega + U'(a) and omega/2, less sums
+  of powers s^e: sums of terms that can be 1e56 times omega/2 would leave
+  only round-off there.  ``eval_J_rows`` evaluates it at every omega of a
+  block of gamma rows in one batch, ``eval_J_row`` is a block of one row
+  and ``eval_J`` a block of one cell, and no value depends on its batch,
   so all three agree bit for bit.  A cell with no standing wave, or whose
   amplitude lies beyond the float range, is NaN in a block.
 * ``eval_J_raw``: a block of one cell of the direct form
   (-1/(2U'(a))) * integral of (3 + s(U'(a)-U'(s))/U(s)) sqrt(s)/sqrt(U(s))
-  over [0, a], on the same piecewise map, split at s = a/2.  With
-  V = U(s)/s and W = U'(a) - U'(s) the integrand is (3 + W/V) / sqrt(V).
-  On the right piece V and W are sums of the differences 1 - (s/a)^e in
-  expm1 form, so the bracket does not cancel near s = a; on the left they
-  are omega and U'(a) - omega less sums of powers of s/a, so they do not
-  cancel as s -> 0, and m flattens the s^{(p-1)/2} end there.  As
+  over [0, a].  With V = U(s)/s and W = U'(a) - U'(s) the integrand is
+  (3 + W/V) / sqrt(V), with V and W in the same two forms as N and D.  As
   N = 6D + W and V = 2D, this is the transformed integrand times a
-  constant: it checks the coefficients, and ``eval_J_mass_fd`` the quadrature.
+  constant, always on the adaptive kernel: it checks the coefficients, and
+  at the cells of eval_J's fixed rule the quadrature too.
 * ``eval_J_mass_fd``: central finite difference of the mass integral
-  ``mass_Q`` in omega at steps h and h/2, Richardson-extrapolated.  The mass
-  integrand is 1 / sqrt(V) on the same map, with the raw route's V.  Where
-  the case has a curve at gamma, the step is at most a quarter of the
-  distance to omega_star(gamma), so the stencil keeps to the query's side
-  of it.  Its four stencil masses run as one batched quadrature at
-  relative tolerance 3e-13, each equal to ``mass_Q`` alone bit for bit,
-  and their quadrature errors enter its error bar.
+  ``mass_Q`` (integrand 1 / sqrt(V)) in omega at steps h and h/2,
+  Richardson-extrapolated.  Where the case has a curve at gamma, the step
+  is at most a quarter of the distance to omega_star(gamma), so the
+  stencil keeps to the query's side of it.  Its four stencil masses run as
+  one batch at relative tolerance 3e-13, each equal to ``mass_Q`` alone bit
+  for bit, and their quadrature errors enter its error bar.
 
-The three routes share one map (``_piecewise``): x in [0, 2] in two
-initial panels that meet at s = a/2, s = a (1 - x^2/2) on the right and
-s = (a/2) (2 - x)^m on the left, m = ceil(2/(p-1)).  A private route table
-(``_ROUTES``) gives each of ``transformed``, ``raw`` and ``mass`` its row
-(constants from omega and U'(a), then coefficient triples of the terms
-times a^{e_l}), its form, the power of its base and the k of its
-prefactor -a / (k U'(a)); one driver (``_quads``) packs the rows of a
-batch of cells and makes the module's one ``integrate_many`` call.  A
-batch pays once per cell only for what the cell owns: the powers a^{e_l}
-come with its profile, and the term tables and F1's local maxima are
-looked up once per gamma of the batch.
+The three routes share one map (``_piecewise``): x in [0, 2], split at
+s = a/2 (x = 1), s = a (1 - x^2/2) on the right and s = (a/2) (2 - x)^m on
+the left, m = ceil(2/(p-1)).  A private route table (``_ROUTES``) gives
+each route its row (constants from omega and U'(a), then coefficient
+triples of the terms times a^{e_l}), its form, the power of its base and
+the k of its prefactor -a / (k U'(a)).  ``_integrand`` packs the rows of a
+batch of cells into one integrand, and two kernels evaluate it.  The
+adaptive one (``_quads``, one ``integrate_many`` call) starts from the two
+panels that meet at x = 1.  The fixed rule (``_rule``) takes eval_J's cells
+at omega > 0 where omega - F1 dips to at least 1e-3 omega at a local
+maximum c < a of F1 and the terms of D stay below 1e6 omega/2.  There the
+integrand peaks at c with width sqrt(2 (omega - F1(c)) / |F1''(c)|), which
+the adaptive kernel resolves one split per round; the rule takes
+Gauss-Legendre with 32 and 64 nodes on each piece, sinh-mapped at c on c's
+piece, with m at least 3, and keeps the 64-node value where the two agree
+to the tolerance.  Its other cells, and all others, go to the adaptive
+kernel.  The term tables and F1's maxima are looked up once per gamma.
 
 The abs_error of ``eval_J``, ``eval_J0`` and ``eval_J_raw`` adds to the
-quadrature error two errors of the integrand that no quadrature sees.  The
+quadrature error (the rule's is |Q_64 - Q_32| plus 50 eps times the
+integral of |f|) two errors of the integrand that no quadrature sees.  The
 first is the error J carries from a: the computed a is the exact zero at
 an omega off by at most eps S, S = |omega| + sum |f1_l| a^{e_l}, and J
 moves by |J| eps S (2 |a^2 F1''(a)| / U'(a)^2 + 1/|U'(a)|) with it; the
@@ -59,8 +60,7 @@ base where it nearly vanishes inside (0, a): at each local maximum c < a
 of F1, omega - F1 dips to delta = omega - F1(c), whose float sum is off by
 up to eps S(c), S(c) = |omega| + sum |f1_l| c^{e_l}, and J, which scales
 as 1/delta there, by |J| eps S(c) / delta.  A quadrature that underflows
-to 0 +- 0 is not converged, so J reads indeterminate there, not an exact
-zero.
+to 0 +- 0 is not converged, so J reads indeterminate there.
 
 For defocusing-lowest-power (D*) cases with p < 7/3, the omega -> 0 limit
 J(0, gamma) is finite.  ``eval_J0`` computes it as the transformed route's
@@ -88,8 +88,9 @@ from .model import NonlinearityParams
 from .profile import ProfileResult, _f1_maxima, _profile, find_a
 # every route batches with integrate_many; integrate stays importable here
 # because perfbench's traced run wraps stability.integrate
-from .quadrature import (QuadratureResult, integrate,  # noqa: F401
-                         integrate_many)
+from .quadrature import (QuadratureResult, gauss_legendre,
+                         integrate,  # noqa: F401
+                         integrate_many, rule_sums)
 
 _SQRT2 = math.sqrt(2.0)
 _LN_HALF = math.log(0.5)
@@ -99,6 +100,13 @@ _EPS = float(np.finfo(float).eps)
 # routes, and the stencil masses', whose errors enter J's bar times 1/h
 _J_TOL = 1e-9
 _MASS_TOL = 3e-13
+
+# eval_J's fixed rule: its n, the choice of its cells (``_dip``) and its
+# batch, whose arrays stay as small as the adaptive kernel's
+_RULE_NODES = 32
+_DIP_DEPTH = 1e-3
+_RATIO_CAP = 1e6
+_RULE_BATCH = 40
 
 
 @dataclass(frozen=True)
@@ -266,20 +274,12 @@ _ROUTES = {
 }
 
 
-def _quads(params: NonlinearityParams, cells, route: str, m: int,
-           tol: float):
-    """The route's integral in x at each (omega, gamma, profile) cell.
-
-    One ``integrate_many`` call over x in [0, 2], whose two initial panels
-    meet at the split x = 1.  A cell takes its row from the terms at its
-    own gamma, looked up once per gamma of the batch, and the powers
-    a^{e_l} its profile carries.  Returns the quadratures, cell by cell,
-    and the term tables by gamma.
-    """
+def _integrand(params: NonlinearityParams, cells, route: str, m: int):
+    """``_piecewise``'s g of the route at each (omega, gamma, profile) cell,
+    from the terms at each gamma of the batch and each profile's a^{e_l}."""
     consts, coefs, form, power, _ = _ROUTES[route]
-    tables = {g: terms(params, g) for g in {gamma for _, gamma, _ in cells}}
-    triples = {g: [getattr(t, name) for name in coefs]
-               for g, t in tables.items()}
+    triples = {g: [getattr(terms(params, g), name) for name in coefs]
+               for g in {gamma for _, gamma, _ in cells}}
     rows = []
     for omega, gamma, res in cells:
         x0, x1, x2 = res.powers
@@ -287,11 +287,64 @@ def _quads(params: NonlinearityParams, cells, route: str, m: int,
         for c0, c1, c2 in triples[gamma]:
             row += (c0 * x0, c1 * x1, c2 * x2)
         rows.append(row)
-    e = tables[cells[0][1]].e  # the exponents depend on p, q, r alone
-    quads = integrate_many(_piecewise(e, m, rows, form, power), 0.0, 2.0,
-                           len(cells), rel_tol=tol, max_panels=2000,
-                           initial=2)
-    return quads, tables
+    # the exponents depend on p, q, r alone
+    return _piecewise(terms(params, cells[0][1]).e, m, rows, form, power)
+
+
+def _quads(params: NonlinearityParams, cells, route: str, m: int,
+           tol: float) -> List[QuadratureResult]:
+    """The route's integral in x at each cell: one ``integrate_many`` call
+    over x in [0, 2], whose two initial panels meet at the split x = 1."""
+    return integrate_many(_integrand(params, cells, route, m), 0.0, 2.0,
+                          len(cells), rel_tol=tol, max_panels=2000, initial=2)
+
+
+def _dip(cell, tables, maxima):
+    """(c, omega - F1(c), F1''(c)) at F1's local maximum c < a where the
+    fixed rule takes the cell, else None; tables and maxima by gamma."""
+    omega, gamma, res = cell
+    if maxima[gamma] and maxima[gamma][0][0] < res.a:
+        c, f1_c, _, curvature = maxima[gamma][0]
+        (d0, d1, d2), (x0, x1, x2) = tables[gamma].d, res.powers
+        if (omega - f1_c >= _DIP_DEPTH * omega and abs(d0) * x0
+                + abs(d1) * x1 + abs(d2) * x2 < 0.5 * _RATIO_CAP * omega):
+            return c, omega - f1_c, curvature
+    return None
+
+
+def _rule(params: NonlinearityParams, cells, dips, m: int) -> list:
+    """The transformed route's Q_2n at each cell of dips (``_dip``), or None
+    where it and Q_n differ by more than _J_TOL relative.
+
+    On each piece, x = lo + (1 + y)/2; on the one that holds c,
+    y = y_c + b sinh(mu u - eta), which maps [-1, 1] onto itself with its
+    nodes clustered at c on the dip's width b (Johnston & Elliott 2005).
+    """
+    a = np.array([[res.a] for _, _, res in cells])  # a column per cell
+    c, delta, curvature = np.array(dips).T[:, :, None]
+    right = c / a >= 0.5
+    t = (2.0 * c / a) ** (1.0 / m)
+    x_c = np.where(right, np.sqrt(2.0 - 2.0 * c / a), 2.0 - t)
+    lo = np.where(right, 0.0, 1.0)
+    y_c = 2.0 * (x_c - lo) - 1.0
+    # the width in s over ds/dx, times dy/dx = 2
+    b = (2.0 * np.sqrt(-2.0 * delta / curvature)
+         / (a * np.where(right, x_c, 0.5 * m * t ** (m - 1))))
+    h_lo, h_hi = np.arcsinh((1.0 + y_c) / b), np.arcsinh((1.0 - y_c) / b)
+    n = _RULE_NODES
+    u = np.concatenate([gauss_legendre(n)[0], gauss_legendre(2 * n)[0]])
+    arg = 0.5 * (h_lo + h_hi) * u - 0.5 * (h_lo - h_hi)
+    x = np.concatenate([lo + 0.5 + 0.5 * y_c + 0.5 * b * np.sinh(arg),
+                        1.5 - lo + 0.5 * u])
+    dxdu = np.concatenate([0.25 * b * (h_lo + h_hi) * np.cosh(arg),
+                           np.full(arg.shape, 0.5)])
+    index = list(range(len(cells)))
+    sums = [(s[:len(c)] + s[len(c):]).tolist() for s in rule_sums(
+        _integrand(params, cells, "transformed", m)(x, index + index) * dxdu,
+        n)]
+    return [QuadratureResult(q2, abs(q2 - q1) + 50.0 * _EPS * q_abs, 2, True,
+                             "rule") if abs(q2 - q1) <= _J_TOL * abs(q2)
+            else None for q1, q2, q_abs in zip(*sums)]
 
 
 def _root_error(t: Terms, omega: float, up: float, powers) -> float:
@@ -322,7 +375,7 @@ def _maxima_error(maxima, omega: float, a: float) -> float:
     cache beside F1's critical points (``profile._f1_maxima``).
     """
     err = 0.0
-    for c, f1_c, size in maxima:
+    for c, f1_c, size, _ in maxima:
         if c < a and omega > f1_c:
             err += _EPS * (abs(omega) + size) / (omega - f1_c)
     return err
@@ -337,7 +390,7 @@ def _transformed(params: NonlinearityParams, cells,
     cell.
 
     A None profile gives NaN and a profile on the curve the signed
-    sentinel; every other cell goes into one ``_quads`` batch.  The cells
+    sentinel; every other cell goes to ``_rule`` or ``_quads``.  The cells
     of one call are all at omega > 0 or all at omega = 0, which decides the
     left piece's m.  abs_error is the quadrature error times the prefactor
     plus |J| times ``_root_error`` and ``_maxima_error``.
@@ -356,15 +409,26 @@ def _transformed(params: NonlinearityParams, cells,
         return out
     # at omega = 0 the left end blows up like s^{-3(p-1)/4} (p < 7/3),
     # flattened with a margin of one
-    if cells[waves[0]][0] > 0.0:
-        m = _left_m(params)
-    else:
-        m = max(2, math.ceil(4.0 / (7.0 - 3.0 * params.p)) + 1)
+    positive = cells[waves[0]][0] > 0.0
+    m = (_left_m(params) if positive
+         else max(2, math.ceil(4.0 / (7.0 - 3.0 * params.p)) + 1))
     k = _ROUTES[route].k
-    quads, tables = _quads(params, [cells[i] for i in waves], route, m,
-                           _J_TOL)
-    maxima = {g: _f1_maxima(params, g) for g in tables}
-    for i, quad in zip(waves, quads):
+    gammas = {cells[i][1] for i in waves}
+    tables = {g: terms(params, g) for g in gammas}
+    maxima = {g: _f1_maxima(params, g) for g in gammas}
+    quads = {}
+    if route == "transformed" and positive:
+        dips = [(i, dip) for i in waves
+                if (dip := _dip(cells[i], tables, maxima)) is not None]
+        for j in range(0, len(dips), _RULE_BATCH):
+            index, batch = zip(*dips[j:j + _RULE_BATCH])
+            quads.update(zip(index, _rule(params, [cells[i] for i in index],
+                                          batch, max(3, m))))
+    rest = [i for i in waves if quads.get(i) is None]
+    if rest:
+        quads.update(zip(rest, _quads(params, [cells[i] for i in rest],
+                                      route, m, _J_TOL)))
+    for i, quad in quads.items():
         omega, gamma, res = cells[i]
         pref = -res.a / (k * res.uprime_at_a)
         j = pref * quad.value
@@ -450,7 +514,7 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
                 "mass integral diverges on the nonexistence curve at "
                 "omega=%g, gamma=%g" % (omega, gamma))
         cells.append((omega, gamma, res))
-    quads, _ = _quads(params, cells, "mass", _left_m(params), _MASS_TOL)
+    quads = _quads(params, cells, "mass", _left_m(params), _MASS_TOL)
     return [replace(q, value=res.a * q.value, abs_error=res.a * q.abs_error)
             for q, (_, _, res) in zip(quads, cells)]
 

@@ -1,10 +1,12 @@
-"""Print the oracle tables of tests/test_stability.py.
+"""Print the oracle tables of tests/test_stability.py and
+tests/test_dip_rule.py.
 
-    PYTHONPATH=src python3 tests/oracle_tables.py
+    PYTHONPATH=src python3 tests/oracle_tables.py [TABLE ...]
 
-Needs scipy and mpmath.  Every value comes from ``j_value`` of
-perfbench/oracle.py (scipy brentq, mpmath quadrature), which imports
-nothing of tristab; tristab only picks the draws.
+prints the tables named, all of them by default.  Needs scipy and mpmath.
+Every value comes from ``j_value`` of perfbench/oracle.py (scipy brentq,
+mpmath quadrature), which imports nothing of tristab; tristab only picks
+the draws.
 
 CANCELLATION_DRAWS are the draws of a seeded random probe, numpy
 ``default_rng(777)`` drawing in order p U(1.05, 6), q - p and r - q
@@ -23,6 +25,17 @@ s = 0, and tanh-sinh drops the nodes within about 10^-dps of that end,
 which misses 7e-5 of J at p = 2.2 and 8% at p = 2.3.  So the first
 s-segment is integrated after s = v^k, with k (1 - 3(p-1)/4) >= 2.
 
+DIP_DRAWS are the waves that eval_J's fixed rule takes (``stability._dip``:
+F1 dips below omega at a local maximum c < a by at least 1e-3 omega, and
+the terms of D stay below 1e6 omega/2).  The first 150 are draws of a
+probe like CANCELLATION_DRAWS' but from ``default_rng(2026)``; only FF waves
+with gamma > 0 have such a dip, since only there do the coefficients of F1'
+change sign twice.  Then 20 directed FF draws follow, from
+``default_rng(2027)``: p, q, r and gamma as in the probe, a depth
+10^U(-3, -1), and omega = F1(c) / (1 - depth), kept when the ratio
+sum |d_l| a^{e_l} / (omega/2) lies in [1e4, 1e6).  They are at 40 digits
+plus the log10 of that ratio, as above.
+
 ref_err is the oracle's error estimate or its change at 15 more digits,
 whichever is larger.
 """
@@ -38,8 +51,10 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import oracle  # noqa: E402
-from tristab import NonlinearityParams, find_a  # noqa: E402
+from tristab import NonlinearityParams, UnsupportedRegime, find_a  # noqa: E402
+from tristab import stability  # noqa: E402
 from tristab.landscape import terms  # noqa: E402
+from tristab.profile import _f1_maxima  # noqa: E402
 
 ROUNDED = [(3.344, 6.611, 7.134, 1, 1, 0.4183, 4.005),
            (2.800, 5.851, 6.542, 1, 1, 0.1539, 7.125),
@@ -60,20 +75,65 @@ def ratio(params, omega, gamma, a):
     return sum(abs(d) * a ** e for d, e in zip(t.d, t.e)) / (0.5 * omega)
 
 
+def probe(rng):
+    """One draw of the probe's (p, q, r, s1, s3, gamma, omega)."""
+    p = rng.uniform(1.05, 6.0)
+    q = p + rng.uniform(0.05, 4.0)
+    r = q + rng.uniform(0.05, 4.0)
+    s1, s3 = int(rng.choice((-1, 1))), int(rng.choice((-1, 1)))
+    return p, q, r, s1, s3, rng.uniform(-8.0, 8.0), 10.0 ** rng.uniform(-2.0,
+                                                                         1.5)
+
+
 def draws():
     rng = np.random.default_rng(777)
     for _ in range(1500):
-        p = rng.uniform(1.05, 6.0)
-        q = p + rng.uniform(0.05, 4.0)
-        r = q + rng.uniform(0.05, 4.0)
-        s1, s3 = int(rng.choice((-1, 1))), int(rng.choice((-1, 1)))
-        gamma = rng.uniform(-8.0, 8.0)
-        omega = 10.0 ** rng.uniform(-2.0, 1.5)
+        p, q, r, s1, s3, gamma, omega = probe(rng)
         params = NonlinearityParams(p, q, r, sign1=s1, sign3=s3)
         res = find_a(params, omega, gamma)
         if res is not None and not res.on_boundary:
             yield (p, q, r, s1, s3, omega, gamma), ratio(params, omega,
                                                          gamma, res.a)
+
+
+def takes_rule(params, omega, gamma):
+    """The ratio of the wave at (omega, gamma) when eval_J's fixed rule
+    takes it, else None."""
+    try:
+        res = find_a(params, omega, gamma)
+    except UnsupportedRegime:   # no float amplitude: no wave to tabulate
+        return None
+    if res is None or res.on_boundary or stability._dip(
+            (omega, gamma, res), {gamma: terms(params, gamma)},
+            {gamma: _f1_maxima(params, gamma)}) is None:
+        return None
+    return ratio(params, omega, gamma, res.a)
+
+
+def dip_draws(n_probe=150, n_directed=20):
+    rng = np.random.default_rng(2026)
+    found = 0
+    while found < n_probe:
+        p, q, r, s1, s3, gamma, omega = probe(rng)
+        rat = takes_rule(NonlinearityParams(p, q, r, sign1=s1, sign3=s3),
+                         omega, gamma)
+        if rat is not None:
+            found += 1
+            yield (p, q, r, s1, s3, omega, gamma), rat
+    rng = np.random.default_rng(2027)
+    found = 0
+    while found < n_directed:
+        p, q, r, _, _, gamma, _ = probe(rng)
+        depth = 10.0 ** rng.uniform(-3.0, -1.0)
+        params = NonlinearityParams(p, q, r)
+        maxima = _f1_maxima(params, gamma)
+        if not maxima or maxima[0][1] <= 0.0:
+            continue
+        omega = maxima[0][1] / (1.0 - depth)
+        rat = takes_rule(params, omega, gamma)
+        if rat is not None and 1e4 <= rat < 1e6:
+            found += 1
+            yield (p, q, r, 1, 1, omega, gamma), rat
 
 
 def reference(point, dps):
@@ -112,26 +172,37 @@ def print_draw(pt, rat=None):
           % (pt + (j, err)), flush=True)
 
 
-def main():
-    print("CANCELLATION_DRAWS = [")
-    found = sorted(draws(), key=lambda d: d[1])
-    for pt, rat in [d for d in found if d[1] >= 1e6]:
-        print_draw(pt, rat)
-    for pt in ROUNDED:
-        print_draw(pt)
-    print("]\n\nROUTE_DRAWS = [")
-    for pt in ROUTE:
-        print_draw(pt)
-    print("]\n\nJ0_POINTS = [")
-    for (p, q, r, s1, s3), gammas in J0_GAMMAS:
-        oracle.mp.quad = flattened_quad(
-            math.ceil(2.0 / (1.0 - 0.75 * (p - 1.0))))
-        for g in gammas:
-            j, err = reference((p, q, r, s1, s3, 0.0, g), 40)
-            print("    (%r, %r, %r, %d, %d, %r, %r, %.2g)," % (
-                p, q, r, s1, s3, g, j, err), flush=True)
-    print("]")
+def main(tables):
+    if "CANCELLATION_DRAWS" in tables:
+        print("CANCELLATION_DRAWS = [")
+        found = sorted(draws(), key=lambda d: d[1])
+        for pt, rat in [d for d in found if d[1] >= 1e6]:
+            print_draw(pt, rat)
+        for pt in ROUNDED:
+            print_draw(pt)
+        print("]\n")
+    if "ROUTE_DRAWS" in tables:
+        print("ROUTE_DRAWS = [")
+        for pt in ROUTE:
+            print_draw(pt)
+        print("]\n")
+    if "DIP_DRAWS" in tables:
+        print("DIP_DRAWS = [")
+        for pt, rat in dip_draws():
+            print_draw(pt, rat)
+        print("]\n")
+    if "J0_POINTS" in tables:
+        print("J0_POINTS = [")
+        for (p, q, r, s1, s3), gammas in J0_GAMMAS:
+            oracle.mp.quad = flattened_quad(
+                math.ceil(2.0 / (1.0 - 0.75 * (p - 1.0))))
+            for g in gammas:
+                j, err = reference((p, q, r, s1, s3, 0.0, g), 40)
+                print("    (%r, %r, %r, %d, %d, %r, %r, %.2g)," % (
+                    p, q, r, s1, s3, g, j, err), flush=True)
+        print("]")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:] or ["CANCELLATION_DRAWS", "ROUTE_DRAWS", "DIP_DRAWS",
+                          "J0_POINTS"])

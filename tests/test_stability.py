@@ -518,11 +518,25 @@ def _record_integrand_rows(monkeypatch):
 ])
 def test_ff_sweep_cells_take_few_panels(monkeypatch, params):
     # the s^{(p-1)/2} endpoint at s = 0, left rough by s = 1 - u^2 alone,
-    # cost 23 panels a cell; the left piece's s = 0.5 t^m flattens it
+    # cost 23 panels a cell; the left piece's s = 0.5 t^m flattens it.
+    # Cells where F1 dips below omega take the fixed rule, and only those
+    # it flags reach the adaptive kernel with the others
     quads = _record_quadratures(monkeypatch)
+    rule = []
+
+    def recorded(*args):
+        out = rule_values(*args)
+        rule.extend(out)
+        return out
+
+    rule_values = stability._rule
+    monkeypatch.setattr(stability, "_rule", recorded)
     sweep_grid(params, (0.02, 0.6), (0.0, 8.0), 12, 12, jobs=1)
-    assert len(quads) == 144
+    flagged = sum(q is None for q in rule)
+    assert len(rule) >= 50
+    assert len(quads) + len(rule) - flagged == 144
     assert sum(q.n_panels for q in quads) / len(quads) <= 8.0
+    assert flagged <= 0.05 * len(rule)
 
 
 def test_no_panel_straddles_the_split(monkeypatch):
