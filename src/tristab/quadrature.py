@@ -48,7 +48,7 @@ changes the last bits, and ``(Y * w).sum(axis=1)`` differs from the dot
 product.  The ``** 1.5`` of the error formula stays a Python float power
 per panel: numpy's ``power`` differs from libm's ``pow`` in the last bit on
 some inputs, which would change panel errors and so the refinement order.
-``rule_sums`` reduces the rows of a fixed rule by the same products.
+``_rule_sums`` reduces the rows of a fixed rule by the same products.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def _dots(Y, w):
 
 
 @functools.lru_cache(maxsize=None)
-def gauss_legendre(n: int):
+def _gauss_legendre(n: int):
     """The n-point Gauss-Legendre nodes on [-1, 1], ascending, and weights:
     Newton steps on P_n by its recurrence from Tricomi's estimates, and
     2 / ((1 - x^2) P_n'^2).  LAPACK's buffers would cost memory."""
@@ -135,10 +135,10 @@ def gauss_legendre(n: int):
     return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
-def rule_sums(Y, n: int):
+def _rule_sums(Y, n: int):
     """The n- and 2n-point Gauss-Legendre sums of each row of Y (its first
     n values and the next 2n), and the 2n-point sum of |Y|."""
-    w, w2 = gauss_legendre(n)[1], gauss_legendre(2 * n)[1]
+    w, w2 = _gauss_legendre(n)[1], _gauss_legendre(2 * n)[1]
     return _dots(Y[:, :n], w), _dots(Y[:, n:], w2), _dots(abs(Y[:, n:]), w2)
 
 

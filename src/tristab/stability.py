@@ -88,9 +88,9 @@ from .model import NonlinearityParams
 from .profile import ProfileResult, _f1_maxima, _profile, find_a
 # every route batches with integrate_many; integrate stays importable here
 # because perfbench's traced run wraps stability.integrate
-from .quadrature import (QuadratureResult, gauss_legendre,
+from .quadrature import (QuadratureResult, _gauss_legendre, _rule_sums,
                          integrate,  # noqa: F401
-                         integrate_many, rule_sums)
+                         integrate_many)
 
 _SQRT2 = math.sqrt(2.0)
 _LN_HALF = math.log(0.5)
@@ -332,14 +332,15 @@ def _rule(params: NonlinearityParams, cells, dips, m: int) -> list:
          / (a * np.where(right, x_c, 0.5 * m * t ** (m - 1))))
     h_lo, h_hi = np.arcsinh((1.0 + y_c) / b), np.arcsinh((1.0 - y_c) / b)
     n = _RULE_NODES
-    u = np.concatenate([gauss_legendre(n)[0], gauss_legendre(2 * n)[0]])
+    u = np.concatenate([_gauss_legendre(n)[0], _gauss_legendre(2 * n)[0]])
     arg = 0.5 * (h_lo + h_hi) * u - 0.5 * (h_lo - h_hi)
     x = np.concatenate([lo + 0.5 + 0.5 * y_c + 0.5 * b * np.sinh(arg),
                         1.5 - lo + 0.5 * u])
     dxdu = np.concatenate([0.25 * b * (h_lo + h_hi) * np.cosh(arg),
                            np.full(arg.shape, 0.5)])
+    # row i and row len(cells) + i are cell i's two pieces
     index = list(range(len(cells)))
-    sums = [(s[:len(c)] + s[len(c):]).tolist() for s in rule_sums(
+    sums = [(s[:len(c)] + s[len(c):]).tolist() for s in _rule_sums(
         _integrand(params, cells, "transformed", m)(x, index + index) * dxdu,
         n)]
     return [QuadratureResult(q2, abs(q2 - q1) + 50.0 * _EPS * q_abs, 2, True,
@@ -416,19 +417,19 @@ def _transformed(params: NonlinearityParams, cells,
     gammas = {cells[i][1] for i in waves}
     tables = {g: terms(params, g) for g in gammas}
     maxima = {g: _f1_maxima(params, g) for g in gammas}
-    quads = {}
-    if route == "transformed" and positive:
+    ruled = {}
+    # F1' changes sign twice only in FF, so only there is a maximum below a
+    if route == "transformed" and positive and params.case == "FF":
         dips = [(i, dip) for i in waves
                 if (dip := _dip(cells[i], tables, maxima)) is not None]
         for j in range(0, len(dips), _RULE_BATCH):
             index, batch = zip(*dips[j:j + _RULE_BATCH])
-            quads.update(zip(index, _rule(params, [cells[i] for i in index],
-                                          batch, max(3, m))))
-    rest = [i for i in waves if quads.get(i) is None]
-    if rest:
-        quads.update(zip(rest, _quads(params, [cells[i] for i in rest],
-                                      route, m, _J_TOL)))
-    for i, quad in quads.items():
+            ruled.update(iq for iq in zip(index, _rule(
+                params, [cells[i] for i in index], batch, max(3, m))) if iq[1])
+    rest = [i for i in waves if i not in ruled] if ruled else waves
+    adaptive = zip(rest, _quads(params, [cells[i] for i in rest], route, m,
+                                _J_TOL)) if rest else ()
+    for i, quad in (*ruled.items(), *adaptive):
         omega, gamma, res = cells[i]
         pref = -res.a / (k * res.uprime_at_a)
         j = pref * quad.value
