@@ -274,12 +274,11 @@ _ROUTES = {
 }
 
 
-def _integrand(params: NonlinearityParams, cells, route: str, m: int):
+def _integrand(cells, route: str, m: int, tables):
     """``_piecewise``'s g of the route at each (omega, gamma, profile) cell,
-    from the terms at each gamma of the batch and each profile's a^{e_l}."""
+    from the term tables by gamma and each profile's a^{e_l}."""
     consts, coefs, form, power, _ = _ROUTES[route]
-    triples = {g: [getattr(terms(params, g), name) for name in coefs]
-               for g in {gamma for _, gamma, _ in cells}}
+    triples = {g: [getattr(t, c) for c in coefs] for g, t in tables.items()}
     rows = []
     for omega, gamma, res in cells:
         x0, x1, x2 = res.powers
@@ -287,15 +286,15 @@ def _integrand(params: NonlinearityParams, cells, route: str, m: int):
         for c0, c1, c2 in triples[gamma]:
             row += (c0 * x0, c1 * x1, c2 * x2)
         rows.append(row)
-    # the exponents depend on p, q, r alone
-    return _piecewise(terms(params, cells[0][1]).e, m, rows, form, power)
+    e = tables[cells[0][1]].e  # the exponents depend on p, q, r alone
+    return _piecewise(e, m, rows, form, power)
 
 
-def _quads(params: NonlinearityParams, cells, route: str, m: int,
-           tol: float) -> List[QuadratureResult]:
+def _quads(cells, route: str, m: int, tol: float,
+           tables) -> List[QuadratureResult]:
     """The route's integral in x at each cell: one ``integrate_many`` call
     over x in [0, 2], whose two initial panels meet at the split x = 1."""
-    return integrate_many(_integrand(params, cells, route, m), 0.0, 2.0,
+    return integrate_many(_integrand(cells, route, m, tables), 0.0, 2.0,
                           len(cells), rel_tol=tol, max_panels=2000, initial=2)
 
 
@@ -312,7 +311,7 @@ def _dip(cell, tables, maxima):
     return None
 
 
-def _rule(params: NonlinearityParams, cells, dips, m: int) -> list:
+def _rule(cells, dips, m: int, tables) -> list:
     """The transformed route's Q_2n at each cell of dips (``_dip``), or None
     where it and Q_n differ by more than _J_TOL relative.
 
@@ -341,7 +340,7 @@ def _rule(params: NonlinearityParams, cells, dips, m: int) -> list:
     # row i and row len(cells) + i are cell i's two pieces
     index = list(range(len(cells)))
     sums = [(s[:len(c)] + s[len(c):]).tolist() for s in _rule_sums(
-        _integrand(params, cells, "transformed", m)(x, index + index) * dxdu,
+        _integrand(cells, "transformed", m, tables)(x, index + index) * dxdu,
         n)]
     return [QuadratureResult(q2, abs(q2 - q1) + 50.0 * _EPS * q_abs, 2, True,
                              "rule") if abs(q2 - q1) <= _J_TOL * abs(q2)
@@ -425,10 +424,10 @@ def _transformed(params: NonlinearityParams, cells,
         for j in range(0, len(dips), _RULE_BATCH):
             index, batch = zip(*dips[j:j + _RULE_BATCH])
             ruled.update(iq for iq in zip(index, _rule(
-                params, [cells[i] for i in index], batch, max(3, m))) if iq[1])
+                [cells[i] for i in index], batch, max(3, m), tables)) if iq[1])
     rest = [i for i in waves if i not in ruled] if ruled else waves
-    adaptive = zip(rest, _quads(params, [cells[i] for i in rest], route, m,
-                                _J_TOL)) if rest else ()
+    adaptive = zip(rest, _quads([cells[i] for i in rest], route, m, _J_TOL,
+                                tables)) if rest else ()
     for i, quad in (*ruled.items(), *adaptive):
         omega, gamma, res = cells[i]
         pref = -res.a / (k * res.uprime_at_a)
@@ -515,7 +514,8 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
                 "mass integral diverges on the nonexistence curve at "
                 "omega=%g, gamma=%g" % (omega, gamma))
         cells.append((omega, gamma, res))
-    quads = _quads(params, cells, "mass", _left_m(params), _MASS_TOL)
+    quads = _quads(cells, "mass", _left_m(params), _MASS_TOL,
+                   {gamma: terms(params, gamma)})
     return [replace(q, value=res.a * q.value, abs_error=res.a * q.abs_error)
             for q, (_, _, res) in zip(quads, cells)]
 
