@@ -86,8 +86,8 @@ from .errors import DivergingIntegral, NoStandingWave, NotOnCurve, UnsupportedRe
 from .landscape import Terms, terms
 from .model import NonlinearityParams
 from .profile import ProfileResult, _f1_maxima, _profile, find_a
-# every route batches with integrate_many; integrate stays importable here
-# because perfbench's traced run wraps stability.integrate
+# the adaptive kernel batches with integrate_many; integrate stays importable
+# here because perfbench's traced run wraps stability.integrate
 from .quadrature import (QuadratureResult, _gauss_legendre, _rule_sums,
                          integrate,  # noqa: F401
                          integrate_many)
