@@ -10,7 +10,8 @@ form, which is what makes the sign classifications tractable.
 
 ``bisect`` finds the sign change of a function monotone on a bracket, by
 Anderson-Bjorck false position kept safe by geometric means on wide
-brackets and midpoints where it stalls, until the bracket's ends are
+brackets, a step of one float inside an end that false position rounds
+onto, and midpoints where it stalls, until the bracket's ends are
 adjacent floats, and returns the end where |f| is smaller; ``grow`` finds
 a bracket's upper end by doubling.  Every root in the package comes from
 this pair, and no root is refined after it: the roots counted here, the
@@ -66,11 +67,14 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
     Anderson & Bjorck (BIT 13, 1973): when a step keeps the same end as
     the step before, that end's value is scaled by 1 - f(x)/f(replaced),
     or by 1/2 if that factor is not positive, so both ends close in
-    superlinearly.  The midpoint replaces a point not strictly inside
-    (lo, hi), and follows any three steps that did not halve the bracket,
-    so a stalled false position still halves it every four steps.  It
-    returns a step where f is zero, the midpoint after 200 steps, and once
-    no float lies strictly between lo and hi, the one of the two with the
+    superlinearly.  A point that rounds onto an end, as it does once that
+    end lies within an ulp of the root, gives way to the float next to it
+    inside (lo, hi), as in Alefeld, Potra & Shi (TOMS 748, 1995), so the
+    far end comes in at once, not by halving.  The midpoint replaces a NaN
+    point and follows any three steps that did not halve the bracket, so a
+    stalled false position still halves it every four steps.  It returns
+    a step where f is zero, the midpoint after 200 steps, and once no
+    float lies strictly between lo and hi, the one of the two with the
     smaller |f|, from f's values there, kept apart from the scaled ones:
     its calls of f are at distinct points.
     """
@@ -109,8 +113,9 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
             x, kept = 0.5 * (lo + hi), 0
         else:
             x = lo - flo * (hi - lo) / (fhi - flo)
-            if not lo < x < hi:
-                x = 0.5 * (lo + hi)
+            if not lo < x < hi:  # on an end: one float inside it; NaN
+                x = (math.nextafter(lo, hi) if x <= lo else
+                     math.nextafter(hi, lo) if x >= hi else 0.5 * (lo + hi))
         fx = f(x)
         if fx == 0.0:
             return x

@@ -317,6 +317,59 @@ def test_bisect_same_sign_piece_from_zero_is_not_walked():
     assert calls == []
 
 
+def _counted_solves(monkeypatch):
+    """A list that gets, for each amplitude solve, the number of calls of
+    phi and the number after the walk down from 0: profile's bisect is
+    wrapped, and the phi it is handed counts its calls."""
+    solves = []
+    solve = profile._bisect
+
+    def counted(f, lo, hi, flo, fhi):
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return f(x)
+
+        root = solve(g, lo, hi, flo, fhi)
+        walk, x = 0, hi
+        while lo == 0.0 and walk < len(seen) and seen[walk] == 0.5 * x:
+            walk, x = walk + 1, 0.5 * x
+        solves.append((len(seen), len(seen) - walk))
+        return root
+
+    monkeypatch.setattr(profile, "_bisect", counted)
+    return solves
+
+
+def test_amplitude_solve_steps_inside_an_end_false_position_lands_on(monkeypatch):
+    # one end lies within an ulp of the root, and the false-position point
+    # rounds onto it; halving the far end in took 57 calls here
+    solves = _counted_solves(monkeypatch)
+    fd367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)
+    res = find_a(fd367, 2.714516129032258, -24.129032258064516)
+    assert res.a == float.fromhex("0x1.52d3d1740d68cp-1")
+    assert len(solves) == 1 and solves[0][0] <= 20
+
+
+@pytest.mark.parametrize("params, omega_range, gamma_range, n", [
+    pytest.param(FF234, (0.02, 0.6), (0.0, 8.0), 24, id="ff_diagram"),
+    pytest.param(NonlinearityParams(3.0, 6.0, 7.0, sign3=-1), (0.05, 3.0),
+                 (-25.0, 2.0), 32, id="fd_diagram"),
+    pytest.param(DD357, (0.05, 20.0), (-10.0, 0.5), 40, id="dd-40x40"),
+])
+def test_amplitude_solves_of_a_diagram_window_take_few_calls(
+        monkeypatch, params, omega_range, gamma_range, n):
+    # past the walk from 0, no solve on these windows creeps to adjacent
+    # floats by halving: at most 20 calls each, where halving took up to 51
+    solves = _counted_solves(monkeypatch)
+    for gamma in np.linspace(*gamma_range, n):
+        for omega in np.linspace(*omega_range, n):
+            find_a(params, float(omega), float(gamma))
+    assert len(solves) >= n * n // 3
+    assert max(after for _, after in solves) <= 20
+
+
 def test_profile_carries_the_powers_of_its_amplitude():
     # U'(a), its tolerance and every J row read these; they are a ** e_l
     # bit for bit, and a ProfileResult compares and prints without them

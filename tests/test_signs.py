@@ -188,7 +188,9 @@ def test_bisect_converges_superlinearly_on_a_smooth_function():
 
 def test_bisect_calls_f_at_most_once_per_point():
     # the final pick reads the values the steps computed, and no call
-    # repeats an end given to bisect or a point evaluated before
+    # repeats an end given to bisect or a point evaluated before; a false
+    # position that rounds onto an end steps one float inside it, so the
+    # solve does not creep to adjacent floats by halving
     rng = np.random.default_rng(19)
     picks = 0
     for _ in range(300):
@@ -207,6 +209,7 @@ def test_bisect_calls_f_at_most_once_per_point():
         assert lo < x < hi
         assert len(seen) == len(set(seen)) and hi not in seen
         assert lo not in seen
+        assert len(seen) <= 24
         if f(x) != 0.0:
             picks += 1
             _assert_adjacent_pick(f, x)
