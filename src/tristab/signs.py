@@ -113,7 +113,7 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
             x, kept = 0.5 * (lo + hi), 0
         else:
             x = lo - flo * (hi - lo) / (fhi - flo)
-            if not lo < x < hi:  # on an end: one float inside it; NaN
+            if not lo < x < hi:  # onto an end: one float in; NaN: midpoint
                 x = (math.nextafter(lo, hi) if x <= lo else
                      math.nextafter(hi, lo) if x >= hi else 0.5 * (lo + hi))
         fx = f(x)

@@ -29,6 +29,7 @@ FF234 = NonlinearityParams(2.0, 3.0, 4.0)
 FD357 = NonlinearityParams(3.0, 5.0, 7.0, sign3=-1)
 DF234 = NonlinearityParams(2.0, 3.0, 4.0, sign1=-1)
 DD357 = NonlinearityParams(3.0, 5.0, 7.0, sign1=-1, sign3=-1)
+FD367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)
 
 EPS = np.finfo(float).eps
 # omega - F1(a) at a float a within a few ulps of the root rounds to a few
@@ -342,20 +343,18 @@ def _counted_solves(monkeypatch):
     return solves
 
 
-def test_amplitude_solve_steps_inside_an_end_false_position_lands_on(monkeypatch):
+def test_solve_steps_inside_an_end_false_position_lands_on(monkeypatch):
     # one end lies within an ulp of the root, and the false-position point
     # rounds onto it; halving the far end in took 57 calls here
     solves = _counted_solves(monkeypatch)
-    fd367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)
-    res = find_a(fd367, 2.714516129032258, -24.129032258064516)
+    res = find_a(FD367, 2.714516129032258, -24.129032258064516)
     assert res.a == float.fromhex("0x1.52d3d1740d68cp-1")
     assert len(solves) == 1 and solves[0][0] <= 20
 
 
 @pytest.mark.parametrize("params, omega_range, gamma_range, n", [
     pytest.param(FF234, (0.02, 0.6), (0.0, 8.0), 24, id="ff_diagram"),
-    pytest.param(NonlinearityParams(3.0, 6.0, 7.0, sign3=-1), (0.05, 3.0),
-                 (-25.0, 2.0), 32, id="fd_diagram"),
+    pytest.param(FD367, (0.05, 3.0), (-25.0, 2.0), 32, id="fd_diagram"),
     pytest.param(DD357, (0.05, 20.0), (-10.0, 0.5), 40, id="dd-40x40"),
 ])
 def test_amplitude_solves_of_a_diagram_window_take_few_calls(
