@@ -19,7 +19,7 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from . import boundary, diagram, verify
+from . import boundary, diagram
 from .asymptotics import Direction, asymptotic_exponent, classify_limit, \
     sign_guarantees
 from .diagram import format_float
@@ -41,6 +41,35 @@ def _sign(text: str) -> int:
         return -1
     raise argparse.ArgumentTypeError(
         "sign must be +1, -1, f, or d (got %r)" % text)
+
+
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer, got %r"
+                                             % text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d (got %d)"
+                                             % (low, value))
+        return value
+    return parse
+
+
+class _Suites:
+    """The --suite choices, read from ``verify.SUITES`` only when a name is
+    checked or listed, so that no other subcommand imports ``verify``."""
+
+    def _names(self):
+        from . import verify
+        return list(verify.SUITES) + ["all"]
+
+    def __contains__(self, name):
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
 
 
 def _levels_arg(text: str) -> List[float]:
@@ -125,17 +154,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega-max", type=float, required=True)
     sp.add_argument("--gamma-min", type=float, required=True)
     sp.add_argument("--gamma-max", type=float, required=True)
-    sp.add_argument("--nx", type=int, default=200)
-    sp.add_argument("--ny", type=int, default=200)
+    sp.add_argument("--nx", type=_at_least(2), default=200)
+    sp.add_argument("--ny", type=_at_least(2), default=200)
     sp.add_argument("--levels", type=_levels_arg, default=[0.0])
     sp.add_argument("--out-grid", default="diagram_grid.csv")
     sp.add_argument("--out-contours", default="diagram_contours.json")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default: available parallelism)")
+    sp.add_argument("--jobs", type=_at_least(1), default=None,
+                    help="at most this many worker processes (default: "
+                         "available parallelism); meshes under 4,096 cells "
+                         "run in process")
 
     sp = sub.add_parser("verify", help="run the numeric verification suites")
-    sp.add_argument("--suite", default="all",
-                    choices=list(verify.SUITES) + ["all"])
+    sp.add_argument("--suite", default="all", choices=_Suites(),
+                    metavar="SUITE", help="one of %(choices)s")
     sp.add_argument("--no-timing", action="store_true")
 
     return ap
@@ -293,6 +324,7 @@ def _cmd_diagram(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
+    from . import verify
     failures = verify.run_suite(ns.suite)
     return 1 if failures else 0
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -57,6 +56,12 @@ class ContourSet:
 # the fewest cells one task of a sweep holds: its rows' quadratures run as
 # one batch, and a bound on the block keeps memory flat on large grids
 _BLOCK_CELLS = 256
+# the fewest cells a sweep hands to a pool: below this, starting the workers
+# and pickling the blocks cost more than the second core saves.  A whole
+# `tristab diagram` process on 2 cores breaks even near 2,500 cells on
+# FF(2,3,4), near 4,000 on FD(3,6,7) and near 5,600 on DD(3,5,7), whose
+# cells are the cheapest
+_POOL_CELLS = 4096
 
 
 def _sweep_block(task):
@@ -75,8 +80,10 @@ def sweep_grid(params: NonlinearityParams,
     The gamma rows are cut into blocks of consecutive rows holding at least
     256 cells (one row once nx >= 256), and each block is evaluated as one
     batch by ``eval_J_rows``, whose cells equal scalar ``eval_J`` bit for
-    bit.  jobs > 1 distributes the blocks over a process pool; a mesh that
-    fits in one block runs in process and starts no pool.
+    bit.  jobs (default: the number of CPUs) bounds the worker processes:
+    with jobs > 1, a mesh of at least 4,096 cells that spans more than one
+    block maps its blocks over a process pool; any other mesh runs in
+    process and starts no pool.
     """
     w_lo, w_hi = float(omega_range[0]), float(omega_range[1])
     g_lo, g_hi = float(gamma_range[0]), float(gamma_range[1])
@@ -86,6 +93,8 @@ def sweep_grid(params: NonlinearityParams,
         raise ValueError("gamma_range must satisfy lo < hi, finite")
     if nx < 2 or ny < 2:
         raise ValueError("need nx >= 2 and ny >= 2")
+    if jobs is not None and jobs < 1:
+        raise ValueError("need jobs >= 1")
     omega_axis = np.linspace(w_lo, w_hi, int(nx))
     gamma_axis = np.linspace(g_lo, g_hi, int(ny))
     if jobs is None:
@@ -93,7 +102,9 @@ def sweep_grid(params: NonlinearityParams,
     step = -(-_BLOCK_CELLS // len(omega_axis))  # rows per block
     tasks = [(params, list(gamma_axis[i:i + step]), list(omega_axis))
              for i in range(0, len(gamma_axis), step)]
-    if jobs > 1 and len(tasks) > 1:
+    if (jobs > 1 and len(tasks) > 1
+            and omega_axis.size * gamma_axis.size >= _POOL_CELLS):
+        import multiprocessing
         with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
             blocks = pool.map(_sweep_block, tasks)
     else:

@@ -2,8 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import tristab
 
 from tristab import cli, verify
 from tristab.cli import main
@@ -272,6 +277,47 @@ def test_diagram_beyond_the_float_range_exits_0(capsys, tmp_path):
     assert "grid: 3 x 5 (6 nonexistent, 0 divergent)" in out
 
 
+_DIAGRAM_DD357 = ("diagram", "--p", "3", "--q", "5", "--r", "7",
+                  "--s1", "d", "--s3", "d",
+                  "--omega-min", "0.05", "--omega-max", "20",
+                  "--gamma-min", "-10", "--gamma-max", "-2.2")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_diagram_jobs_below_one_exits_2(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main([*_DIAGRAM_DD357, "--jobs", jobs, "--no-timing"])
+    assert exc.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["--nx", "--ny"])
+def test_diagram_mesh_below_two_exits_2(capsys, axis):
+    with pytest.raises(SystemExit) as exc:
+        main([*_DIAGRAM_DD357, axis, "1", "--no-timing"])
+    assert exc.value.code == 2
+    assert "%s: must be at least 2" % axis in capsys.readouterr().err
+
+
+def test_diagram_loads_neither_verify_nor_a_pool(tmp_path):
+    # a fresh interpreter, since this one has imported everything: a 40x40
+    # diagram runs in process, and only `tristab verify` needs its module
+    src = os.path.dirname(os.path.dirname(tristab.__file__))
+    argv = [*_DIAGRAM_DD357, "--nx", "40", "--ny", "40",
+            "--out-grid", str(tmp_path / "g.csv"),
+            "--out-contours", str(tmp_path / "c.json"), "--no-timing"]
+    script = ("import sys\n"
+              "from tristab.cli import main\n"
+              "assert main(%r) == 0\n"
+              "print(sorted({'tristab.verify', 'fractions', 'multiprocessing'}"
+              " & set(sys.modules)))" % argv)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_exit_code_2_on_bad_exponents(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--p", "3", "--q", "2", "--r", "4",
@@ -317,3 +363,17 @@ def test_verify_bad_arguments_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(["verify", *argv, "--no-timing"])
     assert exc.value.code == 2
+
+
+def test_verify_suite_error_and_help_name_the_suites(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err
+    assert all(repr(name) in err for name in [*verify.SUITES, "all"])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert ", ".join([*verify.SUITES, "all"]) in out

@@ -66,20 +66,24 @@ def test_sweep_grid_values_and_shape():
 
 
 def _count_pools(monkeypatch):
+    # sweep_grid imports multiprocessing only to start a pool, so the patch
+    # goes on the module itself
+    import multiprocessing
     pools = []
-    real = diagram.multiprocessing.Pool
+    real = multiprocessing.Pool
 
     def counted(*args, **kwargs):
         pools.append(kwargs.get("processes"))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(diagram.multiprocessing, "Pool", counted)
+    monkeypatch.setattr(multiprocessing, "Pool", counted)
     return pools
 
 
 def test_sweep_grid_parallel_matches_serial(monkeypatch):
-    # 64x9 is three blocks of 4, 4 and 1 rows
+    # 64x9 is three blocks of 4, 4 and 1 rows; any mesh may take the pool
     pools = _count_pools(monkeypatch)
+    monkeypatch.setattr(diagram, "_POOL_CELLS", 0)
     serial = sweep_grid(DF357, (0.1, 1.0), (-1.0, 1.0), 64, 9, jobs=1)
     assert pools == []
     parallel = sweep_grid(DF357, (0.1, 1.0), (-1.0, 1.0), 64, 9, jobs=2)
@@ -89,9 +93,32 @@ def test_sweep_grid_parallel_matches_serial(monkeypatch):
 
 def test_sweep_grid_in_one_block_starts_no_pool(monkeypatch):
     pools = _count_pools(monkeypatch)
+    monkeypatch.setattr(diagram, "_POOL_CELLS", 0)
     grid = sweep_grid(DF357, (0.1, 1.0), (-1.0, 1.0), 64, 4, jobs=2)
     assert pools == []
     assert grid.values.shape == (4, 64)
+
+
+def test_sweep_grid_starts_a_pool_from_the_threshold_on(monkeypatch):
+    # a row short of the threshold runs in process; at the threshold the
+    # blocks go to a pool of 2 and give the in-process values bit for bit
+    pools = _count_pools(monkeypatch)
+    ny = diagram._POOL_CELLS // 64
+    assert 64 * ny == diagram._POOL_CELLS
+    window = (DD357, (0.05, 20.0), (-10.0, -2.2))
+    below = sweep_grid(*window, 64, ny - 1, jobs=2)
+    assert pools == [] and below.values.shape == (ny - 1, 64)
+    at = sweep_grid(*window, 64, ny, jobs=2)
+    assert pools == [2]
+    serial = sweep_grid(*window, 64, ny, jobs=1)
+    assert pools == [2]
+    assert at.values.tobytes() == serial.values.tobytes()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_grid_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        sweep_grid(DF357, (0.1, 1.0), (-1.0, 1.0), 4, 4, jobs=jobs)
 
 
 def test_sweep_grid_nan_outside_existence():
@@ -535,17 +562,24 @@ def _on_curve(params, omega_lo, gamma_range, ny, row):
                  (False, False, False, True), id="DF357-blocks"),
 ])
 def test_sweep_cells_repeat_scalar_eval_j_bit_for_bit(
-        jobs, params, omega_range, gamma_range, nx, ny, kinds):
+        monkeypatch, jobs, params, omega_range, gamma_range, nx, ny, kinds):
+    # at jobs=2 every mesh of more than one block takes the pool
+    pools = _count_pools(monkeypatch)
+    monkeypatch.setattr(diagram, "_POOL_CELLS", 0)
     grid = sweep_grid(params, omega_range, gamma_range, nx, ny, jobs=jobs)
+    assert pools == ([2] if jobs == 2 and nx == 40 else [])
     expect = _scalar_grid(params, grid)
     assert _kinds(expect) == kinds
     assert grid.values.tobytes() == expect.tobytes()
 
 
-def test_sweep_row_wider_than_a_block_repeats_scalar_eval_j():
+def test_sweep_row_wider_than_a_block_repeats_scalar_eval_j(monkeypatch):
     # 300 cells a row: every row is a block of its own, mapped by the pool
+    pools = _count_pools(monkeypatch)
+    monkeypatch.setattr(diagram, "_POOL_CELLS", 0)
     omega_range = _on_curve(DD357, 0.05, (-10.0, 2.0), 3, 0)
     grid = sweep_grid(DD357, omega_range, (-10.0, 2.0), 300, 3, jobs=2)
+    assert pools == [2]
     expect = _scalar_grid(DD357, grid)
     assert _kinds(expect) == (True, True, True, True)
     assert grid.values.tobytes() == expect.tobytes()
