@@ -16,7 +16,7 @@ from .landscape import (LandscapeEval, eval_F1, eval_U, u_prime, u_second,
                         u_value)
 from .quadrature import QuadratureResult, integrate, integrate_many
 from .special import (BetaDerivBounds, beta_deriv_bounds, beta_fn, dbeta_dx,
-                      digamma, h_fn, log_gamma, two_power_integral)
+                      digamma, h_fn, two_power_integral)
 from .signs import (GeneralizedPolynomial, count_positive_roots_sampled,
                     sign_changes)
 from .profile import ProfileResult, find_a, find_a0
@@ -39,7 +39,7 @@ __all__ = [
     "LandscapeEval", "eval_F1", "eval_U", "u_prime", "u_second", "u_value",
     "QuadratureResult", "integrate", "integrate_many",
     "BetaDerivBounds", "beta_deriv_bounds", "beta_fn", "dbeta_dx", "digamma",
-    "h_fn", "log_gamma", "two_power_integral",
+    "h_fn", "two_power_integral",
     "GeneralizedPolynomial", "count_positive_roots_sampled", "sign_changes",
     "ProfileResult", "find_a", "find_a0",
     "BoundaryCurve", "endpoints", "gamma_omega_ne", "omega_star",

@@ -99,19 +99,15 @@ def _omega_zero_focusing(params: NonlinearityParams, gamma: float,
                                LimitKind.FiniteNegative, "p = 5, q = 9")
             return _signed(gamma, LimitKind.PosInfinity,
                            LimitKind.NegInfinity, "p = 5, q < 9")
-        if flip_gamma_zero:
-            if r > 9.0:
-                return LimitClass(LimitKind.ZeroPlus, "p = 5, gamma = 0, r > 9")
-            if r == 9.0:
-                return LimitClass(LimitKind.FinitePositive,
-                                  "p = 5, gamma = 0, r = 9")
-            return LimitClass(LimitKind.PosInfinity, "p = 5, gamma = 0, r < 9")
         if r > 9.0:
-            return LimitClass(LimitKind.ZeroMinus, "p = 5, gamma = 0, r > 9")
-        if r == 9.0:
-            return LimitClass(LimitKind.FiniteNegative,
-                              "p = 5, gamma = 0, r = 9")
-        return LimitClass(LimitKind.NegInfinity, "p = 5, gamma = 0, r < 9")
+            kind, rel = LimitKind.ZeroMinus, ">"
+        elif r == 9.0:
+            kind, rel = LimitKind.FiniteNegative, "="
+        else:
+            kind, rel = LimitKind.NegInfinity, "<"
+        if flip_gamma_zero:  # LimitKind runs from -inf to +inf
+            kind = list(LimitKind)[-1 - list(LimitKind).index(kind)]
+        return LimitClass(kind, "p = 5, gamma = 0, r %s 9" % rel)
     if p > _SEVEN_THIRDS:
         return LimitClass(LimitKind.PosInfinity, "7/3 < p < 5")
     if p == _SEVEN_THIRDS:

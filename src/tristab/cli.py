@@ -8,7 +8,8 @@ trailing timing line, which --no-timing suppresses.  Numbers print with
 12 significant digits.
 
 Exit codes: 0 success, 1 numeric failure (no standing wave, off the curve,
-diverging integral where a finite answer was requested), 2 argument errors.
+diverging integral where a finite answer was requested) or an output file
+that cannot be written, 2 argument errors.
 """
 
 from __future__ import annotations
@@ -357,7 +358,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     try:
         code = _COMMANDS[ns.subcommand](ns)
-    except _NUMERIC_ERRORS as exc:
+    except _NUMERIC_ERRORS + (OSError,) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     if not ns.no_timing:

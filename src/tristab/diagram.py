@@ -122,6 +122,20 @@ def _interp(x1: float, x2: float, f1: float, f2: float) -> float:
     return float(x1 + f1 / (f1 - f2) * (x2 - x1))
 
 
+# a cell's edges by their two corners (a, b, c, d = 0, 1, 2, 3)
+_B, _R, _T, _L = (0, 1), (1, 2), (3, 2), (0, 3)
+# marching squares' case table: for each pattern of corners above the level
+# (bit k for corner k) the pairs of edges that one piece joins; the saddles
+# 5 and 10 hold the pairs for a centre below the level, then above it
+_CASES = (
+    (), ((_L, _B),), ((_B, _R),), ((_L, _R),), ((_R, _T),),
+    (((_L, _B), (_R, _T)), ((_L, _T), (_B, _R))),
+    ((_B, _T),), ((_L, _T),), ((_L, _T),), ((_B, _T),),
+    (((_B, _R), (_T, _L)), ((_B, _L), (_T, _R))),
+    ((_R, _T),), ((_L, _R),), ((_B, _R),), ((_L, _B),), (),
+)
+
+
 def _cell_segments(x0, x1, y0, y1, fa, fb, fc, fd, center_above):
     """Level-crossing segments of one cell.
 
@@ -133,35 +147,20 @@ def _cell_segments(x0, x1, y0, y1, fa, fb, fc, fd, center_above):
            | (2 if fb > 0.0 else 0)
            | (4 if fc > 0.0 else 0)
            | (8 if fd > 0.0 else 0))
-    if idx == 0 or idx == 15:
-        return []
-    # crossing points are computed only on the edges each case uses; the
+    pairs = _CASES[idx]
+    if idx in (5, 10):
+        pairs = pairs[bool(center_above())]
+    f = (fa, fb, fc, fd)
+
+    # crossing points are computed only on the edges the case uses; the
     # strict sign split guarantees a nonzero denominator there
-    bottom = lambda: (_interp(x0, x1, fa, fb), y0)
-    right = lambda: (x1, _interp(y0, y1, fb, fc))
-    top = lambda: (_interp(x0, x1, fd, fc), y1)
-    left = lambda: (x0, _interp(y0, y1, fa, fd))
-    if idx in (1, 14):
-        segs = [(left(), bottom())]
-    elif idx in (2, 13):
-        segs = [(bottom(), right())]
-    elif idx in (3, 12):
-        segs = [(left(), right())]
-    elif idx in (4, 11):
-        segs = [(right(), top())]
-    elif idx in (6, 9):
-        segs = [(bottom(), top())]
-    elif idx in (7, 8):
-        segs = [(left(), top())]
-    elif idx == 5:
-        if center_above():
-            segs = [(left(), top()), (bottom(), right())]
-        else:
-            segs = [(left(), bottom()), (right(), top())]
-    elif center_above():
-        segs = [(bottom(), left()), (top(), right())]
-    else:
-        segs = [(bottom(), right()), (top(), left())]
+    def cross(edge):
+        i, j = edge
+        if edge in (_B, _T):  # along x
+            return (_interp(x0, x1, f[i], f[j]), (y0, y0, y1, y1)[i])
+        return ((x0, x1, x1, x0)[i], _interp(y0, y1, f[i], f[j]))
+
+    segs = [(cross(e1), cross(e2)) for e1, e2 in pairs]
     # a corner sitting exactly at the level collapses both adjacent
     # crossings onto the corner itself; such zero-length pieces carry no
     # geometry and would break loop stitching
@@ -270,17 +269,14 @@ def format_float(v: float, digits: int = 17) -> str:
 
 def export_grid_csv(grid: DiagramGrid, path: str) -> None:
     """Grid CSV: header gamma\\omega,<w...>; one row per gamma, ascending."""
-    try:
-        with open(path, "w") as fh:
-            fh.write("gamma\\omega," +
-                     ",".join(format_float(w) for w in grid.omega_axis)
-                     + "\n")
-            for iy, g in enumerate(grid.gamma_axis):
-                row = grid.values[iy]
-                fh.write(format_float(g) + ","
-                         + ",".join(format_float(v) for v in row) + "\n")
-    except OSError as exc:
-        raise OSError("cannot write grid CSV to %r: %s" % (path, exc))
+    with open(path, "w") as fh:
+        fh.write("gamma\\omega," +
+                 ",".join(format_float(w) for w in grid.omega_axis)
+                 + "\n")
+        for iy, g in enumerate(grid.gamma_axis):
+            row = grid.values[iy]
+            fh.write(format_float(g) + ","
+                     + ",".join(format_float(v) for v in row) + "\n")
 
 
 def import_grid_csv(path: str,
@@ -341,12 +337,9 @@ def export_contours_json(contours: Sequence[ContourSet], path: str) -> None:
             "paths": [[[pt[0], pt[1]] for pt in path] for path in cs.paths],
         })
     payload = objs[0] if len(objs) == 1 else objs
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError("cannot write contour JSON to %r: %s" % (path, exc))
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
 
 
 def import_contours_json(path: str) -> List[ContourSet]:
@@ -370,11 +363,8 @@ def import_contours_json(path: str) -> List[ContourSet]:
 
 def export_curve_csv(curve: BoundaryCurve, path: str) -> None:
     """Boundary CSV: columns a,omega_ne,gamma_ne."""
-    try:
-        with open(path, "w") as fh:
-            fh.write("a,omega_ne,gamma_ne\n")
-            for a, om, ga in curve.samples:
-                fh.write("%s,%s,%s\n" % (format_float(a), format_float(om),
-                                          format_float(ga)))
-    except OSError as exc:
-        raise OSError("cannot write boundary CSV to %r: %s" % (path, exc))
+    with open(path, "w") as fh:
+        fh.write("a,omega_ne,gamma_ne\n")
+        for a, om, ga in curve.samples:
+            fh.write("%s,%s,%s\n" % (format_float(a), format_float(om),
+                                      format_float(ga)))

@@ -142,10 +142,9 @@ def _rule_sums(Y, n: int):
     return _dots(Y[:, :n], w), _dots(Y[:, n:], w2), _dots(abs(Y[:, n:]), w2)
 
 
-def _reduce(Y, lo, hi, resabs=None):
-    """G7/K15 values and errors of the panels [lo[i], hi[i]] from their 15
-    values Y[i], as two lists of floats.  When resabs is a list, the K15
-    integral of |f| over each panel is appended to it.
+def _reduce(Y, lo, hi):
+    """G7/K15 values, errors and K15 integrals of |f| of the panels
+    [lo[i], hi[i]] from their 15 values Y[i], as three lists of floats.
 
     The four weighted sums of every panel come from ``_dots``; the error
     formula runs per panel on Python floats, because its ``** 1.5`` must be
@@ -166,9 +165,7 @@ def _reduce(Y, lo, hi, resabs=None):
         if floor > 0.0:
             err = max(err, floor)
         errs.append(err)
-    if resabs is not None:
-        resabs += absolute.tolist()
-    return kron.tolist(), errs
+    return kron.tolist(), errs, absolute.tolist()
 
 
 def _nodes(lo, hi):
@@ -186,9 +183,7 @@ def _round(f, lo, hi, cells, ahead=None):
         lo, hi = np.array(lo), np.array(hi)
         x = _nodes(lo, hi)
         y = np.asarray(f(x, cells), dtype=float).reshape(x.shape)
-        resabs = []
-        vals, errs = _reduce(y, lo, hi, resabs)
-        return vals, errs, resabs
+        return _reduce(y, lo, hi)
     panels = list(zip(cells, lo, hi))
     todo = [p for p in panels if p not in ahead]
     for c, a, b in panels if todo else ():

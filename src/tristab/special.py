@@ -28,14 +28,6 @@ class BetaDerivBounds:
     upper: float
 
 
-def log_gamma(x: float) -> float:
-    """log |Gamma(x)| for x > 0."""
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("log_gamma requires x > 0")
-    return math.lgamma(x)
-
-
 def digamma(x: float) -> float:
     """psi(x) for x > 0: recurrence up to x >= 6, then asymptotic series."""
     x = float(x)
@@ -62,7 +54,7 @@ def beta_fn(x: float, y: float) -> float:
     """Euler Beta B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y), x, y > 0."""
     if x <= 0.0 or y <= 0.0:
         raise ValueError("beta_fn requires x > 0 and y > 0")
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
 def dbeta_dx(x: float, y: float) -> float:

@@ -318,6 +318,26 @@ def test_diagram_loads_neither_verify_nor_a_pool(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    [*_DIAGRAM_DD357, "--nx", "3", "--ny", "3", "--out-grid"],
+    ["curve-ne", "--p", "2", "--q", "3", "--r", "4", "--s1", "f",
+     "--s3", "f", "--n", "3", "--out"],
+], ids=["diagram", "curve-ne"])
+def test_output_file_that_cannot_be_written_exits_1(tmp_path, argv):
+    # a fresh interpreter, so that stderr is what a user sees
+    dest = str(tmp_path / "missing" / "out.csv")
+    argv = [*argv, dest, "--no-timing"]
+    src = os.path.dirname(os.path.dirname(tristab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "tristab.cli", *argv],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and dest in line
+
+
 def test_exit_code_2_on_bad_exponents(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--p", "3", "--q", "2", "--r", "4",

@@ -206,6 +206,52 @@ def test_circle_field_contour():
     assert math.hypot(first[0] - last[0], first[1] - last[1]) <= 0.2
 
 
+# the segments of one cell [0, 2] x [0, 4] whose corners sit at +-1, read
+# off the marching squares written out case by case: bit k of the pattern
+# puts corner a, b, c or d (k = 0, 1, 2, 3) above the level, and the saddles
+# 5 and 10 hold the pieces for a centre below, then above
+_B, _R, _T, _L = (1.0, 0.0), (2.0, 2.0), (1.0, 4.0), (0.0, 2.0)
+_CELL_CASES = {
+    0: [], 1: [(_L, _B)], 2: [(_B, _R)], 3: [(_L, _R)], 4: [(_R, _T)],
+    5: ([(_L, _B), (_R, _T)], [(_L, _T), (_B, _R)]),
+    6: [(_B, _T)], 7: [(_L, _T)], 8: [(_L, _T)], 9: [(_B, _T)],
+    10: ([(_B, _R), (_T, _L)], [(_B, _L), (_T, _R)]),
+    11: [(_R, _T)], 12: [(_L, _R)], 13: [(_B, _R)], 14: [(_L, _B)], 15: [],
+}
+
+
+@pytest.mark.parametrize("pattern", range(16))
+def test_cell_segments_of_every_corner_pattern(pattern):
+    f = [1.0 if pattern >> k & 1 else -1.0 for k in range(4)]
+    asked = []
+
+    def center_above(above):
+        asked.append(above)
+        return above
+
+    for above in (False, True):
+        got = diagram._cell_segments(0.0, 2.0, 0.0, 4.0, *f,
+                                     lambda: center_above(above))
+        want = _CELL_CASES[pattern]
+        want = want[above] if pattern in (5, 10) else want
+        assert repr(got) == repr(want)
+    # only a saddle asks for the centre
+    assert asked == ([False, True] if pattern in (5, 10) else [])
+
+
+@pytest.mark.parametrize("fc, above, want", [
+    (1.0, None, []),
+    (-1.0, False, [((0.0, 0.0), (2.0, 2.0)), ((1.0, 4.0), (0.0, 0.0))]),
+    (-1.0, True, [((1.0, 4.0), (2.0, 2.0))]),
+])
+def test_cell_segments_drop_a_piece_of_zero_length(fc, above, want):
+    # corner a sits on the level, so it counts as below and its two
+    # crossings meet at the corner: patterns 14 and the saddle 10
+    got = diagram._cell_segments(0.0, 2.0, 0.0, 4.0, 0.0, 1.0, fc, 1.0,
+                                 lambda: above)
+    assert repr(got) == repr(want)
+
+
 def _contours_cell_by_cell(grid, levels):
     """extract_contours as a loop over every cell: the reference for its
     numpy selection of the cells that cross a level."""
@@ -502,9 +548,14 @@ def test_export_curve_csv(tmp_path):
 
 def test_export_errors_are_reported(tmp_path):
     grid = synthetic_grid(np.zeros((2, 2)), [0.5, 1.0], [0.0, 1.0])
-    bad = str(tmp_path / "missing" / "grid.csv")
-    with pytest.raises(OSError):
-        export_grid_csv(grid, bad)
+    bad = str(tmp_path / "missing" / "out")
+    for export, subject in ((export_grid_csv, grid),
+                            (export_contours_json,
+                             extract_contours(grid, [0.0])),
+                            (export_curve_csv, sample_curve(FF234, n=3))):
+        with pytest.raises(OSError) as exc:
+            export(subject, bad)
+        assert bad in str(exc.value)
 
 
 FD367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)

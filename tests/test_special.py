@@ -1,9 +1,9 @@
-"""Tests for the Gamma/Beta/digamma helpers and the two-power closed forms.
+"""Tests for the Beta/digamma helpers and the two-power closed forms.
 
 Oracle strategy: closed-form anchors with known decimal values, plus
 defining-integral cross-checks by the quadrature oracles of `tristab.verify`
-(the in-repo adaptive integrator, a code path independent of the Lanczos
-series).
+(the in-repo adaptive integrator, a code path independent of
+``math.lgamma``).
 """
 
 import math
@@ -17,29 +17,11 @@ from tristab import (
     dbeta_dx,
     digamma,
     h_fn,
-    log_gamma,
     two_power_integral,
 )
 from tristab.verify import beta_quad, h_quad, two_power_quad
 
 EULER_GAMMA = 0.5772156649015329
-
-
-def test_log_gamma_anchors():
-    assert abs(log_gamma(1.0)) <= 1e-14
-    assert abs(log_gamma(2.0)) <= 1e-14
-    assert math.isclose(log_gamma(0.5), 0.5 * math.log(math.pi), rel_tol=1e-13)
-    assert math.isclose(log_gamma(5.0), math.log(24.0), rel_tol=1e-13)
-    # reflection region
-    assert math.isclose(log_gamma(0.25) + log_gamma(0.75),
-                        math.log(math.pi / math.sin(math.pi * 0.25)),
-                        rel_tol=1e-12)
-
-
-def test_log_gamma_domain():
-    for bad in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
 
 
 def test_digamma_anchors():
