@@ -19,8 +19,8 @@ valid on an a-range that depends on the sign case:
 On the valid range omega_ne is increasing and gamma_ne is decreasing, so
 each gamma on the curve has one a: a critical point of F1 at gamma, since
 U'(a) = -a F1'(a) wherever F1(a) = omega; the first in the FF case, the
-peak of F1 otherwise.  omega_star reads it from the cache of
-``profile._f1_critical_points`` that ``find_a`` fills, and returns
+peak of F1 otherwise.  omega_star reads it from the cached term table
+``landscape.terms`` that ``find_a`` reads too, and returns
 omega_ne there, plus the first-order step along the curve,
 d omega / d gamma = -2 a^{(q-1)/2} / (q+1), where gamma_ne(a) misses gamma
 by more than round-off.  It is off by a few ulps times its condition
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import NotOnCurve
+from .landscape import terms
 from .model import NonlinearityParams
-from .profile import _f1_critical_points
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def omega_star(params: NonlinearityParams, gamma: float) -> float:
         raise NotOnCurve("gamma at or above the curve endpoint value %g"
                          % gamma1)
 
-    crits = _f1_critical_points(params, gamma)
+    crits = terms(params, gamma).crits
     if case == "FF":
         # at gamma1 the two critical points merge, and may round to none
         a = crits[0] if crits else endpoint_a

@@ -8,13 +8,15 @@ With s = phi^2 the once-integrated profile ODE reads (phi')^2 = U(phi^2) with
 and the factored form U(s) = s (omega - F1(s)) where F1 is the amplitude
 function.  The slope integrand of the stability functional is N / D^{3/2}
 built from the pieces A_l(a, s).  Everything in this module is pure
-closed-form evaluation with derivatives coded term by term; root finding
-lives in the profile module.
+closed-form evaluation with derivatives coded term by term; the amplitude
+a is found in the profile module.
 
 ``terms(params, gamma)`` is the one home of these closed forms: it holds
-the exponents e_l = (l-1)/2 and the coefficient triples of F1, U' - omega,
-N and D, and the root finder, the J integrands and the evaluators below all
-read them from it.  Evaluation keeps the float type of s: Python floats go
+the exponents e_l = (l-1)/2, the coefficient triples of F1, U' - omega,
+N and D, and F1's critical points and local maxima, which do not depend on
+omega.  The root finder, ``boundary.omega_star``, the J integrands and the
+evaluators below all read them from it, one cached table per
+(params, gamma).  Evaluation keeps the float type of s: Python floats go
 through Python's ``**`` and arrays through numpy's ``power``, which differ
 in the last bit on some inputs, so ``power_sum`` never converts its
 argument.  The public evaluators take scalars or numpy arrays in s,
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NonlinearityParams
+from .signs import roots
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,10 @@ class Terms:
     Entry l of each triple belongs to the p, q and r power in turn.
     F1(s) = sum f1_l s^{e_l}, U'(s) = omega + sum up_l s^{e_l} and
     U(s) = omega s - sum f1_l s^{eu_l}.  N(a, s) and D(a, s) are
-    sum n_l a^{e_l} (1 - s^{e_l}) and the same with d_l.
+    sum n_l a^{e_l} (1 - s^{e_l}) and the same with d_l.  crits holds F1's
+    positive critical points, ascending, at most two, and maxima
+    (c, F1(c), sum |f1_l| c^{e_l}, F1''(c)) at each local maximum c, the
+    critical points with F1''(c) < 0, ascending.
     """
 
     e: tuple
@@ -57,27 +63,43 @@ class Terms:
     up: tuple
     n: tuple
     d: tuple
+    crits: tuple
+    maxima: tuple
 
 
-@functools.lru_cache(maxsize=256, typed=True)
+@functools.lru_cache(maxsize=256)
 def terms(params: NonlinearityParams, gamma: float) -> Terms:
     """The term table at (params, gamma), cached: a sweep row shares one.
 
-    typed keeps a numpy gamma's table apart, so its coefficients stay numpy
-    scalars as an inline expression in that gamma would make them.
+    It is built from float(gamma), so equal numpy and Python gammas share
+    one table of Python floats.
     """
     p, q, r = params.p, params.q, params.r
-    a1, a3 = params.a1, params.a3
+    a1, a3, gamma = params.a1, params.a3, float(gamma)
+    e = ((p - 1.0) / 2.0, (q - 1.0) / 2.0, (r - 1.0) / 2.0)
+    f1 = (2.0 * a1 / (p + 1.0), -2.0 * gamma / (q + 1.0), 2.0 * a3 / (r + 1.0))
+    crits = tuple(roots([(c * x, x - 1.0) for c, x in zip(f1, e)
+                         if c != 0.0], math.inf))
+    maxima = []
+    for c in crits:
+        try:
+            fc = [f * c ** x for f, x in zip(f1, e)]  # F1's terms at c
+        except OverflowError:
+            break  # F1's terms overflow: no computed a lies past c
+        # c^2 F1''(c), which has the sign of F1''(c)
+        if (curvature := sum(t * x * (x - 1.0) for t, x in zip(fc, e))) < 0:
+            maxima.append((c, sum(fc), sum(map(abs, fc)), curvature / c / c))
     return Terms(
-        e=((p - 1.0) / 2.0, (q - 1.0) / 2.0, (r - 1.0) / 2.0),
+        e=e,
         # not e + 1, which rounds differently for some exponents
         eu=((p + 1.0) / 2.0, (q + 1.0) / 2.0, (r + 1.0) / 2.0),
-        f1=(2.0 * a1 / (p + 1.0), -2.0 * gamma / (q + 1.0),
-            2.0 * a3 / (r + 1.0)),
+        f1=f1,
         up=(-a1, gamma, -a3),
         n=(a1 * (5.0 - p) / (p + 1.0), -gamma * (5.0 - q) / (q + 1.0),
            a3 * (5.0 - r) / (r + 1.0)),
         d=(a1 / (p + 1.0), -gamma / (q + 1.0), a3 / (r + 1.0)),
+        crits=crits,
+        maxima=tuple(maxima),
     )
 
 

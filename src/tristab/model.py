@@ -28,8 +28,8 @@ def classify_case(sign1: int, sign3: int) -> str:
 class NonlinearityParams:
     """Exponents (p, q, r) and outer signs of the normalized nonlinearity.
 
-    Its hash, the dataclass's own, is computed once: the cached closed
-    forms are keyed on the params, several times per sweep cell.
+    Its hash, the dataclass's own, is computed once: the cached term
+    table is keyed on the params, once per amplitude solve.
     """
 
     p: float

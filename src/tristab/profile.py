@@ -19,10 +19,9 @@ bracket's ends are adjacent floats and returns the one where
 |omega - F1| is smaller; a is that float, with no further refinement.
 
 F1's critical points do not depend on omega, so they are found once per
-(params, gamma) and kept in a small bounded cache, which a sweep row, the
-four mass_Q points of eval_J_mass_fd and ``boundary.omega_star`` share.
-``_f1_maxima`` caches, beside them, F1's local maxima with F1, F1'' and
-the size of its terms there, which J's bar and rule read at every cell.
+(params, gamma), in the cached term table ``landscape.terms``, which a
+sweep row, the four mass_Q points of eval_J_mass_fd and
+``boundary.omega_star`` share; ``_profile`` looks the table up once.
 
 ``_profile`` computes the powers a^{e_l} once, for U'(a) and its tolerance,
 and its result carries them to J's rows and error bar in ``stability``.
@@ -33,14 +32,12 @@ find_a once per cell and the numpy dispatch overhead would dominate.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, field
 
 from .errors import UnsupportedRegime
-from .landscape import terms
+from .landscape import Terms, terms
 from .model import NonlinearityParams
-from .signs import bisect as _bisect, grow, roots
+from .signs import bisect as _bisect, grow
 
 # |U'(a)| below this (relative) scale counts as a double zero
 BOUNDARY_TOL = 1e-9
@@ -65,42 +62,16 @@ class ProfileResult:
     powers: tuple = field(default=(), compare=False, repr=False)
 
 
-@functools.lru_cache(maxsize=256)
-def _f1_critical_points(params: NonlinearityParams, gamma: float) -> tuple:
-    """Positive critical points of F1, ascending; at most two."""
-    t = terms(params, gamma)
-    return tuple(roots([(c * e, e - 1.0) for c, e in zip(t.f1, t.e)
-                        if c != 0.0], math.inf))
-
-
-@functools.lru_cache(maxsize=256)
-def _f1_maxima(params: NonlinearityParams, gamma: float) -> tuple:
-    """(c, F1(c), sum |f1_l| c^{e_l}, F1''(c)) at each local maximum c of
-    F1, the critical points with F1''(c) < 0, ascending."""
-    t = terms(params, gamma)
-    out = []
-    for c in _f1_critical_points(params, gamma):
-        try:
-            f1 = [f * c ** e for f, e in zip(t.f1, t.e)]
-        except OverflowError:
-            break  # F1's terms overflow: no computed a lies past c
-        # c^2 F1''(c), which has the sign of F1''(c)
-        if (curvature := sum(x * e * (e - 1.0) for x, e in zip(f1, t.e))) < 0:
-            out.append((c, sum(f1), sum(abs(x) for x in f1),
-                        curvature / c / c))
-    return tuple(out)
-
-
-def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
-    """First positive zero of phi(s) = omega - F1(s), or None.
+def _first_crossing(params: NonlinearityParams, omega: float, gamma: float,
+                    t: Terms):
+    """First positive zero of phi(s) = omega - F1(s), or None, from the
+    term table t at (params, gamma).
 
     A boundary double zero (*D cases: F1 max exactly omega) is returned as
     the touch point itself.  Raises UnsupportedRegime where F1's terms
     overflow before the crossing: a lies beyond the float range.
     """
-    t = terms(params, gamma)
-    cp, cq, cr = t.f1
-    ep, eq, er = t.e
+    (cp, cq, cr), (ep, eq, er) = t.f1, t.e
 
     def phi(s: float) -> float:
         try:
@@ -115,7 +86,7 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float):
         return _TOUCH_TOL * (1.0 + (abs(omega) + abs(cp) * s ** ep
                                     + abs(cq) * s ** eq + abs(cr) * s ** er))
 
-    crits = _f1_critical_points(params, gamma)
+    crits = t.crits
     # *D: F1 -> -inf, and a crossing needs its peak, crits[-1], to reach omega
     if params.a3 < 0 and (not crits or phi(crits[-1]) > tol(crits[-1])):
         return None
@@ -150,10 +121,10 @@ def find_a(params: NonlinearityParams, omega: float, gamma: float):
 
 def _profile(params: NonlinearityParams, omega: float, gamma: float):
     """find_a's result for any omega >= 0; at omega = 0, a is a0."""
-    a = _first_crossing(params, omega, gamma)
+    t = terms(params, gamma)
+    a = _first_crossing(params, omega, gamma, t)
     if a is None:
         return None
-    t = terms(params, gamma)
     (c0, c1, c2), (e0, e1, e2) = t.up, t.e
     powers = x0, x1, x2 = a ** e0, a ** e1, a ** e2
     # U'(a), summed as landscape.power_sum sums it
@@ -173,4 +144,4 @@ def find_a0(params: NonlinearityParams, gamma: float):
     """
     if params.sign1 != -1:
         raise ValueError("find_a0 applies to defocusing-lowest-power cases")
-    return _first_crossing(params, 0.0, gamma)
+    return _first_crossing(params, 0.0, gamma, terms(params, gamma))

@@ -15,9 +15,10 @@ onto, and midpoints where it stalls, until the bracket's ends are
 adjacent floats, and returns the end where |f| is smaller; ``grow`` finds
 a bracket's upper end by doubling.  Every root in the package comes from
 this pair, and no root is refined after it: the roots counted here, the
-amplitude a and, through ``roots``, F1's critical points in ``profile``,
-among which ``boundary.omega_star`` finds the curve's a.  Both are scalar
-float arithmetic, since their callers evaluate one point at a time.
+amplitude a and, through ``roots``, F1's critical points in
+``landscape.terms``, among which ``boundary.omega_star`` finds the curve's
+a.  Both are scalar float arithmetic, since their callers evaluate one
+point at a time.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ the adaptive kernel resolves one split per round; the rule takes
 Gauss-Legendre with 32 and 64 nodes on each piece, sinh-mapped at c on c's
 piece, with m at least 3, and keeps the 64-node value where the two agree
 to the tolerance.  Its other cells, and all others, go to the adaptive
-kernel.  The term tables and F1's maxima are looked up once per gamma.
+kernel.  The term table, with F1's maxima, is looked up once per gamma.
 
 The abs_error of ``eval_J``, ``eval_J0`` and ``eval_J_raw`` adds to the
 quadrature error (the rule's is |Q_64 - Q_32| plus 50 eps times the
@@ -85,7 +85,7 @@ from .boundary import omega_star
 from .errors import DivergingIntegral, NoStandingWave, NotOnCurve, UnsupportedRegime
 from .landscape import Terms, terms
 from .model import NonlinearityParams
-from .profile import ProfileResult, _f1_maxima, _profile, find_a
+from .profile import ProfileResult, _profile, find_a
 # the adaptive kernel batches with integrate_many; integrate stays importable
 # here because perfbench's traced run wraps stability.integrate
 from .quadrature import (QuadratureResult, _gauss_legendre, _rule_sums,
@@ -129,9 +129,7 @@ class StabilityValue:
         """
         if not self.converged:
             return "indeterminate"
-        if self.diverging:
-            return "stable" if self.j > 0 else "unstable"
-        if abs(self.j) > self.abs_error:
+        if self.diverging or abs(self.j) > self.abs_error:
             return "stable" if self.j > 0 else "unstable"
         return "indeterminate"
 
@@ -298,13 +296,14 @@ def _quads(cells, route: str, m: int, tol: float,
                           len(cells), rel_tol=tol, max_panels=2000, initial=2)
 
 
-def _dip(cell, tables, maxima):
+def _dip(cell, tables):
     """(c, omega - F1(c), F1''(c)) at F1's local maximum c < a where the
-    fixed rule takes the cell, else None; tables and maxima by gamma."""
+    fixed rule takes the cell, else None; tables by gamma."""
     omega, gamma, res = cell
-    if maxima[gamma] and maxima[gamma][0][0] < res.a:
-        c, f1_c, _, curvature = maxima[gamma][0]
-        (d0, d1, d2), (x0, x1, x2) = tables[gamma].d, res.powers
+    t = tables[gamma]
+    if t.maxima and t.maxima[0][0] < res.a:
+        c, f1_c, _, curvature = t.maxima[0]
+        (d0, d1, d2), (x0, x1, x2) = t.d, res.powers
         if (omega - f1_c >= _DIP_DEPTH * omega and abs(d0) * x0
                 + abs(d1) * x1 + abs(d2) * x2 < 0.5 * _RATIO_CAP * omega):
             return c, omega - f1_c, curvature
@@ -372,7 +371,7 @@ def _maxima_error(maxima, omega: float, a: float) -> float:
     as 1/delta.  Their float sums are off by up to eps S(c),
     S(c) = |omega| + sum |f1_l| c^{e_l}, so J is off by eps S(c) / delta
     relative.  maxima holds c, F1(c) and the sum at each maximum, from the
-    cache beside F1's critical points (``profile._f1_maxima``).
+    term table (``landscape.Terms.maxima``).
     """
     err = 0.0
     for c, f1_c, size, _ in maxima:
@@ -413,14 +412,12 @@ def _transformed(params: NonlinearityParams, cells,
     m = (_left_m(params) if positive
          else max(2, math.ceil(4.0 / (7.0 - 3.0 * params.p)) + 1))
     k = _ROUTES[route].k
-    gammas = {cells[i][1] for i in waves}
-    tables = {g: terms(params, g) for g in gammas}
-    maxima = {g: _f1_maxima(params, g) for g in gammas}
+    tables = {g: terms(params, g) for g in {cells[i][1] for i in waves}}
     ruled = {}
     # F1' changes sign twice only in FF, so only there is a maximum below a
     if route == "transformed" and positive and params.case == "FF":
         dips = [(i, dip) for i in waves
-                if (dip := _dip(cells[i], tables, maxima)) is not None]
+                if (dip := _dip(cells[i], tables)) is not None]
         for j in range(0, len(dips), _RULE_BATCH):
             index, batch = zip(*dips[j:j + _RULE_BATCH])
             ruled.update(iq for iq in zip(index, _rule(
@@ -430,12 +427,12 @@ def _transformed(params: NonlinearityParams, cells,
                                 tables)) if rest else ()
     for i, quad in (*ruled.items(), *adaptive):
         omega, gamma, res = cells[i]
+        t = tables[gamma]
         pref = -res.a / (k * res.uprime_at_a)
         j = pref * quad.value
         err = (abs(pref) * quad.abs_error
-               + abs(j) * (_root_error(tables[gamma], omega,
-                                       res.uprime_at_a, res.powers)
-                           + _maxima_error(maxima[gamma], omega, res.a)))
+               + abs(j) * (_root_error(t, omega, res.uprime_at_a, res.powers)
+                           + _maxima_error(t.maxima, omega, res.a)))
         # an integral that underflows to 0 +- 0 has not converged to zero
         converged = quad.converged and (quad.value != 0.0
                                         or quad.abs_error != 0.0)

@@ -54,7 +54,6 @@ import oracle  # noqa: E402
 from tristab import NonlinearityParams, UnsupportedRegime, find_a  # noqa: E402
 from tristab import stability  # noqa: E402
 from tristab.landscape import terms  # noqa: E402
-from tristab.profile import _f1_maxima  # noqa: E402
 
 ROUNDED = [(3.344, 6.611, 7.134, 1, 1, 0.4183, 4.005),
            (2.800, 5.851, 6.542, 1, 1, 0.1539, 7.125),
@@ -104,8 +103,7 @@ def takes_rule(params, omega, gamma):
     except UnsupportedRegime:   # no float amplitude: no wave to tabulate
         return None
     if res is None or res.on_boundary or stability._dip(
-            (omega, gamma, res), {gamma: terms(params, gamma)},
-            {gamma: _f1_maxima(params, gamma)}) is None:
+            (omega, gamma, res), {gamma: terms(params, gamma)}) is None:
         return None
     return ratio(params, omega, gamma, res.a)
 
@@ -126,7 +124,7 @@ def dip_draws(n_probe=150, n_directed=20):
         p, q, r, _, _, gamma, _ = probe(rng)
         depth = 10.0 ** rng.uniform(-3.0, -1.0)
         params = NonlinearityParams(p, q, r)
-        maxima = _f1_maxima(params, gamma)
+        maxima = terms(params, gamma).maxima
         if not maxima or maxima[0][1] <= 0.0:
             continue
         omega = maxima[0][1] / (1.0 - depth)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tristab import profile
+from tristab import landscape
 from tristab import (
     NonlinearityParams,
     NotOnCurve,
@@ -284,8 +284,9 @@ def test_omega_star_without_a_critical_point_is_not_on_curve():
 
 
 def test_omega_star_shares_find_as_critical_points():
-    info = profile._f1_critical_points.cache_info
-    profile._f1_critical_points.cache_clear()
+    # both read F1's critical points from the one term table per gamma
+    info = landscape.terms.cache_info
+    landscape.terms.cache_clear()
     omega_star(FD367, -3.25)
     assert info().misses == 1
     find_a(DD357, 1.0, -6.5)

@@ -1,5 +1,6 @@
 """Tests for amplitude root finding a(omega, gamma) and the omega -> 0 limit."""
 
+import dataclasses
 import json
 import math
 import os
@@ -402,12 +403,12 @@ def test_profile_carries_the_powers_of_its_amplitude():
 
 def test_sweep_row_finds_critical_points_once_per_gamma():
     fd367 = NonlinearityParams(3.0, 6.0, 7.0, sign3=-1)
-    profile._f1_critical_points.cache_clear()
+    terms.cache_clear()
     grid = sweep_grid(fd367, (0.05, 3.0), (-25.0, 2.0), 12, 3, jobs=1)
-    info = profile._f1_critical_points.cache_info()
+    info = terms.cache_info()
     assert info.misses == len(grid.gamma_axis)
     assert info.hits >= grid.values.size - len(grid.gamma_axis)
-    crits = profile._f1_critical_points(fd367, float(grid.gamma_axis[0]))
+    crits = terms(fd367, float(grid.gamma_axis[0])).crits
     assert isinstance(crits, tuple)
 
 
@@ -437,7 +438,7 @@ def test_narrow_exponent_gap_with_a_far_critical_point(gamma):
 
     below, above = (math.nextafter(prof.a, x) for x in (0.0, math.inf))
     assert phi(below) * phi(above) <= 0.0
-    crits = profile._f1_critical_points(params, gamma)
+    crits = terms(params, gamma).crits
     assert len(crits) == (2 if gamma > 0 else 0)
 
 
@@ -476,11 +477,12 @@ def test_touch_at_a_flat_peak_reads_on_boundary_when_the_peak_moves(monkeypatch,
     # scaled by |omega| + |max F1| it was below their round-off, and a peak
     # moved by one ulp could read exists
     omega, gamma = 0.01408496608371479, -1.9117443822455904
-    crits = list(profile._f1_critical_points(DD_FLAT_PEAK, gamma))
+    table = terms(DD_FLAT_PEAK, gamma)
+    crits = list(table.crits)
     for _ in range(abs(ulps)):
         crits[-1] = math.nextafter(crits[-1], math.copysign(math.inf, ulps))
-    monkeypatch.setattr(profile, "_f1_critical_points",
-                        lambda params, g: tuple(crits))
+    moved = dataclasses.replace(table, crits=tuple(crits))
+    monkeypatch.setattr(profile, "terms", lambda params, g: moved)
     res = find_a(DD_FLAT_PEAK, omega, gamma)
     assert res.on_boundary and not res.exists
 
@@ -602,7 +604,7 @@ def test_f1_critical_points_match_high_precision():
     # the rounding of their exponents too, eps |g ln c| relative
     counts = [0, 0, 0]
     for params, gamma in _critical_point_draws(240, 60):
-        crits = profile._f1_critical_points(params, gamma)
+        crits = terms(params, gamma).crits
         ref, h, d, gaps = _mp_critical_points(params, gamma)
         assert len(crits) == len(ref), (params, gamma, crits, ref)
         counts[len(crits)] += 1

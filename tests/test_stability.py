@@ -173,6 +173,13 @@ def test_on_curve_sentinel():
     ws = omega_star(FD357, 1.0)
     sv = eval_J(FD357, ws, 1.0)
     assert sv.diverging and sv.j == math.inf
+    # FF curve: within round-off of omega_star every route reads the
+    # sentinel, +inf on the lower side and -inf on the upper side
+    ws = omega_star(FF234, 3.0)
+    for factor, sign in ((1.0 - 1e-14, 1.0), (1.0 + 1e-14, -1.0)):
+        for route in (eval_J, eval_J_raw, eval_J_mass_fd):
+            sv = route(FF234, ws * factor, 3.0)
+            assert sv.diverging and sv.j == sign * math.inf, (route, factor)
 
 
 def test_blow_up_signs_near_curve():
@@ -229,6 +236,8 @@ def test_verdict_rules():
     assert StabilityValue(1e-12, 1e-9, False, "raw").verdict() == "indeterminate"
     assert StabilityValue(math.inf, math.inf, True, "transformed").verdict() == "stable"
     assert StabilityValue(-math.inf, math.inf, True, "transformed").verdict() == "unstable"
+    # a sweep's cell with no standing wave
+    assert StabilityValue(math.nan, math.nan, False, "transformed").verdict() == "indeterminate"
 
 
 def test_j0_regressions():
@@ -284,6 +293,9 @@ def test_j0_domain_errors():
     _, gamma1, _ = endpoints(dd234)
     with pytest.raises(NoStandingWave):
         eval_J0(dd234, gamma1 + 0.5)
+    # at gamma1 itself F1's peak touches zero: a double zero
+    with pytest.raises(DivergingIntegral):
+        eval_J0(dd234, gamma1)
 
 
 # J(0, gamma) from perfbench/oracle.py's j_value at omega = 0 and 40 digits,
