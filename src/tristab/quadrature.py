@@ -320,6 +320,98 @@ def integrate_many(f, lo: float, hi: float, m: int,
                     iroff2[c] += 1
 
 
+# the tanh-sinh kernel: u in [-_DE_SPAN, _DE_SPAN], one call for the levels
+# up to _DE_FIRST, where the stop test starts, and none past _DE_LAST
+_DE_SPAN = 4.5
+_DE_FIRST = 3
+_DE_LAST = 12
+# cells per array of a call: a sweep block's arrays stay small
+_DE_BATCH = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _de_nodes(level: int):
+    """ln v, ln(1 - v) and the weight h dv/du at the nodes of a call of
+    ``_tanh_sinh``, and the signs that difference its last two levels.
+
+    v = 1/(1 + exp(-pi sinh u)) at u = j h, h = 2^-level, |u| <= _DE_SPAN:
+    the call at _DE_FIRST takes every j, and the nodes of the levels below
+    it (even j) weigh -1 in the signs; a later call takes the odd j.  ln v
+    and ln(1 - v) come from logaddexp, exact however close v is to 0 or 1.
+    """
+    h = 0.5 ** level
+    j = np.arange(-int(_DE_SPAN / h), int(_DE_SPAN / h) + 1)
+    if level > _DE_FIRST:
+        j = j[j % 2 != 0]
+    u = j * h
+    z = np.pi * np.sinh(u)
+    ln_v, ln_w = -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z)
+    return (ln_v, ln_w, h * np.pi * np.cosh(u) * np.exp(ln_v + ln_w),
+            np.where(j % 2 != 0, 1.0, -1.0))
+
+
+def _tanh_sinh(f, m: int, rel_tol: float) -> List[QuadratureResult]:
+    """Integrate m integrands over v in (0, 1) by nested tanh-sinh levels.
+
+    f(ln_v, ln_w, w, cells) receives the 1-D arrays ln v, ln(1 - v) and
+    h dv/du at a call's nodes (``_de_nodes``) and returns, for each index
+    in cells, a row of its integrand times w at those nodes, on one or more
+    pieces side by side; a block of one cell may return a 1-D row.  Level k
+    has step h = 2^-k, and Q_k is h times the sum of the integrand's values
+    at every node up to level k.  Levels 0 to _DE_FIRST are one call, and
+    every later level one call on its new nodes, the odd multiples of h,
+    whose row sum S gives Q_k = Q_{k-1}/2 + S.  From _DE_FIRST on, with
+    d = |Q_k - Q_{k-1}|, A_k the level's integral of |f| and the floor
+    50 eps A_k, its error is d + floor.  It stops when that error passes
+    rel_tol |Q_k| ("tolerance"), when d is at or below the floor
+    ("roundoff"), converged if the error passes rel_tol A_k, as in
+    ``integrate_many``, or at _DE_LAST, unconverged ("budget").  n_panels
+    is its last level.  An integrand leaves the batch once it stops, rows are summed by
+    ``_dots`` and the rest is elementwise, so no value depends on its batch.
+    """
+    results = [None] * m
+    cells = list(range(m))
+    for level in range(_DE_FIRST, _DE_LAST + 1):
+        ln_v, ln_w, w, signs = _de_nodes(level)
+        rows = f(ln_v, ln_w, w)
+        sums = []
+        for j in range(0, len(cells), _DE_BATCH):
+            y = np.asarray(rows(cells[j:j + _DE_BATCH]))
+            y = y.reshape(-1, y.shape[-1])
+            ones = np.ones(y.shape[1])
+            sums.append([_dots(y, ones), _dots(np.abs(y), ones)])
+            if level == _DE_FIRST:
+                sums[-1].append(_dots(y, np.tile(signs, len(ones) // len(w))))
+        s, s_abs, *signed = (np.concatenate(x) if len(sums) > 1 else x[0]
+                             for x in zip(*sums))
+        if signed:
+            q, a, d = s, s_abs, np.abs(signed[0])
+        else:
+            d = np.abs(s - 0.5 * q)
+            q, a = 0.5 * q + s, 0.5 * a + s_abs
+        floor = 50.0 * _EPS * a
+        tolerance = d + floor <= rel_tol * np.abs(q)
+        roundoff = ~tolerance & (d <= floor)
+        converged = tolerance | (roundoff & (d + floor <= rel_tol * a))
+        stop = tolerance | roundoff
+        if level == _DE_LAST:
+            stop[:] = True
+        for c, value, err, conv, tol_c, off_c, stop_c in zip(
+                cells, q.tolist(), (d + floor).tolist(), converged.tolist(),
+                tolerance.tolist(), roundoff.tolist(), stop.tolist()):
+            if stop_c:
+                results[c] = QuadratureResult(
+                    value, err, level, conv,
+                    "tolerance" if tol_c else "roundoff" if off_c
+                    else "budget")
+        keep = ~stop
+        if not keep.any():
+            return results
+        cells = [c for c, k in zip(cells, keep.tolist()) if k]
+        q, a = q[keep], a[keep]
+    return results
+
+
 def integrate(f, lo: float, hi: float,
               rel_tol: float = 1e-9, max_panels: int = 2000,
               initial: int = 1) -> QuadratureResult:

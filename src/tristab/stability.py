@@ -89,7 +89,7 @@ from .profile import ProfileResult, _profile, find_a
 # the adaptive kernel batches with integrate_many; integrate stays importable
 # here because perfbench's traced run wraps stability.integrate
 from .quadrature import (QuadratureResult, _gauss_legendre, _rule_sums,
-                         integrate,  # noqa: F401
+                         _tanh_sinh, integrate,  # noqa: F401
                          integrate_many)
 
 _SQRT2 = math.sqrt(2.0)
@@ -272,10 +272,10 @@ _ROUTES = {
 }
 
 
-def _integrand(cells, route: str, m: int, tables):
-    """``_piecewise``'s g of the route at each (omega, gamma, profile) cell,
-    from the term tables by gamma and each profile's a^{e_l}."""
-    consts, coefs, form, power, _ = _ROUTES[route]
+def _rows(cells, route: str, tables) -> list:
+    """The route's row at each (omega, gamma, profile) cell, from the term
+    tables by gamma and each profile's a^{e_l}."""
+    consts, coefs = _ROUTES[route][:2]
     triples = {g: [getattr(t, c) for c in coefs] for g, t in tables.items()}
     rows = []
     for omega, gamma, res in cells:
@@ -284,8 +284,63 @@ def _integrand(cells, route: str, m: int, tables):
         for c0, c1, c2 in triples[gamma]:
             row += (c0 * x0, c1 * x1, c2 * x2)
         rows.append(row)
+    return rows
+
+
+def _integrand(cells, route: str, m: int, tables):
+    """``_piecewise``'s g of the route at each (omega, gamma, profile)
+    cell."""
+    _, _, form, power, _ = _ROUTES[route]
     e = tables[cells[0][1]].e  # the exponents depend on p, q, r alone
-    return _piecewise(e, m, rows, form, power)
+    return _piecewise(e, m, _rows(cells, route, tables), form, power)
+
+
+def _de_integrand(e: Sequence[float], m: int, rows):
+    """The transformed integrand N / D^{3/2} on both pieces of
+    ``_piecewise``'s map at the nodes of ``quadrature._tanh_sinh``.
+
+    Each piece takes its own variable v in (0, 1): the left piece t = v,
+    with ln t = ln v, and the right piece x = 1 - v, taken as
+    exp(ln(1 - v)), so the nodes resolve both ends of each piece to
+    v = 5e-62.  Everything that depends on the node alone (sigma^{e_l} on
+    the left, 1 - sigma^{e_l} in expm1 form on the right, and each piece's
+    Jacobian times the weight w) is built once per call, as one array of
+    the left piece's nodes then the right piece's, with the left terms
+    negated; the work per cell is then the two coefficient triples, the
+    constants added on the left, and N w / (D sqrt D) where D > 0, else 0.
+    Cell i is row i of the returned array, and a block of one cell
+    multiplies by plain floats, as ``_piecewise`` does.
+    """
+    table = np.array(rows).T[:, :, None]
+    one = len(rows) == 1
+
+    def nodes(ln_v, ln_w, w):
+        n = len(ln_v)
+        ln_s = _LN_HALF + m * ln_v
+        x = np.exp(ln_w)
+        ln_sigma = np.log1p(-0.5 * x * x)
+        basis = [np.concatenate((-np.exp(ex * ln_s), -np.expm1(ex * ln_sigma)))
+                 for ex in e]
+        jac = np.concatenate((0.5 * m * np.exp((m - 1) * ln_v) * w, x * w))
+        return lambda cells: cell_rows(n, basis, jac, cells)
+
+    def cell_rows(n, basis, jac, cells):
+        c = rows[0] if one else table[:, cells]
+        # in place, in the order of c2 b0 + c3 b1 + c4 b2 and N w / (D
+        # sqrt D): a block's arrays are its cells times 2n, three at a time
+        N, D = c[2] * basis[0], c[5] * basis[0]
+        for j in (1, 2):
+            N += c[2 + j] * basis[j]
+            D += c[5 + j] * basis[j]
+        N[..., :n] += c[0]
+        D[..., :n] += c[1]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            N *= jac
+            N /= np.sqrt(D) * D
+        N[~(D > 0.0)] = 0.0
+        return N
+
+    return nodes
 
 
 def _quads(cells, route: str, m: int, tol: float,
@@ -413,19 +468,30 @@ def _transformed(params: NonlinearityParams, cells,
          else max(2, math.ceil(4.0 / (7.0 - 3.0 * params.p)) + 1))
     k = _ROUTES[route].k
     tables = {g: terms(params, g) for g in {cells[i][1] for i in waves}}
-    ruled = {}
-    # F1' changes sign twice only in FF, so only there is a maximum below a
-    if route == "transformed" and positive and params.case == "FF":
-        dips = [(i, dip) for i in waves
+    done, rest = {}, waves
+    if route == "transformed" and positive:
+        # F1' changes sign twice only in FF, so only there is a maximum
+        # below a; every other cell takes the tanh-sinh kernel
+        peaks, smooth = [], []
+        for i in waves:
+            t = tables[cells[i][1]]
+            (peaks if t.maxima and t.maxima[0][0] < cells[i][2].a
+             else smooth).append(i)
+        if smooth:
+            done.update(zip(smooth, _tanh_sinh(_de_integrand(
+                tables[cells[smooth[0]][1]].e, m,
+                _rows([cells[i] for i in smooth], route, tables)),
+                len(smooth), _J_TOL)))
+        dips = [(i, dip) for i in peaks
                 if (dip := _dip(cells[i], tables)) is not None]
         for j in range(0, len(dips), _RULE_BATCH):
             index, batch = zip(*dips[j:j + _RULE_BATCH])
-            ruled.update(iq for iq in zip(index, _rule(
+            done.update(iq for iq in zip(index, _rule(
                 [cells[i] for i in index], batch, max(3, m), tables)) if iq[1])
-    rest = [i for i in waves if i not in ruled] if ruled else waves
+        rest = [i for i in peaks if i not in done]
     adaptive = zip(rest, _quads([cells[i] for i in rest], route, m, _J_TOL,
                                 tables)) if rest else ()
-    for i, quad in (*ruled.items(), *adaptive):
+    for i, quad in (*done.items(), *adaptive):
         omega, gamma, res = cells[i]
         t = tables[gamma]
         pref = -res.a / (k * res.uprime_at_a)
