@@ -1,4 +1,5 @@
-"""Adaptive Gauss-Kronrod quadrature (G7/K15) over a finite interval.
+"""Adaptive Gauss-Kronrod quadrature (G7/K15) over a finite interval, and
+nested tanh-sinh quadrature over (0, 1).
 
 Self-contained: the integrand is evaluated vectorized on numpy arrays of
 nodes, error per panel follows the classic QUADPACK refinement, and panels
@@ -49,6 +50,23 @@ product.  The ``** 1.5`` of the error formula stays a Python float power
 per panel: numpy's ``power`` differs from libm's ``pow`` in the last bit on
 some inputs, which would change panel errors and so the refinement order.
 ``_rule_sums`` reduces the rows of a fixed rule by the same products.
+
+``_tanh_sinh`` is the double-exponential kernel (Takahasi & Mori 1974;
+Bailey, Jeyabalan & Li, Exp. Math. 14, 2005) for integrands that are
+smooth inside (0, 1) and may be singular at its ends.  Its nodes are
+v = 1/(1 + exp(-pi sinh u)) at u = j 2^-k, |u| <= 4.5, and it hands the
+integrand ln v and ln(1 - v), each node's distance to either end, as
+scipy's ``_tanhsinh`` hands over the abscissa's complement: nodes reach
+v = 5e-62 from each end, where 1 - v would round to 1.  Levels 0 to 3
+(73 nodes) are one call and every later level, up to 12, one call on its
+new nodes, each for every integrand of the batch still running.  The error
+estimate is the difference of the last two levels plus the same round-off
+floor of 50 eps times the integral of |f| as a G7/K15 panel's, and the stop
+tests are ``integrate_many``'s: the tolerance relative to the value, and
+after a stop at the round-off floor, the tolerance relative to the integral
+of |f|.  Each integrand's row is reduced by ``_dots``, so here too no
+result depends on its batch.  The node arrays depend on the level alone
+and are built on first use.
 """
 
 from __future__ import annotations
@@ -100,9 +118,10 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(slots=True, eq=False)
 class QuadratureResult:
-    """One integral: value, error estimate, panels used, whether the error
-    met the tolerance, and why refinement stopped (``stop``): "tolerance",
-    "roundoff", "budget", "width_floor", or "rule" for a fixed rule."""
+    """One integral: value, error estimate, panels used (the last level
+    for ``_tanh_sinh``), whether the error met the tolerance, and why
+    refinement stopped (``stop``): "tolerance", "roundoff", "budget",
+    "width_floor", or "rule" for a fixed rule."""
 
     value: float
     abs_error: float
@@ -353,30 +372,32 @@ def _de_nodes(level: int):
 def _tanh_sinh(f, m: int, rel_tol: float) -> List[QuadratureResult]:
     """Integrate m integrands over v in (0, 1) by nested tanh-sinh levels.
 
-    f(ln_v, ln_w, w, cells) receives the 1-D arrays ln v, ln(1 - v) and
-    h dv/du at a call's nodes (``_de_nodes``) and returns, for each index
-    in cells, a row of its integrand times w at those nodes, on one or more
-    pieces side by side; a block of one cell may return a 1-D row.  Level k
-    has step h = 2^-k, and Q_k is h times the sum of the integrand's values
-    at every node up to level k.  Levels 0 to _DE_FIRST are one call, and
-    every later level one call on its new nodes, the odd multiples of h,
-    whose row sum S gives Q_k = Q_{k-1}/2 + S.  From _DE_FIRST on, with
-    d = |Q_k - Q_{k-1}|, A_k the level's integral of |f| and the floor
-    50 eps A_k, its error is d + floor.  It stops when that error passes
-    rel_tol |Q_k| ("tolerance"), when d is at or below the floor
-    ("roundoff"), converged if the error passes rel_tol A_k, as in
-    ``integrate_many``, or at _DE_LAST, unconverged ("budget").  n_panels
-    is its last level.  An integrand leaves the batch once it stops, rows are summed by
-    ``_dots`` and the rest is elementwise, so no value depends on its batch.
+    f(ln_v, ln_w, w) receives the 1-D arrays ln v, ln(1 - v) and h dv/du at
+    a call's nodes (``_de_nodes``), builds what depends on the nodes alone,
+    and returns g: g(cells) gives, for each index in cells, a row of that
+    integrand times w at those nodes, on one or more pieces side by side (a
+    block of one may give a 1-D row).  g takes at most _DE_BATCH cells at a
+    time, so a block's arrays stay small.  Level k has step h = 2^-k, and
+    Q_k is h times the sum of the integrand at every node up to level k.
+    Levels 0 to _DE_FIRST are one call, and every later level one call on
+    its new nodes, the odd multiples of h, whose row sum S gives
+    Q_k = Q_{k-1}/2 + S.  From _DE_FIRST on, with d = |Q_k - Q_{k-1}|, A_k
+    the level's integral of |f| and the floor 50 eps A_k, the error is
+    d + floor.  An integrand stops when its error passes rel_tol |Q_k|
+    ("tolerance"), when d is at or below the floor ("roundoff"), converged
+    if the error passes rel_tol A_k, as in ``integrate_many``, or at
+    _DE_LAST, unconverged ("budget"); n_panels is its last level.  It
+    leaves the batch once it stops, rows are summed by ``_dots`` and the
+    rest is elementwise, so no value depends on its batch.
     """
     results = [None] * m
     cells = list(range(m))
     for level in range(_DE_FIRST, _DE_LAST + 1):
         ln_v, ln_w, w, signs = _de_nodes(level)
-        rows = f(ln_v, ln_w, w)
+        g = f(ln_v, ln_w, w)
         sums = []
         for j in range(0, len(cells), _DE_BATCH):
-            y = np.asarray(rows(cells[j:j + _DE_BATCH]))
+            y = np.asarray(g(cells[j:j + _DE_BATCH]))
             y = y.reshape(-1, y.shape[-1])
             ones = np.ones(y.shape[1])
             sums.append([_dots(y, ones), _dots(np.abs(y), ones)])
@@ -390,23 +411,21 @@ def _tanh_sinh(f, m: int, rel_tol: float) -> List[QuadratureResult]:
             d = np.abs(s - 0.5 * q)
             q, a = 0.5 * q + s, 0.5 * a + s_abs
         floor = 50.0 * _EPS * a
-        tolerance = d + floor <= rel_tol * np.abs(q)
+        err = d + floor
+        tolerance = err <= rel_tol * np.abs(q)
         roundoff = ~tolerance & (d <= floor)
-        converged = tolerance | (roundoff & (d + floor <= rel_tol * a))
-        stop = tolerance | roundoff
-        if level == _DE_LAST:
-            stop[:] = True
-        for c, value, err, conv, tol_c, off_c, stop_c in zip(
-                cells, q.tolist(), (d + floor).tolist(), converged.tolist(),
+        converged = tolerance | (roundoff & (err <= rel_tol * a))
+        stop = tolerance | roundoff | (level == _DE_LAST)
+        for c, value, e, conv, tol_c, off_c, stop_c in zip(
+                cells, q.tolist(), err.tolist(), converged.tolist(),
                 tolerance.tolist(), roundoff.tolist(), stop.tolist()):
             if stop_c:
                 results[c] = QuadratureResult(
-                    value, err, level, conv,
-                    "tolerance" if tol_c else "roundoff" if off_c
-                    else "budget")
+                    value, e, level, conv, "tolerance" if tol_c
+                    else "roundoff" if off_c else "budget")
+        if stop.all():
+            break
         keep = ~stop
-        if not keep.any():
-            return results
         cells = [c for c, k in zip(cells, keep.tolist()) if k]
         q, a = q[keep], a[keep]
     return results

@@ -21,7 +21,8 @@ stable, negative unstable.  ``eval_J`` answers; two more routes check it:
   (3 + W/V) / sqrt(V), with V and W in the same two forms as N and D.  As
   N = 6D + W and V = 2D, this is the transformed integrand times a
   constant, always on the adaptive kernel: it checks the coefficients, and
-  at the cells of eval_J's fixed rule the quadrature too.
+  wherever eval_J takes the tanh-sinh kernel or the fixed rule, the
+  quadrature too.
 * ``eval_J_mass_fd``: central finite difference of the mass integral
   ``mass_Q`` (integrand 1 / sqrt(V)) in omega at steps h and h/2,
   Richardson-extrapolated.  Where the case has a curve at gamma, the step
@@ -35,27 +36,35 @@ s = a/2 (x = 1), s = a (1 - x^2/2) on the right and s = (a/2) (2 - x)^m on
 the left, m = ceil(2/(p-1)).  A private route table (``_ROUTES``) gives
 each route its row (constants from omega and U'(a), then coefficient
 triples of the terms times a^{e_l}), its form, the power of its base and
-the k of its prefactor -a / (k U'(a)).  ``_integrand`` packs the rows of a
-batch of cells into one integrand, and two kernels evaluate it.  The
-adaptive one (``_quads``, one ``integrate_many`` call) starts from the two
-panels that meet at x = 1.  The fixed rule (``_rule``) takes eval_J's cells
-at omega > 0 where omega - F1 dips to at least 1e-3 omega at a local
-maximum c < a of F1 and the terms of D stay below 1e6 omega/2.  There the
-integrand peaks at c with width sqrt(2 (omega - F1(c)) / |F1''(c)|), which
-the adaptive kernel resolves one split per round; the rule takes
-Gauss-Legendre with 32 and 64 nodes on each piece, sinh-mapped at c on c's
-piece, with m at least 3, and keeps the 64-node value where the two agree
-to the tolerance.  Its other cells, and all others, go to the adaptive
-kernel.  The term table, with F1's maxima, is looked up once per gamma.
+the k of its prefactor -a / (k U'(a)).  ``_rows`` builds the rows of a
+batch of cells, and three kernels integrate them.  eval_J's cells at
+omega > 0 where F1 has no local maximum below a (every FD, DD and DF cell,
+and the FF cells off the dip branch) take the tanh-sinh kernel
+(``quadrature._tanh_sinh`` on ``_de_integrand``): on each piece
+v = 1/(1 + exp(-pi sinh u)), the left piece's t = v and the right piece's
+x = 1 - v, each node given by its distance to the piece's end, and whole
+blocks of cells run level by level as arrays.  The fixed rule (``_rule``)
+takes eval_J's cells at omega > 0 where omega - F1 dips to at least
+1e-3 omega at a local maximum c < a of F1 and the terms of D stay below
+1e6 omega/2.  There the integrand peaks at c with width
+sqrt(2 (omega - F1(c)) / |F1''(c)|), which the adaptive kernel resolves one
+split per round; the rule takes Gauss-Legendre with 32 and 64 nodes on each
+piece, sinh-mapped at c on c's piece, with m at least 3, and keeps the
+64-node value where the two agree to the tolerance.  The adaptive kernel
+(``_quads``, one ``integrate_many`` call on ``_integrand``, from the two
+panels that meet at x = 1) takes the cells the rule flags, the other cells
+with a maximum below a, eval_J0, the raw route and the masses.  The term
+table, with F1's maxima, is looked up once per gamma.
 
 The abs_error of ``eval_J``, ``eval_J0`` and ``eval_J_raw`` adds to the
-quadrature error (the rule's is |Q_64 - Q_32| plus 50 eps times the
-integral of |f|) two errors of the integrand that no quadrature sees.  The
-first is the error J carries from a: the computed a is the exact zero at
-an omega off by at most eps S, S = |omega| + sum |f1_l| a^{e_l}, and J
-moves by |J| eps S (2 |a^2 F1''(a)| / U'(a)^2 + 1/|U'(a)|) with it; the
-first part is one over the distance to the fold, the second the residual
-in the prefactor's U'(a).  The second is the round-off of the integrand's
+quadrature error (the rule's is |Q_64 - Q_32| and the tanh-sinh kernel's
+|Q_k - Q_{k-1}|, each plus 50 eps times the integral of |f|) two errors of
+the integrand that no quadrature sees.  The first is the error J carries
+from a: the computed a is the exact zero at an omega off by at most eps S,
+S = |omega| + sum |f1_l| a^{e_l}, and J moves by
+|J| eps S (2 |a^2 F1''(a)| / U'(a)^2 + 1/|U'(a)|) with it; the first part
+is one over the distance to the fold, the second the residual in the
+prefactor's U'(a).  The second is the round-off of the integrand's
 base where it nearly vanishes inside (0, a): at each local maximum c < a
 of F1, omega - F1 dips to delta = omega - F1(c), whose float sum is off by
 up to eps S(c), S(c) = |omega| + sum |f1_l| c^{e_l}, and J, which scales
@@ -297,48 +306,48 @@ def _integrand(cells, route: str, m: int, tables):
 
 def _de_integrand(e: Sequence[float], m: int, rows):
     """The transformed integrand N / D^{3/2} on both pieces of
-    ``_piecewise``'s map at the nodes of ``quadrature._tanh_sinh``.
+    ``_piecewise``'s map, as ``quadrature._tanh_sinh`` takes it.
 
-    Each piece takes its own variable v in (0, 1): the left piece t = v,
-    with ln t = ln v, and the right piece x = 1 - v, taken as
-    exp(ln(1 - v)), so the nodes resolve both ends of each piece to
-    v = 5e-62.  Everything that depends on the node alone (sigma^{e_l} on
-    the left, 1 - sigma^{e_l} in expm1 form on the right, and each piece's
-    Jacobian times the weight w) is built once per call, as one array of
-    the left piece's nodes then the right piece's, with the left terms
-    negated; the work per cell is then the two coefficient triples, the
-    constants added on the left, and N w / (D sqrt D) where D > 0, else 0.
-    Cell i is row i of the returned array, and a block of one cell
-    multiplies by plain floats, as ``_piecewise`` does.
+    Each piece has its own variable v in (0, 1): the left piece t = v, with
+    ln t = ln v, and the right piece x = 1 - v, taken as exp(ln(1 - v)), so
+    the nodes resolve both ends of each piece down to v = 5e-62.  What
+    depends on the nodes alone (sigma^{e_l} on the left, 1 - sigma^{e_l} in
+    expm1 form on the right, and each piece's Jacobian times the weight w)
+    is built once per call, as one array of the left piece's nodes then the
+    right piece's, with the left terms negated.  The work per cell is then
+    the two coefficient triples, the constants added on the left, and
+    N w / (D sqrt D) where D > 0, else 0, in place, so that a block holds
+    three arrays of its cells times the nodes.  Cell i is row i, and a
+    block of one cell multiplies by plain floats, as ``_piecewise`` does.
     """
     table = np.array(rows).T[:, :, None]
     one = len(rows) == 1
 
     def nodes(ln_v, ln_w, w):
         n = len(ln_v)
-        ln_s = _LN_HALF + m * ln_v
+        ln_left = _LN_HALF + m * ln_v
         x = np.exp(ln_w)
-        ln_sigma = np.log1p(-0.5 * x * x)
-        basis = [np.concatenate((-np.exp(ex * ln_s), -np.expm1(ex * ln_sigma)))
-                 for ex in e]
+        ln_right = np.log1p(-0.5 * x * x)
+        basis = [np.concatenate((-np.exp(ex * ln_left),
+                                 -np.expm1(ex * ln_right))) for ex in e]
         jac = np.concatenate((0.5 * m * np.exp((m - 1) * ln_v) * w, x * w))
-        return lambda cells: cell_rows(n, basis, jac, cells)
 
-    def cell_rows(n, basis, jac, cells):
-        c = rows[0] if one else table[:, cells]
-        # in place, in the order of c2 b0 + c3 b1 + c4 b2 and N w / (D
-        # sqrt D): a block's arrays are its cells times 2n, three at a time
-        N, D = c[2] * basis[0], c[5] * basis[0]
-        for j in (1, 2):
-            N += c[2 + j] * basis[j]
-            D += c[5 + j] * basis[j]
-        N[..., :n] += c[0]
-        D[..., :n] += c[1]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            N *= jac
-            N /= np.sqrt(D) * D
-        N[~(D > 0.0)] = 0.0
-        return N
+        def values(cells):
+            c = rows[0] if one else table[:, cells]
+            N, D = c[2] * basis[0], c[5] * basis[0]
+            for j in (1, 2):
+                N += c[2 + j] * basis[j]
+                D += c[5 + j] * basis[j]
+            N[..., :n] += c[0]
+            D[..., :n] += c[1]
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                N *= jac
+                N /= D * np.sqrt(D)
+            N[~(D > 0.0)] = 0.0
+            return N
+
+        return values
 
     return nodes
 
@@ -444,7 +453,8 @@ def _transformed(params: NonlinearityParams, cells,
     cell.
 
     A None profile gives NaN and a profile on the curve the signed
-    sentinel; every other cell goes to ``_rule`` or ``_quads``.  The cells
+    sentinel; every other cell goes to ``_tanh_sinh``, ``_rule`` or
+    ``_quads`` (module docstring).  The cells
     of one call are all at omega > 0 or all at omega = 0, which decides the
     left piece's m.  abs_error is the quadrature error times the prefactor
     plus |J| times ``_root_error`` and ``_maxima_error``.

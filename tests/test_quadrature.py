@@ -1,4 +1,4 @@
-"""Tests for the adaptive Gauss-Kronrod integrator."""
+"""Tests for the adaptive Gauss-Kronrod integrator and the tanh-sinh kernel."""
 
 import heapq
 import math
@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tristab import integrate, integrate_many
-from tristab.quadrature import _WG, _WGK, _XGK, _nodes, _reduce
+from tristab.quadrature import (_DE_BATCH, _DE_LAST, _WG, _WGK, _XGK, _nodes,
+                                _reduce, _tanh_sinh)
 
 
 def test_polynomial_exactness():
@@ -411,3 +412,69 @@ def test_roundoff_counters_are_kept_per_integrand(initial):
                                          "roundoff"]
     assert [r.converged for r in results] == [True, False, False, False,
                                               True, False]
+
+
+# -- the tanh-sinh kernel ----------------------------------------------------
+
+
+def _beta_integrands(exponents):
+    """``_tanh_sinh``'s f for the integrands v^alpha (1 - v)^beta, one per
+    (alpha, beta), built from ln v and ln(1 - v)."""
+    def nodes(ln_v, ln_w, w):
+        return lambda cells: np.array([
+            np.exp(exponents[c][0] * ln_v + exponents[c][1] * ln_w) * w
+            for c in cells])
+    return nodes
+
+
+def _beta(alpha, beta):
+    return (math.gamma(alpha + 1.0) * math.gamma(beta + 1.0)
+            / math.gamma(alpha + beta + 2.0))
+
+
+EXPONENTS = [(-0.5, 0.0), (0.0, -0.5), (-0.5, -0.5), (2.0, 3.0),
+             (0.25, -0.25), (7.5, 0.5)]
+
+
+def test_tanh_sinh_resolves_endpoint_singularities():
+    # v^-1/2 at either end: the nodes come within 5e-62 of both ends, which
+    # 1 - v in floats could not resolve at v -> 1
+    for (alpha, beta), res in zip(EXPONENTS, _tanh_sinh(
+            _beta_integrands(EXPONENTS), len(EXPONENTS), 1e-12)):
+        exact = _beta(alpha, beta)
+        assert res.converged and res.stop == "tolerance"
+        assert abs(res.value - exact) <= res.abs_error <= 1e-12 * exact
+        assert 3 <= res.n_panels <= 6
+
+
+def test_tanh_sinh_batch_repeats_each_integrand_alone():
+    # more integrands than one array takes, and cells that stop at
+    # different levels leave the batch at different rounds
+    exponents = [EXPONENTS[k % len(EXPONENTS)]
+                 for k in range(2 * _DE_BATCH + 7)]
+    batch = _tanh_sinh(_beta_integrands(exponents), len(exponents), 1e-12)
+    assert len({res.n_panels for res in batch}) > 1
+    for ab, res in zip(exponents, batch):
+        (alone,) = _tanh_sinh(_beta_integrands([ab]), 1, 1e-12)
+        assert (alone.value, alone.abs_error, alone.n_panels, alone.stop) == (
+            res.value, res.abs_error, res.n_panels, res.stop)
+
+
+def test_tanh_sinh_zero_integral_stops_on_roundoff_converged():
+    def nodes(ln_v, ln_w, w):
+        return lambda cells: (np.exp(ln_v) - 0.5) * w
+
+    (res,) = _tanh_sinh(nodes, 1, 1e-9)
+    assert res.stop == "roundoff" and res.converged
+    assert abs(res.value) <= res.abs_error <= 1e-14
+
+
+def test_tanh_sinh_jump_ends_unconverged_at_the_last_level():
+    # a jump inside (0, 1) halves the difference of levels per level only
+    def nodes(ln_v, ln_w, w):
+        return lambda cells: np.where(ln_v < math.log(1.0 / 3.0), w, 0.0)
+
+    (res,) = _tanh_sinh(nodes, 1, 1e-9)
+    assert res.stop == "budget" and not res.converged
+    assert res.n_panels == _DE_LAST
+    assert abs(res.value - 1.0 / 3.0) <= res.abs_error

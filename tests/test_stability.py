@@ -570,8 +570,8 @@ def test_ff_sweep_cells_take_few_panels(monkeypatch, params):
 # the windows of the benchmark's fd_diagram and, as CI runs it, cli_diagram,
 # where every wave takes the tanh-sinh kernel
 @pytest.mark.parametrize("params, omegas, gammas", [
-    pytest.param(FD367, np.linspace(0.05, 3.0, 32), np.linspace(-25.0, 2.0, 32),
-                 id="FD367"),
+    pytest.param(FD367, np.linspace(0.05, 3.0, 32),
+                 np.linspace(-25.0, 2.0, 32), id="FD367"),
     pytest.param(DD357, np.linspace(0.05, 20.0, 40),
                  np.linspace(-10.0, 0.5, 40), id="DD357"),
 ])
