@@ -55,9 +55,10 @@ some inputs, which would change panel errors and so the refinement order.
 Bailey, Jeyabalan & Li, Exp. Math. 14, 2005) for integrands that are
 smooth inside (0, 1) and may be singular at its ends.  Its nodes are
 v = 1/(1 + exp(-pi sinh u)) at u = j 2^-k, |u| <= 4.5, and it hands the
-integrand ln v and ln(1 - v), each node's distance to either end, as
-scipy's ``_tanhsinh`` hands over the abscissa's complement: nodes reach
-v = 5e-62 from each end, where 1 - v would round to 1.  Levels 0 to 3
+integrand ln v and ln(1 - v), the logarithms of each node's distance to
+either end, as scipy's ``_tanhsinh`` hands over the abscissa's
+complement: nodes reach 5e-62 from each end, where a node given by v alone
+comes no closer to 1 than 1.1e-16.  Levels 0 to 3
 (73 nodes) are one call and every later level, up to 12, one call on its
 new nodes, each for every integrand of the batch still running.  The error
 estimate is the difference of the last two levels plus the same round-off
@@ -356,7 +357,8 @@ def _de_nodes(level: int):
     v = 1/(1 + exp(-pi sinh u)) at u = j h, h = 2^-level, |u| <= _DE_SPAN:
     the call at _DE_FIRST takes every j, and the nodes of the levels below
     it (even j) weigh -1 in the signs; a later call takes the odd j.  ln v
-    and ln(1 - v) come from logaddexp, exact however close v is to 0 or 1.
+    and ln(1 - v) come from logaddexp, accurate however close v is to 0
+    or 1.
     """
     h = 0.5 ** level
     j = np.arange(-int(_DE_SPAN / h), int(_DE_SPAN / h) + 1)
@@ -378,7 +380,7 @@ def _tanh_sinh(f, m: int, rel_tol: float) -> List[QuadratureResult]:
     integrand times w at those nodes, on one or more pieces side by side (a
     block of one may give a 1-D row).  g takes at most _DE_BATCH cells at a
     time, so a block's arrays stay small.  Level k has step h = 2^-k, and
-    Q_k is h times the sum of the integrand at every node up to level k.
+    Q_k sums the integrand times h dv/du at every node up to level k.
     Levels 0 to _DE_FIRST are one call, and every later level one call on
     its new nodes, the odd multiples of h, whose row sum S gives
     Q_k = Q_{k-1}/2 + S.  From _DE_FIRST on, with d = |Q_k - Q_{k-1}|, A_k
@@ -403,8 +405,7 @@ def _tanh_sinh(f, m: int, rel_tol: float) -> List[QuadratureResult]:
             sums.append([_dots(y, ones), _dots(np.abs(y), ones)])
             if level == _DE_FIRST:
                 sums[-1].append(_dots(y, np.tile(signs, len(ones) // len(w))))
-        s, s_abs, *signed = (np.concatenate(x) if len(sums) > 1 else x[0]
-                             for x in zip(*sums))
+        s, s_abs, *signed = map(np.concatenate, zip(*sums))
         if signed:
             q, a, d = s, s_abs, np.abs(signed[0])
         else:

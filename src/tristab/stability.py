@@ -454,9 +454,8 @@ def _transformed(params: NonlinearityParams, cells,
 
     A None profile gives NaN and a profile on the curve the signed
     sentinel; every other cell goes to ``_tanh_sinh``, ``_rule`` or
-    ``_quads`` (module docstring).  The cells
-    of one call are all at omega > 0 or all at omega = 0, which decides the
-    left piece's m.  abs_error is the quadrature error times the prefactor
+    ``_quads`` (module docstring).  The cells of one call are all at
+    omega > 0 or all at omega = 0, which decides the left piece's m.  abs_error is the quadrature error times the prefactor
     plus |J| times ``_root_error`` and ``_maxima_error``.
     """
     out = [None] * len(cells)
@@ -480,8 +479,8 @@ def _transformed(params: NonlinearityParams, cells,
     tables = {g: terms(params, g) for g in {cells[i][1] for i in waves}}
     done, rest = {}, waves
     if route == "transformed" and positive:
-        # F1' changes sign twice only in FF, so only there is a maximum
-        # below a; every other cell takes the tanh-sinh kernel
+        # only in FF does F1 reach omega past a local maximum, on the dip
+        # branch; every other cell takes the tanh-sinh kernel
         peaks, smooth = [], []
         for i in waves:
             t = tables[cells[i][1]]
