@@ -389,8 +389,9 @@ def _tanh_sinh(f, m: int, rel_tol: float) -> List[QuadratureResult]:
     ("tolerance"), when d is at or below the floor ("roundoff"), converged
     if the error passes rel_tol A_k, as in ``integrate_many``, or at
     _DE_LAST, unconverged ("budget"); n_panels is its last level.  It
-    leaves the batch once it stops, rows are summed by ``_dots`` and the
-    rest is elementwise, so no value depends on its batch.
+    leaves the batch once it stops.  Rows are summed by ``_dots`` and the
+    rest runs per integrand on Python floats, so no value depends on its
+    batch.
     """
     results = [None] * m
     cells = list(range(m))
@@ -405,30 +406,34 @@ def _tanh_sinh(f, m: int, rel_tol: float) -> List[QuadratureResult]:
             sums.append([_dots(y, ones), _dots(np.abs(y), ones)])
             if level == _DE_FIRST:
                 sums[-1].append(_dots(y, np.tile(signs, len(ones) // len(w))))
-        s, s_abs, *signed = map(np.concatenate, zip(*sums))
+        s, s_abs, *signed = (np.concatenate(x).tolist() for x in zip(*sums))
         if signed:
-            q, a, d = s, s_abs, np.abs(signed[0])
+            q, a, d = s, s_abs, [abs(x) for x in signed[0]]
         else:
-            d = np.abs(s - 0.5 * q)
-            q, a = 0.5 * q + s, 0.5 * a + s_abs
-        floor = 50.0 * _EPS * a
-        err = d + floor
-        tolerance = err <= rel_tol * np.abs(q)
-        roundoff = ~tolerance & (d <= floor)
-        converged = tolerance | (roundoff & (err <= rel_tol * a))
-        stop = tolerance | roundoff | (level == _DE_LAST)
-        for c, value, e, conv, tol_c, off_c, stop_c in zip(
-                cells, q.tolist(), err.tolist(), converged.tolist(),
-                tolerance.tolist(), roundoff.tolist(), stop.tolist()):
-            if stop_c:
+            d = [abs(x - 0.5 * y) for x, y in zip(s, q)]
+            q = [0.5 * y + x for x, y in zip(s, q)]
+            a = [0.5 * y + x for x, y in zip(s_abs, a)]
+        # Python floats: a block of one must not pay numpy's overhead, and
+        # a sweep block's loop costs no more than the numpy calls it replaces
+        keep = []
+        for i, (c, value, dc, ac) in enumerate(zip(cells, q, d, a)):
+            floor = 50.0 * _EPS * ac
+            err = dc + floor
+            if err <= rel_tol * abs(value):
+                results[c] = QuadratureResult(value, err, level, True,
+                                              "tolerance")
+            elif dc <= floor:
                 results[c] = QuadratureResult(
-                    value, e, level, conv, "tolerance" if tol_c
-                    else "roundoff" if off_c else "budget")
-        if stop.all():
+                    value, err, level, err <= rel_tol * ac, "roundoff")
+            elif level == _DE_LAST:
+                results[c] = QuadratureResult(value, err, level, False,
+                                              "budget")
+            else:
+                keep.append(i)
+        if not keep:
             break
-        keep = ~stop
-        cells = [c for c, k in zip(cells, keep.tolist()) if k]
-        q, a = q[keep], a[keep]
+        cells = [cells[i] for i in keep]
+        q, a = [q[i] for i in keep], [a[i] for i in keep]
     return results
 
 

@@ -325,11 +325,13 @@ def _de_integrand(e: Sequence[float], m: int, rows):
 
     def nodes(ln_v, ln_w, w):
         n = len(ln_v)
-        ln_left = _LN_HALF + m * ln_v
         x = np.exp(ln_w)
-        ln_right = np.log1p(-0.5 * x * x)
-        basis = [np.concatenate((-np.exp(ex * ln_left),
-                                 -np.expm1(ex * ln_right))) for ex in e]
+        # e_l ln sigma, the left piece's nodes then the right piece's
+        basis = np.multiply.outer(e, np.concatenate(
+            (_LN_HALF + m * ln_v, np.log1p(-0.5 * x * x))))
+        np.exp(basis[:, :n], out=basis[:, :n])
+        np.expm1(basis[:, n:], out=basis[:, n:])
+        np.negative(basis, out=basis)
         jac = np.concatenate((0.5 * m * np.exp((m - 1) * ln_v) * w, x * w))
 
         def values(cells):
