@@ -42,11 +42,11 @@ omega > 0 where F1 has no local maximum below a (every FD, DD and DF cell,
 and the FF cells off the dip branch) take the tanh-sinh kernel
 (``quadrature._tanh_sinh`` on ``_de_integrand``): on each piece
 v = 1/(1 + exp(-pi sinh u)), the left piece's t = v and the right piece's
-x = 1 - v, each node given by its distance to the piece's end, and whole
-blocks of cells run level by level as arrays.  The fixed rule (``_rule``)
-takes eval_J's cells at omega > 0 where omega - F1 dips to at least
-1e-3 omega at a local maximum c < a of F1 and the terms of D stay below
-1e6 omega/2.  There the integrand peaks at c with width
+x = 1 - v, each node given by its distance to the piece's end, and the
+cells of a block run level by level as arrays of up to 64 cells.  The
+fixed rule (``_rule``) takes eval_J's cells at omega > 0 where omega - F1
+dips to at least 1e-3 omega at a local maximum c < a of F1 and the terms
+of D stay below 1e6 omega/2.  There the integrand peaks at c with width
 sqrt(2 (omega - F1(c)) / |F1''(c)|), which the adaptive kernel resolves one
 split per round; the rule takes Gauss-Legendre with 32 and 64 nodes on each
 piece, sinh-mapped at c on c's piece, with m at least 3, and keeps the
