@@ -23,7 +23,7 @@ from .profile import ProfileResult, find_a, find_a0
 from .boundary import (BoundaryCurve, endpoints, gamma_omega_ne, omega_star,
                        sample_curve)
 from .stability import (StabilityValue, eval_J, eval_J0, eval_J_mass_fd,
-                        eval_J_raw, eval_J_row, eval_J_rows, mass_Q)
+                        eval_J_raw, eval_J_rows, mass_Q)
 from .asymptotics import (Direction, GuaranteeStatement, LimitClass,
                           LimitKind, SignGuarantee, asymptotic_exponent,
                           classify_limit, sign_guarantees)
@@ -45,7 +45,7 @@ __all__ = [
     "BoundaryCurve", "endpoints", "gamma_omega_ne", "omega_star",
     "sample_curve",
     "StabilityValue", "eval_J", "eval_J0", "eval_J_mass_fd", "eval_J_raw",
-    "eval_J_row", "eval_J_rows", "mass_Q",
+    "eval_J_rows", "mass_Q",
     "Direction", "GuaranteeStatement", "LimitClass", "LimitKind",
     "SignGuarantee", "asymptotic_exponent", "classify_limit",
     "sign_guarantees",

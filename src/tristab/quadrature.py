@@ -437,17 +437,15 @@ def _tanh_sinh(f, m: int, rel_tol: float) -> List[QuadratureResult]:
     return results
 
 
-def integrate(f, lo: float, hi: float,
-              rel_tol: float = 1e-9, max_panels: int = 2000,
-              initial: int = 1) -> QuadratureResult:
+def integrate(f, lo: float, hi: float, rel_tol: float = 1e-9,
+              max_panels: int = 2000) -> QuadratureResult:
     """Integrate f over [lo, hi] adaptively: integrate_many with m = 1.
 
     f must accept a 1-D float ndarray and return same-shaped values.  It is
-    called once on the nodes of the initial panels and of their halves, then
-    at most once per split: a split whose halves were evaluated already
-    calls nothing, and any other takes the 90 nodes of its halves and of
-    their halves.
+    called once on the nodes of [lo, hi] and of its halves, then at most
+    once per split: a split whose halves were evaluated already calls
+    nothing, and any other takes the 90 nodes of its halves and of their
+    halves.
     """
     return integrate_many(lambda x, cells: f(x.ravel()), lo, hi, 1,
-                          rel_tol=rel_tol, max_panels=max_panels,
-                          initial=initial)[0]
+                          rel_tol=rel_tol, max_panels=max_panels)[0]

@@ -11,10 +11,9 @@ stable, negative unstable.  ``eval_J`` answers; two more routes check it:
   D are their exact values at s = 0, 2 omega + U'(a) and omega/2, less sums
   of powers s^e: sums of terms that can be 1e56 times omega/2 would leave
   only round-off there.  ``eval_J_rows`` evaluates it at every omega of a
-  block of gamma rows in one batch, ``eval_J_row`` is a block of one row
-  and ``eval_J`` a block of one cell, and no value depends on its batch,
-  so all three agree bit for bit.  A cell with no standing wave, or whose
-  amplitude lies beyond the float range, is NaN in a block.
+  block of gamma rows in one batch, ``eval_J`` at one cell; no value
+  depends on its batch, so the two agree bit for bit.  A cell with no
+  wave, or with an amplitude beyond the float range, is NaN in a block.
 * ``eval_J_raw``: a block of one cell of the direct form
   (-1/(2U'(a))) * integral of (3 + s(U'(a)-U'(s))/U(s)) sqrt(s)/sqrt(U(s))
   over [0, a].  With V = U(s)/s and W = U'(a) - U'(s) the integrand is
@@ -457,8 +456,9 @@ def _transformed(params: NonlinearityParams, cells,
     A None profile gives NaN and a profile on the curve the signed
     sentinel; every other cell goes to ``_tanh_sinh``, ``_rule`` or
     ``_quads`` (module docstring).  The cells of one call are all at
-    omega > 0 or all at omega = 0, which decides the left piece's m.  abs_error is the quadrature error times the prefactor
-    plus |J| times ``_root_error`` and ``_maxima_error``.
+    omega > 0 or all at omega = 0, which decides the left piece's m.
+    abs_error is the quadrature error times the prefactor plus |J| times
+    ``_root_error`` and ``_maxima_error``.
     """
     out = [None] * len(cells)
     waves = []
@@ -552,12 +552,6 @@ def eval_J_rows(params: NonlinearityParams, omegas: Sequence[float],
     return [values[i * n:(i + 1) * n] for i in range(len(gammas))]
 
 
-def eval_J_row(params: NonlinearityParams, omegas: Sequence[float],
-               gamma: float) -> List[StabilityValue]:
-    """``eval_J_rows`` on the one gamma row."""
-    return eval_J_rows(params, omegas, [gamma])[0]
-
-
 def eval_J_raw(params: NonlinearityParams, omega: float,
                gamma: float) -> StabilityValue:
     """J via the direct integrand (3 + W/V) / sqrt(V) on [0, a], a check on
@@ -597,9 +591,10 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
 def mass_Q(params: NonlinearityParams, omega: float, gamma: float) -> float:
     """Profile mass integral Q = int_0^a sqrt(s)/sqrt(U(s)) ds.
 
-    Raises NoStandingWave when no profile exists and DivergingIntegral when
-    the profile sits on the nonexistence curve (double zero makes the
-    integral infinite).
+    A bare float with no error bar, neither the quadrature's nor that of
+    the amplitude a.  Raises NoStandingWave when no profile exists and
+    DivergingIntegral when the profile sits on the nonexistence curve
+    (double zero makes the integral infinite).
     """
     return _masses(params, [omega], gamma)[0].value
 

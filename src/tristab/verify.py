@@ -48,29 +48,6 @@ def _tally(name: str, bad: int, of: int, ok: bool = True) -> Check:
     return Check(name, ok and bad == 0, "%d of %d off" % (bad, of))
 
 
-def beta_quad(x: float, y: float) -> float:
-    """B(x, y) by quadrature, split at 1/2; t = u^k (1 - t = v^k) makes the
-    endpoint factors t^{x-1}, (1-t)^{y-1} integrable powers."""
-    kx = max(2, math.ceil(1.0 / x) + 1)
-    ky = max(2, math.ceil(1.0 / y) + 1)
-
-    def left(u):
-        u = np.asarray(u, dtype=float)
-        t = 0.5 * u ** kx
-        return (t ** (x - 1.0) * (1.0 - t) ** (y - 1.0)
-                * 0.5 * kx * u ** (kx - 1))
-
-    def right(v):
-        v = np.asarray(v, dtype=float)
-        t = 1.0 - 0.5 * v ** ky
-        return (t ** (x - 1.0) * (0.5 * v ** ky) ** (y - 1.0)
-                * 0.5 * ky * v ** (ky - 1))
-
-    a = integrate(left, 0.0, 1.0, rel_tol=1e-12, max_panels=4000)
-    b = integrate(right, 0.0, 1.0, rel_tol=1e-12, max_panels=4000)
-    return a.value + b.value
-
-
 def h_quad(x: float, y: float) -> float:
     """H(x, y) = int_0^1 t^(x-1) (1 - t^y) (1-t)^(-3/2) dt, split at 1/2:
     t = 0.5 u^kx tames the t^{x-1} end, u = sqrt(1-t) the (1-t)^{-3/2} end

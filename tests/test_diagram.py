@@ -14,7 +14,7 @@ from tristab import (
     NoStandingWave,
     UnsupportedRegime,
     eval_J,
-    eval_J_row,
+    eval_J_rows,
     export_contours_json,
     export_curve_csv,
     export_grid_csv,
@@ -654,7 +654,7 @@ def test_sweep_gives_nan_where_the_amplitude_is_beyond_the_float_range():
 def test_eval_j_row_mixes_values_nan_and_sentinels():
     gamma = 1.0
     ws = omega_star(FD367, gamma)
-    row = eval_J_row(FD367, [0.5 * ws, 1.5 * ws, ws], gamma)
+    row = eval_J_rows(FD367, [0.5 * ws, 1.5 * ws, ws], [gamma])[0]
     assert [sv.method for sv in row] == ["transformed"] * 3
     inner = eval_J(FD367, 0.5 * ws, gamma)
     assert (row[0].j, row[0].abs_error, row[0].converged) == \

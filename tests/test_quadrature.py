@@ -64,10 +64,16 @@ def test_max_panels_reports_nonconvergence():
     assert res.n_panels <= 3 + 1
 
 
+def _alone(f, lo, hi, **kw):
+    """``integrate`` with ``integrate_many``'s keywords, ``initial`` among
+    them: f alone, a batch of one."""
+    return integrate_many(lambda x, cells: f(x.ravel()), lo, hi, 1, **kw)[0]
+
+
 def test_initial_subdivision():
     f = lambda x: np.exp(-np.asarray(x))
-    r1 = integrate(f, 0.0, 3.0, initial=1)
-    r2 = integrate(f, 0.0, 3.0, initial=4)
+    r1 = integrate(f, 0.0, 3.0)
+    r2 = _alone(f, 0.0, 3.0, initial=4)
     assert math.isclose(r1.value, r2.value, rel_tol=1e-12)
     assert r2.n_panels >= 4
 
@@ -212,8 +218,8 @@ def test_one_integrand_call_per_split(f, max_panels, initial):
         calls.append(([0] * len(rows), rows.copy()))
         return f(x)
 
-    res = integrate(counted, 0.0, 1.0, rel_tol=1e-12,
-                    max_panels=max_panels, initial=initial)
+    res = _alone(counted, 0.0, 1.0, rel_tol=1e-12, max_panels=max_panels,
+                 initial=initial)
     _check_calls(calls, 0.0, 1.0, 1, initial, [res.n_panels - initial])
     value, err, n = _reference_integrate(f, 0.0, 1.0, rel_tol=1e-12,
                                          max_panels=max_panels,
@@ -260,7 +266,7 @@ def test_batch_repeats_each_integrand_alone(initial):
 
     kw = dict(rel_tol=1e-10, max_panels=150, initial=initial)
     results = integrate_many(batch, 0.0, 1.0, len(fs), **kw)
-    alone = [integrate(f, 0.0, 1.0, **kw) for f in fs]
+    alone = [_alone(f, 0.0, 1.0, **kw) for f in fs]
     for res, ref in zip(results, alone):
         assert (res.value, res.abs_error, res.n_panels, res.converged) == \
             (ref.value, ref.abs_error, ref.n_panels, ref.converged)
@@ -303,7 +309,7 @@ def test_random_batches_equal_the_reference(fs, initial):
     for f, res in zip(fs, results):
         assert (res.value, res.abs_error, res.n_panels) == \
             _reference_integrate(f, 0.0, 1.0, **kw)
-        alone = integrate(f, 0.0, 1.0, **kw)
+        alone = _alone(f, 0.0, 1.0, **kw)
         assert (res.converged, res.stop) == (alone.converged, alone.stop)
     _check_calls(calls, 0.0, 1.0, len(fs), initial,
                  [r.n_panels - initial for r in results])
@@ -401,7 +407,7 @@ def test_roundoff_counters_are_kept_per_integrand(initial):
     kw = dict(rel_tol=1e-10, max_panels=150, initial=initial)
     results = integrate_many(batch, 0.0, 1.0, len(fs), **kw)
     for f, res in zip(fs, results):
-        ref = integrate(f, 0.0, 1.0, **kw)
+        ref = _alone(f, 0.0, 1.0, **kw)
         assert (res.value, res.abs_error, res.n_panels, res.converged,
                 res.stop) == (ref.value, ref.abs_error, ref.n_panels,
                               ref.converged, ref.stop)

@@ -1,13 +1,14 @@
 """Tests for the Beta/digamma helpers and the two-power closed forms.
 
-Oracle strategy: closed-form anchors with known decimal values, plus
-defining-integral cross-checks by the quadrature oracles of `tristab.verify`
-(the in-repo adaptive integrator, a code path independent of
-``math.lgamma``).
+Oracle strategy: closed-form anchors with known decimal values, Beta
+against ``mpmath.beta`` at 40 digits, plus defining-integral cross-checks by
+the quadrature oracles of `tristab.verify` (the in-repo adaptive integrator,
+a code path independent of ``math.lgamma``).
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +20,7 @@ from tristab import (
     h_fn,
     two_power_integral,
 )
-from tristab.verify import beta_quad, h_quad, two_power_quad
+from tristab.verify import h_quad, two_power_quad
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -55,11 +56,16 @@ def test_beta_symmetry():
         assert math.isclose(beta_fn(x, y), beta_fn(y, x), rel_tol=1e-13)
 
 
+def _beta_mp(x, y):
+    with mpmath.workdps(40):
+        return float(mpmath.beta(x, y))
+
+
 def test_beta_against_quadrature():
-    assert abs(beta_fn(0.25, 0.5) - beta_quad(0.25, 0.5)) \
+    assert abs(beta_fn(0.25, 0.5) - _beta_mp(0.25, 0.5)) \
         <= 1e-9 * beta_fn(0.25, 0.5)
     for (x, y) in ((0.6, 1.7), (2.5, 0.35), (1.2, 1.2)):
-        assert abs(beta_fn(x, y) - beta_quad(x, y)) \
+        assert abs(beta_fn(x, y) - _beta_mp(x, y)) \
             <= 1e-9 * (1.0 + beta_fn(x, y))
 
 

@@ -16,9 +16,9 @@ from tristab import (
     eval_J,
     eval_J0,
     eval_J_mass_fd,
-    eval_J_row,
     endpoints,
     eval_J_raw,
+    eval_J_rows,
     find_a,
     gamma_omega_ne,
     integrate_many,
@@ -214,7 +214,7 @@ def test_an_integral_that_underflows_is_not_converged(omega):
         sv = route(params, omega, 4.0)
         assert not sv.converged and sv.verdict() == "indeterminate"
     # a sweep stores j alone, which is unchanged
-    row = eval_J_row(params, [omega], 4.0)
+    row = eval_J_rows(params, [omega], [4.0])[0]
     assert row[0] == eval_J(params, omega, 4.0) and row[0].j == 0.0
 
 
@@ -381,6 +381,30 @@ def test_mass_fd_error_covers_the_oracle():
                         0.0116, 1.626)
     assert abs(sv.j - (-0.22392163546492827)) <= sv.abs_error
     assert sv.converged and sv.verdict() == "unstable"
+
+
+def test_mass_fd_shrinks_a_step_that_lands_on_the_curve(monkeypatch):
+    # about 2e4 ulps below the FD curve, omega + h of the first stencil
+    # (h = 1.17e-12, a quarter of the distance to omega_star) rounds into
+    # find_a's on-boundary band; h shrinks once, by 4, and the second
+    # stencil gives a converged value with eval_J's verdict, within its bar
+    # of perfbench/oracle.py's j_value at 30 digits
+    calls = []
+    masses = stability._masses
+
+    def recorded(params, omegas, gamma):
+        calls.append(list(omegas))
+        return masses(params, omegas, gamma)
+
+    monkeypatch.setattr(stability, "_masses", recorded)
+    omega, gamma = 1.0141961654534897, -1.246134790676523
+    sv = eval_J_mass_fd(FD367, omega, gamma)
+    assert len(calls) == 2
+    widths = [c[0] - c[1] for c in calls]
+    assert math.isclose(widths[0] / widths[1], 4.0, rel_tol=1e-2)
+    assert sv.converged and sv.verdict() == "stable"
+    assert abs(sv.j - 141672036614.55634) <= sv.abs_error
+    assert eval_J(FD367, omega, gamma).verdict() == "stable"
 
 
 # Points on the equality borders p = 5, r = 5, 2p + q = 7 and p = 7/3, where
@@ -595,7 +619,7 @@ def test_no_panel_straddles_the_split(monkeypatch):
     # the routes and cells here run the adaptive kernel: the raw route, and
     # eval_J 1e-8 above the FF curve, where F1 has a maximum below a
     rows = _record_integrand_rows(monkeypatch)
-    eval_J_row(FF234, np.linspace(0.02, 0.6, 8), 1.0)
+    eval_J_rows(FF234, np.linspace(0.02, 0.6, 8), [1.0])
     eval_J(FF234, 0.1464017449903313, 1.8973665961010275)
     eval_J_raw(FF234, 0.14640174206229642, 1.8973665961010275)
     eval_J_raw(FD367, 0.34999999649999997, -0.35)
