@@ -12,8 +12,7 @@ from .errors import (DivergingIntegral, NoStandingWave, NotOnCurve,
                      UnsupportedRegime)
 from .model import (NonlinearityParams, ScalingReduction, classify_case,
                     normalize)
-from .landscape import (LandscapeEval, eval_F1, eval_U, u_prime, u_second,
-                        u_value)
+from .landscape import LandscapeEval, eval_F1, eval_U
 from .quadrature import QuadratureResult, integrate, integrate_many
 from .special import (BetaDerivBounds, beta_deriv_bounds, beta_fn, dbeta_dx,
                       digamma, h_fn, two_power_integral)
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DivergingIntegral", "NoStandingWave", "NotOnCurve", "UnsupportedRegime",
     "NonlinearityParams", "ScalingReduction", "classify_case", "normalize",
-    "LandscapeEval", "eval_F1", "eval_U", "u_prime", "u_second", "u_value",
+    "LandscapeEval", "eval_F1", "eval_U",
     "QuadratureResult", "integrate", "integrate_many",
     "BetaDerivBounds", "beta_deriv_bounds", "beta_fn", "dbeta_dx", "digamma",
     "h_fn", "two_power_integral",

@@ -19,8 +19,9 @@ evaluators below all read them from it, one cached table per
 (params, gamma).  Evaluation keeps the float type of s: Python floats go
 through Python's ``**`` and arrays through numpy's ``power``, which differ
 in the last bit on some inputs, so ``power_sum`` never converts its
-argument.  The public evaluators take scalars or numpy arrays in s,
-broadcast, and pass s through np.asarray on entry.
+argument.  ``eval_U`` takes one point and sums U, U' and U'' as Python
+floats, as the profile module sums U'(a), so its U'(a) is the solver's;
+``eval_F1`` takes a scalar the same way and a numpy array through numpy.
 """
 
 from __future__ import annotations
@@ -112,49 +113,15 @@ def power_sum(c, e, s, lead=None):
     return out + c[1] * s ** e[1] + c[2] * s ** e[2]
 
 
-def _scalar(out):
-    return float(out) if out.ndim == 0 else out
-
-
 def eval_F1(params: NonlinearityParams, gamma: float, s):
-    """F1(s) = (2a1/(p+1)) s^{(p-1)/2} - (2g/(q+1)) s^{(q-1)/2} + (2a3/(r+1)) s^{(r-1)/2}."""
-    t = terms(params, gamma)
-    return _scalar(power_sum(t.f1, t.e, np.asarray(s, dtype=float)))
+    """F1(s) = (2a1/(p+1)) s^{(p-1)/2} - (2g/(q+1)) s^{(q-1)/2} + (2a3/(r+1)) s^{(r-1)/2}.
 
-
-def u_value(params: NonlinearityParams, omega: float, gamma: float, s):
-    """U(s); vectorized."""
-    t = terms(params, gamma)
-    s = np.asarray(s, dtype=float)
-    return _scalar(power_sum([-c for c in t.f1], t.eu, s, lead=omega * s))
-
-
-def u_prime(params: NonlinearityParams, omega: float, gamma: float, s):
-    """U'(s) = omega - a1 s^{(p-1)/2} + g s^{(q-1)/2} - a3 s^{(r-1)/2}; vectorized."""
-    t = terms(params, gamma)
-    return _scalar(power_sum(t.up, t.e, np.asarray(s, dtype=float),
-                             lead=omega))
-
-
-def u_second(params: NonlinearityParams, gamma: float, s):
-    """U''(s) for s > 0; at s = 0 the one-sided limit (infinite when p < 3).
-
-    omega does not enter.  The sign of U'' at the double zero is what
-    classifies points of the nonexistence curve, so this is kept exact
-    term by term.
+    A scalar s is summed as a Python float, an array through numpy.
     """
     t = terms(params, gamma)
-    scalar = np.isscalar(s) or np.ndim(s) == 0
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty_like(s_arr)
-    pos = s_arr > 0
-    out[pos] = power_sum([c * e for c, e in zip(t.up, t.e)],
-                         [(l - 3.0) / 2.0 for l in (params.p, params.q,
-                                                    params.r)],
-                         s_arr[pos])
-    if np.any(~pos):
-        out[~pos] = _u_second_at_zero(params)
-    return float(out[0]) if scalar else out
+    if np.ndim(s) == 0:
+        return power_sum(t.f1, t.e, float(s))
+    return power_sum(t.f1, t.e, np.asarray(s, dtype=float))
 
 
 def _u_second_at_zero(params: NonlinearityParams) -> float:
@@ -168,14 +135,26 @@ def _u_second_at_zero(params: NonlinearityParams) -> float:
 
 
 def eval_U(params: NonlinearityParams, omega: float, gamma: float, s) -> LandscapeEval:
-    """U, U', U'' bundled at a single point s >= 0."""
+    """U, U', U'' at a single point s >= 0, summed as Python floats.
+
+    U'' at s = 0 is the one-sided limit (infinite when p < 3).  omega does
+    not enter U''; its sign at the double zero is what classifies points
+    of the nonexistence curve, so it is kept exact term by term.
+    """
     if omega < 0:
         raise ValueError("omega must be nonnegative")
     s = float(s)
     if s < 0:
         raise ValueError("s must be nonnegative")
+    t = terms(params, gamma)
+    if s > 0.0:
+        upp = power_sum([c * e for c, e in zip(t.up, t.e)],
+                        [(l - 3.0) / 2.0 for l in (params.p, params.q,
+                                                   params.r)], s)
+    else:
+        upp = _u_second_at_zero(params)
     return LandscapeEval(
-        value=u_value(params, omega, gamma, s),
-        first_deriv=u_prime(params, omega, gamma, s),
-        second_deriv=u_second(params, gamma, s),
+        value=power_sum([-c for c in t.f1], t.eu, s, lead=omega * s),
+        first_deriv=power_sum(t.up, t.e, s, lead=omega),
+        second_deriv=upp,
     )

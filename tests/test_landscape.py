@@ -10,9 +10,8 @@ from tristab import (
     eval_F1,
     eval_U,
     find_a,
-    u_second,
 )
-from tristab.landscape import terms
+from tristab.landscape import power_sum, terms
 
 FF234 = NonlinearityParams(2.0, 3.0, 4.0)
 DF234 = NonlinearityParams(2.0, 3.0, 4.0, sign1=-1)
@@ -91,15 +90,48 @@ def test_u_derivs_match_finite_differences():
         assert abs(out.second_deriv - upp_fd) <= 1e-4 * (1 + abs(upp_fd))
 
 
+def test_eval_u_and_f1_agree_with_the_solver_at_probe_waves():
+    # eval_U and a scalar eval_F1 sum as Python floats, as the amplitude
+    # solve does, so U'(a) and F1(a) are the solver's to the bit; numpy's
+    # power differs from Python's ** in the last bit on some inputs.
+    # The draws are those of the probe at numpy default_rng(2026):
+    # p U(1.05, 6), q - p and r - q U(0.05, 4), s1 and s3 from {-1, 1},
+    # gamma U(-8, 8), omega = 10^U(-2, 1.5), in that order.
+    rng = np.random.default_rng(2026)
+    found = 0
+    while found < 2000:
+        p = rng.uniform(1.05, 6.0)
+        q = p + rng.uniform(0.05, 4.0)
+        r = q + rng.uniform(0.05, 4.0)
+        params = NonlinearityParams(p, q, r,
+                                    sign1=int(rng.choice((-1, 1))),
+                                    sign3=int(rng.choice((-1, 1))))
+        gamma = rng.uniform(-8.0, 8.0)
+        omega = 10.0 ** rng.uniform(-2.0, 1.5)
+        res = find_a(params, omega, gamma)
+        if res is None:
+            continue
+        found += 1
+        t = terms(params, gamma)
+        point = (params, omega, gamma, res.a)
+        assert eval_U(params, omega, gamma, res.a).first_deriv \
+            == res.uprime_at_a, point
+        assert eval_F1(params, gamma, res.a) \
+            == power_sum(t.f1, t.e, res.a), point
+
+
 def test_u_second_at_zero_one_sided():
+    def upp0(params):
+        return eval_U(params, 0.0, 0.0, 0.0).second_deriv
+
     # p < 3: infinite one-sided limit with sign -a1
-    assert u_second(NonlinearityParams(2.0, 3.0, 4.0), 0.0, 0.0) == -math.inf
-    assert u_second(NonlinearityParams(2.0, 3.0, 4.0, sign1=-1), 0.0, 0.0) == math.inf
+    assert upp0(NonlinearityParams(2.0, 3.0, 4.0)) == -math.inf
+    assert upp0(NonlinearityParams(2.0, 3.0, 4.0, sign1=-1)) == math.inf
     # p = 3: finite limit -a1 (p - 1) / 2 = -a1
-    assert u_second(NonlinearityParams(3.0, 5.0, 7.0), 0.0, 0.0) == -1.0
-    assert u_second(NonlinearityParams(3.0, 5.0, 7.0, sign1=-1), 0.0, 0.0) == 1.0
+    assert upp0(NonlinearityParams(3.0, 5.0, 7.0)) == -1.0
+    assert upp0(NonlinearityParams(3.0, 5.0, 7.0, sign1=-1)) == 1.0
     # p > 3: limit 0
-    assert u_second(NonlinearityParams(3.5, 5.0, 7.0), 0.0, 0.0) == 0.0
+    assert upp0(NonlinearityParams(3.5, 5.0, 7.0)) == 0.0
 
 
 def test_eval_a_values():

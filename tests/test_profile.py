@@ -21,7 +21,6 @@ from tristab import (
     find_a0,
     gamma_omega_ne,
     sweep_grid,
-    u_value,
 )
 from tristab import profile, verify
 from tristab.landscape import power_sum, terms
@@ -166,7 +165,8 @@ def test_amplitude_satisfies_defining_equation():
         # U > 0 strictly before the first zero
         if prof.exists:
             s = np.linspace(prof.a * 1e-4, prof.a * 0.999, 60)
-            assert np.all(u_value(params, omega, gamma, s) > 0.0)
+            assert all(eval_U(params, omega, gamma, si).value > 0.0
+                       for si in s)
         found += 1
 
 
@@ -421,7 +421,8 @@ def test_wide_exponent_gap_does_not_overflow(r):
     prof = find_a(params, 0.1, -1.0)
     assert prof.exists and not prof.on_boundary
     assert prof.uprime_at_a < 0.0
-    assert abs(u_value(params, 0.1, -1.0, prof.a)) <= 1e-14 * 0.1 * prof.a
+    assert abs(eval_U(params, 0.1, -1.0, prof.a).value) \
+        <= 1e-14 * 0.1 * prof.a
 
 
 @pytest.mark.parametrize("gamma", [-10.0, 10.0])

@@ -17,6 +17,7 @@ from tristab import (
     eval_J0,
     eval_J_mass_fd,
     endpoints,
+    eval_F1,
     eval_J_raw,
     eval_J_rows,
     find_a,
@@ -45,14 +46,13 @@ def trapezoid_mass(params, omega, gamma, n=400001):
     Substitutes s = a - u^2 so the u = 0 endpoint (where U has a simple
     zero) becomes regular; evaluates on a dense uniform grid.
     """
-    from tristab import u_value
-
     prof = find_a(params, omega, gamma)
     a = prof.a
     u = np.linspace(0.0, math.sqrt(a), n)
     s = a - u ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = 2.0 * u * np.sqrt(s) / np.sqrt(u_value(params, omega, gamma, s))
+        g = 2.0 * u * np.sqrt(s) / np.sqrt(
+            s * (omega - eval_F1(params, gamma, s)))
     # endpoint limits: u=0 gives 2 sqrt(a)/sqrt(-U'(a)); u=sqrt(a) gives
     # 2 sqrt(a)/sqrt(omega) since U(s)/s -> omega at s=0
     g[0] = 2.0 * math.sqrt(a) / math.sqrt(-prof.uprime_at_a)
