@@ -13,8 +13,9 @@ finds the first sign change without any sampling grid, and closely spaced
 root pairs near the nonexistence curve cannot be skipped.  It stops at a
 critical point where omega - F1 is zero to round-off (a double zero) or
 has changed sign.  In the *D cases F1's peak is the last critical point,
-so a peak below omega means no wave; in the *F cases ``signs.grow`` looks
-for an upper end past the last one.  ``signs.bisect`` then runs until the
+so a peak below omega means no wave; in the *F cases F1 grows without
+bound past the last one, and ``signs.grow`` doubles up to the largest
+float for an upper end.  ``signs.bisect`` then runs until the
 bracket's ends are adjacent floats and returns the one where
 |omega - F1| is smaller; a is that float, with no further refinement.
 
@@ -39,7 +40,9 @@ from .landscape import Terms, terms
 from .model import NonlinearityParams
 from .signs import bisect as _bisect, grow
 
-# |U'(a)| below this (relative) scale counts as a double zero
+# |U'(a)| below this times min(1, S) + S, S the size of its terms, counts
+# as a double zero; below S = 1 the slack scales with S alone, so waves at
+# small scales are not read as double zeros
 BOUNDARY_TOL = 1e-9
 
 # slack, relative to the size of F1's terms, for deciding that max F1
@@ -69,7 +72,9 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float,
 
     A boundary double zero (*D cases: F1 max exactly omega) is returned as
     the touch point itself.  Raises UnsupportedRegime where F1's terms
-    overflow before the crossing: a lies beyond the float range.
+    overflow before the crossing, or stay below omega up to the largest
+    float, or where the crossing lies below the smallest: a lies beyond
+    the float range.
     """
     (cp, cq, cr), (ep, eq, er) = t.f1, t.e
 
@@ -82,9 +87,11 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float,
                 "range: F1's terms overflow" % (omega, gamma)) from None
 
     def tol(s: float) -> float:
-        # slack for phi at s, scaled by the size of F1's terms there
-        return _TOUCH_TOL * (1.0 + (abs(omega) + abs(cp) * s ** ep
-                                    + abs(cq) * s ** eq + abs(cr) * s ** er))
+        # slack for phi at s, scaled as BOUNDARY_TOL by the size of F1's
+        # terms there
+        size = (abs(omega) + abs(cp) * s ** ep + abs(cq) * s ** eq
+                + abs(cr) * s ** er)
+        return _TOUCH_TOL * ((size if size < 1.0 else 1.0) + size)
 
     crits = t.crits
     # *D: F1 -> -inf, and a crossing needs its peak, crits[-1], to reach omega
@@ -99,13 +106,24 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float,
         if abs(f_c) <= tol(c):
             return c
         if (f_c > 0.0) != (f_lo > 0.0):
-            return _bisect(phi, lo, c, f_lo, f_c)
+            hi, f_hi = c, f_c
+            break
         lo, f_lo = c, f_c
-    # F1 -> +inf: the crossing lies past the last critical point
-    bracket = grow(phi, lo, f_lo)
-    if bracket is None:
-        return None
-    return _bisect(phi, lo, bracket[0], f_lo, bracket[1])
+    else:
+        # F1 -> +inf: the crossing lies past the last critical point
+        bracket = grow(phi, lo, f_lo)
+        if bracket is None:
+            raise UnsupportedRegime(
+                "the amplitude at omega=%g, gamma=%g lies beyond the float "
+                "range: F1 stays below omega up to the largest float"
+                % (omega, gamma))
+        hi, f_hi = bracket
+    a = _bisect(phi, lo, hi, f_lo, f_hi)
+    if a == 0.0:  # the walk down from hi passed the smallest float
+        raise UnsupportedRegime(
+            "the amplitude at omega=%g, gamma=%g lies below the float range"
+            % (omega, gamma))
+    return a
 
 
 def find_a(params: NonlinearityParams, omega: float, gamma: float):
@@ -113,6 +131,7 @@ def find_a(params: NonlinearityParams, omega: float, gamma: float):
 
     Requires omega > 0.  exists means a transversal crossing (U'(a) below
     -tol); on_boundary means |U'(a)| within tol of zero, the degenerate case.
+    Raises UnsupportedRegime where a lies beyond the float range.
     """
     if not omega > 0.0:
         raise ValueError("find_a requires omega > 0, got %r" % (omega,))
@@ -130,8 +149,8 @@ def _profile(params: NonlinearityParams, omega: float, gamma: float):
     # U'(a), summed as landscape.power_sum sums it
     up = omega + c0 * x0 + c1 * x1 + c2 * x2
     # |U'(a)| is measured against the size of its terms
-    tol = BOUNDARY_TOL * (1.0 + (abs(omega) + abs(c0) * x0 + abs(c1) * x1
-                                 + abs(c2) * x2))
+    size = abs(omega) + abs(c0) * x0 + abs(c1) * x1 + abs(c2) * x2
+    tol = BOUNDARY_TOL * ((size if size < 1.0 else 1.0) + size)
     on_b = abs(up) <= tol
     return ProfileResult(a=a, uprime_at_a=up, exists=(not on_b and up < 0.0),
                          on_boundary=on_b, powers=powers)
@@ -140,7 +159,8 @@ def _profile(params: NonlinearityParams, omega: float, gamma: float):
 def find_a0(params: NonlinearityParams, gamma: float):
     """First positive zero of F1, the omega -> 0 limit of a; D* cases only.
 
-    Returns None when F1 has no positive zero (DD with gamma >= gamma1).
+    Returns None when F1 has no positive zero (DD with gamma >= gamma1),
+    and raises UnsupportedRegime where the zero lies beyond the float range.
     """
     if params.sign1 != -1:
         raise ValueError("find_a0 applies to defocusing-lowest-power cases")

@@ -111,12 +111,12 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
             if not lo < x < hi:  # lo * hi overflowed, or underflowed
                 x = math.sqrt(lo) * math.sqrt(hi)
         elif steps == 4:         # three steps did not halve the bracket
-            x, kept = 0.5 * (lo + hi), 0
+            x, kept = _mid(lo, hi), 0
         else:
             x = lo - flo * (hi - lo) / (fhi - flo)
             if not lo < x < hi:  # onto an end: one float in; NaN: midpoint
                 x = (math.nextafter(lo, hi) if x <= lo else
-                     math.nextafter(hi, lo) if x >= hi else 0.5 * (lo + hi))
+                     math.nextafter(hi, lo) if x >= hi else _mid(lo, hi))
         fx = f(x)
         if fx == 0.0:
             return x
@@ -130,24 +130,32 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
                 m = 1.0 - fx / fhi
                 flo *= m if m > 0.0 else 0.5
             hi, fhi, vhi, kept = x, fx, fx, -1
-        if not lo < 0.5 * (lo + hi) < hi:
+        # the second test fails only where lo + hi overflowed
+        if not lo < 0.5 * (lo + hi) < hi and not lo < _mid(lo, hi) < hi:
             return lo if abs(vlo) <= abs(vhi) else hi
         if steps == 4 or hi - lo <= 0.5 * mark:
             mark, steps = hi - lo, 0
-    return 0.5 * (lo + hi)
+    return _mid(lo, hi)
 
 
-def grow(f, lo: float, flo: float):
-    """(x, f(x)) at the first x = max(2 lo, 1) 2^k, k = 0, 1, ..., where f
-    is zero or has the sign opposite to flo: an upper end for ``bisect``.
-    None after 600 doublings; ``roots`` goes on to the largest float."""
-    x = max(2.0 * lo, 1.0)
-    for _ in range(600):
+def _mid(lo: float, hi: float) -> float:
+    # 0.5 (lo + hi), also where lo + hi overflows, in the top binade
+    m = 0.5 * (lo + hi)
+    return m if m != math.inf else 0.5 * lo + 0.5 * hi
+
+
+def grow(f, lo: float, flo: float, top: float = sys.float_info.max):
+    """(x, f(x)) at the first x = max(2 lo, 1) 2^k, k = 0, 1, ..., below
+    top, or at top, where f is zero or has the sign opposite to flo: an
+    upper end for ``bisect``.  None where f keeps flo's sign up to top."""
+    x = min(max(2.0 * lo, 1.0), top)
+    while True:
         fx = f(x)
         if fx == 0.0 or (fx > 0.0) != (flo > 0.0):
             return x, fx
-        x *= 2.0
-    return None
+        if x >= top:
+            return None
+        x = min(2.0 * x, top)
 
 
 def roots(terms, s_max: float) -> list:
@@ -181,8 +189,10 @@ def roots(terms, s_max: float) -> list:
             continue
         fhi = g_at(hi)
         if hi == big and flo != 0.0 and (flo > 0.0) != (fhi > 0.0):
-            bracket = grow(g_at, lo, flo)
-            if bracket is not None and bracket[0] < hi:
+            # an end within 600 doublings, else the bracket (lo, big)
+            bracket = grow(g_at, lo, flo,
+                           min(max(2.0 * lo, 1.0) * 2.0 ** 599, big))
+            if bracket is not None:
                 hi, fhi = bracket
         if fhi == 0.0 or flo != 0.0 and (flo > 0.0) != (fhi > 0.0):
             root = bisect(g_at, lo, hi, flo, fhi)

@@ -85,6 +85,18 @@ def test_profile_a_not_found(capsys):
     assert "no standing wave" in err
 
 
+def test_profile_a_past_600_doublings(capsys):
+    # a = 2.5937e180 lies past 600 doublings of 1, within the float range
+    code, out, _ = run_cli(capsys, "profile-a", "--p", "1.05", "--q", "1.1",
+                           "--r", "1.2", "--s1", "f", "--s3", "f",
+                           "--omega", "1e18", "--gamma", "0", "--no-timing")
+    assert code == 0
+    fields = dict(ln.split(": ", 1) for ln in out.strip().splitlines())
+    assert math.isclose(float(fields["a"]), 2.59374246009942e180,
+                        rel_tol=1e-11)
+    assert fields["exists"] == "True"
+
+
 def test_profile_a_beyond_the_float_range_exits_1(capsys):
     # F1's terms overflow before the crossing: an error line, no traceback
     code, out, err = run_cli(capsys, "profile-a", "--p", "3", "--q", "5",

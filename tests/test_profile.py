@@ -443,6 +443,60 @@ def test_narrow_exponent_gap_with_a_far_critical_point(gamma):
     assert len(crits) == (2 if gamma > 0 else 0)
 
 
+@pytest.mark.parametrize("params", [FF234, FD357], ids=["FF234", "FD357"])
+@pytest.mark.parametrize("omega", [1e-9, 1e-10, 1e-12])
+def test_waves_at_small_scales_are_not_double_zeros(params, omega):
+    # the double-zero slacks scale with the size of the terms below 1; with
+    # an absolute floor of 1 every wave at omega <= 1e-9 read on_boundary
+    prof = find_a(params, omega, 0.0)
+    assert prof.exists and not prof.on_boundary
+    _assert_near_mp_root(params, omega, 0.0, prof.a)
+    if params is FF234 and omega == 1e-9:
+        assert math.isclose(prof.a, 2.25e-18, rel_tol=1e-12)
+        assert math.isclose(prof.uprime_at_a, -5e-10, rel_tol=1e-12)
+
+
+def test_a0_at_a_small_scale_is_the_first_zero_of_f1():
+    # F1 dips to a local minimum near 1.8e-41 still 3% of its terms' size
+    # below 0; read as a double zero there, a0 was that minimum.  The first
+    # zero is 2.029893e-40 (mpmath, 50 digits)
+    params = NonlinearityParams(1.8, 1.85, 2.5, sign1=-1)
+    a0 = find_a0(params, -10.0)
+    assert math.isclose(a0, 2.029893e-40, rel_tol=1e-6)
+    _assert_near_mp_root(params, 0.0, -10.0, a0)
+    c = terms(params, -10.0).crits[0]
+    assert c < a0 and eval_F1(params, -10.0, c) < 0.0
+
+
+@pytest.mark.parametrize("omega", [1e18, 1e25, 1e30, 5.8e30])
+def test_amplitudes_past_600_doublings_are_found(omega):
+    # FF(1.05, 1.1, 1.2) has a = 2.5937e180, 2.5937e250 and 2.5937e300
+    # (mpmath) at the first three; the upper end of the bracket doubles up
+    # to the largest float, and the last a lies in its top binade
+    params = NonlinearityParams(1.05, 1.1, 1.2)
+    prof = find_a(params, omega, 0.0)
+    assert prof.exists and not prof.on_boundary
+    assert prof.a > 2.0 ** 599
+    _assert_near_mp_root(params, omega, 0.0, prof.a)
+    if omega == 1e18:
+        assert math.isclose(prof.a, 2.59374246009942e180, rel_tol=1e-12)
+
+
+def test_amplitude_past_the_largest_float_is_unsupported():
+    # at omega = 1e31 F1 stays below omega up to the largest float
+    with pytest.raises(UnsupportedRegime):
+        find_a(NonlinearityParams(1.05, 1.1, 1.2), 1e31, 0.0)
+
+
+def test_amplitude_below_the_smallest_float_is_unsupported():
+    # at p = 1.0127, a ~ omega^(2/(p-1)) lies below 5e-324; the walk down
+    # from the first critical point reached 0.0, and find_a returned a = 0
+    # with exists and on_boundary both False, where eval_J gave J = -0.0
+    params = NonlinearityParams(1.0126953125, 1.1015625, 2.1015625, sign3=-1)
+    with pytest.raises(UnsupportedRegime, match="below the float range"):
+        find_a(params, 0.0036607292429389035, 0.0)
+
+
 def test_near_branch_is_found_before_a_critical_point_past_overflow():
     # at FF(3, 5, 5.01) and gamma = 8 F1's second critical point is near
     # 3.5e180, where s ** e_r overflows; the crossing on the first piece is

@@ -1,5 +1,6 @@
-"""Property tests: the root counts, the shared bisection, the amplitude
-and the agreement of the three J routes.
+"""Property tests: the root counts, the shared bisection, the amplitude,
+the agreement of the three J routes and the paper's sign guarantees at
+random exponents.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from tristab import (
     GeneralizedPolynomial,
+    GuaranteeStatement,
     NonlinearityParams,
     UnsupportedRegime,
     count_positive_roots_sampled,
@@ -18,7 +20,9 @@ from tristab import (
     eval_J_mass_fd,
     eval_J_raw,
     find_a,
+    omega_star,
     sign_changes,
+    sign_guarantees,
 )
 from tristab import signs
 
@@ -157,3 +161,42 @@ def test_three_routes_agree_within_their_bars(point):
     for i, u in enumerate(values):
         for v in values[i + 1:]:
             assert abs(u.j - v.j) <= u.abs_error + v.abs_error, (u, v)
+
+
+def _exponents(draw, q):
+    """(p, q, r) around q, as in the probe: p in [1.05, q - 0.05], r - q in
+    [0.05, 4].  Nearer p = 1 the amplitude at the low end of the region
+    lies below the smallest float, where find_a raises UnsupportedRegime."""
+    return draw(st.floats(1.05, q - 0.05)), q, q + draw(st.floats(0.05, 4.0))
+
+
+def _statements(params):
+    return {g.statement for g in sign_guarantees(params)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_fd_waves_are_stable_for_q_up_to_5(data):
+    # AllStablePositiveJ: FD with q <= 5 has J > 0 on its whole existence
+    # region 0 < omega < omega*(gamma); q is drawn near 5 too
+    q = data.draw(st.one_of(st.floats(1.1, 5.0), st.floats(4.999, 5.0)))
+    params = NonlinearityParams(*_exponents(data.draw, q), sign3=-1)
+    assert GuaranteeStatement.AllStablePositiveJ in _statements(params)
+    gamma = data.draw(st.floats(-8.0, 8.0))
+    omega = omega_star(params, gamma) * data.draw(st.floats(1e-3, 0.99))
+    sv = eval_J(params, omega, gamma)
+    assert sv.verdict() == "stable", (params, omega, gamma, sv)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_df_waves_are_unstable_for_q_from_5(data):
+    # AllUnstableNegativeJ: DF with q >= 5 has J < 0 at every omega > 0 and
+    # every gamma; q is drawn near 5 too
+    q = data.draw(st.one_of(st.floats(5.0, 9.0), st.floats(5.0, 5.001)))
+    params = NonlinearityParams(*_exponents(data.draw, q), sign1=-1)
+    assert GuaranteeStatement.AllUnstableNegativeJ in _statements(params)
+    gamma = data.draw(st.floats(-8.0, 8.0))
+    omega = 10.0 ** data.draw(st.floats(-2.0, 1.5))
+    sv = eval_J(params, omega, gamma)
+    assert sv.verdict() == "unstable", (params, omega, gamma, sv)

@@ -335,6 +335,47 @@ def test_j0_matches_the_oracle(p, q, r, s1, s3, gamma, j_ref, ref_err):
     assert abs(sv.j - j_ref) <= sv.abs_error + ref_err
 
 
+# J at small scales from perfbench/oracle.py's j_value at 30 digits: the
+# law J ~ a^((7 - 3p)/4) of criterion 7, with a ~ omega^(2/(p-1))
+SMALL_SCALE_POINTS = [
+    (2.0, 3.0, 4.0, 1, 1, 1e-9, 0.0002846049894151541, 1.1e-23),
+    (2.0, 3.0, 4.0, 1, 1, 1e-10, 9e-05, 1.1e-24),
+    (2.0, 3.0, 4.0, 1, 1, 1e-12, 9e-06, 1.1e-24),
+    (3.0, 5.0, 7.0, 1, -1, 1e-9, 63245.553203367585, 5.1e-24),
+    (3.0, 5.0, 7.0, 1, -1, 1e-10, 200000.0, 5.1e-23),
+    (3.0, 5.0, 7.0, 1, -1, 1e-12, 2000000.0, 5.1e-21),
+]
+
+
+@pytest.mark.parametrize("p, q, r, s1, s3, omega, j_ref, ref_err",
+                         SMALL_SCALE_POINTS,
+                         ids=["%s-w=%g" % (_case(*pt[3:5]), pt[5])
+                              for pt in SMALL_SCALE_POINTS])
+def test_j_at_small_scales_matches_the_oracle(p, q, r, s1, s3, omega,
+                                              j_ref, ref_err):
+    # with an absolute floor of 1 on the double-zero slack these waves read
+    # on_boundary and J was the +inf curve sentinel
+    params = NonlinearityParams(p, q, r, sign1=s1, sign3=s3)
+    sv, raw = eval_J(params, omega, 0.0), eval_J_raw(params, omega, 0.0)
+    for v in (sv, raw):
+        assert v.converged and not v.diverging
+        assert abs(v.j - j_ref) <= v.abs_error + ref_err
+    assert abs(sv.j - raw.j) <= sv.abs_error + raw.abs_error
+    a, a_ref = find_a(params, omega, 0.0).a, find_a(params, 1e-8, 0.0).a
+    slope = math.log(sv.j / eval_J(params, 1e-8, 0.0).j) / math.log(a / a_ref)
+    assert abs(slope - (7.0 - 3.0 * p) / 4.0) <= 1e-6
+
+
+def test_j0_at_a_small_scale_amplitude_converges():
+    # DF(1.8, 1.85, 2.5) has 2q + r < 7, so J(0, gamma) > 0 for every gamma
+    # (OmegaZeroAllPositive); a0 = 2.03e-40 was read as a double zero at
+    # F1's local minimum and eval_J0 raised DivergingIntegral.  Oracle value
+    # from perfbench/oracle.py's j_value at omega = 0 and 30 digits
+    sv = eval_J0(NonlinearityParams(1.8, 1.85, 2.5, sign1=-1), -10.0)
+    assert sv.converged and sv.verdict() == "stable"
+    assert abs(sv.j - 6.088079581252809e-14) <= sv.abs_error + 3.5e-19
+
+
 def test_mass_fd_handles_moderate_points():
     rng = np.random.default_rng(41)
     for _ in range(5):
