@@ -130,7 +130,8 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
                 m = 1.0 - fx / fhi
                 flo *= m if m > 0.0 else 0.5
             hi, fhi, vhi, kept = x, fx, fx, -1
-        # the second test fails only where lo + hi overflowed
+        # the second test differs from the first only where lo + hi
+        # overflowed
         if not lo < 0.5 * (lo + hi) < hi and not lo < _mid(lo, hi) < hi:
             return lo if abs(vlo) <= abs(vhi) else hi
         if steps == 4 or hi - lo <= 0.5 * mark:

@@ -451,9 +451,6 @@ def test_waves_at_small_scales_are_not_double_zeros(params, omega):
     prof = find_a(params, omega, 0.0)
     assert prof.exists and not prof.on_boundary
     _assert_near_mp_root(params, omega, 0.0, prof.a)
-    if params is FF234 and omega == 1e-9:
-        assert math.isclose(prof.a, 2.25e-18, rel_tol=1e-12)
-        assert math.isclose(prof.uprime_at_a, -5e-10, rel_tol=1e-12)
 
 
 def test_a0_at_a_small_scale_is_the_first_zero_of_f1():
@@ -478,8 +475,6 @@ def test_amplitudes_past_600_doublings_are_found(omega):
     assert prof.exists and not prof.on_boundary
     assert prof.a > 2.0 ** 599
     _assert_near_mp_root(params, omega, 0.0, prof.a)
-    if omega == 1e18:
-        assert math.isclose(prof.a, 2.59374246009942e180, rel_tol=1e-12)
 
 
 def test_amplitude_past_the_largest_float_is_unsupported():
