@@ -116,11 +116,14 @@ def power_sum(c, e, s, lead=None):
 def eval_F1(params: NonlinearityParams, gamma: float, s):
     """F1(s) = (2a1/(p+1)) s^{(p-1)/2} - (2g/(q+1)) s^{(q-1)/2} + (2a3/(r+1)) s^{(r-1)/2}.
 
-    A scalar s is summed as a Python float, an array through numpy.
+    A scalar s >= 0 is summed as a Python float, an array through numpy.
     """
     t = terms(params, gamma)
     if np.ndim(s) == 0:
-        return power_sum(t.f1, t.e, float(s))
+        s = float(s)
+        if s < 0:
+            raise ValueError("s must be nonnegative")
+        return power_sum(t.f1, t.e, s)
     return power_sum(t.f1, t.e, np.asarray(s, dtype=float))
 
 

@@ -119,10 +119,14 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float,
                 % (omega, gamma))
         hi, f_hi = bracket
     a = _bisect(phi, lo, hi, f_lo, f_hi)
-    if a == 0.0:  # the walk down from hi passed the smallest float
-        raise UnsupportedRegime(
-            "the amplitude at omega=%g, gamma=%g lies below the float range"
-            % (omega, gamma))
+    if a <= 5e-324:
+        # bisect ends on (0, 5e-324) and returns either end: the crossing
+        # lies below the smallest float where phi there has the far sign
+        f_min = phi(5e-324)
+        if f_min != 0.0 and (f_min > 0.0) != (f_lo > 0.0):
+            raise UnsupportedRegime(
+                "the amplitude at omega=%g, gamma=%g lies below the float "
+                "range" % (omega, gamma))
     return a
 
 

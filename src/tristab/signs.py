@@ -130,9 +130,7 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float):
                 m = 1.0 - fx / fhi
                 flo *= m if m > 0.0 else 0.5
             hi, fhi, vhi, kept = x, fx, fx, -1
-        # the second test differs from the first only where lo + hi
-        # overflowed
-        if not lo < 0.5 * (lo + hi) < hi and not lo < _mid(lo, hi) < hi:
+        if math.nextafter(lo, hi) == hi:
             return lo if abs(vlo) <= abs(vhi) else hi
         if steps == 4 or hi - lo <= 0.5 * mark:
             mark, steps = hi - lo, 0
@@ -145,18 +143,21 @@ def _mid(lo: float, hi: float) -> float:
     return m if m != math.inf else 0.5 * lo + 0.5 * hi
 
 
-def grow(f, lo: float, flo: float, top: float = sys.float_info.max):
-    """(x, f(x)) at the first x = max(2 lo, 1) 2^k, k = 0, 1, ..., below
-    top, or at top, where f is zero or has the sign opposite to flo: an
-    upper end for ``bisect``.  None where f keeps flo's sign up to top."""
-    x = min(max(2.0 * lo, 1.0), top)
+def grow(f, lo: float, flo: float, doublings: float = math.inf):
+    """(x, f(x)) at the first x = max(2 lo, 1) 2^k, k = 0, 1, ... below
+    doublings, capped at the largest float, where f is zero or has the sign
+    opposite to flo: an upper end for ``bisect``.  None where f keeps
+    flo's sign that far."""
+    big = sys.float_info.max
+    x, k = min(max(2.0 * lo, 1.0), big), 0
     while True:
         fx = f(x)
         if fx == 0.0 or (fx > 0.0) != (flo > 0.0):
             return x, fx
-        if x >= top:
+        k += 1
+        if x == big or k == doublings:
             return None
-        x = min(2.0 * x, top)
+        x = min(2.0 * x, big)
 
 
 def roots(terms, s_max: float) -> list:
@@ -190,9 +191,10 @@ def roots(terms, s_max: float) -> list:
             continue
         fhi = g_at(hi)
         if hi == big and flo != 0.0 and (flo > 0.0) != (fhi > 0.0):
-            # an end within 600 doublings, else the bracket (lo, big)
-            bracket = grow(g_at, lo, flo,
-                           min(max(2.0 * lo, 1.0) * 2.0 ** 599, big))
+            # an end within 600 doublings, else the bracket (lo, big): roots
+            # past there are found to round-off only, and another end would
+            # move them by ulps
+            bracket = grow(g_at, lo, flo, 600)
             if bracket is not None:
                 hi, fhi = bracket
         if fhi == 0.0 or flo != 0.0 and (flo > 0.0) != (fhi > 0.0):

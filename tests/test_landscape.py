@@ -46,6 +46,14 @@ def test_f1_vectorized():
         assert math.isclose(vi, eval_F1(FF234, 0.5, float(si)), rel_tol=1e-15)
 
 
+def test_f1_and_u_reject_a_negative_scalar():
+    # Python's ** would give a complex power here
+    for call in (lambda: eval_F1(FF234, 0.5, -1.0),
+                 lambda: eval_U(FF234, 0.1, 0.5, -1.0)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
+
+
 def test_eval_u_at_zero():
     out = eval_U(FF234, 0.7, 1.3, 0.0)
     assert out.value == 0.0

@@ -483,13 +483,21 @@ def test_amplitude_past_the_largest_float_is_unsupported():
         find_a(NonlinearityParams(1.05, 1.1, 1.2), 1e31, 0.0)
 
 
-def test_amplitude_below_the_smallest_float_is_unsupported():
-    # at p = 1.0127, a ~ omega^(2/(p-1)) lies below 5e-324; the walk down
-    # from the first critical point reached 0.0, and find_a returned a = 0
-    # with exists and on_boundary both False, where eval_J gave J = -0.0
-    params = NonlinearityParams(1.0126953125, 1.1015625, 2.1015625, sign3=-1)
+@pytest.mark.parametrize("p, q, r, omega", [
+    (1.0126953125, 1.1015625, 2.1015625, 0.0036607292429389035),
+    (1.0127, 1.1016, 2.1016, 0.006),
+])
+def test_amplitude_below_the_smallest_float_is_unsupported(p, q, r, omega):
+    # at p = 1.0127, a ~ omega^(2/(p-1)) lies below 5e-324.  bisect ends on
+    # (0, 5e-324) and returns the end with the smaller |omega - F1|: 0 at
+    # the first point, where find_a gave a = 0 with exists and on_boundary
+    # both False; 5e-324 at the second (a ~ 1e-350), where it gave a wave
+    # with U'(a) ~ -0.003
+    params = NonlinearityParams(p, q, r, sign3=-1)
     with pytest.raises(UnsupportedRegime, match="below the float range"):
-        find_a(params, 0.0036607292429389035, 0.0)
+        find_a(params, omega, 0.0)
+    # the smallest wave above it is kept
+    assert find_a(params, 0.01, 0.0).a < 1e-300
 
 
 def test_near_branch_is_found_before_a_critical_point_past_overflow():
