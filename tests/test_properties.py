@@ -174,7 +174,8 @@ def _verdict(params, omega, gamma):
     as it does near p = 1 at small omega."""
     try:
         return eval_J(params, omega, gamma).verdict()
-    except UnsupportedRegime:
+    except UnsupportedRegime as exc:
+        assert "below the float range" in str(exc), exc
         return None
 
 
