@@ -21,6 +21,7 @@ from typing import List, Optional
 
 from .model import NonlinearityParams
 from .boundary import endpoints
+from .errors import UnsupportedRegime
 
 
 class LimitKind(enum.Enum):
@@ -135,13 +136,16 @@ def _omega_zero_defocusing(params: NonlinearityParams,
         if 2.0 * p + q > 7.0:
             return LimitClass(LimitKind.FiniteNegative, "2p + q > 7")
     val = eval_J0(params, gamma)
-    if val.j > 0.0:
+    verdict = val.verdict()
+    if verdict == "stable":
         return LimitClass(LimitKind.FinitePositive,
                           "J(0, gamma) evaluated > 0")
-    if val.j < 0.0:
+    if verdict == "unstable":
         return LimitClass(LimitKind.FiniteNegative,
                           "J(0, gamma) evaluated < 0")
-    return LimitClass(LimitKind.ExactZero, "J(0, gamma) evaluated = 0")
+    raise UnsupportedRegime(
+        "J(0, gamma) = %.12g +- %.12g decides no sign%s"
+        % (val.j, val.abs_error, "" if val.converged else " (unconverged)"))
 
 
 def _omega_inf(params: NonlinearityParams, gamma: float) -> LimitClass:
@@ -201,7 +205,9 @@ def classify_limit(params: NonlinearityParams, direction: Direction,
     For the omega directions the supplied value is the fixed gamma; for the
     gamma directions it is the fixed omega.  Directions along which no
     standing waves survive (omega -> infinity in *D, gamma -> +infinity in
-    FD/DD, omega -> 0 in DD at gamma >= gamma_1) raise ValueError.
+    FD/DD, omega -> 0 in DD at gamma >= gamma_1) raise ValueError.  An
+    omega -> 0 limit read from a J(0, gamma) whose sign its error bar does
+    not decide raises UnsupportedRegime.
     """
     if not isinstance(direction, Direction):
         raise ValueError("direction must be a Direction member")

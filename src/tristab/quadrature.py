@@ -377,10 +377,10 @@ def _tanh_sinh(f, m: int, rel_tol: float) -> List[QuadratureResult]:
     f(ln_v, ln_w, w) receives the 1-D arrays ln v, ln(1 - v) and h dv/du at
     a call's nodes (``_de_nodes``), builds what depends on the nodes alone,
     and returns g: g(cells) gives, for each index in cells, a row of that
-    integrand times w at those nodes, on one or more pieces side by side (a
-    block of one may give a 1-D row).  g takes at most _DE_BATCH cells at a
-    time, so a block's arrays stay small.  Level k has step h = 2^-k, and
-    Q_k sums the integrand times h dv/du at every node up to level k.
+    integrand times w at those nodes (a block of one may give a 1-D row).
+    g takes at most _DE_BATCH cells at a time, so a block's arrays stay
+    small.  Level k has step h = 2^-k, and Q_k sums the integrand times
+    h dv/du at every node up to level k.
     Levels 0 to _DE_FIRST are one call, and every later level one call on
     its new nodes, the odd multiples of h, whose row sum S gives
     Q_k = Q_{k-1}/2 + S.  From _DE_FIRST on, with d = |Q_k - Q_{k-1}|, A_k
@@ -405,7 +405,7 @@ def _tanh_sinh(f, m: int, rel_tol: float) -> List[QuadratureResult]:
             ones = np.ones(y.shape[1])
             sums.append([_dots(y, ones), _dots(np.abs(y), ones)])
             if level == _DE_FIRST:
-                sums[-1].append(_dots(y, np.tile(signs, len(ones) // len(w))))
+                sums[-1].append(_dots(y, signs))
         s, s_abs, *signed = (np.concatenate(x).tolist() for x in zip(*sums))
         if signed:
             q, a, d = s, s_abs, [abs(x) for x in signed[0]]

@@ -4,16 +4,15 @@ Sign of J decides orbital stability of the standing wave: positive J means
 stable, negative unstable.  ``eval_J`` answers; two more routes check it:
 
 * ``eval_J``: the transformed integrand C * N(a,s)/D(a,s)^{3/2} on [0,1],
-  split at s = 1/2.  On the right piece s = 1 - x^2/2 removes the
-  (1-s)^{-1/2} endpoint, and N and D are sums of the differences 1 - s^e
-  in expm1 form, which keep D's relative precision as it vanishes at s = 1.
-  On the left, s = 0.5 (2 - x)^m flattens the endpoint at s = 0, and N and
-  D are their exact values at s = 0, 2 omega + U'(a) and omega/2, less sums
-  of powers s^e: sums of terms that can be 1e56 times omega/2 would leave
-  only round-off there.  ``eval_J_rows`` evaluates it at every omega of a
-  block of gamma rows in one batch, ``eval_J`` at one cell; no value
-  depends on its batch, so the two agree bit for bit.  A cell with no
-  wave, or with an amplitude beyond the float range, is NaN in a block.
+  in two forms split at s = 1/2.  From 1/2 on, N and D are sums of the
+  differences 1 - s^e in expm1 form, which keep D's relative precision as
+  it vanishes at s = 1.  Below 1/2 they are their exact values at s = 0,
+  2 omega + U'(a) and omega/2, less sums of powers s^e: sums of terms that
+  can be 1e56 times omega/2 would leave only round-off there.
+  ``eval_J_rows`` evaluates it at every omega of a block of gamma rows in
+  one batch, ``eval_J`` at one cell; no value depends on its batch, so the
+  two agree bit for bit.  A cell with no wave, or with an amplitude beyond
+  the float range, is NaN in a block.
 * ``eval_J_raw``: a block of one cell of the direct form
   (-1/(2U'(a))) * integral of (3 + s(U'(a)-U'(s))/U(s)) sqrt(s)/sqrt(U(s))
   over [0, a].  With V = U(s)/s and W = U'(a) - U'(s) the integrand is
@@ -30,30 +29,32 @@ stable, negative unstable.  ``eval_J`` answers; two more routes check it:
   one batch at relative tolerance 3e-13, each equal to ``mass_Q`` alone bit
   for bit, and their quadrature errors enter its error bar.
 
-The three routes share one map (``_piecewise``): x in [0, 2], split at
-s = a/2 (x = 1), s = a (1 - x^2/2) on the right and s = (a/2) (2 - x)^m on
-the left, m = ceil(2/(p-1)).  A private route table (``_ROUTES``) gives
-each route its row (constants from omega and U'(a), then coefficient
-triples of the terms times a^{e_l}), its form, the power of its base and
-the k of its prefactor -a / (k U'(a)).  ``_rows`` builds the rows of a
-batch of cells, and three kernels integrate them.  eval_J's cells at
-omega > 0 where F1 has no local maximum below a (every FD, DD and DF cell,
-and the FF cells off the dip branch) take the tanh-sinh kernel
-(``quadrature._tanh_sinh`` on ``_de_integrand``): on each piece
-v = 1/(1 + exp(-pi sinh u)), the left piece's t = v and the right piece's
-x = 1 - v, each node given by its distance to the piece's end, and the
-cells of a block run level by level as arrays of up to 64 cells.  The
-fixed rule (``_rule``) takes eval_J's cells at omega > 0 where omega - F1
-dips to at least 1e-3 omega at a local maximum c < a of F1 and the terms
-of D stay below 1e6 omega/2.  There the integrand peaks at c with width
-sqrt(2 (omega - F1(c)) / |F1''(c)|), which the adaptive kernel resolves one
-split per round; the rule takes Gauss-Legendre with 32 and 64 nodes on each
-piece, sinh-mapped at c on c's piece, with m at least 3, and keeps the
-64-node value where the two agree to the tolerance.  The adaptive kernel
-(``_quads``, one ``integrate_many`` call on ``_integrand``, from the two
-panels that meet at x = 1) takes the cells the rule flags, the other cells
-with a maximum below a, eval_J0, the raw route and the masses.  The term
-table, with F1's maxima, is looked up once per gamma.
+A private route table (``_ROUTES``) gives each route its row (constants
+from omega and U'(a), then coefficient triples of the terms times
+a^{e_l}), its form, the power of its base and the k of its prefactor
+-a / (k U'(a)).  ``_rows`` builds the rows of a batch of cells, and three
+kernels integrate them.  eval_J's cells at omega > 0 where F1 has no local
+maximum below a (every FD, DD and DF cell, and the FF cells off the dip
+branch) take the tanh-sinh kernel (``quadrature._tanh_sinh`` on
+``_de_integrand``), in sigma = s/a itself: its nodes
+v = 1/(1 + exp(-pi sinh u)) are given by their distance to either end, so
+they need no map, and the cells of a block run level by level as arrays
+of up to 64 cells.  The other two kernels share one map (``_piecewise``):
+x in [0, 2], split at s = a/2 (x = 1), s = a (1 - x^2/2) on the right,
+which removes the (1-s)^{-1/2} end, and s = (a/2) (2 - x)^m on the left,
+m = min(ceil(2/(p-1)), 256), which flattens the s^{(p-1)/2} end at s = 0.
+The fixed rule (``_rule``) takes eval_J's cells at omega > 0 where
+omega - F1 dips to at least 1e-3 omega at a local maximum c < a of F1 and
+the terms of D stay below 1e6 omega/2.  There the integrand peaks at c
+with width sqrt(2 (omega - F1(c)) / |F1''(c)|), which the adaptive kernel
+resolves one split per round; the rule takes Gauss-Legendre with 32 and
+64 nodes on each piece, sinh-mapped at c on c's piece, with m at least 3,
+and keeps the 64-node value where the two agree to the tolerance.  The
+adaptive kernel (``_quads``, one ``integrate_many`` call on
+``_integrand``, from the two panels that meet at x = 1) takes the cells
+the rule flags, the other cells with a maximum below a, eval_J0, the raw
+route and the masses.  The term table, with F1's maxima, is looked up
+once per gamma.
 
 The abs_error of ``eval_J``, ``eval_J0`` and ``eval_J_raw`` adds to the
 quadrature error (the rule's is |Q_64 - Q_32| and the tanh-sinh kernel's
@@ -115,6 +116,9 @@ _RULE_NODES = 32
 _DIP_DEPTH = 1e-3
 _RATIO_CAP = 1e6
 _RULE_BATCH = 40
+
+# the largest stretch m of the left piece (``_left_m``)
+_MAX_M = 256
 
 
 @dataclass(frozen=True)
@@ -262,8 +266,11 @@ def _unit(sums):
 
 def _left_m(params: NonlinearityParams) -> int:
     """The left piece's m at omega > 0: its s^{(p-1)/2} terms are flat once
-    m (p-1)/2 >= 1."""
-    return math.ceil(2.0 / (params.p - 1.0))
+    m (p-1)/2 >= 1, which needs no more than _MAX_M at p >= 1 + 2/_MAX_M.
+    Below that the s^{(p-1)/2} ends stay, and the kernels resolve them: a
+    larger m would crush the piece into a layer at x = 1 that no panel
+    sees."""
+    return min(math.ceil(2.0 / (params.p - 1.0)), _MAX_M)
 
 
 # the route table of the module docstring; a mass is a times its integral,
@@ -303,35 +310,32 @@ def _integrand(cells, route: str, m: int, tables):
     return _piecewise(e, m, _rows(cells, route, tables), form, power)
 
 
-def _de_integrand(e: Sequence[float], m: int, rows):
-    """The transformed integrand N / D^{3/2} on both pieces of
-    ``_piecewise``'s map, as ``quadrature._tanh_sinh`` takes it.
+def _de_integrand(e: Sequence[float], rows):
+    """The transformed integrand N / D^{3/2} in sigma on (0, 1), as
+    ``quadrature._tanh_sinh`` takes it, with v = sigma.
 
-    Each piece has its own variable v in (0, 1): the left piece t = v, with
-    ln t = ln v, and the right piece x = 1 - v, taken as exp(ln(1 - v)), so
-    the nodes resolve both ends of each piece down to v = 5e-62.  What
-    depends on the nodes alone (sigma^{e_l} on the left, 1 - sigma^{e_l} in
-    expm1 form on the right, and each piece's Jacobian times the weight w)
-    is built once per call, as one array of the left piece's nodes then the
-    right piece's, with the left terms negated.  The work per cell is then
-    the two coefficient triples, the constants added on the left, and
-    N w / (D sqrt D) where D > 0, else 0, in place, so that a block holds
-    three arrays of its cells times the nodes.  Cell i is row i, and a
-    block of one cell multiplies by plain floats, as ``_piecewise`` does.
+    Below sigma = 1/2, sigma^{e_l} = exp(e_l ln v), and N and D are the
+    constants at 0 less sums of these, as on ``_piecewise``'s left piece;
+    from 1/2 on, 1 - sigma^{e_l} = -expm1(e_l log1p(-(1 - v))), with
+    1 - v = exp(ln(1 - v)), as on its right piece.  The nodes resolve both
+    ends down to 5e-62, and the weight w is the only Jacobian.  What
+    depends on the nodes alone is built once per call, with the terms below
+    1/2 negated.  The work per cell is then the two coefficient triples,
+    the constants added below 1/2, and N w / (D sqrt D) where D > 0, else 0,
+    in place, so that a block holds three arrays of its cells times the
+    nodes.  Cell i is row i, and a block of one cell multiplies by plain
+    floats, as ``_piecewise`` does.
     """
     table = np.array(rows).T[:, :, None]
     one = len(rows) == 1
 
     def nodes(ln_v, ln_w, w):
-        n = len(ln_v)
-        x = np.exp(ln_w)
-        # e_l ln sigma, the left piece's nodes then the right piece's
+        n = len(ln_v) // 2  # the nodes below 1/2: u = 0 is v = 1/2
         basis = np.multiply.outer(e, np.concatenate(
-            (_LN_HALF + m * ln_v, np.log1p(-0.5 * x * x))))
+            (ln_v[:n], np.log1p(-np.exp(ln_w[n:])))))
         np.exp(basis[:, :n], out=basis[:, :n])
         np.expm1(basis[:, n:], out=basis[:, n:])
         np.negative(basis, out=basis)
-        jac = np.concatenate((0.5 * m * np.exp((m - 1) * ln_v) * w, x * w))
 
         def values(cells):
             c = rows[0] if one else table[:, cells]
@@ -343,7 +347,7 @@ def _de_integrand(e: Sequence[float], m: int, rows):
             D[..., :n] += c[1]
             with np.errstate(divide="ignore", invalid="ignore",
                              over="ignore"):
-                N *= jac
+                N *= w
                 N /= D * np.sqrt(D)
             N[~(D > 0.0)] = 0.0
             return N
@@ -377,7 +381,8 @@ def _dip(cell, tables):
 
 def _rule(cells, dips, m: int, tables) -> list:
     """The transformed route's Q_2n at each cell of dips (``_dip``), or None
-    where it and Q_n differ by more than _J_TOL relative.
+    where it and Q_n differ by more than _J_TOL relative, or where the
+    dip's width b is not a positive finite float (F1''(c) can overflow).
 
     On each piece, x = lo + (1 + y)/2; on the one that holds c,
     y = y_c + b sinh(mu u - eta), which maps [-1, 1] onto itself with its
@@ -391,8 +396,11 @@ def _rule(cells, dips, m: int, tables) -> list:
     lo = np.where(right, 0.0, 1.0)
     y_c = 2.0 * (x_c - lo) - 1.0
     # the width in s over ds/dx, times dy/dx = 2
-    b = (2.0 * np.sqrt(-2.0 * delta / curvature)
-         / (a * np.where(right, x_c, 0.5 * m * t ** (m - 1))))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b = (2.0 * np.sqrt(-2.0 * delta / curvature)
+             / (a * np.where(right, x_c, 0.5 * m * t ** (m - 1))))
+    width = (b > 0.0) & (b < math.inf)
+    b = np.where(width, b, 1.0)
     h_lo, h_hi = np.arcsinh((1.0 + y_c) / b), np.arcsinh((1.0 - y_c) / b)
     n = _RULE_NODES
     u = np.concatenate([_gauss_legendre(n)[0], _gauss_legendre(2 * n)[0]])
@@ -407,8 +415,8 @@ def _rule(cells, dips, m: int, tables) -> list:
         _integrand(cells, "transformed", m, tables)(x, index + index) * dxdu,
         n)]
     return [QuadratureResult(q2, abs(q2 - q1) + 50.0 * _EPS * q_abs, 2, True,
-                             "rule") if abs(q2 - q1) <= _J_TOL * abs(q2)
-            else None for q1, q2, q_abs in zip(*sums)]
+                             "rule") if ok and abs(q2 - q1) <= _J_TOL * abs(q2)
+            else None for ok, q1, q2, q_abs in zip(width[:, 0], *sums)]
 
 
 def _root_error(t: Terms, omega: float, up: float, powers) -> float:
@@ -490,7 +498,7 @@ def _transformed(params: NonlinearityParams, cells,
              else smooth).append(i)
         if smooth:
             done.update(zip(smooth, _tanh_sinh(_de_integrand(
-                tables[cells[smooth[0]][1]].e, m,
+                tables[cells[smooth[0]][1]].e,
                 _rows([cells[i] for i in smooth], route, tables)),
                 len(smooth), _J_TOL)))
         dips = [(i, dip) for i in peaks

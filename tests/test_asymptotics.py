@@ -10,10 +10,12 @@ from tristab import (
     GuaranteeStatement,
     LimitKind,
     NonlinearityParams,
+    UnsupportedRegime,
     asymptotic_exponent,
     classify_limit,
     endpoints,
     eval_J,
+    eval_J0,
     find_a,
     sign_guarantees,
 )
@@ -93,6 +95,19 @@ def test_omega_zero_defocusing():
         classify_limit(dd, Direction.OmegaToZero, gamma1 + 0.5)
     assert classify_limit(dd, Direction.OmegaToZero, gamma1 - 0.5).kind \
         is LimitKind.NegInfinity
+
+
+def test_omega_zero_defocusing_needs_a_definite_j0():
+    # at DF(1.5, 3, 4), gamma = 0, J(0, gamma) = -1.04e-17 +- 5.2e-15 has no
+    # sign, and the classifier read FiniteNegative from it
+    params = DF(1.5, 3, 4)
+    val = eval_J0(params, 0.0)
+    assert val.verdict() == "indeterminate" and val.j < 0.0
+    with pytest.raises(UnsupportedRegime, match="decides no sign"):
+        classify_limit(params, Direction.OmegaToZero, 0.0)
+    # off gamma = 0 its sign is definite
+    assert classify_limit(params, Direction.OmegaToZero, -1.0).kind \
+        is LimitKind.FinitePositive
 
 
 def test_omega_inf_table():

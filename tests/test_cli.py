@@ -221,6 +221,20 @@ def test_limits_unsupported_direction(capsys):
     assert "unsupported" in byname["gamma->+inf"]
 
 
+def test_limits_indeterminate_j0_is_unsupported(capsys):
+    # J(0, 0) at DF(1.5, 3, 4) is -1.04e-17 +- 5.2e-15, no sign: the line
+    # read "FiniteNegative (J(0, gamma) evaluated < 0)"
+    code, out, _ = run_cli(capsys, "limits", "--p", "1.5", "--q", "3",
+                           "--r", "4", "--s1", "-1", "--s3", "+1",
+                           "--omega", "1", "--gamma", "0", "--no-timing")
+    assert code == 0
+    byname = {ln.split()[0]: ln for ln in out.strip().splitlines()}
+    assert byname["omega->0"].split(None, 1)[1].startswith(
+        "unsupported (J(0, gamma) = ")
+    assert "decides no sign" in byname["omega->0"]
+    assert "ZeroPlus" in byname["omega->inf"]
+
+
 def test_guarantees(capsys):
     code, out, _ = run_cli(capsys, "guarantees", "--p", "3", "--q", "5",
                            "--r", "7", "--s1", "+1", "--s3", "-1",

@@ -129,10 +129,10 @@ def test_amplitude_increases_in_gamma(params, omega, gamma, rise):
 
 @st.composite
 def route_points(draw):
-    """(params, omega, gamma) from the route-agreement probe's distribution:
-    p U(1.05, 6), q - p and r - q U(0.05, 4), both outer signs, gamma
-    U(-8, 8) and omega 10^U(-2, 1.5)."""
-    p = draw(st.floats(1.05, 6.0))
+    """(params, omega, gamma) from the route-agreement probe's distribution,
+    with p drawn from just above 1: p U(1 + 2^-52, 6), q - p and r - q
+    U(0.05, 4), both outer signs, gamma U(-8, 8) and omega 10^U(-2, 1.5)."""
+    p = draw(st.floats(math.nextafter(1.0, 2.0), 6.0))
     q = p + draw(st.floats(0.05, 4.0))
     r = q + draw(st.floats(0.05, 4.0))
     params = NonlinearityParams(p, q, r, sign1=draw(st.sampled_from([-1, 1])),
@@ -164,8 +164,9 @@ def test_three_routes_agree_within_their_bars(point):
 
 
 def _exponents(draw, q):
-    """(p, q, r) around q: p in [1.01, q - 0.05], r - q in [0.05, 4]."""
-    return (draw(st.floats(1.01, q - 0.05)), q,
+    """(p, q, r) around q: p in [1 + 2^-52, q - 0.05], r - q in
+    [0.05, 4]."""
+    return (draw(st.floats(math.nextafter(1.0, 2.0), q - 0.05)), q,
             q + draw(st.floats(0.05, 4.0)))
 
 
