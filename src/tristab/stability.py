@@ -26,23 +26,25 @@ stable, negative unstable.  ``eval_J`` answers; two more routes check it:
   Richardson-extrapolated.  Where the case has a curve at gamma, the step
   is at most a quarter of the distance to omega_star(gamma), so the
   stencil keeps to the query's side of it.  Its four stencil masses run as
-  one batch at relative tolerance 3e-13, each equal to ``mass_Q`` alone bit
-  for bit, and their quadrature errors enter its error bar.
+  one batch at relative tolerance 3e-13, each on the kernel eval_J takes at
+  its cell and equal to ``mass_Q`` alone bit for bit, and their quadrature
+  errors enter its error bar.
 
 A private route table (``_ROUTES``) gives each route its row (constants
 from omega and U'(a), then coefficient triples of the terms times
 a^{e_l}), its form, the power of its base and the k of its prefactor
 -a / (k U'(a)).  ``_rows`` builds the rows of a batch of cells, and three
-kernels integrate them.  eval_J's cells at omega > 0 where F1 has no local
-maximum below a (every FD, DD and DF cell, and the FF cells off the dip
-branch) take the tanh-sinh kernel (``quadrature._tanh_sinh`` on
-``_de_integrand``), in sigma = s/a itself: its nodes
-v = 1/(1 + exp(-pi sinh u)) are given by their distance to either end, so
-they need no map, and the cells of a block run level by level as arrays
-of up to 64 cells.  The other two kernels share one map (``_piecewise``):
-x in [0, 2], split at s = a/2 (x = 1), s = a (1 - x^2/2) on the right,
-which removes the (1-s)^{-1/2} end, and s = (a/2) (2 - x)^m on the left,
-m = min(ceil(2/(p-1)), 256), which flattens the s^{(p-1)/2} end at s = 0.
+kernels integrate them.  eval_J's cells at omega > 0 and the masses where
+F1 has no local maximum below a (every FD, DD and DF cell, and the FF
+cells off the dip branch; one rule, ``_off_dip``) take the tanh-sinh
+kernel (``quadrature._tanh_sinh`` on ``_de_integrand``), in sigma = s/a
+itself: its nodes v = 1/(1 + exp(-pi sinh u)) are given by their distance
+to either end, so they need no map, and the cells of a block run level by
+level as arrays of up to 64 cells.  The other two kernels share one map
+(``_piecewise``): x in [0, 2], split at s = a/2 (x = 1),
+s = a (1 - x^2/2) on the right, which removes the (1-s)^{-1/2} end, and
+s = (a/2) (2 - x)^m on the left, m = min(ceil(2/(p-1)), 256), which
+flattens the s^{(p-1)/2} end at s = 0.
 The fixed rule (``_rule``) takes eval_J's cells at omega > 0 where
 omega - F1 dips to at least 1e-3 omega at a local maximum c < a of F1 and
 the terms of D stay below 1e6 omega/2.  There the integrand peaks at c
@@ -53,8 +55,8 @@ and keeps the 64-node value where the two agree to the tolerance.  The
 adaptive kernel (``_quads``, one ``integrate_many`` call on
 ``_integrand``, from the two panels that meet at x = 1) takes the cells
 the rule flags, the other cells with a maximum below a, eval_J0, the raw
-route and the masses.  The term table, with F1's maxima, is looked up
-once per gamma.
+route and the masses on the dip branch.  The term table, with F1's
+maxima, is looked up once per gamma.
 
 The abs_error of ``eval_J``, ``eval_J0`` and ``eval_J_raw`` adds to the
 quadrature error (the rule's is |Q_64 - Q_32| and the tanh-sinh kernel's
@@ -74,7 +76,10 @@ to 0 +- 0 is not converged, so J reads indeterminate there.
 For defocusing-lowest-power (D*) cases with p < 7/3, the omega -> 0 limit
 J(0, gamma) is finite.  ``eval_J0`` computes it as the transformed route's
 cell at omega = 0 and a = a0, the first zero of F1; there the integrand
-blows up like s^{-3(p-1)/4} at s = 0, which the left piece's m flattens.
+blows up like s^{-3(p-1)/4} at s = 0, which the left piece's
+m = ceil(4/(7 - 3p)) + 1 flattens, capped at _MAX_M as at omega > 0.
+Within 0.0053 of p = 7/3 the cap leaves the end steeper than the kernel
+resolves, and the value reads unconverged.
 
 Near the nonexistence curve the integral genuinely diverges; evaluation is
 skipped there and a signed infinity sentinel is returned (positive on the
@@ -117,7 +122,8 @@ _DIP_DEPTH = 1e-3
 _RATIO_CAP = 1e6
 _RULE_BATCH = 40
 
-# the largest stretch m of the left piece (``_left_m``)
+# the largest stretch m of the left piece, at omega > 0 (``_left_m``) and
+# at omega = 0
 _MAX_M = 256
 
 
@@ -310,22 +316,28 @@ def _integrand(cells, route: str, m: int, tables):
     return _piecewise(e, m, _rows(cells, route, tables), form, power)
 
 
-def _de_integrand(e: Sequence[float], rows):
-    """The transformed integrand N / D^{3/2} in sigma on (0, 1), as
+def _de_integrand(route: str, e: Sequence[float], rows):
+    """The route's integrand in sigma on (0, 1), as
     ``quadrature._tanh_sinh`` takes it, with v = sigma.
 
-    Below sigma = 1/2, sigma^{e_l} = exp(e_l ln v), and N and D are the
-    constants at 0 less sums of these, as on ``_piecewise``'s left piece;
-    from 1/2 on, 1 - sigma^{e_l} = -expm1(e_l log1p(-(1 - v))), with
+    Below sigma = 1/2, sigma^{e_l} = exp(e_l ln v), and each sum of the row
+    is its constant at 0 less the sum of these, as on ``_piecewise``'s left
+    piece; from 1/2 on, 1 - sigma^{e_l} = -expm1(e_l log1p(-(1 - v))), with
     1 - v = exp(ln(1 - v)), as on its right piece.  The nodes resolve both
     ends down to 5e-62, and the weight w is the only Jacobian.  What
     depends on the nodes alone is built once per call, with the terms below
-    1/2 negated.  The work per cell is then the two coefficient triples,
-    the constants added below 1/2, and N w / (D sqrt D) where D > 0, else 0,
-    in place, so that a block holds three arrays of its cells times the
-    nodes.  Cell i is row i, and a block of one cell multiplies by plain
-    floats, as ``_piecewise`` does.
+    1/2 negated.  The work per cell is then the coefficient triples, the
+    constants added below 1/2, and P w / B^power where B > 0, else 0, with
+    (B, P) the route's form and B^power as sqrt(B) times B once per whole
+    power: the transformed route's N w / (D sqrt D), the mass's
+    w / sqrt(V).  Cell i is row i, and a block of one cell multiplies by
+    plain floats, as ``_piecewise`` does.
     """
+    _, _, form, power, _ = _ROUTES[route]
+    n_sums = len(rows[0]) // 4
+    # sum j: its constant's index and its triple's first
+    sums_at = [(j, n_sums + 3 * j) for j in range(n_sums)]
+    whole = int(power)
     table = np.array(rows).T[:, :, None]
     one = len(rows) == 1
 
@@ -339,18 +351,22 @@ def _de_integrand(e: Sequence[float], rows):
 
         def values(cells):
             c = rows[0] if one else table[:, cells]
-            N, D = c[2] * basis[0], c[5] * basis[0]
-            for j in (1, 2):
-                N += c[2 + j] * basis[j]
-                D += c[5 + j] * basis[j]
-            N[..., :n] += c[0]
-            D[..., :n] += c[1]
+            sums = []
+            for j, k in sums_at:
+                S = c[k] * basis[0]
+                S += c[k + 1] * basis[1]
+                S += c[k + 2] * basis[2]
+                S[..., :n] += c[j]
+                sums.append(S)
+            B, P = form(sums)
             with np.errstate(divide="ignore", invalid="ignore",
                              over="ignore"):
-                N *= w
-                N /= D * np.sqrt(D)
-            N[~(D > 0.0)] = 0.0
-            return N
+                f = np.sqrt(B)
+                for _ in range(whole):
+                    f *= B
+                np.divide(P * w, f, out=f)
+            f[~(B > 0.0)] = 0.0
+            return f
 
         return values
 
@@ -363,6 +379,29 @@ def _quads(cells, route: str, m: int, tol: float,
     over x in [0, 2], whose two initial panels meet at the split x = 1."""
     return integrate_many(_integrand(cells, route, m, tables), 0.0, 2.0,
                           len(cells), rel_tol=tol, max_panels=2000, initial=2)
+
+
+def _off_dip(cells, index, route: str, tol: float, tables):
+    """The route's integral in sigma by the tanh-sinh kernel at each cell
+    of index where F1 has no local maximum below a, as a dict by index,
+    and the list of the other cells' indices.
+
+    Only in FF does F1 reach omega past a local maximum, on the dip
+    branch; there the integrand peaks inside (0, 1), and those cells keep
+    the rule or the adaptive kernel.  This one rule chooses the kernel for
+    eval_J's cells and the masses alike.
+    """
+    peaks, smooth = [], []
+    for i in index:
+        _, gamma, res = cells[i]
+        maxima = tables[gamma].maxima
+        (peaks if maxima and maxima[0][0] < res.a else smooth).append(i)
+    if not smooth:
+        return {}, peaks
+    e = tables[cells[smooth[0]][1]].e  # the exponents depend on p, q, r
+    rows = _rows([cells[i] for i in smooth], route, tables)
+    return dict(zip(smooth, _tanh_sinh(_de_integrand(route, e, rows),
+                                       len(smooth), tol))), peaks
 
 
 def _dip(cell, tables):
@@ -481,26 +520,15 @@ def _transformed(params: NonlinearityParams, cells,
     if not waves:
         return out
     # at omega = 0 the left end blows up like s^{-3(p-1)/4} (p < 7/3),
-    # flattened with a margin of one
+    # flattened with a margin of one up to _MAX_M, as at omega > 0
     positive = cells[waves[0]][0] > 0.0
-    m = (_left_m(params) if positive
-         else max(2, math.ceil(4.0 / (7.0 - 3.0 * params.p)) + 1))
+    m = (_left_m(params) if positive else min(
+        max(2, math.ceil(4.0 / (7.0 - 3.0 * params.p)) + 1), _MAX_M))
     k = _ROUTES[route].k
     tables = {g: terms(params, g) for g in {cells[i][1] for i in waves}}
     done, rest = {}, waves
     if route == "transformed" and positive:
-        # only in FF does F1 reach omega past a local maximum, on the dip
-        # branch; every other cell takes the tanh-sinh kernel
-        peaks, smooth = [], []
-        for i in waves:
-            t = tables[cells[i][1]]
-            (peaks if t.maxima and t.maxima[0][0] < cells[i][2].a
-             else smooth).append(i)
-        if smooth:
-            done.update(zip(smooth, _tanh_sinh(_de_integrand(
-                tables[cells[smooth[0]][1]].e,
-                _rows([cells[i] for i in smooth], route, tables)),
-                len(smooth), _J_TOL)))
+        done, peaks = _off_dip(cells, waves, route, _J_TOL, tables)
         dips = [(i, dip) for i in peaks
                 if (dip := _dip(cells[i], tables)) is not None]
         for j in range(0, len(dips), _RULE_BATCH):
@@ -579,8 +607,10 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
     Every profile is found before anything is integrated, in the order of
     omegas, so the first omega without a wave raises NoStandingWave and the
     first on the nonexistence curve DivergingIntegral.  Integrand k is
-    1 / sqrt(V) on the piecewise map, V the sum of the row
-    (omega_k, f1_l a_k^{e_l}); its value and error are a_k times those in x.
+    1 / sqrt(V), V the sum of the row (omega_k, f1_l a_k^{e_l}), in sigma
+    on the tanh-sinh kernel, or in x on the adaptive kernel where F1 has a
+    local maximum below a_k (``_off_dip``); its value and error are a_k
+    times those in sigma.
     """
     cells = []
     for omega in omegas:
@@ -590,10 +620,15 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
                 "mass integral diverges on the nonexistence curve at "
                 "omega=%g, gamma=%g" % (omega, gamma))
         cells.append((omega, gamma, res))
-    quads = _quads(cells, "mass", _left_m(params), _MASS_TOL,
-                   {gamma: terms(params, gamma)})
-    return [replace(q, value=res.a * q.value, abs_error=res.a * q.abs_error)
-            for q, (_, _, res) in zip(quads, cells)]
+    tables = {gamma: terms(params, gamma)}
+    quads, rest = _off_dip(cells, range(len(cells)), "mass", _MASS_TOL,
+                           tables)
+    if rest:
+        quads.update(zip(rest, _quads([cells[i] for i in rest], "mass",
+                                      _left_m(params), _MASS_TOL, tables)))
+    return [replace(quads[i], value=res.a * quads[i].value,
+                    abs_error=res.a * quads[i].abs_error)
+            for i, (_, _, res) in enumerate(cells)]
 
 
 def mass_Q(params: NonlinearityParams, omega: float, gamma: float) -> float:

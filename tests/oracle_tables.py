@@ -4,9 +4,9 @@ tests/test_dip_rule.py.
     PYTHONPATH=src python3 tests/oracle_tables.py [TABLE ...]
 
 prints the tables named, all of them by default.  Needs scipy and mpmath.
-Every value comes from ``j_value`` of perfbench/oracle.py (scipy brentq,
-mpmath quadrature), which imports nothing of tristab; tristab only picks
-the draws.
+Every value comes from ``j_value`` or ``mass_value`` of
+perfbench/oracle.py (scipy brentq, mpmath quadrature), which imports
+nothing of tristab; tristab only picks the draws.
 
 CANCELLATION_DRAWS are the draws of a seeded random probe, numpy
 ``default_rng(777)`` drawing in order p U(1.05, 6), q - p and r - q
@@ -36,8 +36,16 @@ change sign twice.  Then 20 directed FF draws follow, from
 sum |d_l| a^{e_l} / (omega/2) lies in [1e4, 1e6).  They are at 40 digits
 plus the log10 of that ratio, as above.
 
+MASS_DRAWS are masses Q = int_0^a ds / sqrt(omega - F1(s)) from
+``mass_value`` of perfbench/oracle.py, at the first waves of the
+``default_rng(2026)`` probe, in the order drawn: 10 of each case where F1
+has no local maximum below a (the masses of the tanh-sinh kernel), and 8
+FF waves where it has one, on the dip branch (the masses of the adaptive
+kernel).  They are at 40 digits plus the log10 of the ratio above.
+
 ref_err is the oracle's error estimate or its change at 15 more digits,
-whichever is larger.
+whichever is larger; for a mass, which comes with no estimate, it is that
+change or |Q| 10^-dps, whichever is larger.
 """
 
 import math
@@ -134,6 +142,33 @@ def dip_draws(n_probe=150, n_directed=20):
             yield (p, q, r, 1, 1, omega, gamma), rat
 
 
+def mass_draws(per_case=10, n_dip=8):
+    rng = np.random.default_rng(2026)
+    wanted = {"FF": per_case, "FD": per_case, "DF": per_case,
+              "DD": per_case, "dip": n_dip}
+    while any(wanted.values()):
+        p, q, r, s1, s3, gamma, omega = probe(rng)
+        params = NonlinearityParams(p, q, r, sign1=s1, sign3=s3)
+        try:
+            res = find_a(params, omega, gamma)
+        except UnsupportedRegime:
+            continue
+        if res is None or res.on_boundary:
+            continue
+        maxima = terms(params, gamma).maxima
+        kind = "dip" if maxima and maxima[0][0] < res.a else params.case
+        if wanted[kind]:
+            wanted[kind] -= 1
+            yield (p, q, r, s1, s3, omega, gamma), ratio(params, omega,
+                                                         gamma, res.a)
+
+
+def mass_reference(point, dps):
+    q = oracle.mass_value(*point, dps=dps)
+    q2 = oracle.mass_value(*point, dps=dps + 15)
+    return float(q), max(float(abs(q2 - q)), float(abs(q)) * 10.0 ** -dps)
+
+
 def reference(point, dps):
     j, err = oracle.j_value(*point, dps=dps)
     j2, _ = oracle.j_value(*point, dps=dps + 15)
@@ -189,6 +224,14 @@ def main(tables):
         for pt, rat in dip_draws():
             print_draw(pt, rat)
         print("]\n")
+    if "MASS_DRAWS" in tables:
+        print("MASS_DRAWS = [")
+        for pt, rat in mass_draws():
+            q, err = mass_reference(pt, 40 + max(0, math.ceil(
+                math.log10(rat))))
+            print("    (%r, %r, %r, %d, %d,\n     %r, %r, %r, %.2g),"
+                  % (pt + (q, err)), flush=True)
+        print("]\n")
     if "J0_POINTS" in tables:
         print("J0_POINTS = [")
         for (p, q, r, s1, s3), gammas in J0_GAMMAS:
@@ -203,4 +246,4 @@ def main(tables):
 
 if __name__ == "__main__":
     main(sys.argv[1:] or ["CANCELLATION_DRAWS", "ROUTE_DRAWS", "DIP_DRAWS",
-                          "J0_POINTS"])
+                          "MASS_DRAWS", "J0_POINTS"])
