@@ -18,17 +18,16 @@ stable, negative unstable.  ``eval_J`` answers; two more routes check it:
   over [0, a].  With V = U(s)/s and W = U'(a) - U'(s) the integrand is
   (3 + W/V) / sqrt(V), with V and W in the same two forms as N and D.  As
   N = 6D + W and V = 2D, this is the transformed integrand times a
-  constant, always on the adaptive kernel: it checks the coefficients, and
-  wherever eval_J takes the tanh-sinh kernel or the fixed rule, the
-  quadrature too.
+  constant, always on the adaptive kernel, where eval_J never runs at
+  omega > 0: it checks the coefficients and the quadrature.
 * ``eval_J_mass_fd``: central finite difference of the mass integral
   ``mass_Q`` (integrand 1 / sqrt(V)) in omega at steps h and h/2,
   Richardson-extrapolated.  Where the case has a curve at gamma, the step
   is at most a quarter of the distance to omega_star(gamma), so the
   stencil keeps to the query's side of it.  Its four stencil masses run as
-  one batch at relative tolerance 3e-13, each on the kernel eval_J takes at
-  its cell and equal to ``mass_Q`` alone bit for bit, and their quadrature
-  errors enter its error bar.
+  one batch at relative tolerance 3e-13 on the tanh-sinh kernel, split at
+  c on the dip branch (below), each equal to ``mass_Q`` alone bit for bit,
+  and their quadrature errors enter its error bar.
 
 A private route table (``_ROUTES``) gives each route its row (constants
 from omega and U'(a), then coefficient triples of the terms times
@@ -40,27 +39,32 @@ cells off the dip branch; one rule, ``_off_dip``) take the tanh-sinh
 kernel (``quadrature._tanh_sinh`` on ``_de_integrand``), in sigma = s/a
 itself: its nodes v = 1/(1 + exp(-pi sinh u)) are given by their distance
 to either end, so they need no map, and the cells of a block run level by
-level as arrays of up to 64 cells.  The other two kernels share one map
-(``_piecewise``): x in [0, 2], split at s = a/2 (x = 1),
-s = a (1 - x^2/2) on the right, which removes the (1-s)^{-1/2} end, and
-s = (a/2) (2 - x)^m on the left, m = min(ceil(2/(p-1)), 256), which
-flattens the s^{(p-1)/2} end at s = 0.
-The fixed rule (``_rule``) takes eval_J's cells at omega > 0 where
-omega - F1 dips to at least 1e-3 omega at a local maximum c < a of F1 and
-the terms of D stay below 1e6 omega/2.  There the integrand peaks at c
-with width sqrt(2 (omega - F1(c)) / |F1''(c)|), which the adaptive kernel
-resolves one split per round; the rule takes Gauss-Legendre with 32 and
-64 nodes on each piece, sinh-mapped at c on c's piece, with m at least 3,
-and keeps the 64-node value where the two agree to the tolerance.  The
-adaptive kernel (``_quads``, one ``integrate_many`` call on
-``_integrand``, from the two panels that meet at x = 1) takes the cells
-the rule flags, the other cells with a maximum below a, eval_J0, the raw
-route and the masses on the dip branch.  The term table, with F1's
-maxima, is looked up once per gamma.
+level as arrays of up to 64 cells.
+On FF's dip branch, where F1 has a local maximum c < a, the integrand
+peaks at c with width sqrt(2 (omega - F1(c)) / |F1''(c)|).  The fixed rule
+(``_rule``) takes eval_J's cells there where omega - F1(c) is at least
+1e-3 omega and the terms of D stay below 1e6 omega/2: Gauss-Legendre with
+32 and 64 nodes on each piece of the map below, sinh-mapped at c on c's
+piece, with m at least 3, keeping the 64-node value where the two agree to
+the tolerance.  Every other dip cell, the cells the rule flags and every
+mass on the dip branch, takes the split kernel (``_on_dip``): the
+tanh-sinh kernel on two pieces that meet at c, sigma = gc (1 - v) and
+sigma = gc + (1 - gc) v with gc = c/a, whose nodes are given by their
+distance to c (``_split_integrand``).  Next to c the sums of a row are
+taken about c, where D and V dip to delta/2 and delta, delta = omega -
+F1(c), and keep their relative precision there.
+The adaptive kernel (``_quads``, one ``integrate_many`` call on
+``_integrand``, from the two panels that meet at x = 1) takes eval_J0 and
+the raw route alone.  Its map (``_piecewise``), which the rule shares, is
+x in [0, 2], split at s = a/2 (x = 1), s = a (1 - x^2/2) on the right,
+which removes the (1-s)^{-1/2} end, and s = (a/2) (2 - x)^m on the left,
+m = min(ceil(2/(p-1)), 256), which flattens the s^{(p-1)/2} end at s = 0.
+The term table, with F1's maxima, is looked up once per gamma.
 
 The abs_error of ``eval_J``, ``eval_J0`` and ``eval_J_raw`` adds to the
 quadrature error (the rule's is |Q_64 - Q_32| and the tanh-sinh kernel's
-|Q_k - Q_{k-1}|, each plus 50 eps times the integral of |f|) two errors of
+|Q_k - Q_{k-1}|, each plus 50 eps times the integral of |f|, summed over
+the split kernel's two pieces with their weights gc and 1 - gc) two errors of
 the integrand that no quadrature sees.  The first is the error J carries
 from a: the computed a is the exact zero at an omega off by at most eps S,
 S = |omega| + sum |f1_l| a^{e_l}, and J moves by
@@ -293,15 +297,28 @@ _ROUTES = {
 }
 
 
-def _rows(cells, route: str, tables) -> list:
+def _rows(cells, route: str, tables, at_c: bool = False) -> list:
     """The route's row at each (omega, gamma, profile) cell, from the term
-    tables by gamma and each profile's a^{e_l}."""
+    tables by gamma and each profile's a^{e_l}.
+
+    With at_c, the row of its sums about F1's first local maximum c: the
+    triples times c^{e_l}, and as constants the sums at s = c, which are
+    the route's constants at delta = omega - F1(c), since U'(c) = delta
+    where F1'(c) = 0.
+    """
     consts, coefs = _ROUTES[route][:2]
     triples = {g: [getattr(t, c) for c in coefs] for g, t in tables.items()}
+    if at_c:
+        peaks = {g: (t.maxima[0][1], [t.maxima[0][0] ** x for x in t.e])
+                 for g, t in tables.items() if t.maxima}
     rows = []
     for omega, gamma, res in cells:
-        x0, x1, x2 = res.powers
-        row = consts(omega, res.uprime_at_a)
+        if at_c:
+            f1_c, (x0, x1, x2) = peaks[gamma]
+            row = consts(omega - f1_c, res.uprime_at_a)
+        else:
+            x0, x1, x2 = res.powers
+            row = consts(omega, res.uprime_at_a)
         for c0, c1, c2 in triples[gamma]:
             row += (c0 * x0, c1 * x1, c2 * x2)
         rows.append(row)
@@ -334,10 +351,10 @@ def _de_integrand(route: str, e: Sequence[float], rows):
     plain floats, as ``_piecewise`` does.
     """
     _, _, form, power, _ = _ROUTES[route]
+    whole = int(power)
     n_sums = len(rows[0]) // 4
     # sum j: its constant's index and its triple's first
     sums_at = [(j, n_sums + 3 * j) for j in range(n_sums)]
-    whole = int(power)
     table = np.array(rows).T[:, :, None]
     one = len(rows) == 1
 
@@ -358,15 +375,95 @@ def _de_integrand(route: str, e: Sequence[float], rows):
                 S += c[k + 2] * basis[2]
                 S[..., :n] += c[j]
                 sums.append(S)
-            B, P = form(sums)
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                f = np.sqrt(B)
-                for _ in range(whole):
-                    f *= B
-                np.divide(P * w, f, out=f)
-            f[~(B > 0.0)] = 0.0
-            return f
+            return _weighted(form, whole, sums, w)
+
+        return values
+
+    return nodes
+
+
+def _weighted(form: Callable, whole: int, sums, w):
+    """P w / B^power where B > 0, else 0, with (B, P) = form(sums), a
+    route's form, and B^power as sqrt(B) times B once per whole power."""
+    B, P = form(sums)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = np.sqrt(B)
+        for _ in range(whole):
+            f *= B
+        np.divide(P * w, f, out=f)
+    f[~(B > 0.0)] = 0.0
+    return f
+
+
+def _split_integrand(route: str, e: Sequence[float], rows, peaks, spans):
+    """The route's integrand on the two pieces of each dip cell, split at
+    F1's local maximum c < a, as ``quadrature._tanh_sinh`` takes it.
+
+    Integrand i < k is piece 0 of cell i, sigma = gc (1 - v), and
+    integrand k + i its piece 1, sigma = gc + (1 - gc) v, with gc = c/a;
+    neither carries its Jacobian gc or 1 - gc.  Both start at c, so their
+    nodes are given by their distance to c, and x = s - c is
+    x/c = -v on piece 0 and r v on piece 1, r = (a - c)/c.  Below
+    v = 1/2 each sum is its value at c less sum_l C_jl E_l,
+    E_l = expm1(e_l log1p(x/c)) and C the triples at c (rows at c,
+    ``_rows``), which keeps D's and V's relative precision where they dip
+    to delta/2 and delta, delta = omega - F1(c).  From 1/2 on, piece 0
+    takes the form at 0, its constant less sum_l C_jl (1 - v)^{e_l}, and
+    piece 1 the form at a, sum_l A_jl (1 - sigma^{e_l}) with
+    1 - sigma = (1 - gc)(1 - v), as ``_de_integrand`` builds them.  On
+    piece 0, log1p(-v) = ln(1 - v), so its basis depends on the nodes
+    alone; piece 1's depends on r and 1 - gc, the pair spans[i].
+    """
+    _, _, form, power, _ = _ROUTES[route]
+    whole = int(power)
+    K = len(rows[0]) // 4  # the number of sums
+    k = len(rows)
+    at_a, at_c = np.array(rows).T, np.array(peaks).T
+    # piece 0's columns: the constants at c and at 0, the triples at c;
+    # piece 1's: the constants at c, the triples at c and at a, r, 1 - gc
+    lower = np.concatenate((at_c[:K], at_a[:K], at_c[K:]))[:, :, None]
+    upper = np.concatenate((at_c, at_a[K:], np.array(spans).T))[:, :, None]
+
+    def nodes(ln_v, ln_w, w):
+        n = len(ln_v) // 2  # the nodes below 1/2: u = 0 is v = 1/2
+        v_near, w_far = np.exp(ln_v[:n]), np.exp(ln_w[n:])
+        basis = np.multiply.outer(e, ln_w)
+        np.expm1(basis[:, :n], out=basis[:, :n])
+        np.exp(basis[:, n:], out=basis[:, n:])
+        np.negative(basis, out=basis)
+
+        def piece(cells, first):
+            c = (lower if first else upper)[:, cells]
+            if first:
+                B, near, far = basis, 2 * K, 2 * K
+            else:
+                B, near, far = np.multiply.outer(e, np.concatenate(
+                    (np.log1p(c[-2] * v_near), np.log1p(-c[-1] * w_far)),
+                    axis=-1)), K, 4 * K
+                np.expm1(B, out=B)
+                np.negative(B, out=B)
+            sums = []
+            for j in range(K):
+                S = np.empty((len(cells), len(w)))
+                for t, lo, hi in ((near + 3 * j, 0, n),
+                                  (far + 3 * j, n, None)):
+                    part = B[..., lo:hi]
+                    S[:, lo:hi] = (c[t] * part[0] + c[t + 1] * part[1]
+                                   + c[t + 2] * part[2])
+                S[:, :n] += c[j]
+                if first:
+                    S[:, n:] += c[K + j]
+                sums.append(S)
+            return _weighted(form, whole, sums, w)
+
+        def values(cells):
+            cells = np.asarray(cells)  # ascending: piece 0's cells first
+            zeros, ones = cells[cells < k], cells[cells >= k] - k
+            if not len(ones):
+                return piece(zeros, True)
+            if not len(zeros):
+                return piece(ones, False)
+            return np.concatenate((piece(zeros, True), piece(ones, False)))
 
         return values
 
@@ -387,9 +484,9 @@ def _off_dip(cells, index, route: str, tol: float, tables):
     and the list of the other cells' indices.
 
     Only in FF does F1 reach omega past a local maximum, on the dip
-    branch; there the integrand peaks inside (0, 1), and those cells keep
-    the rule or the adaptive kernel.  This one rule chooses the kernel for
-    eval_J's cells and the masses alike.
+    branch; there the integrand peaks inside (0, 1), and those cells take
+    the rule or the split kernel (``_on_dip``).  This one rule chooses the
+    kernel for eval_J's cells and the masses alike.
     """
     peaks, smooth = [], []
     for i in index:
@@ -402,6 +499,40 @@ def _off_dip(cells, index, route: str, tol: float, tables):
     rows = _rows([cells[i] for i in smooth], route, tables)
     return dict(zip(smooth, _tanh_sinh(_de_integrand(route, e, rows),
                                        len(smooth), tol))), peaks
+
+
+def _on_dip(cells, index, route: str, tol: float, tables) -> dict:
+    """The route's integral in sigma by the tanh-sinh kernel at each cell
+    of index, where F1 has a local maximum c < a, as a dict by index.
+
+    One ``_tanh_sinh`` call takes each cell as two integrands, its pieces
+    split at gc = c/a (``_split_integrand``).  A cell's value and error
+    are gc times piece 0's plus (1 - gc) times piece 1's; it is converged
+    when both pieces are, and n_panels and stop are those of its deeper
+    piece, or of a piece that did not converge.
+    """
+    if not index:
+        return {}
+    some = [cells[i] for i in index]
+    spans, gcs = [], []
+    for _, gamma, res in some:
+        c = tables[gamma].maxima[0][0]
+        spans.append(((res.a - c) / c, (res.a - c) / res.a))
+        gcs.append(c / res.a)
+    k = len(some)
+    e = tables[some[0][1]].e  # the exponents depend on p, q, r alone
+    quads = _tanh_sinh(_split_integrand(
+        route, e, _rows(some, route, tables),
+        _rows(some, route, tables, at_c=True), spans), 2 * k, tol)
+    out = {}
+    for i, gc, (_, hc), q0, q1 in zip(index, gcs, spans, quads[:k],
+                                      quads[k:]):
+        last = max((q0, q1), key=lambda q: (not q.converged, q.n_panels))
+        out[i] = QuadratureResult(
+            gc * q0.value + hc * q1.value,
+            gc * q0.abs_error + hc * q1.abs_error, last.n_panels,
+            q0.converged and q1.converged, last.stop)
+    return out
 
 
 def _dip(cell, tables):
@@ -501,8 +632,8 @@ def _transformed(params: NonlinearityParams, cells,
     cell.
 
     A None profile gives NaN and a profile on the curve the signed
-    sentinel; every other cell goes to ``_tanh_sinh``, ``_rule`` or
-    ``_quads`` (module docstring).  The cells of one call are all at
+    sentinel; every other cell goes to ``_off_dip``, ``_rule``, ``_on_dip``
+    or ``_quads`` (module docstring).  The cells of one call are all at
     omega > 0 or all at omega = 0, which decides the left piece's m.
     abs_error is the quadrature error times the prefactor plus |J| times
     ``_root_error`` and ``_maxima_error``.
@@ -526,7 +657,6 @@ def _transformed(params: NonlinearityParams, cells,
         max(2, math.ceil(4.0 / (7.0 - 3.0 * params.p)) + 1), _MAX_M))
     k = _ROUTES[route].k
     tables = {g: terms(params, g) for g in {cells[i][1] for i in waves}}
-    done, rest = {}, waves
     if route == "transformed" and positive:
         done, peaks = _off_dip(cells, waves, route, _J_TOL, tables)
         dips = [(i, dip) for i in peaks
@@ -535,10 +665,12 @@ def _transformed(params: NonlinearityParams, cells,
             index, batch = zip(*dips[j:j + _RULE_BATCH])
             done.update(iq for iq in zip(index, _rule(
                 [cells[i] for i in index], batch, max(3, m), tables)) if iq[1])
-        rest = [i for i in peaks if i not in done]
-    adaptive = zip(rest, _quads([cells[i] for i in rest], route, m, _J_TOL,
-                                tables)) if rest else ()
-    for i, quad in (*done.items(), *adaptive):
+        done.update(_on_dip(cells, [i for i in peaks if i not in done],
+                            route, _J_TOL, tables))
+    else:
+        done = dict(zip(waves, _quads([cells[i] for i in waves], route, m,
+                                      _J_TOL, tables)))
+    for i, quad in done.items():
         omega, gamma, res = cells[i]
         t = tables[gamma]
         pref = -res.a / (k * res.uprime_at_a)
@@ -608,9 +740,9 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
     omegas, so the first omega without a wave raises NoStandingWave and the
     first on the nonexistence curve DivergingIntegral.  Integrand k is
     1 / sqrt(V), V the sum of the row (omega_k, f1_l a_k^{e_l}), in sigma
-    on the tanh-sinh kernel, or in x on the adaptive kernel where F1 has a
-    local maximum below a_k (``_off_dip``); its value and error are a_k
-    times those in sigma.
+    on the tanh-sinh kernel, on two pieces split at c where F1 has a local
+    maximum c < a_k (``_off_dip``, ``_on_dip``); its value and error are
+    a_k times those in sigma.
     """
     cells = []
     for omega in omegas:
@@ -624,8 +756,7 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
     quads, rest = _off_dip(cells, range(len(cells)), "mass", _MASS_TOL,
                            tables)
     if rest:
-        quads.update(zip(rest, _quads([cells[i] for i in rest], "mass",
-                                      _left_m(params), _MASS_TOL, tables)))
+        quads.update(_on_dip(cells, rest, "mass", _MASS_TOL, tables))
     return [replace(quads[i], value=res.a * quads[i].value,
                     abs_error=res.a * quads[i].abs_error)
             for i, (_, _, res) in enumerate(cells)]

@@ -39,9 +39,9 @@ plus the log10 of that ratio, as above.
 MASS_DRAWS are masses Q = int_0^a ds / sqrt(omega - F1(s)) from
 ``mass_value`` of perfbench/oracle.py, at the first waves of the
 ``default_rng(2026)`` probe, in the order drawn: 10 of each case where F1
-has no local maximum below a (the masses of the tanh-sinh kernel), and 8
-FF waves where it has one, on the dip branch (the masses of the adaptive
-kernel).  They are at 40 digits plus the log10 of the ratio above.
+has no local maximum below a (the masses of the tanh-sinh kernel on one
+piece), and 8 FF waves where it has one, on the dip branch (the masses of
+the tanh-sinh kernel split at that maximum).  They are at 40 digits plus the log10 of the ratio above.
 
 ref_err is the oracle's error estimate or its change at 15 more digits,
 whichever is larger; for a mass, which comes with no estimate, it is that

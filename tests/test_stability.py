@@ -207,16 +207,21 @@ def test_unconverged_quadrature_is_indeterminate(monkeypatch):
 @pytest.mark.parametrize("omega", [0.125, 0.2])
 def test_an_integral_that_underflows_is_not_converged(omega):
     # FF(3,5,5.01) at gamma = 4 takes the far branch, a = 3.6e120 and
-    # U'(a) = -8.7e238: the transformed integral underflows to 0 +- 0, and
-    # mass_fd's difference of stencil masses near 1e106 is noise
+    # U'(a) = -8.7e238: the raw integral underflows to 0 +- 0, and
+    # mass_fd's difference of stencil masses near 1e106 is noise.  The
+    # split kernel's piece from c = 0.25 to a reaches no closer to c than
+    # 1.8e59 and misses the right half of the peak there: its J, -5.63 at
+    # omega = 0.125 against -13.608 (perfbench/oracle.py split at every
+    # power of 100), is unconverged, since that piece stops at level 12
     params = NonlinearityParams(3.0, 5.0, 5.01)
     assert find_a(params, omega, 4.0).a > 1e120
     for route in (eval_J, eval_J_raw, eval_J_mass_fd):
         sv = route(params, omega, 4.0)
         assert not sv.converged and sv.verdict() == "indeterminate"
-    # a sweep stores j alone, which is unchanged
+    # a sweep stores j alone, which equals scalar eval_J's
     row = eval_J_rows(params, [omega], [4.0])[0]
-    assert row[0] == eval_J(params, omega, 4.0) and row[0].j == 0.0
+    assert row[0] == eval_J(params, omega, 4.0)
+    assert math.isfinite(row[0].j)
 
 
 def test_left_piece_is_finite_at_its_end():
@@ -414,7 +419,7 @@ def test_mass_fd_handles_moderate_points():
 ])
 def test_mass_fd_is_the_difference_of_scalar_masses(params, omega, gamma):
     # the four stencil masses run as one batch, each as mass_Q alone, on
-    # the tanh-sinh kernel and, on FF's dip branch, the adaptive one
+    # the tanh-sinh kernel, on FF's dip branch on two pieces split at c
     h = min(max(1e-4 * omega, 1e-6), 0.5 * omega)
     sv = eval_J_mass_fd(params, omega, gamma)
     d_h = (mass_Q(params, omega + h, gamma)
@@ -632,7 +637,7 @@ def test_ff_sweep_cells_take_few_panels(monkeypatch, params):
     # cost 23 panels a cell; the left piece's s = 0.5 t^m flattens it.
     # Cells where F1 has no local maximum below a take the tanh-sinh kernel,
     # cells where F1 dips below omega the fixed rule, and only those it
-    # flags reach the adaptive kernel
+    # flags take the split kernel
     quads = _record_quadratures(monkeypatch)
     levels = _record_tanh_sinh(monkeypatch)
     rule = []
@@ -678,11 +683,11 @@ def test_tanh_sinh_rows_equal_scalar_eval_J(monkeypatch, params, omegas,
 
 def test_no_panel_straddles_the_split(monkeypatch):
     # x = 1 is an edge of the first round, and bisection only adds edges;
-    # the routes and cells here run the adaptive kernel: the raw route, and
-    # eval_J 1e-8 above the FF curve, where F1 has a maximum below a
+    # the raw route runs the adaptive kernel at every cell, 1e-8 above the
+    # FF curve too, where F1 has a maximum below a
     rows = _record_integrand_rows(monkeypatch)
     eval_J_rows(FF234, np.linspace(0.02, 0.6, 8), [1.0])
-    eval_J(FF234, 0.1464017449903313, 1.8973665961010275)
+    eval_J_raw(FF234, 0.1464017449903313, 1.8973665961010275)
     eval_J_raw(FF234, 0.14640174206229642, 1.8973665961010275)
     eval_J_raw(FD367, 0.34999999649999997, -0.35)
     assert any(row.max() < 1.0 for row in rows)
@@ -806,18 +811,20 @@ def test_cancelling_terms_keep_the_error_bar(p, q, r, s1, s3, omega, gamma,
 
 
 def test_cancelling_terms_leave_few_unconverged():
-    # the three left are FF cells where F1 has a maximum below a, which
-    # keep the adaptive kernel: their layer, where the terms reach omega/2,
-    # lies at s = 1e-22 to 7e-10, x = 2 - t, spaced 4.4e-16 near x = 2,
-    # does not resolve it, and the quadrature stops on round-off.  The
-    # tanh-sinh kernel's nodes take ln t directly and reach t = 5e-62: the
-    # DF draw at (0.01768, 7.0208) gave -1.2e-27, unconverged, on the
-    # adaptive kernel, and now converges to -26.0526219479
+    # the adaptive kernel's layer where the terms reach omega/2 lies at
+    # s = 1e-22 to 7e-10 at four of these draws, and x = 2 - t, spaced
+    # 4.4e-16 near x = 2, did not resolve it: they stopped on round-off.
+    # The tanh-sinh kernel's nodes take ln v directly and reach 5e-62: the
+    # DF draw at (0.01768, 7.0208) gave -1.2e-27 on the adaptive kernel and
+    # converges to -26.0526219479 on the one-piece kernel, and the three FF
+    # draws with a maximum below a, which gave -0.0316, -5.95 and -3.2e-15,
+    # converge on the split kernel to -0.0315732380238, -6.00273974904 and
+    # -71.8813437836
     unconverged = [d for d in CANCELLATION_DRAWS
                    if not eval_J(NonlinearityParams(*d[:3], sign1=d[3],
                                                     sign3=d[4]),
                                  d[5], d[6]).converged]
-    assert len(unconverged) <= 3
+    assert len(unconverged) == 0
 
 
 @pytest.mark.parametrize("method", [eval_J_raw, eval_J_mass_fd])
@@ -926,8 +933,9 @@ def test_points_next_to_p_1_match_the_oracle(p, q, r, s1, s3, omega, gamma,
 
 # Masses at waves of the default_rng(2026) probe, printed by
 # tests/oracle_tables.py from perfbench/oracle.py's mass_value: 10 of each
-# case off the dip branch, which take the tanh-sinh kernel, and 8 FF waves
-# on it, which keep the adaptive kernel.  Q and its error are the oracle's.
+# case off the dip branch, which take the tanh-sinh kernel on one piece,
+# and 8 FF waves on it, which take it on two pieces split at F1's maximum
+# c.  Q and its error are the oracle's.
 MASS_DRAWS = [
     (4.1975604805160245, 7.220852263978417, 9.305709364451706, 1, 1,
      0.15340643820799252, -0.8259112735983489, 1.983414824558178, 8.1e-33),
@@ -1036,7 +1044,8 @@ def test_mass_draws_lie_within_their_bars(monkeypatch):
             NonlinearityParams(p, q, r, sign1=s1, sign3=s3), [omega], gamma)
         assert mass.converged
         assert abs(mass.value - q_ref) <= mass.abs_error + q_err
-    assert len(levels) == 40 and len(quads) == 8
+    # 40 masses on one piece and 8 on two: no adaptive mass is left
+    assert len(levels) == 40 + 2 * 8 and not quads
 
 
 def test_mass_draws_bars_are_not_overstated():
@@ -1063,22 +1072,56 @@ def _reference_value_points():
             for pt in points if pt["expect"] == "value"]
 
 
+def test_raw_route_checks_eval_J_on_another_kernel_everywhere(monkeypatch):
+    # at every value point of the benchmark's point_checks eval_J takes the
+    # tanh-sinh kernel, on one piece or split at c, or the fixed rule, and
+    # eval_J_raw the adaptive kernel: the 4 points 1e-4 to 1e-8 above the
+    # FF curve, where the two shared the adaptive kernel, included
+    quads = _record_quadratures(monkeypatch)
+    points = _reference_value_points()
+    assert len(points) == 34
+    for params, omega, gamma in points:
+        eval_J(params, omega, gamma)
+        assert not quads
+        eval_J_raw(params, omega, gamma)
+        assert len(quads) == 1
+        quads.clear()
+
+
 @pytest.mark.parametrize("method", [eval_J_raw, eval_J_mass_fd],
                          ids=["raw", "mass_fd"])
 def test_raw_and_mass_routes_take_few_panels(monkeypatch, method):
     # over the value points of the benchmark's point_checks.  Every raw call
     # is adaptive: a mean of 8.9 panels, and 20.1 on s = a - u^2, whose
-    # s -> 0 end was rough.  The stencil masses take the tanh-sinh kernel at
-    # a mean level of 4.14 (112 masses); only the 24 at the 6 FF value
-    # points on the dip branch keep the adaptive kernel, with its 591 panels
+    # s -> 0 end was rough.  The stencil masses take the tanh-sinh kernel:
+    # 112 on one piece at a mean level of 4.14, and the 24 at the 6 FF
+    # value points on the dip branch, which took the adaptive kernel's 591
+    # panels, on two pieces each, split at c, at levels 3 to 6
     quads = _record_quadratures(monkeypatch)
     levels = _record_tanh_sinh(monkeypatch)
+    one, split = [], []
+    off_dip, on_dip = stability._off_dip, stability._on_dip
+
+    def record_off_dip(*args):
+        done, peaks = off_dip(*args)
+        one.extend(done.values())
+        return done, peaks
+
+    def record_on_dip(*args):
+        done = on_dip(*args)
+        split.extend(done.values())
+        return done
+
+    monkeypatch.setattr(stability, "_off_dip", record_off_dip)
+    monkeypatch.setattr(stability, "_on_dip", record_on_dip)
     for params, omega, gamma in _reference_value_points():
         method(params, omega, gamma)
     if method is eval_J_raw:
         assert not levels
         assert sum(q.n_panels for q in quads) / len(quads) <= 12.0
     else:
-        assert len(quads) == 24 and sum(q.n_panels for q in quads) == 591
-        assert len(levels) == 112
-        assert sum(q.n_panels for q in levels) / len(levels) <= 4.5
+        assert not quads
+        assert len(one) == 112 and len(split) == 24
+        assert len(levels) == len(one) + 2 * len(split)
+        assert sum(q.n_panels for q in one) / len(one) <= 4.5
+        assert max(q.n_panels for q in split) <= 6
