@@ -31,7 +31,7 @@ import numpy as np
 from .boundary import BoundaryCurve
 from .errors import NoStandingWave
 from .model import NonlinearityParams
-from .stability import eval_J, eval_J_rows
+from .stability import _block_columns, eval_J
 
 
 @dataclass(frozen=True)
@@ -58,16 +58,16 @@ class ContourSet:
 _BLOCK_CELLS = 256
 # the fewest cells a sweep hands to a pool: below this, starting the workers
 # and pickling the blocks cost more than the second core saves.  A whole
-# `tristab diagram` process on 2 cores breaks even near 2,500 cells on
-# FF(2,3,4), near 4,000 on FD(3,6,7) and near 5,600 on DD(3,5,7), whose
+# `tristab diagram` process on 2 cores breaks even near 4,500 cells on
+# FF(2,3,4), near 5,500 on FD(3,6,7) and near 7,000 on DD(3,5,7), whose
 # cells are the cheapest
 _POOL_CELLS = 4096
 
 
 def _sweep_block(task):
+    """J at every cell of a block of rows, row-major: its batch's j column."""
     params, gammas, omegas = task
-    return [[sv.j for sv in row] for row in eval_J_rows(params, omegas,
-                                                        gammas)]
+    return _block_columns(params, omegas, gammas)[0]
 
 
 def sweep_grid(params: NonlinearityParams,
@@ -79,8 +79,9 @@ def sweep_grid(params: NonlinearityParams,
 
     The gamma rows are cut into blocks of consecutive rows holding at least
     256 cells (one row once nx >= 256), and each block is evaluated as one
-    batch by ``eval_J_rows``, whose cells equal scalar ``eval_J`` bit for
-    bit.  jobs (default: the number of CPUs) bounds the worker processes:
+    batch, that of ``eval_J_rows``, whose cells equal scalar ``eval_J`` bit
+    for bit; the sweep keeps the batch's j column and builds no object per
+    cell.  jobs (default: the number of CPUs) bounds the worker processes:
     with jobs > 1, a mesh of at least 4,096 cells that spans more than one
     block maps its blocks over a process pool; any other mesh runs in
     process and starts no pool.
@@ -100,7 +101,8 @@ def sweep_grid(params: NonlinearityParams,
     if jobs is None:
         jobs = os.cpu_count() or 1
     step = -(-_BLOCK_CELLS // len(omega_axis))  # rows per block
-    tasks = [(params, list(gamma_axis[i:i + step]), list(omega_axis))
+    omegas = omega_axis.tolist()
+    tasks = [(params, gamma_axis[i:i + step].tolist(), omegas)
              for i in range(0, len(gamma_axis), step)]
     if (jobs > 1 and len(tasks) > 1
             and omega_axis.size * gamma_axis.size >= _POOL_CELLS):
@@ -109,7 +111,8 @@ def sweep_grid(params: NonlinearityParams,
             blocks = pool.map(_sweep_block, tasks)
     else:
         blocks = [_sweep_block(t) for t in tasks]
-    values = np.array([row for block in blocks for row in block], dtype=float)
+    values = np.array([j for block in blocks for j in block],
+                      dtype=float).reshape(gamma_axis.size, omega_axis.size)
     return DiagramGrid(params=params, omega_axis=omega_axis,
                        gamma_axis=gamma_axis, values=values)
 

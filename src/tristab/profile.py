@@ -33,7 +33,7 @@ find_a once per cell and the numpy dispatch overhead would dominate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import UnsupportedRegime
 from .landscape import Terms, terms
@@ -50,19 +50,34 @@ BOUNDARY_TOL = 1e-9
 _TOUCH_TOL = 5e-13
 
 
-@dataclass(frozen=True)
-class ProfileResult:
+class ProfileResult(NamedTuple):
     """First zero of U and the existence verdict at one (omega, gamma).
 
     powers holds a^{e_l}, the p, q and r powers of the amplitude, which
-    U'(a), its tolerance and every J row share; it is not compared or shown.
+    U'(a), its tolerance and every J row share; it is not compared, hashed
+    or shown.  A sweep builds one per cell, at the cost of a tuple.
     """
 
     a: float
     uprime_at_a: float
     exists: bool
     on_boundary: bool
-    powers: tuple = field(default=(), compare=False, repr=False)
+    powers: tuple = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self[:4] == other[:4]
+        return NotImplemented
+
+    # not tuple's, which would compare the powers: the negation of __eq__
+    __ne__ = object.__ne__
+
+    def __hash__(self):
+        return hash(self[:4])
+
+    def __repr__(self):
+        return ("%s(a=%r, uprime_at_a=%r, exists=%r, on_boundary=%r)"
+                % ((self.__class__.__qualname__,) + self[:4]))
 
 
 def _first_crossing(params: NonlinearityParams, omega: float, gamma: float,
@@ -156,8 +171,7 @@ def _profile(params: NonlinearityParams, omega: float, gamma: float):
     size = abs(omega) + abs(c0) * x0 + abs(c1) * x1 + abs(c2) * x2
     tol = BOUNDARY_TOL * ((size if size < 1.0 else 1.0) + size)
     on_b = abs(up) <= tol
-    return ProfileResult(a=a, uprime_at_a=up, exists=(not on_b and up < 0.0),
-                         on_boundary=on_b, powers=powers)
+    return ProfileResult(a, up, not on_b and up < 0.0, on_b, powers)
 
 
 def find_a0(params: NonlinearityParams, gamma: float):

@@ -12,7 +12,9 @@ stable, negative unstable.  ``eval_J`` answers; two more routes check it:
   ``eval_J_rows`` evaluates it at every omega of a block of gamma rows in
   one batch, ``eval_J`` at one cell; no value depends on its batch, so the
   two agree bit for bit.  A cell with no wave, or with an amplitude beyond
-  the float range, is NaN in a block.
+  the float range, is NaN in a block.  The batch fills the columns j,
+  abs_error, diverging and converged, which the routes wrap in
+  StabilityValues and a sweep reads j from, building no object per cell.
 * ``eval_J_raw``: a block of one cell of the direct form
   (-1/(2U'(a))) * integral of (3 + s(U'(a)-U'(s))/U(s)) sqrt(s)/sqrt(U(s))
   over [0, a].  With V = U(s)/s and W = U'(a) - U'(s) the integrand is
@@ -626,30 +628,30 @@ def _maxima_error(maxima, omega: float, a: float) -> float:
 # -- the J routes ------------------------------------------------------------
 
 
-def _transformed(params: NonlinearityParams, cells,
-                 route: str) -> List[StabilityValue]:
+def _transformed(params: NonlinearityParams, cells, route: str):
     """J by the transformed or the raw route at each (omega, gamma, profile)
-    cell.
+    cell, as the columns j, abs_error, diverging and converged.
 
-    A None profile gives NaN and a profile on the curve the signed
-    sentinel; every other cell goes to ``_off_dip``, ``_rule``, ``_on_dip``
-    or ``_quads`` (module docstring).  The cells of one call are all at
-    omega > 0 or all at omega = 0, which decides the left piece's m.
-    abs_error is the quadrature error times the prefactor plus |J| times
-    ``_root_error`` and ``_maxima_error``.
+    A None profile gives NaN, NaN, not diverging, converged, and a profile
+    on the curve the signed infinity, inf, diverging, converged; every other
+    cell goes to ``_off_dip``, ``_rule``, ``_on_dip`` or ``_quads`` (module
+    docstring).  The cells of one call are all at omega > 0 or all at
+    omega = 0, which decides the left piece's m.  abs_error is the
+    quadrature error times the prefactor plus |J| times ``_root_error`` and
+    ``_maxima_error``.
     """
-    out = [None] * len(cells)
+    n = len(cells)
+    js, errs = [math.nan] * n, [math.nan] * n
+    diverging, converged = [False] * n, [True] * n
     waves = []
     for i, (omega, gamma, res) in enumerate(cells):
-        if res is None:
-            out[i] = StabilityValue(j=math.nan, abs_error=math.nan,
-                                    diverging=False, method=route)
-        elif res.on_boundary:
-            out[i] = _sentinel(params, omega, gamma, route)
-        else:
+        if res is not None and res.on_boundary:
+            js[i] = _divergence_sign(params, omega, gamma) * math.inf
+            errs[i], diverging[i] = math.inf, True
+        elif res is not None:
             waves.append(i)
     if not waves:
-        return out
+        return js, errs, diverging, converged
     # at omega = 0 the left end blows up like s^{-3(p-1)/4} (p < 7/3),
     # flattened with a margin of one up to _MAX_M, as at omega > 0
     positive = cells[waves[0]][0] > 0.0
@@ -674,23 +676,29 @@ def _transformed(params: NonlinearityParams, cells,
         omega, gamma, res = cells[i]
         t = tables[gamma]
         pref = -res.a / (k * res.uprime_at_a)
-        j = pref * quad.value
-        err = (abs(pref) * quad.abs_error
-               + abs(j) * (_root_error(t, omega, res.uprime_at_a, res.powers)
-                           + _maxima_error(t.maxima, omega, res.a)))
+        js[i] = j = pref * quad.value
+        errs[i] = (abs(pref) * quad.abs_error
+                   + abs(j) * (_root_error(t, omega, res.uprime_at_a,
+                                           res.powers)
+                               + _maxima_error(t.maxima, omega, res.a)))
         # an integral that underflows to 0 +- 0 has not converged to zero
-        converged = quad.converged and (quad.value != 0.0
-                                        or quad.abs_error != 0.0)
-        out[i] = StabilityValue(j=j, abs_error=err, diverging=False,
-                                method=route, converged=converged)
-    return out
+        converged[i] = quad.converged and (quad.value != 0.0
+                                           or quad.abs_error != 0.0)
+    return js, errs, diverging, converged
+
+
+def _values(columns, method: str) -> List[StabilityValue]:
+    """``_transformed``'s columns as StabilityValues tagged method."""
+    return [StabilityValue(j, err, div, method, conv)
+            for j, err, div, conv in zip(*columns)]
 
 
 def eval_J(params: NonlinearityParams, omega: float,
            gamma: float) -> StabilityValue:
     """J via the transformed integrand at one point: a block of one cell."""
     res = _require_profile(params, omega, gamma)
-    return _transformed(params, [(omega, gamma, res)], "transformed")[0]
+    return _values(_transformed(params, [(omega, gamma, res)],
+                                "transformed"), "transformed")[0]
 
 
 def _find_a_in_range(params: NonlinearityParams, omega: float, gamma: float):
@@ -701,21 +709,27 @@ def _find_a_in_range(params: NonlinearityParams, omega: float, gamma: float):
         return None
 
 
+def _block_columns(params: NonlinearityParams, omegas: Sequence[float],
+                   gammas: Sequence[float]):
+    """``_transformed``'s columns at every omega of each gamma row, row-major,
+    with each profile from the module's ``find_a``: a sweep block's batch."""
+    return _transformed(params, [(w, g, _find_a_in_range(params, w, g))
+                                 for g in gammas for w in omegas],
+                        "transformed")
+
+
 def eval_J_rows(params: NonlinearityParams, omegas: Sequence[float],
                 gammas: Sequence[float]) -> List[List[StabilityValue]]:
-    """eval_J at every omega of each gamma row, the route of grid sweeps.
+    """eval_J at every omega of each gamma row.
 
     Each value equals scalar ``eval_J`` at the same floats bit for bit.  A
     point with no standing wave, or whose amplitude lies beyond the float
     range, gives j = NaN where scalar ``eval_J`` raises NoStandingWave or
-    UnsupportedRegime.  The profiles are found one by one and the
-    quadratures of all rows run as one batch.
+    UnsupportedRegime.
     """
     omegas = [float(w) for w in omegas]
     gammas = [float(g) for g in gammas]
-    values = _transformed(params, [(w, g, _find_a_in_range(params, w, g))
-                                   for g in gammas for w in omegas],
-                          "transformed")
+    values = _values(_block_columns(params, omegas, gammas), "transformed")
     n = len(omegas)
     return [values[i * n:(i + 1) * n] for i in range(len(gammas))]
 
@@ -726,7 +740,8 @@ def eval_J_raw(params: NonlinearityParams, omega: float,
     the transformed route: a block of one cell of the raw route, whose
     abs_error is built as ``eval_J``'s."""
     res = _require_profile(params, omega, gamma)
-    return _transformed(params, [(omega, gamma, res)], "raw")[0]
+    return _values(_transformed(params, [(omega, gamma, res)], "raw"),
+                   "raw")[0]
 
 
 # -- mass and finite-difference route ----------------------------------------
@@ -847,5 +862,5 @@ def eval_J0(params: NonlinearityParams, gamma: float) -> StabilityValue:
     if not res.exists:
         raise DivergingIntegral(
             "degenerate zero-frequency amplitude at gamma=%g" % gamma)
-    sv, = _transformed(params, [(0.0, gamma, res)], "transformed")
-    return replace(sv, method="omega_zero")
+    return _values(_transformed(params, [(0.0, gamma, res)], "transformed"),
+                   "omega_zero")[0]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tristab import diagram
+from tristab import diagram, stability
 from tristab import (
     ContourSet,
     DiagramGrid,
@@ -664,3 +664,31 @@ def test_eval_j_row_mixes_values_nan_and_sentinels():
     assert math.isnan(row[1].j) and not row[1].diverging
     assert row[2] == eval_J(FD367, ws, gamma)
     assert row[2].diverging and row[2].j == math.inf
+
+
+def test_sweep_builds_no_value_object_and_solves_each_cell_once(monkeypatch):
+    # a sweep keeps j alone: its block reads the j column of the batch, so
+    # no cell builds a StabilityValue, and each cell's amplitude comes from
+    # one call of stability.find_a, the name a tracer wraps
+    built, solved = [], []
+    value, find_a = stability.StabilityValue, stability.find_a
+
+    def counted_value(*args, **kwargs):
+        built.append(args)
+        return value(*args, **kwargs)
+
+    def counted_find_a(*args):
+        solved.append(args)
+        return find_a(*args)
+
+    monkeypatch.setattr(stability, "StabilityValue", counted_value)
+    monkeypatch.setattr(stability, "find_a", counted_find_a)
+    grid = sweep_grid(FD367, (0.05, 3.0), (-25.0, 2.0), 16, 16, jobs=1)
+    assert built == []
+    assert sorted(solved) == sorted(
+        (FD367, float(w), float(g))
+        for g in grid.gamma_axis for w in grid.omega_axis)
+    monkeypatch.undo()
+    expect = _scalar_grid(FD367, grid)
+    assert _kinds(expect)[0] and np.isfinite(expect).any()
+    assert grid.values.tobytes() == expect.tobytes()

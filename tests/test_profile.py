@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import sys
 
 import mpmath
@@ -398,6 +399,12 @@ def test_profile_carries_the_powers_of_its_amplitude():
                                      res.on_boundary)
         assert bare.powers == () and bare == res and repr(bare) == repr(res)
         assert "powers" not in repr(res)
+        # immutable, hashed without the powers, and pickled with them
+        with pytest.raises(AttributeError):
+            res.a = 1.0
+        assert hash(bare) == hash(res)
+        back = pickle.loads(pickle.dumps(res))
+        assert back == res and back.powers == res.powers
     assert found >= 25
 
 

@@ -675,10 +675,21 @@ def test_tanh_sinh_rows_equal_scalar_eval_J(monkeypatch, params, omegas,
     assert any(q.n_panels > 3 for q in levels)
     for gamma, row in zip(gammas, rows):
         for omega, sv in zip(omegas, row):
-            if not math.isnan(sv.j):
-                one = eval_J(params, float(omega), float(gamma))
-                assert (one.j, one.abs_error, one.converged) == (
-                    sv.j, sv.abs_error, sv.converged)
+            if math.isnan(sv.j):
+                # no wave: NaN, NaN, not diverging, converged
+                assert (math.isnan(sv.abs_error), sv.diverging, sv.method,
+                        sv.converged) == (True, False, "transformed", True)
+                with pytest.raises(NoStandingWave):
+                    eval_J(params, float(omega), float(gamma))
+            else:
+                assert eval_J(params, float(omega), float(gamma)) == sv
+    # a cell on the curve: inf, inf, diverging, as scalar eval_J gives it
+    gamma = float(gammas[0])
+    ws = omega_star(params, gamma)
+    sv, = eval_J_rows(params, [ws], [gamma])[0]
+    assert (sv.j, sv.abs_error, sv.diverging, sv.converged) == (
+        math.inf, math.inf, True, True)
+    assert eval_J(params, ws, gamma) == sv
 
 
 def test_no_panel_straddles_the_split(monkeypatch):
