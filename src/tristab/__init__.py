@@ -13,7 +13,7 @@ from .errors import (DivergingIntegral, NoStandingWave, NotOnCurve,
 from .model import (NonlinearityParams, ScalingReduction, classify_case,
                     normalize)
 from .landscape import LandscapeEval, eval_F1, eval_U
-from .quadrature import QuadratureResult, integrate, integrate_many
+from .quadrature import QuadratureResult, integrate
 from .special import (BetaDerivBounds, beta_deriv_bounds, beta_fn, dbeta_dx,
                       digamma, h_fn, two_power_integral)
 from .signs import (GeneralizedPolynomial, count_positive_roots_sampled,
@@ -36,7 +36,7 @@ __all__ = [
     "DivergingIntegral", "NoStandingWave", "NotOnCurve", "UnsupportedRegime",
     "NonlinearityParams", "ScalingReduction", "classify_case", "normalize",
     "LandscapeEval", "eval_F1", "eval_U",
-    "QuadratureResult", "integrate", "integrate_many",
+    "QuadratureResult", "integrate",
     "BetaDerivBounds", "beta_deriv_bounds", "beta_fn", "dbeta_dx", "digamma",
     "h_fn", "two_power_integral",
     "GeneralizedPolynomial", "count_positive_roots_sampled", "sign_changes",

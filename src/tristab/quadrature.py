@@ -6,23 +6,19 @@ nodes, error per panel follows the classic QUADPACK refinement, and panels
 are split worst-first from a heap.  All integrands in this package are
 bounded after substitution, so a finite-interval rule is enough.
 
-One kernel, ``integrate_many``, runs m integrands side by side over one
-shared interval.  Each keeps its own heap, panel budget, round-off
-counters and stopping test, and all share the interval's width floor.  In
-every round the worst panel of each unfinished integrand is bisected, and
-the integrand is called at most once, on the new halves.  A call costs
-about as much for 6 panels as for 2 (some 100 numpy calls), so in a batch
-of at most ``_AHEAD_BATCH`` integrands every call also evaluates the halves
-of every new panel (or initial one), the panels worst-first refinement
-needs next, kept by their integrand and exact (a, b) until a split takes
-them: a long refinement makes about one call per two splits.  Splits,
-sums, counters and stop tests are those of one split per call, and a
-panel's values do not depend on its batch (below), so no result changes.
-``integrate`` is a batch of one.
+One adaptive kernel, ``integrate``, refines one integrand.  It bisects
+its worst panel once per round and calls the integrand at most once, on
+the new halves.  A call costs about as much for 6 panels as for 2 (some
+100 numpy calls), so every call also evaluates the halves of every new
+panel (or initial one), the panels worst-first refinement needs next,
+kept by their exact (a, b) until a split takes them: a long refinement
+makes about one call per two splits.  Splits, sums, counters and stop
+tests are those of one split per call, and a panel's values do not depend
+on the other panels of its call (below), so no result changes.
 
-An integrand stops when its summed error passes rel_tol * |value| (a
-purely relative tolerance: there is no absolute one), when its panel
-budget runs out, when its only splittable panels are narrower than its
+Refinement stops when the summed error passes rel_tol * |value| (a
+purely relative tolerance: there is no absolute one), when the panel
+budget runs out, when the only splittable panels are narrower than the
 width floor, or when refinement only churns round-off.  The last is QUADPACK's test (Piessens et al. 1983, ``qage``,
 ``ier = 2``): a split whose halves move the panel's value by at most 1e-5
 relative while keeping 99% of its error counts in iroff1, and a split that
@@ -41,9 +37,9 @@ them.
 A round is reduced in one set of array calls.  Each of the four G7/K15
 sums is a stacked vector product, ``(k, 1, 15) @ (15, 1)``, which numpy
 runs as one BLAS ddot per 15-value row: the same call ``np.dot`` makes on
-that row alone.  So a result does not depend on the batch it ran in: an
-integrand evaluated elementwise gives every integrand of a batch the value
-it gives it alone, bit for bit.  A matrix product ``Y @ w`` would not do:
+that row alone.  So a panel's sums do not depend on the other panels of
+its call: an integrand evaluated elementwise gives a panel the values it
+gets alone, bit for bit.  A matrix product ``Y @ w`` would not do:
 BLAS sums its rows in an order that depends on the shape of ``Y``, which
 changes the last bits, and ``(Y * w).sum(axis=1)`` differs from the dot
 product.  The ``** 1.5`` of the error formula stays a Python float power
@@ -63,7 +59,7 @@ comes no closer to 1 than 1.1e-16.  Levels 0 to 3
 new nodes, each for every integrand of the batch still running.  The error
 estimate is the difference of the last two levels plus the same round-off
 floor of 50 eps times the integral of |f| as a G7/K15 panel's, and the stop
-tests are ``integrate_many``'s: the tolerance relative to the value, and
+tests are ``integrate``'s: the tolerance relative to the value, and
 after a stop at the round-off floor, the tolerance relative to the integral
 of |f|.  Each integrand's row is reduced by ``_dots``, so here too no
 result depends on its batch.  The node arrays depend on the level alone
@@ -74,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -193,25 +190,21 @@ def _nodes(lo, hi):
     return (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _NODES
 
 
-def _round(f, lo, hi, cells, ahead=None):
-    """Evaluate f once on every panel [lo[i], hi[i]] of integrand cells[i]
-    and reduce each panel: (values, errors, integrals of |f|).  With the
-    dict ahead, a panel kept there by its (c, a, b) is taken from there,
-    and a call of f, if any, also evaluates and keeps the halves of every
-    panel."""
-    if ahead is None:
-        lo, hi = np.array(lo), np.array(hi)
-        x = _nodes(lo, hi)
-        y = np.asarray(f(x, cells), dtype=float).reshape(x.shape)
-        return _reduce(y, lo, hi)
-    panels = list(zip(cells, lo, hi))
+def _round(f, lo, hi, ahead):
+    """Reduce every panel [lo[i], hi[i]]: (values, errors, integrals of
+    |f|).  A panel kept in the dict ahead by its (a, b) is taken from
+    there; a call of f, if any, also evaluates and keeps there the halves
+    of every panel."""
+    panels = list(zip(lo, hi))
     todo = [p for p in panels if p not in ahead]
-    for c, a, b in panels if todo else ():
+    for a, b in panels if todo else ():
         mid = 0.5 * (a + b)
-        todo += ((c, a, mid), (c, mid, b))
+        todo += ((a, mid), (mid, b))
     if todo:
-        cells, lo, hi = map(list, zip(*todo))
-        ahead.update(zip(todo, zip(*_round(f, lo, hi, cells))))
+        a, b = np.array(todo).T
+        x = _nodes(a, b)
+        y = np.asarray(f(x), dtype=float).reshape(x.shape)
+        ahead.update(zip(todo, zip(*_reduce(y, a, b))))
     return map(list, zip(*map(ahead.pop, panels)))
 
 
@@ -222,122 +215,87 @@ _ROFF_PANELS = 10
 _ROFF1_STOP = 6
 _ROFF2_STOP = 20
 
-# a batch of at most this many integrands looks one level ahead; in the
-# last rounds of a larger one (a sweep block) it saved no call
-_AHEAD_BATCH = 5
 
+def integrate(f, lo: float, hi: float, rel_tol: float = 1e-9,
+              max_panels: int = 2000, initial: int = 1) -> QuadratureResult:
+    """Integrate f over [lo, hi] adaptively, from initial equal panels.
 
-def integrate_many(f, lo: float, hi: float, m: int,
-                   rel_tol: float = 1e-9, max_panels: int = 2000,
-                   initial: int = 1) -> List[QuadratureResult]:
-    """Integrate m integrands adaptively, side by side.
-
-    Every integrand runs over the one interval [lo, hi].  f(x, cells)
-    receives a (k, 15) float array whose row i holds the nodes of one panel
-    of integrand cells[i] (a list of k indices in range(m)), and returns the
-    k x 15 values; a call may hold panels that refinement never reaches
-    (module docstring).  Each integrand is refined exactly as it would be
-    alone: panels are bisected worst-error-first until its summed error
-    passes the tolerance (relative to its running total), its splits show
-    that only round-off is left (QUADPACK's counters), or its panel budget
-    runs out.  After a round-off stop it is converged when its error passes
-    the tolerance relative to the integral of |f|.  An empty interval
-    (hi <= lo) gives 0 without calling f.  Returns one QuadratureResult per
-    integrand.
+    f receives a (k, 15) float array whose row i holds the nodes of one
+    panel, and returns values of that shape; an elementwise f works as it
+    is.  It is called once on the initial panels and their halves, then at
+    most once per split: a split whose halves were evaluated already calls
+    nothing, and any other takes its halves and their halves (module
+    docstring).  Panels are bisected worst-error-first until the summed
+    error passes the tolerance (relative to the running total), the splits
+    show that only round-off is left (QUADPACK's counters), or the panel
+    budget runs out.  After a round-off stop the result is converged when
+    its error passes the tolerance relative to the integral of |f|.  An
+    empty interval (hi <= lo) gives 0 without calling f; a non-finite end
+    raises ValueError.
     """
     lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("integrate needs finite ends, got [%r, %r]"
+                         % (lo, hi))
     if hi <= lo:
-        return [QuadratureResult(0.0, 0.0, 0, True, "tolerance")
-                for _ in range(m)]
-    initial = max(1, int(initial))
-    edges = np.linspace(lo, hi, initial + 1).tolist()
-    cells = [c for c in range(m) for _ in range(initial)]
-    span_lo = edges[:-1] * m
-    span_hi = edges[1:] * m
-    ahead = {} if m <= _AHEAD_BATCH else None
-    vals, errs, absols = _round(f, span_lo, span_hi, cells, ahead)
-    heaps = [[] for _ in range(m)]
-    totals = [0.0] * m
-    errors = [0.0] * m
-    for i, (c, a, b, val, err, ab) in enumerate(zip(cells, span_lo, span_hi,
-                                                    vals, errs, absols)):
-        totals[c] += val
-        errors[c] += err
-        heaps[c].append((-err, i, a, b, val, err, ab))
-    for heap in heaps:
-        heapq.heapify(heap)
-    counter = len(cells)
-    n = [initial] * m
-    frozen = [0.0] * m
-    iroff1 = [0] * m
-    iroff2 = [0] * m
+        return QuadratureResult(0.0, 0.0, 0, True, "tolerance")
+    n = max(1, int(initial))
+    edges = np.linspace(lo, hi, n + 1).tolist()
+    ahead = {}
+    heap = []
+    total = error = 0.0
+    for a, b, val, err, ab in zip(edges[:-1], edges[1:],
+                                  *_round(f, edges[:-1], edges[1:], ahead)):
+        total += val
+        error += err
+        heap.append((-err, len(heap), a, b, val, err, ab))
+    heapq.heapify(heap)
+    counter = n
+    frozen = 0.0
+    iroff1 = iroff2 = 0
     width_floor = 4.0 * _EPS * max(abs(lo), abs(hi), 1.0)
-    results = [None] * m
-    active = list(range(m))
     while True:
-        splits = []
-        for c in active:
-            heap = heaps[c]
-            while True:
-                tol = rel_tol * abs(totals[c])
-                toterr = errors[c] + frozen[c]
-                if errors[c] <= tol:
-                    # only frozen panels can keep it from converging
-                    stop = "tolerance" if toterr <= tol else "width_floor"
-                elif iroff1[c] >= _ROFF1_STOP or iroff2[c] >= _ROFF2_STOP:
-                    stop = "roundoff"
-                    # the integral of |f| over the live panels, summed here
-                    # once rather than carried through every split
-                    tol = rel_tol * sum(p[6] for p in heap)
-                elif n[c] >= max_panels:
-                    stop = "budget"
-                else:
-                    stop = None
-                if stop is not None:
-                    results[c] = QuadratureResult(totals[c], toterr, n[c],
-                                                  toterr <= tol, stop)
-                    break
-                _, _, a, b, val, err, _ = heapq.heappop(heap)
-                if b - a <= width_floor:
-                    # cannot subdivide further in float; freeze its error
-                    frozen[c] += err
-                    errors[c] -= err
-                    if not heap:
-                        results[c] = QuadratureResult(
-                            totals[c], errors[c] + frozen[c], n[c], False,
-                            "width_floor")
-                        break
-                    continue
-                splits.append((c, a, 0.5 * (a + b), b, val, err))
-                break
-        if not splits:
-            return results
-        active = [s[0] for s in splits]
-        span_lo, span_hi = [], []
-        for _, a, mid, b, _, _ in splits:
-            span_lo += (a, mid)
-            span_hi += (mid, b)
-        vals, errs, absols = _round(f, span_lo, span_hi,
-                                    [c for c in active for _ in (0, 1)],
-                                    ahead)
-        for (c, a, mid, b, val, err), v1, v2, e1, e2, ab1, ab2 in zip(
-                splits, vals[::2], vals[1::2], errs[::2], errs[1::2],
-                absols[::2], absols[1::2]):
-            area12 = v1 + v2
-            erro12 = e1 + e2
-            totals[c] += area12 - val
-            errors[c] += erro12 - err
-            heapq.heappush(heaps[c], (-e1, counter, a, mid, v1, e1, ab1))
-            heapq.heappush(heaps[c], (-e2, counter + 1, mid, b, v2, e2, ab2))
-            counter += 2
-            n[c] += 1
-            # both counters need erro12 >= 0.99 err (erro12 > err implies
-            # it), which a split that makes progress fails: one test then
-            if erro12 >= _ROFF_KEEP * err:
-                if abs(val - area12) <= _ROFF_REL * abs(area12):
-                    iroff1[c] += 1
-                if erro12 > err and n[c] > _ROFF_PANELS:
-                    iroff2[c] += 1
+        tol = rel_tol * abs(total)
+        toterr = error + frozen
+        if error <= tol:
+            # only frozen panels can keep it from converging
+            return QuadratureResult(total, toterr, n, toterr <= tol,
+                                    "tolerance" if toterr <= tol
+                                    else "width_floor")
+        if iroff1 >= _ROFF1_STOP or iroff2 >= _ROFF2_STOP:
+            # the integral of |f| over the live panels, summed here once
+            # rather than carried through every split
+            tol = rel_tol * sum(p[6] for p in heap)
+            return QuadratureResult(total, toterr, n, toterr <= tol,
+                                    "roundoff")
+        if n >= max_panels:
+            return QuadratureResult(total, toterr, n, False, "budget")
+        _, _, a, b, val, err, _ = heapq.heappop(heap)
+        if b - a <= width_floor:
+            # cannot subdivide further in float; freeze its error
+            frozen += err
+            error -= err
+            if not heap:
+                return QuadratureResult(total, error + frozen, n, False,
+                                        "width_floor")
+            continue
+        mid = 0.5 * (a + b)
+        (v1, v2), (e1, e2), (ab1, ab2) = _round(f, (a, mid), (mid, b), ahead)
+        area12 = v1 + v2
+        erro12 = e1 + e2
+        total += area12 - val
+        error += erro12 - err
+        heapq.heappush(heap, (-e1, counter, a, mid, v1, e1, ab1))
+        heapq.heappush(heap, (-e2, counter + 1, mid, b, v2, e2, ab2))
+        counter += 2
+        n += 1
+        # both counters need erro12 >= 0.99 err (erro12 > err implies it),
+        # which a split that makes progress fails: one test then
+        if erro12 >= _ROFF_KEEP * err:
+            if abs(val - area12) <= _ROFF_REL * abs(area12):
+                iroff1 += 1
+            if erro12 > err and n > _ROFF_PANELS:
+                iroff2 += 1
 
 
 # the tanh-sinh kernel: u in [-_DE_SPAN, _DE_SPAN], one call for the levels
@@ -387,7 +345,7 @@ def _tanh_sinh(f, m: int, rel_tol: float) -> List[QuadratureResult]:
     the level's integral of |f| and the floor 50 eps A_k, the error is
     d + floor.  An integrand stops when its error passes rel_tol |Q_k|
     ("tolerance"), when d is at or below the floor ("roundoff"), converged
-    if the error passes rel_tol A_k, as in ``integrate_many``, or at
+    if the error passes rel_tol A_k, as in ``integrate``, or at
     _DE_LAST, unconverged ("budget"); n_panels is its last level.  It
     leaves the batch once it stops.  Rows are summed by ``_dots`` and the
     rest runs per integrand on Python floats, so no value depends on its
@@ -436,16 +394,3 @@ def _tanh_sinh(f, m: int, rel_tol: float) -> List[QuadratureResult]:
         q, a = [q[i] for i in keep], [a[i] for i in keep]
     return results
 
-
-def integrate(f, lo: float, hi: float, rel_tol: float = 1e-9,
-              max_panels: int = 2000) -> QuadratureResult:
-    """Integrate f over [lo, hi] adaptively: integrate_many with m = 1.
-
-    f must accept a 1-D float ndarray and return same-shaped values.  It is
-    called once on the nodes of [lo, hi] and of its halves, then at most
-    once per split: a split whose halves were evaluated already calls
-    nothing, and any other takes the 90 nodes of its halves and of their
-    halves.
-    """
-    return integrate_many(lambda x, cells: f(x.ravel()), lo, hi, 1,
-                          rel_tol=rel_tol, max_panels=max_panels)[0]

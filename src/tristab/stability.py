@@ -55,7 +55,7 @@ sigma = gc + (1 - gc) v with gc = c/a, whose nodes are given by their
 distance to c (``_split_integrand``).  Next to c the sums of a row are
 taken about c, where D and V dip to delta/2 and delta, delta = omega -
 F1(c), and keep their relative precision there.
-The adaptive kernel (``_quads``, one ``integrate_many`` call on
+The adaptive kernel (``_quads``, one ``integrate`` call per cell on
 ``_integrand``, from the two panels that meet at x = 1) takes eval_J0 and
 the raw route alone.  Its map (``_piecewise``), which the rule shares, is
 x in [0, 2], split at s = a/2 (x = 1), s = a (1 - x^2/2) on the right,
@@ -106,11 +106,8 @@ from .errors import DivergingIntegral, NoStandingWave, NotOnCurve, UnsupportedRe
 from .landscape import Terms, terms
 from .model import NonlinearityParams
 from .profile import ProfileResult, _profile, find_a
-# the adaptive kernel batches with integrate_many; integrate stays importable
-# here because perfbench's traced run wraps stability.integrate
 from .quadrature import (QuadratureResult, _gauss_legendre, _rule_sums,
-                         _tanh_sinh, integrate,  # noqa: F401
-                         integrate_many)
+                         _tanh_sinh, integrate)
 
 _SQRT2 = math.sqrt(2.0)
 _LN_HALF = math.log(0.5)
@@ -122,7 +119,8 @@ _J_TOL = 1e-9
 _MASS_TOL = 3e-13
 
 # eval_J's fixed rule: its n, the choice of its cells (``_dip``) and its
-# batch, whose arrays stay as small as the adaptive kernel's
+# batch, which keeps a sweep block's arrays small (a whole block of 256
+# cells raised the FF(2,3,4) 24x24 sweep's peak RSS by 4 MB)
 _RULE_NODES = 32
 _DIP_DEPTH = 1e-3
 _RATIO_CAP = 1e6
@@ -214,8 +212,9 @@ def _piecewise(e: Sequence[float], m: int, rows: Sequence[Sequence[float]],
     else 0; on the left the Jacobian and B^{-power} are one exp, since at
     omega = 0 both underflow near t = 0, where their ratio stays of order
     one.  g(x, cells) evaluates row i of x, one panel, for cell cells[i],
-    as ``integrate_many`` expects, elementwise; a panel lies on one side of
-    x = 1 and takes that side's form alone.
+    elementwise; a batch of one cell ignores cells, and ``integrate`` takes
+    it as g(x, None).  A panel lies on one side of x = 1 and takes that
+    side's form alone.
     """
     n_sums = len(rows[0]) // 4
     table = np.array(rows).T[:, :, None]
@@ -472,12 +471,12 @@ def _split_integrand(route: str, e: Sequence[float], rows, peaks, spans):
     return nodes
 
 
-def _quads(cells, route: str, m: int, tol: float,
-           tables) -> List[QuadratureResult]:
-    """The route's integral in x at each cell: one ``integrate_many`` call
-    over x in [0, 2], whose two initial panels meet at the split x = 1."""
-    return integrate_many(_integrand(cells, route, m, tables), 0.0, 2.0,
-                          len(cells), rel_tol=tol, max_panels=2000, initial=2)
+def _quads(cell, route: str, m: int, tol: float, tables) -> QuadratureResult:
+    """The route's integral in x at one cell: one ``integrate`` call over x
+    in [0, 2], whose two initial panels meet at the split x = 1."""
+    g = _integrand([cell], route, m, tables)
+    return integrate(lambda x: g(x, None), 0.0, 2.0, rel_tol=tol,
+                     max_panels=2000, initial=2)
 
 
 def _off_dip(cells, index, route: str, tol: float, tables):
@@ -670,8 +669,7 @@ def _transformed(params: NonlinearityParams, cells, route: str):
         done.update(_on_dip(cells, [i for i in peaks if i not in done],
                             route, _J_TOL, tables))
     else:
-        done = dict(zip(waves, _quads([cells[i] for i in waves], route, m,
-                                      _J_TOL, tables)))
+        done = {i: _quads(cells[i], route, m, _J_TOL, tables) for i in waves}
     for i, quad in done.items():
         omega, gamma, res = cells[i]
         t = tables[gamma]

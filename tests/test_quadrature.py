@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tristab import integrate, integrate_many
+from tristab import integrate
 from tristab.quadrature import (_DE_BATCH, _DE_LAST, _WG, _WGK, _XGK, _nodes,
                                 _reduce, _tanh_sinh)
 
@@ -64,16 +64,10 @@ def test_max_panels_reports_nonconvergence():
     assert res.n_panels <= 3 + 1
 
 
-def _alone(f, lo, hi, **kw):
-    """``integrate`` with ``integrate_many``'s keywords, ``initial`` among
-    them: f alone, a batch of one."""
-    return integrate_many(lambda x, cells: f(x.ravel()), lo, hi, 1, **kw)[0]
-
-
 def test_initial_subdivision():
     f = lambda x: np.exp(-np.asarray(x))
     r1 = integrate(f, 0.0, 3.0)
-    r2 = _alone(f, 0.0, 3.0, initial=4)
+    r2 = integrate(f, 0.0, 3.0, initial=4)
     assert math.isclose(r1.value, r2.value, rel_tol=1e-12)
     assert r2.n_panels >= 4
 
@@ -85,6 +79,25 @@ def test_degenerate_and_reversed_limits_yield_zero():
         assert res.value == 0.0
         assert res.abs_error == 0.0
         assert res.converged
+
+
+def _counted(f, calls):
+    def counted(x):
+        calls.append(x.copy())
+        return f(x)
+    return counted
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.nan), (math.nan, 1.0),
+                                    (0.0, math.inf), (-math.inf, 0.0),
+                                    (math.inf, 0.0)])
+def test_non_finite_ends_raise(lo, hi):
+    # a NaN end would spend the whole panel budget on NaNs, and an
+    # infinite one would warn inside np.linspace
+    calls = []
+    with pytest.raises(ValueError, match="finite"):
+        integrate(_counted(np.exp, calls), lo, hi)
+    assert not calls
 
 
 def test_seeded_random_smooth_integrands():
@@ -179,25 +192,20 @@ def _dyadic_panel(row, edges):
     return None
 
 
-def _check_calls(calls, lo, hi, m, initial, splits):
-    """The call pattern of integrate_many: calls holds (cells, x) per call.
-    The first call starts with the initial panels, every call after it
-    falls in a round that splits, and every other panel is a dyadic piece
-    of an initial panel of its own integrand, evaluated once."""
+def _check_calls(calls, lo, hi, initial, splits):
+    """The call pattern of integrate: calls holds the (k, 15) nodes of each
+    call.  The first call starts with the initial panels, there are at most
+    as many calls after it as splits, and every other panel is a dyadic
+    piece of an initial panel, evaluated once."""
     edges = np.linspace(lo, hi, initial + 1).tolist()
-    k = m * initial
-    assert list(calls[0][0][:k]) == [c for c in range(m)
-                                     for _ in range(initial)]
-    assert np.array_equal(calls[0][1][:k],
-                          _nodes(np.array(edges[:-1] * m),
-                                 np.array(edges[1:] * m)))
-    assert len(calls) <= 1 + max(splits)
-    seen = [set() for _ in range(m)]
-    rows = [(c, row) for cells, x in calls for c, row in zip(cells, x)]
-    for c, row in rows[k:]:
+    assert np.array_equal(calls[0][:initial],
+                          _nodes(np.array(edges[:-1]), np.array(edges[1:])))
+    assert len(calls) <= 1 + splits
+    seen = set()
+    for row in np.concatenate(calls)[initial:]:
         panel = _dyadic_panel(row, edges)
-        assert panel is not None and panel not in seen[c]
-        seen[c].add(panel)
+        assert panel is not None and panel not in seen
+        seen.add(panel)
 
 
 @pytest.mark.parametrize("initial", [1, 2, 5])
@@ -212,15 +220,9 @@ def test_one_integrand_call_per_split(f, max_panels, initial):
     # at most one call per split: the panels that refinement needs next
     # ride along with a split's halves, so a later split may need no call
     calls = []
-
-    def counted(x):
-        rows = x.reshape(-1, 15)
-        calls.append(([0] * len(rows), rows.copy()))
-        return f(x)
-
-    res = _alone(counted, 0.0, 1.0, rel_tol=1e-12, max_panels=max_panels,
-                 initial=initial)
-    _check_calls(calls, 0.0, 1.0, 1, initial, [res.n_panels - initial])
+    res = integrate(_counted(f, calls), 0.0, 1.0, rel_tol=1e-12,
+                    max_panels=max_panels, initial=initial)
+    _check_calls(calls, 0.0, 1.0, initial, res.n_panels - initial)
     value, err, n = _reference_integrate(f, 0.0, 1.0, rel_tol=1e-12,
                                          max_panels=max_panels,
                                          initial=initial)
@@ -253,30 +255,28 @@ _MIX = [
 
 
 @pytest.mark.parametrize("initial", [1, 2])
-def test_batch_repeats_each_integrand_alone(initial):
-    fs = [p.values[0] for p in _MIX]
+@pytest.mark.parametrize("f, stop, converged, exact", [
+    pytest.param(*_MIX[0].values, "tolerance", True, None, id="few_rounds"),
+    # 1/sqrt(x) and x^-0.9 meet the tolerance on their live panels but
+    # carry the error of a panel frozen at the width floor
+    pytest.param(*_MIX[1].values, "width_floor", False, 2.0, id="inv_sqrt"),
+    pytest.param(*_MIX[2].values, "budget", False, None, id="budget"),
+    pytest.param(*_MIX[3].values, "width_floor", False, None,
+                 id="width_floor"),
+])
+def test_each_stop_equals_the_reference(f, stop, converged, exact, initial):
     calls = []
-
-    def batch(x, cells):
-        calls.append((list(cells), x.copy()))
-        out = np.empty_like(x)
-        for i, c in enumerate(cells):
-            out[i] = fs[c](x[i])
-        return out
-
     kw = dict(rel_tol=1e-10, max_panels=150, initial=initial)
-    results = integrate_many(batch, 0.0, 1.0, len(fs), **kw)
-    alone = [_alone(f, 0.0, 1.0, **kw) for f in fs]
-    for res, ref in zip(results, alone):
-        assert (res.value, res.abs_error, res.n_panels, res.converged) == \
-            (ref.value, ref.abs_error, ref.n_panels, ref.converged)
-    few, inv_sqrt, budget, floor = results
-    assert few.converged and few.n_panels <= initial + 3
-    assert abs(inv_sqrt.value - 2.0) <= 1e-6
-    assert budget.n_panels == 150 and not budget.converged
-    assert floor.n_panels < 150 and not floor.converged
-    _check_calls(calls, 0.0, 1.0, len(fs), initial,
-                 [r.n_panels - initial for r in results])
+    res = integrate(_counted(f, calls), 0.0, 1.0, **kw)
+    assert (res.value, res.abs_error, res.n_panels) == \
+        _reference_integrate(f, 0.0, 1.0, **kw)
+    assert (res.stop, res.converged) == (stop, converged)
+    if exact is not None:
+        assert abs(res.value - exact) <= 1e-6
+    assert res.n_panels == 150 if stop == "budget" else res.n_panels < 150
+    if stop == "tolerance":
+        assert res.n_panels <= initial + 3
+    _check_calls(calls, 0.0, 1.0, initial, res.n_panels - initial)
 
 
 def _smooth(w, phase, c):
@@ -290,47 +290,20 @@ _SMOOTH = st.builds(_smooth, st.floats(1.0, 60.0), st.floats(0.0, 6.3),
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(fs=st.lists(st.one_of(st.sampled_from([p.values[0] for p in _MIX]),
-                             _SMOOTH), min_size=1, max_size=8),
+@given(f=st.one_of(st.sampled_from([p.values[0] for p in _MIX]), _SMOOTH),
        initial=st.sampled_from([1, 2, 5]))
-def test_random_batches_equal_the_reference(fs, initial):
-    # batches of up to 5 integrands look ahead, larger ones do not
+def test_random_integrands_equal_the_reference(f, initial):
     calls = []
-
-    def batch(x, cells):
-        calls.append((list(cells), x.copy()))
-        out = np.empty_like(x)
-        for i, c in enumerate(cells):
-            out[i] = fs[c](x[i])
-        return out
-
     kw = dict(rel_tol=1e-10, max_panels=150, initial=initial)
-    results = integrate_many(batch, 0.0, 1.0, len(fs), **kw)
-    for f, res in zip(fs, results):
-        assert (res.value, res.abs_error, res.n_panels) == \
-            _reference_integrate(f, 0.0, 1.0, **kw)
-        alone = _alone(f, 0.0, 1.0, **kw)
-        assert (res.converged, res.stop) == (alone.converged, alone.stop)
-    _check_calls(calls, 0.0, 1.0, len(fs), initial,
-                 [r.n_panels - initial for r in results])
-
-
-def test_panel_reduction_does_not_depend_on_the_batch():
-    # a matrix product over the batch (Y @ w) sums each row in an order
-    # that depends on the batch shape and fails this bit-for-bit check
-    rng = np.random.default_rng(20261018)
-    coef = rng.standard_normal((50, 4)) * 10.0 ** rng.uniform(-3, 3, (50, 1))
-
-    def batch(x, cells):
-        c = coef[cells]
-        return (c[:, :1] + c[:, 1:2] * np.sin(7.0 * x)
-                + c[:, 2:3] * np.exp(-x) + c[:, 3:] * x ** 3)
-
-    together = integrate_many(batch, 0.0, 1.0, 50, max_panels=1)
-    for i, res in enumerate(together):
-        alone = integrate_many(lambda x, cells: batch(x, [i] * len(cells)),
-                               0.0, 1.0, 1, max_panels=1)[0]
-        assert (res.value, res.abs_error) == (alone.value, alone.abs_error)
+    res = integrate(_counted(f, calls), 0.0, 1.0, **kw)
+    assert (res.value, res.abs_error, res.n_panels) == \
+        _reference_integrate(f, 0.0, 1.0, **kw)
+    tol = kw["rel_tol"] * abs(res.value)
+    assert res.converged == (res.abs_error <= tol)
+    assert res.stop == ("tolerance" if res.converged
+                        else "budget" if res.n_panels == 150
+                        else "width_floor")
+    _check_calls(calls, 0.0, 1.0, initial, res.n_panels - initial)
 
 
 def _reference_reduce(y, a, b):
@@ -395,29 +368,17 @@ def test_zero_integral_stops_on_roundoff_converged():
 
 
 @pytest.mark.parametrize("initial", [1, 2])
-def test_roundoff_counters_are_kept_per_integrand(initial):
-    fs = [p.values[0] for p in _MIX] + [_sin_2pi, _noisy]
-
-    def batch(x, cells):
-        out = np.empty_like(x)
-        for i, c in enumerate(cells):
-            out[i] = fs[c](x[i])
-        return out
-
-    kw = dict(rel_tol=1e-10, max_panels=150, initial=initial)
-    results = integrate_many(batch, 0.0, 1.0, len(fs), **kw)
-    for f, res in zip(fs, results):
-        ref = _alone(f, 0.0, 1.0, **kw)
-        assert (res.value, res.abs_error, res.n_panels, res.converged,
-                res.stop) == (ref.value, ref.abs_error, ref.n_panels,
-                              ref.converged, ref.stop)
-    # 1/sqrt(x) and x^-0.9 meet the tolerance on their live panels but
-    # carry the error of a panel frozen at the width floor
-    assert [r.stop for r in results] == ["tolerance", "width_floor", "budget",
-                                         "width_floor", "roundoff",
-                                         "roundoff"]
-    assert [r.converged for r in results] == [True, False, False, False,
-                                              True, False]
+@pytest.mark.parametrize("f, converged", [
+    pytest.param(_sin_2pi, True, id="zero_integral"),
+    pytest.param(_noisy, False, id="noise_plateau"),
+])
+def test_roundoff_stops_from_any_initial_panels(f, converged, initial):
+    calls = []
+    res = integrate(_counted(f, calls), 0.0, 1.0, rel_tol=1e-10,
+                    max_panels=150, initial=initial)
+    assert (res.stop, res.converged) == ("roundoff", converged)
+    assert res.n_panels < 150
+    _check_calls(calls, 0.0, 1.0, initial, res.n_panels - initial)
 
 
 # -- the tanh-sinh kernel ----------------------------------------------------
