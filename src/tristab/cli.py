@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("curve-ne", help="sample the nonexistence curve")
     _add_exponents(sp)
-    sp.add_argument("--n", type=int, default=200)
+    sp.add_argument("--n", type=_at_least(1), default=200)
     sp.add_argument("--a-min", type=float, default=None)
     sp.add_argument("--a-max", type=float, default=None)
     sp.add_argument("--out", default=None,

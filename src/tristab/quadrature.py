@@ -19,11 +19,12 @@ on the other panels of its call (below), so no result changes.
 Refinement stops when the summed error passes rel_tol * |value| (a
 purely relative tolerance: there is no absolute one), when the panel
 budget runs out, when the only splittable panels are narrower than the
-width floor, or when refinement only churns round-off.  The last is QUADPACK's test (Piessens et al. 1983, ``qage``,
-``ier = 2``): a split whose halves move the panel's value by at most 1e-5
-relative while keeping 99% of its error counts in iroff1, and a split that
-raises the error, once the integrand has more than 10 panels, in iroff2; 6
-of the first or 20 of the second stop it.  This is what ends the
+width floor, or when refinement only churns round-off.  The last is
+QUADPACK's test (Piessens et al. 1983, ``qage``, ``ier = 2``): a split
+whose halves move the panel's value by at most 1e-5 relative while
+keeping 99% of its error counts in iroff1, and a split that raises the
+error, once the integrand has more than 10 panels, in iroff2; 6 of the
+first or 20 of the second stop it.  This is what ends the
 refinement at a zero of J, where rel_tol * |value| sits below the summed
 round-off floors 50 eps resabs of the panels.  After a round-off stop the
 result is converged when its error passes the tolerance measured against

@@ -35,26 +35,26 @@ A private route table (``_ROUTES``) gives each route its row (constants
 from omega and U'(a), then coefficient triples of the terms times
 a^{e_l}), its form, the power of its base and the k of its prefactor
 -a / (k U'(a)).  ``_rows`` builds the rows of a batch of cells, and three
-kernels integrate them.  eval_J's cells at omega > 0 and the masses where
-F1 has no local maximum below a (every FD, DD and DF cell, and the FF
-cells off the dip branch; one rule, ``_off_dip``) take the tanh-sinh
-kernel (``quadrature._tanh_sinh`` on ``_de_integrand``), in sigma = s/a
-itself: its nodes v = 1/(1 + exp(-pi sinh u)) are given by their distance
-to either end, so they need no map, and the cells of a block run level by
-level as arrays of up to 64 cells.
-On FF's dip branch, where F1 has a local maximum c < a, the integrand
-peaks at c with width sqrt(2 (omega - F1(c)) / |F1''(c)|).  The fixed rule
-(``_rule``) takes eval_J's cells there where omega - F1(c) is at least
-1e-3 omega and the terms of D stay below 1e6 omega/2: Gauss-Legendre with
-32 and 64 nodes on each piece of the map below, sinh-mapped at c on c's
-piece, with m at least 3, keeping the 64-node value where the two agree to
-the tolerance.  Every other dip cell, the cells the rule flags and every
-mass on the dip branch, takes the split kernel (``_on_dip``): the
-tanh-sinh kernel on two pieces that meet at c, sigma = gc (1 - v) and
-sigma = gc + (1 - gc) v with gc = c/a, whose nodes are given by their
-distance to c (``_split_integrand``).  Next to c the sums of a row are
-taken about c, where D and V dip to delta/2 and delta, delta = omega -
-F1(c), and keep their relative precision there.
+kernels integrate them.  eval_J's cells at omega > 0 and every mass take
+the tanh-sinh kernel (``quadrature._tanh_sinh``) in sigma = s/a itself:
+its nodes v = 1/(1 + exp(-pi sinh u)) are given by their distance to
+either end, so they need no map.  One dispatcher (``_de_cells``) and one
+integrand builder (``_de_integrand``) serve every such cell, and a batch's
+cells run as one ``_tanh_sinh`` call, level by level as arrays of up to 64
+integrands.  Where F1 has no local maximum below a (every FD, DD and DF
+cell, and the FF cells off the dip branch) a cell is one integrand over
+(0, 1).  On FF's dip branch, where F1 has a local maximum c < a, the
+integrand peaks at c with width sqrt(2 (omega - F1(c)) / |F1''(c)|).  The
+fixed rule (``_rule``) takes eval_J's cells there where omega - F1(c) is
+at least 1e-3 omega and the terms of D stay below 1e6 omega/2:
+Gauss-Legendre with 32 and 64 nodes on each piece of the map below,
+sinh-mapped at c on c's piece, with m at least 3, keeping the 64-node
+value where the two agree to the tolerance.  Every other dip cell, the
+cells the rule flags and every mass on the dip branch, is split at c: two
+integrands, sigma = gc (1 - v) and sigma = gc + (1 - gc) v with gc = c/a,
+whose nodes are given by their distance to c.  Next to c the sums of a
+row are taken about c, where D and V dip to delta/2 and delta,
+delta = omega - F1(c), and keep their relative precision there.
 The adaptive kernel (``_quads``, one ``integrate`` call per cell on
 ``_integrand``, from the two panels that meet at x = 1) takes eval_J0 and
 the raw route alone.  Its map (``_piecewise``), which the rule shares, is
@@ -66,7 +66,7 @@ The term table, with F1's maxima, is looked up once per gamma.
 The abs_error of ``eval_J``, ``eval_J0`` and ``eval_J_raw`` adds to the
 quadrature error (the rule's is |Q_64 - Q_32| and the tanh-sinh kernel's
 |Q_k - Q_{k-1}|, each plus 50 eps times the integral of |f|, summed over
-the split kernel's two pieces with their weights gc and 1 - gc) two errors of
+a split cell's two pieces with their weights gc and 1 - gc) two errors of
 the integrand that no quadrature sees.  The first is the error J carries
 from a: the computed a is the exact zero at an omega off by at most eps S,
 S = |omega| + sum |f1_l| a^{e_l}, and J moves by
@@ -95,6 +95,7 @@ lower-left side, negative on the FF upper-right side).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable, List, Sequence
@@ -334,53 +335,126 @@ def _integrand(cells, route: str, m: int, tables):
     return _piecewise(e, m, _rows(cells, route, tables), form, power)
 
 
-def _de_integrand(route: str, e: Sequence[float], rows):
-    """The route's integrand in sigma on (0, 1), as
-    ``quadrature._tanh_sinh`` takes it, with v = sigma.
+def _de_integrand(route: str, e: Sequence[float], rows, peaks=(), spans=()):
+    """The route's integrands in sigma on (0, 1), as
+    ``quadrature._tanh_sinh`` takes them.
 
-    Below sigma = 1/2, sigma^{e_l} = exp(e_l ln v), and each sum of the row
-    is its constant at 0 less the sum of these, as on ``_piecewise``'s left
-    piece; from 1/2 on, 1 - sigma^{e_l} = -expm1(e_l log1p(-(1 - v))), with
-    1 - v = exp(ln(1 - v)), as on its right piece.  The nodes resolve both
-    ends down to 5e-62, and the weight w is the only Jacobian.  What
-    depends on the nodes alone is built once per call, with the terms below
-    1/2 negated.  The work per cell is then the coefficient triples, the
-    constants added below 1/2, and P w / B^power where B > 0, else 0, with
-    (B, P) the route's form and B^power as sqrt(B) times B once per whole
-    power: the transformed route's N w / (D sqrt D), the mass's
-    w / sqrt(V).  Cell i is row i, and a block of one cell multiplies by
-    plain floats, as ``_piecewise`` does.
+    rows holds each cell's row at a, the one-piece cells first; the last
+    len(spans), the dip cells, have their rows at c in peaks (``_rows``)
+    and (r, 1 - gc) in spans, gc = c/a and r = (a - c)/c.  Integrand i < k
+    is one-piece cell i, sigma = v; then come piece 0 of each dip cell,
+    sigma = gc (1 - v), and its piece 1, sigma = gc + (1 - gc) v, without
+    their Jacobians gc and 1 - gc.  A node comes as ln v and ln(1 - v), so
+    a piece's nodes are given by their distance to c: x = s - c is
+    x/c = -v on piece 0 and r v on piece 1.  Below v = 1/2 and from it, a
+    sum of the row is taken about one point (one piece: 0, then a;
+    piece 0: c, then 0; piece 1: c, then a):
+
+    * about 0, its constant at 0 less the triples times sigma^{e_l}, as
+      exp(e_l ln v) at a or exp(e_l ln(1 - v)) at c, whose terms need not
+      cancel where they are far larger than that constant;
+    * about a, the triples at a times
+      1 - sigma^{e_l} = -expm1(e_l log1p(-(1 - sigma))), which keeps its
+      relative precision as sigma -> 1;
+    * about c, its value at c less the triples at c times
+      expm1(e_l log1p(x/c)), which keeps D's and V's relative precision
+      where they dip to delta/2 and delta, delta = omega - F1(c).
+
+    The nodes resolve both ends down to 5e-62, and the weight w is the only
+    Jacobian.  The bases of the one piece and piece 0 depend on the nodes
+    alone and are built once per call; piece 1's depends on its spans.  A
+    block of one cell on one piece multiplies by plain floats, as
+    ``_piecewise`` does.
     """
     _, _, form, power, _ = _ROUTES[route]
     whole = int(power)
-    n_sums = len(rows[0]) // 4
-    # sum j: its constant's index and its triple's first
-    sums_at = [(j, n_sums + 3 * j) for j in range(n_sums)]
-    table = np.array(rows).T[:, :, None]
-    one = len(rows) == 1
+    K = len(rows[0]) // 4  # the number of sums
+    k, m = len(rows) - len(spans), len(spans)
+    at_a = np.array(rows).T
+    one = len(rows) == 1 and not spans
+    # each kind present: its first integrand and the one past its last, its
+    # columns (the constants about its point below 1/2 first), and the
+    # columns of its triples below and from 1/2 and of its constants from
+    # 1/2, if any.  Columns: the one piece, the constants at 0 and the
+    # triples at a; piece 0, the constants at c and at 0 and the triples at
+    # c; piece 1, the constants and triples at c, the triples at a, r and
+    # 1 - gc
+    kinds = [(0, k, rows[0] if one else at_a[:, :k, None], K, K,
+              None)] if k else []
+    if spans:
+        at_c, dip_a = np.array(peaks).T, at_a[:, k:]
+        kinds += [
+            (k, k + m, np.concatenate((at_c[:K], dip_a[:K], at_c[K:]))[
+                :, :, None], 2 * K, 2 * K, K),
+            (k + m, k + 2 * m, np.concatenate((
+                at_c, dip_a[K:], np.array(spans).T))[:, :, None],
+             K, 4 * K, None)]
 
     def nodes(ln_v, ln_w, w):
         n = len(ln_v) // 2  # the nodes below 1/2: u = 0 is v = 1/2
-        basis = np.multiply.outer(e, np.concatenate(
-            (ln_v[:n], np.log1p(-np.exp(ln_w[n:])))))
-        np.exp(basis[:, :n], out=basis[:, :n])
-        np.expm1(basis[:, n:], out=basis[:, n:])
-        np.negative(basis, out=basis)
+        w_far = np.exp(ln_w[n:])
+        # the shared bases, negated; piece 1's is built per block of cells
+        bases = [_basis(e, ln_v[:n], np.log1p(-w_far), np.exp,
+                        np.expm1)] if k else []
+        if spans:
+            v_near = np.exp(ln_v[:n])
+            bases += [_basis(e, ln_w[:n], ln_w[n:], np.expm1, np.exp), None]
+
+        def sums(c, B, near, far, above):
+            out = []
+            for j in range(K):
+                t, u = near + 3 * j, far + 3 * j
+                if t == u:  # one triple: one product over the row
+                    S = c[t] * B[0]
+                    S += c[t + 1] * B[1]
+                    S += c[t + 2] * B[2]
+                else:
+                    S = np.empty(B.shape[1:])
+                    for i, lo, hi in ((t, 0, n), (u, n, None)):
+                        part = B[..., lo:hi]
+                        S[..., lo:hi] = (c[i] * part[0] + c[i + 1] * part[1]
+                                         + c[i + 2] * part[2])
+                S[..., :n] += c[j]
+                if above is not None:
+                    S[..., n:] += c[above + j]
+                out.append(S)
+            return out
 
         def values(cells):
-            c = rows[0] if one else table[:, cells]
-            sums = []
-            for j, k in sums_at:
-                S = c[k] * basis[0]
-                S += c[k + 1] * basis[1]
-                S += c[k + 2] * basis[2]
-                S[..., :n] += c[j]
-                sums.append(S)
-            return _weighted(form, whole, sums, w)
+            # cells ascend, so each kind's are a slice of them
+            parts, lo = [], 0
+            for (first, end, table, near, far, above), B in zip(kinds, bases):
+                hi = bisect_left(cells, end, lo)
+                if lo == hi:
+                    continue
+                some, lo = cells[lo:hi], hi
+                if one:
+                    c = table
+                elif some[-1] - some[0] == len(some) - 1:  # a run: a view
+                    c = table[:, some[0] - first:some[-1] + 1 - first]
+                else:
+                    c = table[:, [i - first for i in some]]
+                if B is None:
+                    B = _basis(e, np.log1p(c[-2] * v_near),
+                               np.log1p(-c[-1] * w_far), np.expm1, np.expm1)
+                parts.append(_weighted(form, whole,
+                                       sums(c, B, near, far, above), w))
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
         return values
 
     return nodes
+
+
+def _basis(e: Sequence[float], near, far, f_near: Callable, f_far: Callable):
+    """-f(e_l y) at each exponent e_l of e and each y of near, then of far
+    (joined on their last axis), with f_near on the first and f_far on the
+    second."""
+    B = np.multiply.outer(e, np.concatenate((near, far), axis=-1))
+    n = near.shape[-1]
+    f_near(B[..., :n], out=B[..., :n])
+    f_far(B[..., n:], out=B[..., n:])
+    return np.negative(B, out=B)
 
 
 def _weighted(form: Callable, whole: int, sums, w):
@@ -396,81 +470,6 @@ def _weighted(form: Callable, whole: int, sums, w):
     return f
 
 
-def _split_integrand(route: str, e: Sequence[float], rows, peaks, spans):
-    """The route's integrand on the two pieces of each dip cell, split at
-    F1's local maximum c < a, as ``quadrature._tanh_sinh`` takes it.
-
-    Integrand i < k is piece 0 of cell i, sigma = gc (1 - v), and
-    integrand k + i its piece 1, sigma = gc + (1 - gc) v, with gc = c/a;
-    neither carries its Jacobian gc or 1 - gc.  Both start at c, so their
-    nodes are given by their distance to c, and x = s - c is
-    x/c = -v on piece 0 and r v on piece 1, r = (a - c)/c.  Below
-    v = 1/2 each sum is its value at c less sum_l C_jl E_l,
-    E_l = expm1(e_l log1p(x/c)) and C the triples at c (rows at c,
-    ``_rows``), which keeps D's and V's relative precision where they dip
-    to delta/2 and delta, delta = omega - F1(c).  From 1/2 on, piece 0
-    takes the form at 0, its constant less sum_l C_jl (1 - v)^{e_l}, and
-    piece 1 the form at a, sum_l A_jl (1 - sigma^{e_l}) with
-    1 - sigma = (1 - gc)(1 - v), as ``_de_integrand`` builds them.  On
-    piece 0, log1p(-v) = ln(1 - v), so its basis depends on the nodes
-    alone; piece 1's depends on r and 1 - gc, the pair spans[i].
-    """
-    _, _, form, power, _ = _ROUTES[route]
-    whole = int(power)
-    K = len(rows[0]) // 4  # the number of sums
-    k = len(rows)
-    at_a, at_c = np.array(rows).T, np.array(peaks).T
-    # piece 0's columns: the constants at c and at 0, the triples at c;
-    # piece 1's: the constants at c, the triples at c and at a, r, 1 - gc
-    lower = np.concatenate((at_c[:K], at_a[:K], at_c[K:]))[:, :, None]
-    upper = np.concatenate((at_c, at_a[K:], np.array(spans).T))[:, :, None]
-
-    def nodes(ln_v, ln_w, w):
-        n = len(ln_v) // 2  # the nodes below 1/2: u = 0 is v = 1/2
-        v_near, w_far = np.exp(ln_v[:n]), np.exp(ln_w[n:])
-        basis = np.multiply.outer(e, ln_w)
-        np.expm1(basis[:, :n], out=basis[:, :n])
-        np.exp(basis[:, n:], out=basis[:, n:])
-        np.negative(basis, out=basis)
-
-        def piece(cells, first):
-            c = (lower if first else upper)[:, cells]
-            if first:
-                B, near, far = basis, 2 * K, 2 * K
-            else:
-                B, near, far = np.multiply.outer(e, np.concatenate(
-                    (np.log1p(c[-2] * v_near), np.log1p(-c[-1] * w_far)),
-                    axis=-1)), K, 4 * K
-                np.expm1(B, out=B)
-                np.negative(B, out=B)
-            sums = []
-            for j in range(K):
-                S = np.empty((len(cells), len(w)))
-                for t, lo, hi in ((near + 3 * j, 0, n),
-                                  (far + 3 * j, n, None)):
-                    part = B[..., lo:hi]
-                    S[:, lo:hi] = (c[t] * part[0] + c[t + 1] * part[1]
-                                   + c[t + 2] * part[2])
-                S[:, :n] += c[j]
-                if first:
-                    S[:, n:] += c[K + j]
-                sums.append(S)
-            return _weighted(form, whole, sums, w)
-
-        def values(cells):
-            cells = np.asarray(cells)  # ascending: piece 0's cells first
-            zeros, ones = cells[cells < k], cells[cells >= k] - k
-            if not len(ones):
-                return piece(zeros, True)
-            if not len(zeros):
-                return piece(ones, False)
-            return np.concatenate((piece(zeros, True), piece(ones, False)))
-
-        return values
-
-    return nodes
-
-
 def _quads(cell, route: str, m: int, tol: float, tables) -> QuadratureResult:
     """The route's integral in x at one cell: one ``integrate`` call over x
     in [0, 2], whose two initial panels meet at the split x = 1."""
@@ -479,55 +478,41 @@ def _quads(cell, route: str, m: int, tol: float, tables) -> QuadratureResult:
                      max_panels=2000, initial=2)
 
 
-def _off_dip(cells, index, route: str, tol: float, tables):
-    """The route's integral in sigma by the tanh-sinh kernel at each cell
-    of index where F1 has no local maximum below a, as a dict by index,
-    and the list of the other cells' indices.
+def _de_cells(cells, index, route: str, tol: float, tables) -> dict:
+    """The route's integral in sigma at each cell of index by one
+    ``_tanh_sinh`` call, as a dict by index.
 
-    Only in FF does F1 reach omega past a local maximum, on the dip
-    branch; there the integrand peaks inside (0, 1), and those cells take
-    the rule or the split kernel (``_on_dip``).  This one rule chooses the
-    kernel for eval_J's cells and the masses alike.
-    """
-    peaks, smooth = [], []
-    for i in index:
-        _, gamma, res = cells[i]
-        maxima = tables[gamma].maxima
-        (peaks if maxima and maxima[0][0] < res.a else smooth).append(i)
-    if not smooth:
-        return {}, peaks
-    e = tables[cells[smooth[0]][1]].e  # the exponents depend on p, q, r
-    rows = _rows([cells[i] for i in smooth], route, tables)
-    return dict(zip(smooth, _tanh_sinh(_de_integrand(route, e, rows),
-                                       len(smooth), tol))), peaks
-
-
-def _on_dip(cells, index, route: str, tol: float, tables) -> dict:
-    """The route's integral in sigma by the tanh-sinh kernel at each cell
-    of index, where F1 has a local maximum c < a, as a dict by index.
-
-    One ``_tanh_sinh`` call takes each cell as two integrands, its pieces
-    split at gc = c/a (``_split_integrand``).  A cell's value and error
-    are gc times piece 0's plus (1 - gc) times piece 1's; it is converged
-    when both pieces are, and n_panels and stop are those of its deeper
-    piece, or of a piece that did not converge.
+    Only in FF does F1 reach omega past a local maximum c < a, on the dip
+    branch, where the integrand peaks at c.  Such a cell is two integrands,
+    its pieces split at gc = c/a (``_de_integrand``); its value and error
+    are gc times piece 0's plus (1 - gc) times piece 1's, it is converged
+    when both pieces are, and its n_panels and stop are those of its deeper
+    piece, or of a piece that did not converge.  Every other cell is one
+    integrand on (0, 1).
     """
     if not index:
         return {}
-    some = [cells[i] for i in index]
-    spans, gcs = [], []
-    for _, gamma, res in some:
-        c = tables[gamma].maxima[0][0]
-        spans.append(((res.a - c) / c, (res.a - c) / res.a))
-        gcs.append(c / res.a)
-    k = len(some)
+    smooth, dips, spans, gcs = [], [], [], []
+    for i in index:
+        _, gamma, res = cells[i]
+        maxima = tables[gamma].maxima
+        if maxima and maxima[0][0] < res.a:
+            c = maxima[0][0]
+            dips.append(i)
+            spans.append(((res.a - c) / c, (res.a - c) / res.a))
+            gcs.append(c / res.a)
+        else:
+            smooth.append(i)
+    some = [cells[i] for i in smooth + dips]
+    k, m = len(smooth), len(dips)
     e = tables[some[0][1]].e  # the exponents depend on p, q, r alone
-    quads = _tanh_sinh(_split_integrand(
+    quads = _tanh_sinh(_de_integrand(
         route, e, _rows(some, route, tables),
-        _rows(some, route, tables, at_c=True), spans), 2 * k, tol)
-    out = {}
-    for i, gc, (_, hc), q0, q1 in zip(index, gcs, spans, quads[:k],
-                                      quads[k:]):
+        m and _rows(some[k:], route, tables, at_c=True), spans), k + 2 * m,
+        tol)
+    out = dict(zip(smooth, quads))
+    for i, gc, (_, hc), q0, q1 in zip(dips, gcs, spans, quads[k:],
+                                      quads[k + m:]):
         last = max((q0, q1), key=lambda q: (not q.converged, q.n_panels))
         out[i] = QuadratureResult(
             gc * q0.value + hc * q1.value,
@@ -632,9 +617,11 @@ def _transformed(params: NonlinearityParams, cells, route: str):
     cell, as the columns j, abs_error, diverging and converged.
 
     A None profile gives NaN, NaN, not diverging, converged, and a profile
-    on the curve the signed infinity, inf, diverging, converged; every other
-    cell goes to ``_off_dip``, ``_rule``, ``_on_dip`` or ``_quads`` (module
-    docstring).  The cells of one call are all at omega > 0 or all at
+    on the curve the signed infinity, inf, diverging, converged.  At
+    omega > 0 the transformed route's cells that ``_dip`` accepts go to
+    ``_rule`` first, and every other wave, the cells it flags included, to
+    one ``_de_cells`` call; the raw route, and eval_J0 at omega = 0, take
+    ``_quads`` (module docstring).  The cells of one call are all at omega > 0 or all at
     omega = 0, which decides the left piece's m.  abs_error is the
     quadrature error times the prefactor plus |J| times ``_root_error`` and
     ``_maxima_error``.
@@ -659,15 +646,15 @@ def _transformed(params: NonlinearityParams, cells, route: str):
     k = _ROUTES[route].k
     tables = {g: terms(params, g) for g in {cells[i][1] for i in waves}}
     if route == "transformed" and positive:
-        done, peaks = _off_dip(cells, waves, route, _J_TOL, tables)
-        dips = [(i, dip) for i in peaks
+        dips = [(i, dip) for i in waves
                 if (dip := _dip(cells[i], tables)) is not None]
+        done = {}
         for j in range(0, len(dips), _RULE_BATCH):
             index, batch = zip(*dips[j:j + _RULE_BATCH])
             done.update(iq for iq in zip(index, _rule(
                 [cells[i] for i in index], batch, max(3, m), tables)) if iq[1])
-        done.update(_on_dip(cells, [i for i in peaks if i not in done],
-                            route, _J_TOL, tables))
+        done.update(_de_cells(cells, [i for i in waves if i not in done],
+                              route, _J_TOL, tables))
     else:
         done = {i: _quads(cells[i], route, m, _J_TOL, tables) for i in waves}
     for i, quad in done.items():
@@ -753,9 +740,9 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
     omegas, so the first omega without a wave raises NoStandingWave and the
     first on the nonexistence curve DivergingIntegral.  Integrand k is
     1 / sqrt(V), V the sum of the row (omega_k, f1_l a_k^{e_l}), in sigma
-    on the tanh-sinh kernel, on two pieces split at c where F1 has a local
-    maximum c < a_k (``_off_dip``, ``_on_dip``); its value and error are
-    a_k times those in sigma.
+    on the tanh-sinh kernel, all in one ``_de_cells`` call: on two pieces
+    split at c where F1 has a local maximum c < a_k, else on one.  Its
+    value and error are a_k times those in sigma.
     """
     cells = []
     for omega in omegas:
@@ -766,10 +753,7 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
                 "omega=%g, gamma=%g" % (omega, gamma))
         cells.append((omega, gamma, res))
     tables = {gamma: terms(params, gamma)}
-    quads, rest = _off_dip(cells, range(len(cells)), "mass", _MASS_TOL,
-                           tables)
-    if rest:
-        quads.update(_on_dip(cells, rest, "mass", _MASS_TOL, tables))
+    quads = _de_cells(cells, range(len(cells)), "mass", _MASS_TOL, tables)
     return [replace(quads[i], value=res.a * quads[i].value,
                     abs_error=res.a * quads[i].abs_error)
             for i, (_, _, res) in enumerate(cells)]

@@ -325,6 +325,16 @@ def test_diagram_mesh_below_two_exits_2(capsys, axis):
     assert "%s: must be at least 2" % axis in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_curve_ne_n_below_one_exits_2(capsys, n):
+    # an argument error, which exits 2 as --nx and --ny below 2 do
+    with pytest.raises(SystemExit) as exc:
+        main(["curve-ne", "--p", "2", "--q", "3", "--r", "4", "--s1", "f",
+              "--s3", "f", "--n", n])
+    assert exc.value.code == 2
+    assert "--n: must be at least 1" in capsys.readouterr().err
+
+
 def test_diagram_loads_neither_verify_nor_a_pool(tmp_path):
     # a fresh interpreter, since this one has imported everything: a 40x40
     # diagram runs in process, and only `tristab verify` needs its module

@@ -1059,6 +1059,40 @@ def test_mass_draws_lie_within_their_bars(monkeypatch):
     assert len(levels) == 40 + 2 * 8 and not quads
 
 
+@pytest.mark.parametrize("omegas", [
+    pytest.param([0.05, 0.3], id="near-dip"),
+    # the dip-branch pieces stop at different levels, so the later levels
+    # run pieces of cells that are not adjacent in the batch
+    pytest.param([0.05, 0.07, 3.0, 0.06], id="near-3dip"),
+])
+def test_near_and_dip_branch_masses_share_one_tanh_sinh_call(monkeypatch,
+                                                             omegas):
+    # at gamma = 4, F1's maximum c = 0.031 lies above a at omega = 0.05 and
+    # below it at 0.06 and above: one mass on one piece and the others split
+    # at c, all their integrands in one call, each mass as mass_Q gives it
+    # alone
+    calls = []
+    tanh_sinh = stability._tanh_sinh
+
+    def recorded(f, m, tol):
+        calls.append(m)
+        return tanh_sinh(f, m, tol)
+
+    c = terms(FF234, 4.0).maxima[0][0]
+    assert find_a(FF234, 0.05, 4.0).a < c < min(
+        find_a(FF234, omega, 4.0).a for omega in omegas[1:])
+    monkeypatch.setattr(stability, "_tanh_sinh", recorded)
+    masses = stability._masses(FF234, omegas, 4.0)
+    assert calls == [1 + 2 * (len(omegas) - 1)]
+    fields = ("value", "abs_error", "n_panels", "converged", "stop")
+    for omega, mass in zip(omegas, masses):
+        alone, = stability._masses(FF234, [omega], 4.0)
+        assert mass.converged
+        assert mass.value == mass_Q(FF234, omega, 4.0)
+        assert [getattr(mass, f) for f in fields] == [
+            getattr(alone, f) for f in fields]
+
+
 def test_mass_draws_bars_are_not_overstated():
     # an overstated bar is honest but decides less: the median of bar over
     # miss was 97.7 over the 34 of these masses that miss at all
@@ -1135,20 +1169,17 @@ def test_raw_and_mass_routes_take_few_panels(monkeypatch, method):
     quads = _record_quadratures(monkeypatch)
     levels = _record_tanh_sinh(monkeypatch)
     one, split = [], []
-    off_dip, on_dip = stability._off_dip, stability._on_dip
+    de_cells = stability._de_cells
 
-    def record_off_dip(*args):
-        done, peaks = off_dip(*args)
-        one.extend(done.values())
-        return done, peaks
+    def record(cells, index, route, tol, tables):
+        out = de_cells(cells, index, route, tol, tables)
+        for i, quad in out.items():
+            _, gamma, res = cells[i]
+            maxima = tables[gamma].maxima
+            (split if maxima and maxima[0][0] < res.a else one).append(quad)
+        return out
 
-    def record_on_dip(*args):
-        done = on_dip(*args)
-        split.extend(done.values())
-        return done
-
-    monkeypatch.setattr(stability, "_off_dip", record_off_dip)
-    monkeypatch.setattr(stability, "_on_dip", record_on_dip)
+    monkeypatch.setattr(stability, "_de_cells", record)
     for params, omega, gamma in _reference_value_points():
         method(params, omega, gamma)
     if method is eval_J_raw:
