@@ -80,12 +80,12 @@ def _signed(gamma: float, pos: LimitKind, neg: LimitKind,
                                       else ", gamma < 0"))
 
 
-def _omega_zero_focusing(params: NonlinearityParams, gamma: float,
-                         flip_gamma_zero: bool) -> LimitClass:
+def _omega_zero_focusing(params: NonlinearityParams,
+                         gamma: float) -> LimitClass:
     """omega -> 0 for focusing-lowest-power cases (FF and FD).
 
     The two differ only on the p = 5, gamma = 0 sub-table, where the r vs 9
-    comparison lands on opposite signs; flip_gamma_zero selects the FD form.
+    comparison lands on opposite signs: FD's is FF's flipped.
     """
     p, q, r = params.p, params.q, params.r
     if p > 5.0:
@@ -106,7 +106,7 @@ def _omega_zero_focusing(params: NonlinearityParams, gamma: float,
             kind, rel = LimitKind.FiniteNegative, "="
         else:
             kind, rel = LimitKind.NegInfinity, "<"
-        if flip_gamma_zero:  # LimitKind runs from -inf to +inf
+        if params.case == "FD":  # LimitKind runs from -inf to +inf
             kind = list(LimitKind)[-1 - list(LimitKind).index(kind)]
         return LimitClass(kind, "p = 5, gamma = 0, r %s 9" % rel)
     if p > _SEVEN_THIRDS:
@@ -217,7 +217,7 @@ def classify_limit(params: NonlinearityParams, direction: Direction,
     case = params.case
     if direction is Direction.OmegaToZero:
         if params.sign1 == 1:
-            return _omega_zero_focusing(params, v, flip_gamma_zero=(case == "FD"))
+            return _omega_zero_focusing(params, v)
         return _omega_zero_defocusing(params, v)
     if direction is Direction.OmegaToInf:
         if params.sign3 != 1:

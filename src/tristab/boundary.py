@@ -48,9 +48,9 @@ class BoundaryCurve:
 
 
 def gamma_omega_ne(params: NonlinearityParams, a: float) -> Tuple[float, float]:
-    """Closed-form (omega_ne(a), gamma_ne(a)) for a > 0."""
-    if not a > 0.0:
-        raise ValueError("need a > 0")
+    """Closed-form (omega_ne(a), gamma_ne(a)) for 0 < a < inf."""
+    if not 0.0 < a < math.inf:
+        raise ValueError("need 0 < a < inf")
     p, q, r = params.p, params.q, params.r
     a1, a3 = params.a1, params.a3
     omega_ne = (2.0 * a1 * (q - p) / ((q - 1.0) * (p + 1.0)) * a ** ((p - 1.0) / 2.0)
@@ -147,7 +147,7 @@ def sample_curve(params: NonlinearityParams, n: int = 200,
     else:  # DD: open at a_b
         lo = endpoint_a * (1.0 + 1e-9) if a_min is None else max(a_min, endpoint_a * (1.0 + 1e-12))
         hi = endpoint_a * 50.0 if a_max is None else a_max
-    if not (0.0 < lo <= hi):
+    if not (0.0 < lo <= hi < math.inf):
         raise ValueError("invalid a-range [%g, %g]" % (lo, hi))
     samples = []
     for k in range(n):

@@ -9,7 +9,8 @@ trailing timing line, which --no-timing suppresses.  Numbers print with
 
 Exit codes: 0 success, 1 numeric failure (no standing wave, off the curve,
 diverging integral where a finite answer was requested) or an output file
-that cannot be written, 2 argument errors.
+that cannot be written, 2 argument errors, a NaN or infinite number among
+them.
 """
 
 from __future__ import annotations
@@ -58,6 +59,16 @@ def _at_least(low: int):
     return parse
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a number, got %r" % text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite (got %r)" % text)
+    return value
+
+
 class _Suites:
     """The --suite choices, read from ``verify.SUITES`` only when a name is
     checked or listed, so that no other subcommand imports ``verify``."""
@@ -74,16 +85,13 @@ class _Suites:
 
 
 def _levels_arg(text: str) -> List[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError("levels must be comma-separated reals")
+    return [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _add_exponents(sp) -> None:
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--r", type=float, required=True)
+    sp.add_argument("--p", type=_finite, required=True)
+    sp.add_argument("--q", type=_finite, required=True)
+    sp.add_argument("--r", type=_finite, required=True)
     sp.add_argument("--s1", type=_sign, required=True,
                     help="sign of the lowest power: +1/f or -1/d")
     sp.add_argument("--s3", type=_sign, required=True,
@@ -105,45 +113,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("normalize",
                         help="reduce raw coefficients to the two-sign form")
-    sp.add_argument("--a1", type=float, required=True)
-    sp.add_argument("--a2", type=float, required=True)
-    sp.add_argument("--a3", type=float, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--r", type=float, required=True)
+    sp.add_argument("--a1", type=_finite, required=True)
+    sp.add_argument("--a2", type=_finite, required=True)
+    sp.add_argument("--a3", type=_finite, required=True)
+    sp.add_argument("--p", type=_finite, required=True)
+    sp.add_argument("--q", type=_finite, required=True)
+    sp.add_argument("--r", type=_finite, required=True)
     sp.add_argument("--no-timing", action="store_true")
 
     sp = sub.add_parser("profile-a", help="first zero a(omega, gamma)")
     _add_exponents(sp)
-    sp.add_argument("--omega", type=float, required=True)
-    sp.add_argument("--gamma", type=float, required=True)
+    sp.add_argument("--omega", type=_finite, required=True)
+    sp.add_argument("--gamma", type=_finite, required=True)
 
     sp = sub.add_parser("curve-ne", help="sample the nonexistence curve")
     _add_exponents(sp)
     sp.add_argument("--n", type=_at_least(1), default=200)
-    sp.add_argument("--a-min", type=float, default=None)
-    sp.add_argument("--a-max", type=float, default=None)
+    sp.add_argument("--a-min", type=_finite, default=None)
+    sp.add_argument("--a-max", type=_finite, default=None)
     sp.add_argument("--out", default=None,
                     help="CSV destination (stdout when omitted)")
 
     sp = sub.add_parser("omega-star", help="curve frequency omega*(gamma)")
     _add_exponents(sp)
-    sp.add_argument("--gamma", type=float, required=True)
+    sp.add_argument("--gamma", type=_finite, required=True)
 
     sp = sub.add_parser("eval-j", help="J by all three methods")
     _add_exponents(sp)
-    sp.add_argument("--omega", type=float, required=True)
-    sp.add_argument("--gamma", type=float, required=True)
+    sp.add_argument("--omega", type=_finite, required=True)
+    sp.add_argument("--gamma", type=_finite, required=True)
 
     sp = sub.add_parser("eval-j0", help="J(0, gamma) for D* cases, p < 7/3")
     _add_exponents(sp)
-    sp.add_argument("--gamma", type=float, required=True)
+    sp.add_argument("--gamma", type=_finite, required=True)
 
     sp = sub.add_parser("limits", help="limit classification, all directions")
     _add_exponents(sp)
-    sp.add_argument("--omega", type=float, required=True,
+    sp.add_argument("--omega", type=_finite, required=True,
                     help="fixed omega for the gamma directions")
-    sp.add_argument("--gamma", type=float, required=True,
+    sp.add_argument("--gamma", type=_finite, required=True,
                     help="fixed gamma for the omega directions")
 
     sp = sub.add_parser("guarantees", help="guaranteed-sign statements")
@@ -151,10 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("diagram", help="sweep J and extract level curves")
     _add_exponents(sp)
-    sp.add_argument("--omega-min", type=float, required=True)
-    sp.add_argument("--omega-max", type=float, required=True)
-    sp.add_argument("--gamma-min", type=float, required=True)
-    sp.add_argument("--gamma-max", type=float, required=True)
+    sp.add_argument("--omega-min", type=_finite, required=True)
+    sp.add_argument("--omega-max", type=_finite, required=True)
+    sp.add_argument("--gamma-min", type=_finite, required=True)
+    sp.add_argument("--gamma-max", type=_finite, required=True)
     sp.add_argument("--nx", type=_at_least(2), default=200)
     sp.add_argument("--ny", type=_at_least(2), default=200)
     sp.add_argument("--levels", type=_levels_arg, default=[0.0])

@@ -73,10 +73,13 @@ def terms(params: NonlinearityParams, gamma: float) -> Terms:
     """The term table at (params, gamma), cached: a sweep row shares one.
 
     It is built from float(gamma), so equal numpy and Python gammas share
-    one table of Python floats.
+    one table of Python floats.  Every solve, curve point and J at gamma
+    reads it, so a non-finite gamma raises ValueError here, once per table.
     """
     p, q, r = params.p, params.q, params.r
     a1, a3, gamma = params.a1, params.a3, float(gamma)
+    if not math.isfinite(gamma):
+        raise ValueError("gamma must be finite, got %r" % gamma)
     e = ((p - 1.0) / 2.0, (q - 1.0) / 2.0, (r - 1.0) / 2.0)
     f1 = (2.0 * a1 / (p + 1.0), -2.0 * gamma / (q + 1.0), 2.0 * a3 / (r + 1.0))
     crits = tuple(roots([(c * x, x - 1.0) for c, x in zip(f1, e)
@@ -144,8 +147,8 @@ def eval_U(params: NonlinearityParams, omega: float, gamma: float, s) -> Landsca
     not enter U''; its sign at the double zero is what classifies points
     of the nonexistence curve, so it is kept exact term by term.
     """
-    if omega < 0:
-        raise ValueError("omega must be nonnegative")
+    if not 0.0 <= omega < math.inf:
+        raise ValueError("omega must be nonnegative and finite")
     s = float(s)
     if s < 0:
         raise ValueError("s must be nonnegative")

@@ -89,6 +89,8 @@ def normalize(a1: float, a2: float, a3: float,
     a2 kappa^{q-1} lam^2, a3 kappa^{r-1} lam^2) with |b| = |d| = 1.
     gamma is -c.
     """
+    if not all(math.isfinite(x) for x in (a1, a2, a3)):
+        raise ValueError("coefficients must be finite")
     if a1 == 0.0 or a3 == 0.0:
         raise ValueError("outer coefficients must be nonzero")
     if not (1.0 < p < q < r):

@@ -33,6 +33,7 @@ find_a once per cell and the numpy dispatch overhead would dominate.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import UnsupportedRegime
@@ -148,12 +149,13 @@ def _first_crossing(params: NonlinearityParams, omega: float, gamma: float,
 def find_a(params: NonlinearityParams, omega: float, gamma: float):
     """ProfileResult at (omega, gamma), or None when U has no positive zero.
 
-    Requires omega > 0.  exists means a transversal crossing (U'(a) below
+    Requires 0 < omega < inf.  exists means a transversal crossing (U'(a) below
     -tol); on_boundary means |U'(a)| within tol of zero, the degenerate case.
     Raises UnsupportedRegime where a lies beyond the float range.
     """
-    if not omega > 0.0:
-        raise ValueError("find_a requires omega > 0, got %r" % (omega,))
+    if not 0.0 < omega < math.inf:
+        raise ValueError("find_a requires 0 < omega < inf, got %r"
+                         % (omega,))
     return _profile(params, omega, gamma)
 
 

@@ -33,14 +33,17 @@ stable, negative unstable.  ``eval_J`` answers; two more routes check it:
 
 A private route table (``_ROUTES``) gives each route its row (constants
 from omega and U'(a), then coefficient triples of the terms times
-a^{e_l}), its form, the power of its base and the k of its prefactor
--a / (k U'(a)).  ``_rows`` builds the rows of a batch of cells, and three
-kernels integrate them.  eval_J's cells at omega > 0 and every mass take
-the tanh-sinh kernel (``quadrature._tanh_sinh``) in sigma = s/a itself:
-its nodes v = 1/(1 + exp(-pi sinh u)) are given by their distance to
-either end, so they need no map.  One dispatcher (``_de_cells``) and one
-integrand builder (``_de_integrand``) serve every such cell, and a batch's
-cells run as one ``_tanh_sinh`` call, level by level as arrays of up to 64
+a^{e_l}), its form, the power of its base, the k of its prefactor
+-a / (k U'(a)) and its relative tolerance.  ``_rows`` builds the rows of a
+batch of cells, and three kernels integrate them.  Each cell takes its
+kernel and the left piece's m (``_left_m``) from its route and its own
+omega, so one batch may mix cells at omega > 0 and at omega = 0.
+eval_J's cells at omega > 0 and every mass take the tanh-sinh kernel
+(``quadrature._tanh_sinh``) in sigma = s/a itself: its nodes
+v = 1/(1 + exp(-pi sinh u)) are given by their distance to either end, so
+they need no map.  One dispatcher (``_de_cells``) and one integrand
+builder (``_de_integrand``) serve every such cell, and a batch's cells run
+as one ``_tanh_sinh`` call, level by level as arrays of up to 64
 integrands.  Where F1 has no local maximum below a (every FD, DD and DF
 cell, and the FF cells off the dip branch) a cell is one integrand over
 (0, 1).  On FF's dip branch, where F1 has a local maximum c < a, the
@@ -56,10 +59,11 @@ whose nodes are given by their distance to c.  Next to c the sums of a
 row are taken about c, where D and V dip to delta/2 and delta,
 delta = omega - F1(c), and keep their relative precision there.
 The adaptive kernel (``_quads``, one ``integrate`` call per cell on
-``_integrand``, from the two panels that meet at x = 1) takes eval_J0 and
-the raw route alone.  Its map (``_piecewise``), which the rule shares, is
-x in [0, 2], split at s = a/2 (x = 1), s = a (1 - x^2/2) on the right,
-which removes the (1-s)^{-1/2} end, and s = (a/2) (2 - x)^m on the left,
+``_integrand``, from the two panels that meet at x = 1) takes the raw
+route's cells and the transformed route's at omega = 0 (eval_J0).  Its map
+(``_piecewise``), which the rule shares, is x in [0, 2], split at s = a/2
+(x = 1), s = a (1 - x^2/2) on the right, which removes the (1-s)^{-1/2}
+end, and s = (a/2) (2 - x)^m on the left, at omega > 0 with
 m = min(ceil(2/(p-1)), 256), which flattens the s^{(p-1)/2} end at s = 0.
 The term table, with F1's maxima, is looked up once per gamma.
 
@@ -127,8 +131,7 @@ _DIP_DEPTH = 1e-3
 _RATIO_CAP = 1e6
 _RULE_BATCH = 40
 
-# the largest stretch m of the left piece, at omega > 0 (``_left_m``) and
-# at omega = 0
+# the largest stretch m of the left piece (``_left_m``)
 _MAX_M = 256
 
 
@@ -183,12 +186,6 @@ def _divergence_sign(params: NonlinearityParams, omega: float,
         if omega > ws:
             return -1.0
     return 1.0
-
-
-def _sentinel(params, omega, gamma, method: str) -> StabilityValue:
-    sign = _divergence_sign(params, omega, gamma)
-    return StabilityValue(j=sign * math.inf, abs_error=math.inf,
-                          diverging=True, method=method)
 
 
 # -- the piecewise map of all three routes -----------------------------------
@@ -276,26 +273,30 @@ def _unit(sums):
     return sums[0], 1.0
 
 
-def _left_m(params: NonlinearityParams) -> int:
-    """The left piece's m at omega > 0: its s^{(p-1)/2} terms are flat once
-    m (p-1)/2 >= 1, which needs no more than _MAX_M at p >= 1 + 2/_MAX_M.
-    Below that the s^{(p-1)/2} ends stay, and the kernels resolve them: a
+def _left_m(params: NonlinearityParams, omega: float) -> int:
+    """The left piece's m at omega, capped at _MAX_M.  At omega > 0 its
+    s^{(p-1)/2} terms are flat once m (p-1)/2 >= 1, which needs no more than
+    _MAX_M at p >= 1 + 2/_MAX_M; below that the kernels resolve the ends: a
     larger m would crush the piece into a layer at x = 1 that no panel
-    sees."""
-    return min(math.ceil(2.0 / (params.p - 1.0)), _MAX_M)
+    sees.  At omega = 0 the end blows up like s^{-3(p-1)/4} (p < 7/3),
+    flattened with a margin of one."""
+    if omega > 0.0:
+        return min(math.ceil(2.0 / (params.p - 1.0)), _MAX_M)
+    return min(max(2, math.ceil(4.0 / (7.0 - 3.0 * params.p)) + 1), _MAX_M)
 
 
 # the route table of the module docstring; a mass is a times its integral,
 # with no k
-_Route = namedtuple("_Route", "consts coefs form power k")
+_Route = namedtuple("_Route", "consts coefs form power k tol")
 _ROUTES = {
     # N and D at s = 0: 2 omega + U'(a) and omega/2
     "transformed": _Route(lambda omega, up: (2.0 * omega + up, 0.5 * omega),
-                          ("n", "d"), _n_over_d, 1.5, 4.0 * _SQRT2),
+                          ("n", "d"), _n_over_d, 1.5, 4.0 * _SQRT2, _J_TOL),
     # V = U(s)/s and W = U'(a) - U'(s) at s = 0: omega and U'(a) - omega
     "raw": _Route(lambda omega, up: (omega, up - omega), ("f1", "up"),
-                  _raw_bracket, 0.5, 2.0),
-    "mass": _Route(lambda omega, up: (omega,), ("f1",), _unit, 0.5, None),
+                  _raw_bracket, 0.5, 2.0, _J_TOL),
+    "mass": _Route(lambda omega, up: (omega,), ("f1",), _unit, 0.5, None,
+                   _MASS_TOL),
 }
 
 
@@ -330,7 +331,7 @@ def _rows(cells, route: str, tables, at_c: bool = False) -> list:
 def _integrand(cells, route: str, m: int, tables):
     """``_piecewise``'s g of the route at each (omega, gamma, profile)
     cell."""
-    _, _, form, power, _ = _ROUTES[route]
+    form, power = _ROUTES[route][2:4]
     e = tables[cells[0][1]].e  # the exponents depend on p, q, r alone
     return _piecewise(e, m, _rows(cells, route, tables), form, power)
 
@@ -362,15 +363,15 @@ def _de_integrand(route: str, e: Sequence[float], rows, peaks=(), spans=()):
 
     The nodes resolve both ends down to 5e-62, and the weight w is the only
     Jacobian.  The bases of the one piece and piece 0 depend on the nodes
-    alone and are built once per call; piece 1's depends on its spans.  A
-    block of one cell on one piece multiplies by plain floats, as
-    ``_piecewise`` does.
+    alone and are built once per call; piece 1's depends on its spans.
     """
-    _, _, form, power, _ = _ROUTES[route]
+    form, power = _ROUTES[route][2:4]
     whole = int(power)
     K = len(rows[0]) // 4  # the number of sums
     k, m = len(rows) - len(spans), len(spans)
     at_a = np.array(rows).T
+    # a block of one cell on one piece multiplies by plain floats, as
+    # ``_piecewise`` does: broadcasting (1, 1) columns made eval_J 7% slower
     one = len(rows) == 1 and not spans
     # each kind present: its first integrand and the one past its last, its
     # columns (the constants about its point below 1/2 first), and the
@@ -470,15 +471,15 @@ def _weighted(form: Callable, whole: int, sums, w):
     return f
 
 
-def _quads(cell, route: str, m: int, tol: float, tables) -> QuadratureResult:
+def _quads(cell, route: str, m: int, tables) -> QuadratureResult:
     """The route's integral in x at one cell: one ``integrate`` call over x
     in [0, 2], whose two initial panels meet at the split x = 1."""
     g = _integrand([cell], route, m, tables)
-    return integrate(lambda x: g(x, None), 0.0, 2.0, rel_tol=tol,
-                     max_panels=2000, initial=2)
+    return integrate(lambda x: g(x, None), 0.0, 2.0,
+                     rel_tol=_ROUTES[route].tol, max_panels=2000, initial=2)
 
 
-def _de_cells(cells, index, route: str, tol: float, tables) -> dict:
+def _de_cells(cells, index, route: str, tables) -> dict:
     """The route's integral in sigma at each cell of index by one
     ``_tanh_sinh`` call, as a dict by index.
 
@@ -509,7 +510,7 @@ def _de_cells(cells, index, route: str, tol: float, tables) -> dict:
     quads = _tanh_sinh(_de_integrand(
         route, e, _rows(some, route, tables),
         m and _rows(some[k:], route, tables, at_c=True), spans), k + 2 * m,
-        tol)
+        _ROUTES[route].tol)
     out = dict(zip(smooth, quads))
     for i, gc, (_, hc), q0, q1 in zip(dips, gcs, spans, quads[k:],
                                       quads[k + m:]):
@@ -537,7 +538,7 @@ def _dip(cell, tables):
 
 def _rule(cells, dips, m: int, tables) -> list:
     """The transformed route's Q_2n at each cell of dips (``_dip``), or None
-    where it and Q_n differ by more than _J_TOL relative, or where the
+    where it and Q_n differ by more than the route's tolerance, or where the
     dip's width b is not a positive finite float (F1''(c) can overflow).
 
     On each piece, x = lo + (1 + y)/2; on the one that holds c,
@@ -570,8 +571,9 @@ def _rule(cells, dips, m: int, tables) -> list:
     sums = [(s[:len(c)] + s[len(c):]).tolist() for s in _rule_sums(
         _integrand(cells, "transformed", m, tables)(x, index + index) * dxdu,
         n)]
+    tol = _ROUTES["transformed"].tol
     return [QuadratureResult(q2, abs(q2 - q1) + 50.0 * _EPS * q_abs, 2, True,
-                             "rule") if ok and abs(q2 - q1) <= _J_TOL * abs(q2)
+                             "rule") if ok and abs(q2 - q1) <= tol * abs(q2)
             else None for ok, q1, q2, q_abs in zip(width[:, 0], *sums)]
 
 
@@ -617,46 +619,42 @@ def _transformed(params: NonlinearityParams, cells, route: str):
     cell, as the columns j, abs_error, diverging and converged.
 
     A None profile gives NaN, NaN, not diverging, converged, and a profile
-    on the curve the signed infinity, inf, diverging, converged.  At
-    omega > 0 the transformed route's cells that ``_dip`` accepts go to
-    ``_rule`` first, and every other wave, the cells it flags included, to
-    one ``_de_cells`` call; the raw route, and eval_J0 at omega = 0, take
-    ``_quads`` (module docstring).  The cells of one call are all at omega > 0 or all at
-    omega = 0, which decides the left piece's m.  abs_error is the
+    on the curve the signed infinity, inf, diverging, converged.  Each wave
+    takes its kernel from its route and its omega (module docstring): the
+    transformed route's waves at omega > 0 go to ``_rule`` where ``_dip``
+    accepts them, and the rest of them, the cells it flags included, to one
+    ``_de_cells`` call; raw waves, and waves at omega = 0 (eval_J0), take
+    ``_quads`` with the left piece's m of their omega.  abs_error is the
     quadrature error times the prefactor plus |J| times ``_root_error`` and
     ``_maxima_error``.
     """
     n = len(cells)
     js, errs = [math.nan] * n, [math.nan] * n
     diverging, converged = [False] * n, [True] * n
-    waves = []
+    fast, slow = [], []  # the waves of the tanh-sinh and adaptive kernels
     for i, (omega, gamma, res) in enumerate(cells):
         if res is not None and res.on_boundary:
             js[i] = _divergence_sign(params, omega, gamma) * math.inf
             errs[i], diverging[i] = math.inf, True
         elif res is not None:
-            waves.append(i)
-    if not waves:
-        return js, errs, diverging, converged
-    # at omega = 0 the left end blows up like s^{-3(p-1)/4} (p < 7/3),
-    # flattened with a margin of one up to _MAX_M, as at omega > 0
-    positive = cells[waves[0]][0] > 0.0
-    m = (_left_m(params) if positive else min(
-        max(2, math.ceil(4.0 / (7.0 - 3.0 * params.p)) + 1), _MAX_M))
+            (fast if route == "transformed" and omega > 0.0
+             else slow).append(i)
     k = _ROUTES[route].k
-    tables = {g: terms(params, g) for g in {cells[i][1] for i in waves}}
-    if route == "transformed" and positive:
-        dips = [(i, dip) for i in waves
-                if (dip := _dip(cells[i], tables)) is not None]
-        done = {}
-        for j in range(0, len(dips), _RULE_BATCH):
-            index, batch = zip(*dips[j:j + _RULE_BATCH])
-            done.update(iq for iq in zip(index, _rule(
-                [cells[i] for i in index], batch, max(3, m), tables)) if iq[1])
-        done.update(_de_cells(cells, [i for i in waves if i not in done],
-                              route, _J_TOL, tables))
-    else:
-        done = {i: _quads(cells[i], route, m, _J_TOL, tables) for i in waves}
+    tables = {g: terms(params, g) for g in {cells[i][1] for i in fast + slow}}
+    dips = [(i, dip) for i in fast
+            if (dip := _dip(cells[i], tables)) is not None]
+    done = {}
+    for j in range(0, len(dips), _RULE_BATCH):
+        index, batch = zip(*dips[j:j + _RULE_BATCH])
+        # at omega > 0 the left piece's m depends on p alone
+        m = max(3, _left_m(params, cells[index[0]][0]))
+        done.update(iq for iq in zip(index, _rule(
+            [cells[i] for i in index], batch, m, tables)) if iq[1])
+    if fast:
+        done.update(_de_cells(cells, [i for i in fast if i not in done],
+                              route, tables))
+    for i in slow:
+        done[i] = _quads(cells[i], route, _left_m(params, cells[i][0]), tables)
     for i, quad in done.items():
         omega, gamma, res = cells[i]
         t = tables[gamma]
@@ -753,7 +751,7 @@ def _masses(params: NonlinearityParams, omegas: Sequence[float],
                 "omega=%g, gamma=%g" % (omega, gamma))
         cells.append((omega, gamma, res))
     tables = {gamma: terms(params, gamma)}
-    quads = _de_cells(cells, range(len(cells)), "mass", _MASS_TOL, tables)
+    quads = _de_cells(cells, range(len(cells)), "mass", tables)
     return [replace(quads[i], value=res.a * quads[i].value,
                     abs_error=res.a * quads[i].abs_error)
             for i, (_, _, res) in enumerate(cells)]
@@ -787,7 +785,8 @@ def eval_J_mass_fd(params: NonlinearityParams, omega: float,
     """
     res = _require_profile(params, omega, gamma)
     if res.on_boundary:
-        return _sentinel(params, omega, gamma, "mass_fd")
+        return StabilityValue(_divergence_sign(params, omega, gamma)
+                              * math.inf, math.inf, True, "mass_fd")
     h = min(max(1e-4 * omega, 1e-6), 0.5 * omega)
     try:
         h = min(h, 0.25 * abs(omega_star(params, gamma) - omega))

@@ -139,6 +139,14 @@ def test_invalid_directions_raise():
         classify_limit(FD(3, 5, 7), Direction.GammaToInf, 1.0)
     with pytest.raises(ValueError):
         classify_limit(DD(3, 5, 7), Direction.GammaToInf, 1.0)
+    # a direction that is no Direction member, and a non-finite value
+    with pytest.raises(ValueError, match="Direction member"):
+        classify_limit(FF(2, 3, 4), "omega->0", 1.0)
+    with pytest.raises(ValueError, match="Direction member"):
+        asymptotic_exponent(FF(2, 3, 4), "omega->0")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            classify_limit(FF(2, 3, 4), Direction.OmegaToZero, bad)
 
 
 def test_gamma_inf_table():

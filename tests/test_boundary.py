@@ -293,3 +293,34 @@ def test_omega_star_shares_find_as_critical_points():
     misses = info().misses
     omega_star(DD357, -6.5)
     assert info().misses == misses
+
+
+@pytest.mark.parametrize("params, gamma", [
+    (FF234, math.nan), (FF234, math.inf),
+    (NonlinearityParams(2.0, 3.0, 4.0, -1, -1), -math.inf),
+    (FD357, math.nan)])
+def test_omega_star_rejects_a_non_finite_gamma(params, gamma):
+    # FF(2,3,4) read 0.1656, its endpoint's omega, at NaN and +inf, and
+    # DD(2,3,4) -7.4e-163 at -inf
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        omega_star(params, gamma)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+def test_gamma_omega_ne_rejects_an_a_outside_its_range(a):
+    with pytest.raises(ValueError, match="need 0 < a < inf"):
+        gamma_omega_ne(FF234, a)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"a_max": math.inf}, {"a_min": math.nan}, {"a_min": 2.0, "a_max": 1.0},
+    {"a_min": 0.0}])
+def test_sample_curve_rejects_an_empty_or_non_finite_a_range(kwargs):
+    with pytest.raises(ValueError, match="invalid a-range"):
+        sample_curve(FD357, n=5, **kwargs)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sample_curve_needs_a_sample(n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        sample_curve(FF234, n=n)

@@ -433,3 +433,50 @@ def test_verify_suite_error_and_help_name_the_suites(capsys):
     assert exc.value.code == 0
     out = " ".join(capsys.readouterr().out.split())
     assert ", ".join([*verify.SUITES, "all"]) in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("omega-star", "--p", "2", "--q", "3", "--r", "4", "--s1", "f",
+     "--s3", "f", "--gamma", "nan"),
+    ("eval-j0", "--p", "2", "--q", "3", "--r", "4", "--s1", "d",
+     "--s3", "f", "--gamma", "nan"),
+    ("profile-a", "--p", "2", "--q", "3", "--r", "4", "--s1", "f",
+     "--s3", "f", "--omega", "0.1", "--gamma", "nan"),
+    ("eval-j", "--p", "3", "--q", "6", "--r", "7", "--s1", "f",
+     "--s3", "d", "--omega", "inf", "--gamma", "1"),
+    ("eval-j", "--p", "2", "--q", "3", "--r", "4", "--s1", "d",
+     "--s3", "f", "--omega", "0.1", "--gamma=-inf"),
+    ("normalize", "--a1", "1", "--a2", "inf", "--a3", "1", "--p", "2",
+     "--q", "3", "--r", "4")])
+def test_non_finite_numbers_exit_2(capsys, argv):
+    # they printed an endpoint's omega or a +Inf "stable", or raised out of
+    # the library with a traceback
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-timing"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be finite" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("curve-ne", "--n", "2.5"), "--n: expected an integer, got '2.5'"),
+    (("diagram", "--omega-min", "0.1", "--omega-max", "1", "--gamma-min",
+      "0", "--gamma-max", "1", "--levels", "0,x"),
+     "--levels: expected a number, got 'x'"),
+    # a level of NaN or inf drew no contour and exited 0
+    (("diagram", "--omega-min", "0.1", "--omega-max", "1", "--gamma-min",
+      "0", "--gamma-max", "1", "--levels", "0,nan,inf"),
+     "--levels: must be finite (got 'nan')"),
+    (("profile-a", "--omega", "one", "--gamma", "0"),
+     "--omega: expected a number, got 'one'")])
+def test_malformed_numbers_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--p", "2", "--q", "3", "--r", "4", "--s1", "f",
+              "--s3", "f", *argv[1:], "--no-timing"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suite("nope")

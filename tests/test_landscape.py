@@ -248,3 +248,19 @@ def test_term_table_where_a_coefficient_vanishes(params, gamma, column):
     d_ref = sum(c * eval_A(l, 0.7, s) for c, l in zip(coef, ls))
     assert np.allclose(n, n_ref, rtol=1e-13, atol=1e-15)
     assert np.allclose(d, d_ref, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_terms_reject_a_non_finite_gamma(gamma):
+    # every solve, curve point and J at gamma reads the table
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        terms(FF234, gamma)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        eval_F1(FF234, gamma, 1.0)
+
+
+@pytest.mark.parametrize("omega", [-1.0, math.nan, math.inf])
+def test_eval_U_rejects_a_negative_or_non_finite_omega(omega):
+    # NaN passed the old omega < 0 test and gave U = U' = NaN
+    with pytest.raises(ValueError, match="omega must be nonnegative"):
+        eval_U(FF234, omega, 0.0, 1.0)

@@ -41,6 +41,9 @@ def test_params_validation():
         NonlinearityParams(2.0, 3.0, 4.0, sign1=0)
     with pytest.raises(ValueError):
         NonlinearityParams(2.0, 3.0, 4.0, sign3=5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="exponents must be finite"):
+            NonlinearityParams(2.0, 3.0, bad)
     ok = NonlinearityParams(2.0, 3.0, 4.0, sign1=-1, sign3=1)
     assert ok.case == "DF"
     assert ok.a1 == -1.0 and ok.a3 == 1.0
@@ -139,3 +142,18 @@ def test_normalize_substitution_invariant():
         assert abs(c + red.gamma) <= 1e-12 * (1.0 + abs(c))
         assert red.normalized.case == classify_case(
             1 if a1 > 0 else -1, 1 if a3 > 0 else -1)
+
+
+@pytest.mark.parametrize("coefs", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+                                   (1.0, 1.0, -math.inf)])
+def test_normalize_rejects_a_non_finite_coefficient(coefs):
+    # a NaN a1 gave kappa = lam = gamma = NaN and a DF case
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        normalize(*coefs, 2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize("pqr", [(3.0, 2.0, 4.0), (2.0, 3.0, 3.0),
+                                 (1.0, 2.0, 3.0)])
+def test_normalize_rejects_misordered_exponents(pqr):
+    with pytest.raises(ValueError, match="1 < p < q < r"):
+        normalize(1.0, 1.0, 1.0, *pqr)

@@ -684,3 +684,34 @@ def test_f1_critical_points_match_high_precision():
                 bound = 8 * EPS * size / slope + 4 * math.ulp(c)
                 assert abs(x - root) <= bound, (params, gamma, c, root)
     assert min(counts) >= 20, counts
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+def test_find_a_needs_a_positive_finite_omega(omega):
+    # at omega = inf FD(3,6,7) and DF(2,3,4) returned an on-curve profile
+    with pytest.raises(ValueError, match="0 < omega < inf"):
+        find_a(FD367, omega, 1.0)
+    with pytest.raises(ValueError, match="0 < omega < inf"):
+        find_a(DF234, omega, 1.0)
+
+
+@pytest.mark.parametrize("params", [FF234, DF234, DD357, FD357])
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_find_a_rejects_a_non_finite_gamma(params, gamma):
+    # NaN in FF and DF, and -inf in FF, raised TypeError from the bracket
+    # scan; -inf in DF and DD gave an on-curve profile at a = 5e-324
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        find_a(params, 0.1, gamma)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_find_a0_rejects_a_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        find_a0(DF234, gamma)
+
+
+def test_profile_result_leaves_a_bare_tuple_to_tuple():
+    # tuple's own comparison then decides, over every field
+    res = find_a(FF234, 0.1, 1.0)
+    assert res.__eq__(tuple(res)) is NotImplemented
+    assert res != res[:4]

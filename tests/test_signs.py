@@ -245,3 +245,13 @@ def test_roots_of_an_unbounded_window(terms, expect):
     for x, root in zip(found, expect):
         assert abs(x - root) <= 1e-3 * root
         assert g(x * (1 - 1e-13)) * g(x * (1 + 1e-13)) < 0.0
+
+
+def test_sampled_root_count_of_no_terms_and_of_an_empty_window():
+    assert count_positive_roots_sampled(GeneralizedPolynomial(()), 1.0) == 0
+    assert count_positive_roots_sampled(
+        GeneralizedPolynomial(((0.0, 1.0),)), -1.0) == 0
+    gp = GeneralizedPolynomial(((1.0, 0.0), (-2.0, 1.0)))
+    for s_max in (0.0, -1.0):
+        with pytest.raises(ValueError, match="s_max must be positive"):
+            count_positive_roots_sampled(gp, s_max)

@@ -144,3 +144,13 @@ def test_beta_deriv_bounds_domain():
         beta_deriv_bounds(0.0)
     with pytest.raises(ValueError):
         beta_deriv_bounds(-1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: digamma(0.0), lambda: digamma(-1.5),
+    lambda: beta_fn(0.0, 1.0), lambda: beta_fn(1.0, -1.0),
+    lambda: dbeta_dx(-1.0, 1.0), lambda: dbeta_dx(1.0, 0.0),
+    lambda: h_fn(0.0, 1.0), lambda: h_fn(1.0, -2.0)])
+def test_special_functions_reject_nonpositive_arguments(call):
+    with pytest.raises(ValueError, match="requires x > 0"):
+        call()

@@ -195,7 +195,8 @@ def test_unconverged_quadrature_is_indeterminate(monkeypatch):
     # no rule in double precision reaches 1e-16 relative: the value and
     # its error bar stand, but the sign is not trusted
     assert eval_J(FF234, 0.05, 0.0).converged
-    monkeypatch.setattr(stability, "_J_TOL", 1e-16)
+    monkeypatch.setitem(stability._ROUTES, "transformed",
+                        stability._ROUTES["transformed"]._replace(tol=1e-16))
     sv = eval_J(FF234, 0.05, 0.0)
     assert not sv.converged
     assert sv.verdict() == "indeterminate"
@@ -233,13 +234,76 @@ def test_left_piece_is_finite_at_its_end():
     # j_value at 40 digits
     params = NonlinearityParams(3.0, 4.0, 4.0625, -1, 1)
     cell = (1.0, 3.0, find_a(params, 1.0, 3.0))
-    quad = stability._quads(cell, "mass", stability._left_m(params),
-                            stability._MASS_TOL, {3.0: terms(params, 3.0)})
-    assert stability._left_m(params) == 1
+    quad = stability._quads(cell, "mass", stability._left_m(params, 1.0),
+                            {3.0: terms(params, 3.0)})
+    assert stability._left_m(params, 1.0) == 1
     assert math.isfinite(quad.value) and math.isfinite(quad.abs_error)
     sv = eval_J_mass_fd(params, 1.0, 3.0)
     assert sv.converged and sv.verdict() == "unstable"
     assert abs(sv.j - (-0.5093822271804807)) <= sv.abs_error
+
+
+def test_a_batch_takes_each_cells_kernel_and_stretch_from_its_omega():
+    # the cell at omega = 0 (eval_J0's) takes the adaptive kernel with its
+    # own m, and the cells at omega > 0 the tanh-sinh kernel, in one batch:
+    # each equals its block of one bit for bit
+    from tristab.profile import _profile
+    params = NonlinearityParams(2.0, 3.0, 4.0, sign1=-1)
+    cells = [(0.0, 1.0, _profile(params, 0.0, 1.0)),
+             (0.1, 1.0, find_a(params, 0.1, 1.0)),
+             (0.5, 2.0, find_a(params, 0.5, 2.0))]
+    j0, *rest = stability._values(
+        stability._transformed(params, cells, "transformed"), "transformed")
+    alone = eval_J0(params, 1.0)
+    assert (j0.j, j0.abs_error, j0.converged) == (
+        alone.j, alone.abs_error, alone.converged)
+    assert rest == [eval_J(params, 0.1, 1.0), eval_J(params, 0.5, 2.0)]
+
+
+@pytest.mark.parametrize("route", [eval_J, eval_J_raw, eval_J_mass_fd,
+                                   mass_Q])
+def test_routes_reject_a_non_finite_omega_or_gamma(route):
+    # FD(3,6,7) and DF(2,3,4) at omega = inf, and DF and DD at
+    # gamma = -inf, read a +inf "stable" sentinel; NaN gammas in FF and DF
+    # raised TypeError
+    df234 = NonlinearityParams(2.0, 3.0, 4.0, sign1=-1)
+    dd234 = NonlinearityParams(2.0, 3.0, 4.0, sign1=-1, sign3=-1)
+    for params, omega, gamma in ((FD367, math.inf, 1.0),
+                                 (df234, math.inf, 1.0),
+                                 (df234, 0.1, -math.inf),
+                                 (dd234, 0.1, -math.inf),
+                                 (FF234, 0.1, math.nan),
+                                 (FF234, 0.1, -math.inf)):
+        with pytest.raises(ValueError, match="must be finite|< inf"):
+            route(params, omega, gamma)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_eval_J0_rejects_a_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        eval_J0(NonlinearityParams(2.0, 3.0, 4.0, sign1=-1), gamma)
+
+
+def test_mass_fd_raises_where_its_difference_is_not_finite(monkeypatch):
+    inf = stability.QuadratureResult(math.inf, 0.0, 1, True, "level")
+    monkeypatch.setattr(stability, "_masses",
+                        lambda params, omegas, gamma: [inf] * len(omegas))
+    with pytest.raises(UnsupportedRegime, match="not finite"):
+        eval_J_mass_fd(FF234, 0.1, 1.0)
+
+
+def test_mass_fd_reraises_after_six_step_cuts(monkeypatch):
+    steps = []
+
+    def no_wave(params, omegas, gamma):
+        steps.append(omegas[0] - omegas[1])
+        raise NoStandingWave("stencil past the curve")
+
+    monkeypatch.setattr(stability, "_masses", no_wave)
+    with pytest.raises(NoStandingWave, match="stencil past the curve"):
+        eval_J_mass_fd(FF234, 0.1, 1.0)
+    assert len(steps) == 6
+    assert all(b < 0.3 * a for a, b in zip(steps, steps[1:]))
 
 
 def test_verdict_rules():
@@ -1171,8 +1235,8 @@ def test_raw_and_mass_routes_take_few_panels(monkeypatch, method):
     one, split = [], []
     de_cells = stability._de_cells
 
-    def record(cells, index, route, tol, tables):
-        out = de_cells(cells, index, route, tol, tables)
+    def record(cells, index, route, tables):
+        out = de_cells(cells, index, route, tables)
         for i, quad in out.items():
             _, gamma, res = cells[i]
             maxima = tables[gamma].maxima
