@@ -29,10 +29,11 @@ class BetaDerivBounds:
 
 
 def digamma(x: float) -> float:
-    """psi(x) for x > 0: recurrence up to x >= 6, then asymptotic series."""
+    """psi(x) for finite x > 0: recurrence up to x >= 6, then asymptotic
+    series."""
     x = float(x)
-    if x <= 0.0:
-        raise ValueError("digamma requires x > 0")
+    if not 0.0 < x < math.inf:
+        raise ValueError("digamma requires x > 0, finite")
     acc = 0.0
     while x < 6.0:
         acc -= 1.0 / x
@@ -51,23 +52,25 @@ def digamma(x: float) -> float:
 
 
 def beta_fn(x: float, y: float) -> float:
-    """Euler Beta B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y), x, y > 0."""
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError("beta_fn requires x > 0 and y > 0")
+    """Euler Beta B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y), finite
+    x, y > 0."""
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+        raise ValueError("beta_fn requires x > 0 and y > 0, both finite")
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
 def dbeta_dx(x: float, y: float) -> float:
     """Partial derivative of B in its first argument: B(x,y)(psi(x)-psi(x+y))."""
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError("dbeta_dx requires x > 0 and y > 0")
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+        raise ValueError(
+            "dbeta_dx requires x > 0 and y > 0, both finite")
     return beta_fn(x, y) * (digamma(x) - digamma(x + y))
 
 
 def h_fn(x: float, y: float) -> float:
     """H(x, y) via the Beta-combination closed form."""
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError("h_fn requires x > 0 and y > 0")
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+        raise ValueError("h_fn requires x > 0 and y > 0, both finite")
     return (-(2.0 * x - 1.0) * beta_fn(x, 0.5)
             + (2.0 * x + 2.0 * y - 1.0) * beta_fn(x + y, 0.5))
 
@@ -95,8 +98,8 @@ def two_power_integral(p: float, q: float) -> float:
 
 def beta_deriv_bounds(b: float) -> BetaDerivBounds:
     """Strict bounds enclosing dbeta_dx(b + 1/2, 1/2) for b > 0."""
-    if b <= 0.0:
-        raise ValueError("beta_deriv_bounds requires b > 0")
+    if not 0.0 < b < math.inf:
+        raise ValueError("beta_deriv_bounds requires b > 0, finite")
     base = beta_fn(b + 0.5, 0.5)
     return BetaDerivBounds(lower=-base / (2.0 * b),
                            upper=-base / (2.0 * b + 1.0))

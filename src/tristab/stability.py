@@ -20,8 +20,10 @@ stable, negative unstable.  ``eval_J`` answers; two more routes check it:
   over [0, a].  With V = U(s)/s and W = U'(a) - U'(s) the integrand is
   (3 + W/V) / sqrt(V), with V and W in the same two forms as N and D.  As
   N = 6D + W and V = 2D, this is the transformed integrand times a
-  constant, always on the adaptive kernel, where eval_J never runs at
-  omega > 0: it checks the coefficients and the quadrature.
+  constant.  It runs on eval_J's tanh-sinh kernel, split at c where eval_J
+  is, but never on the fixed rule: it checks eval_J's rows (f1 and U'(a)
+  against N and D), its form and its split, and its kernel only where
+  eval_J takes the rule.
 * ``eval_J_mass_fd``: central finite difference of the mass integral
   ``mass_Q`` (integrand 1 / sqrt(V)) in omega at steps h and h/2,
   Richardson-extrapolated.  Where the case has a curve at gamma, the step
@@ -32,40 +34,40 @@ stable, negative unstable.  ``eval_J`` answers; two more routes check it:
   and their quadrature errors enter its error bar.
 
 A private route table (``_ROUTES``) gives each route its row (constants
-from omega and U'(a), then coefficient triples of the terms times
-a^{e_l}), its form, the power of its base, the k of its prefactor
--a / (k U'(a)) and its relative tolerance.  ``_rows`` builds the rows of a
-batch of cells, and three kernels integrate them.  Each cell takes its
-kernel and the left piece's m (``_left_m``) from its route and its own
-omega, so one batch may mix cells at omega > 0 and at omega = 0.
-eval_J's cells at omega > 0 and every mass take the tanh-sinh kernel
-(``quadrature._tanh_sinh``) in sigma = s/a itself: its nodes
-v = 1/(1 + exp(-pi sinh u)) are given by their distance to either end, so
-they need no map.  One dispatcher (``_de_cells``) and one integrand
-builder (``_de_integrand``) serve every such cell, and a batch's cells run
-as one ``_tanh_sinh`` call, level by level as arrays of up to 64
-integrands.  Where F1 has no local maximum below a (every FD, DD and DF
-cell, and the FF cells off the dip branch) a cell is one integrand over
-(0, 1).  On FF's dip branch, where F1 has a local maximum c < a, the
-integrand peaks at c with width sqrt(2 (omega - F1(c)) / |F1''(c)|).  The
-fixed rule (``_rule``) takes eval_J's cells there where omega - F1(c) is
-at least 1e-3 omega and the terms of D stay below 1e6 omega/2:
-Gauss-Legendre with 32 and 64 nodes on each piece of the map below,
-sinh-mapped at c on c's piece, with m at least 3, keeping the 64-node
-value where the two agree to the tolerance.  Every other dip cell, the
-cells the rule flags and every mass on the dip branch, is split at c: two
-integrands, sigma = gc (1 - v) and sigma = gc + (1 - gc) v with gc = c/a,
-whose nodes are given by their distance to c.  Next to c the sums of a
-row are taken about c, where D and V dip to delta/2 and delta,
-delta = omega - F1(c), and keep their relative precision there.
-The adaptive kernel (``_quads``, one ``integrate`` call per cell on
-``_integrand``, from the two panels that meet at x = 1) takes the raw
-route's cells and the transformed route's at omega = 0 (eval_J0).  Its map
+from omega and U'(a), then coefficient triples of the terms times a^{e_l}),
+its form, the power of its base, the k of its prefactor -a / (k U'(a)) and
+its relative tolerance.  ``_rows`` builds the rows of a batch of cells, and
+three kernels integrate them.  Each cell takes its kernel and the left
+piece's m (``_left_m``) from its route and its own omega, so one batch may
+mix cells at omega > 0 and at omega = 0.  Every cell at omega > 0, of every
+route, takes the tanh-sinh kernel (``quadrature._tanh_sinh``) in
+sigma = s/a itself, unless eval_J takes it by the fixed rule (below): its
+nodes v = 1/(1 + exp(-pi sinh u)) are given by their distance to either
+end, so they need no map.  One dispatcher (``_de_cells``) and one
+integrand builder (``_de_integrand``) serve every such cell, and a batch's
+cells run as one ``_tanh_sinh`` call, level by level as arrays of up to 64
+integrands.
+Where F1 has no local maximum below a (every FD, DD and DF cell, and the FF
+cells off the dip branch) a cell is one integrand over (0, 1).  On FF's dip
+branch, where F1 has a local maximum c < a, the integrand peaks at c with
+width sqrt(2 (omega - F1(c)) / |F1''(c)|).  The fixed rule (``_rule``)
+takes eval_J's cells there where omega - F1(c) is at least 1e-3 omega and
+the terms of D stay below 1e6 omega/2: Gauss-Legendre with 32 and 64 nodes
+on each piece of the map below, sinh-mapped at c on c's piece, with m at
+least 3, keeping the 64-node value where the two agree to the tolerance.
+Every other dip cell, the cells the rule flags, every raw cell and every
+mass on the dip branch, is split at c: two integrands, sigma = gc (1 - v)
+and sigma = gc + (1 - gc) v with gc = c/a, whose nodes are given by their
+distance to c.  Next to c the sums of a row are taken about c, where D and
+V dip to delta/2 and delta, delta = omega - F1(c), and keep their relative
+precision there.  The adaptive kernel (``_quads``, one ``integrate`` call
+per cell on ``_integrand``, from the two panels that meet at x = 1) takes
+only the transformed route's cells at omega = 0 (eval_J0).  Its map
 (``_piecewise``), which the rule shares, is x in [0, 2], split at s = a/2
 (x = 1), s = a (1 - x^2/2) on the right, which removes the (1-s)^{-1/2}
-end, and s = (a/2) (2 - x)^m on the left, at omega > 0 with
-m = min(ceil(2/(p-1)), 256), which flattens the s^{(p-1)/2} end at s = 0.
-The term table, with F1's maxima, is looked up once per gamma.
+end, and s = (a/2) (2 - x)^m on the left, for the rule with
+m = max(3, min(ceil(2/(p-1)), 256)), which flattens the s^{(p-1)/2} end at
+s = 0.  The term table, with F1's maxima, is looked up once per gamma.
 
 The abs_error of ``eval_J``, ``eval_J0`` and ``eval_J_raw`` adds to the
 quadrature error (the rule's is |Q_64 - Q_32| and the tanh-sinh kernel's
@@ -188,7 +190,7 @@ def _divergence_sign(params: NonlinearityParams, omega: float,
     return 1.0
 
 
-# -- the piecewise map of all three routes -----------------------------------
+# -- the piecewise map of the rule and of eval_J0 ---------------------------
 
 
 def _piecewise(e: Sequence[float], m: int, rows: Sequence[Sequence[float]],
@@ -621,10 +623,10 @@ def _transformed(params: NonlinearityParams, cells, route: str):
     A None profile gives NaN, NaN, not diverging, converged, and a profile
     on the curve the signed infinity, inf, diverging, converged.  Each wave
     takes its kernel from its route and its omega (module docstring): the
-    transformed route's waves at omega > 0 go to ``_rule`` where ``_dip``
-    accepts them, and the rest of them, the cells it flags included, to one
-    ``_de_cells`` call; raw waves, and waves at omega = 0 (eval_J0), take
-    ``_quads`` with the left piece's m of their omega.  abs_error is the
+    waves at omega > 0 go to one ``_de_cells`` call, except the transformed
+    route's that ``_dip`` accepts, which go to ``_rule``; the cells the rule
+    flags join that call.  Waves at omega = 0 (eval_J0) take ``_quads`` with
+    the left piece's m of their omega.  abs_error is the
     quadrature error times the prefactor plus |J| times ``_root_error`` and
     ``_maxima_error``.
     """
@@ -637,12 +639,11 @@ def _transformed(params: NonlinearityParams, cells, route: str):
             js[i] = _divergence_sign(params, omega, gamma) * math.inf
             errs[i], diverging[i] = math.inf, True
         elif res is not None:
-            (fast if route == "transformed" and omega > 0.0
-             else slow).append(i)
+            (fast if omega > 0.0 else slow).append(i)
     k = _ROUTES[route].k
     tables = {g: terms(params, g) for g in {cells[i][1] for i in fast + slow}}
-    dips = [(i, dip) for i in fast
-            if (dip := _dip(cells[i], tables)) is not None]
+    dips = [(i, dip) for i in fast if route == "transformed"
+            and (dip := _dip(cells[i], tables)) is not None]
     done = {}
     for j in range(0, len(dips), _RULE_BATCH):
         index, batch = zip(*dips[j:j + _RULE_BATCH])

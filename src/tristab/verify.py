@@ -19,7 +19,7 @@ from .boundary import endpoints, gamma_omega_ne, omega_star, sample_curve
 from .landscape import eval_U
 from .model import NonlinearityParams
 from .profile import find_a
-from .quadrature import integrate
+from .quadrature import _tanh_sinh
 from .signs import GeneralizedPolynomial, count_positive_roots_sampled, \
     sign_changes
 from .special import beta_deriv_bounds, dbeta_dx, h_fn, two_power_integral
@@ -49,67 +49,45 @@ def _tally(name: str, bad: int, of: int, ok: bool = True) -> Check:
 
 
 def h_quad(x: float, y: float) -> float:
-    """H(x, y) = int_0^1 t^(x-1) (1 - t^y) (1-t)^(-3/2) dt, split at 1/2:
-    t = 0.5 u^kx tames the t^{x-1} end, u = sqrt(1-t) the (1-t)^{-3/2} end
-    (the u = 0 limit of that integrand is 2 y)."""
-    kx = max(2, math.ceil(1.0 / x) + 1)
+    """H(x, y) = int_0^1 t^(x-1) (1 - t^y) (1-t)^(-3/2) dt on the tanh-sinh
+    kernel, in t = v^k with k = max(1, ceil(1/x)), which makes the t^{x-1}
+    end the bounded v^{kx-1}; 1 - t^y and 1 - t are -expm1 of their
+    logarithms, which keep their relative precision as v -> 1."""
+    k = max(1, math.ceil(1.0 / x))
 
-    def left(u):
-        u = np.asarray(u, dtype=float)
-        t = 0.5 * u ** kx
-        return (t ** (x - 1.0) * (1.0 - t ** y)
-                * (1.0 - t) ** (-1.5) * 0.5 * kx * u ** (kx - 1))
+    def f(ln_v, ln_w, w):
+        ln_t = k * ln_v
+        row = (k * np.exp((k * x - 1.0) * ln_v) * -np.expm1(y * ln_t)
+               / (-np.expm1(ln_t)) ** 1.5 * w)
+        return lambda cells: row
 
-    def right(u):
-        u = np.asarray(u, dtype=float)
-        t = 1.0 - u ** 2
-        out = np.full_like(u, 2.0 * y)
-        nz = u > 0
-        out[nz] = (2.0 * t[nz] ** (x - 1.0)
-                   * (-np.expm1(y * np.log1p(-u[nz] ** 2)))
-                   / u[nz] ** 2)
-        return out
-
-    a = integrate(left, 0.0, 1.0, rel_tol=1e-10, max_panels=4000)
-    b = integrate(right, 0.0, math.sqrt(0.5), rel_tol=1e-10,
-                  max_panels=4000)
-    return a.value + b.value
+    quad, = _tanh_sinh(f, 1, 1e-10)
+    return quad.value
 
 
 def two_power_quad(p: float, q: float) -> float:
     """int_0^1 N0 / D0^{3/2} ds of the two-power (p, q) problem, the
-    defining integral of its slope constant, regularized at both ends."""
+    defining integral of its slope constant, on the tanh-sinh kernel.
+
+    With e_p = (p-1)/2 < e_q = (q-1)/2, N0 = (5-q)(1 - s^{e_q})
+    - (5-p)(1 - s^{e_p}) and D0 = s^{e_p} (1 - s^{e_q - e_p}), each
+    1 - s^e as -expm1(e ln s).  In s = v^k, k = ceil(2/(2 - 3 e_p)), the
+    s^{-3 e_p/2} end at s = 0 (p < 7/3) becomes the bounded
+    v^{k - 1 - 3 k e_p/2}, one exp with the Jacobian k v^{k-1}.
+    """
     ep = (p - 1.0) / 2.0
     eq = (q - 1.0) / 2.0
-    m = max(2, math.ceil(4.0 / (7.0 - 3.0 * p)) + 1)
+    k = math.ceil(2.0 / (2.0 - 3.0 * ep))
 
-    def left(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        nz = t > 0
-        s = 0.5 * t[nz] ** m
-        num = (5.0 - q) * (1.0 - s ** eq) - (5.0 - p) * (1.0 - s ** ep)
-        out[nz] = num / (s ** ep - s ** eq) ** 1.5 * 0.5 * m * t[nz] ** (m - 1)
-        return out
+    def f(ln_v, ln_w, w):
+        ln_s = k * ln_v
+        num = (5.0 - p) * np.expm1(ep * ln_s) - (5.0 - q) * np.expm1(eq * ln_s)
+        row = (k * np.exp((k - 1.0 - 1.5 * ep * k) * ln_v) * num
+               / (-np.expm1((eq - ep) * ln_s)) ** 1.5 * w)
+        return lambda cells: row
 
-    def right(u):
-        # s = 1 - u^2; the u -> 0 limit is finite and nonzero
-        u = np.asarray(u, dtype=float)
-        lim = (2.0 * ((5.0 - q) * eq - (5.0 - p) * ep)
-               / (eq - ep) ** 1.5)
-        out = np.full_like(u, lim)
-        nz = u > 0
-        lg = np.log1p(-u[nz] ** 2)
-        nmu = ((5.0 - p) * np.expm1(ep * lg)
-               - (5.0 - q) * np.expm1(eq * lg))
-        dnu = np.expm1(ep * lg) - np.expm1(eq * lg)
-        out[nz] = 2.0 * u[nz] * nmu / dnu ** 1.5
-        return out
-
-    a = integrate(left, 0.0, 1.0, rel_tol=1e-10, max_panels=4000)
-    b = integrate(right, 0.0, math.sqrt(0.5), rel_tol=1e-10,
-                  max_panels=4000)
-    return a.value + b.value
+    quad, = _tanh_sinh(f, 1, 1e-10)
+    return quad.value
 
 
 def rule_of_signs(seed: int, n: int) -> Check:

@@ -154,3 +154,31 @@ def test_beta_deriv_bounds_domain():
 def test_special_functions_reject_nonpositive_arguments(call):
     with pytest.raises(ValueError, match="requires x > 0"):
         call()
+
+
+# a NaN or an infinite argument used to pass the test x <= 0 and come back
+# as NaN; it is outside the domain like a nonpositive one
+def test_digamma_rejects_nan():
+    with pytest.raises(ValueError, match="requires x > 0"):
+        digamma(math.nan)
+
+
+def test_beta_fn_rejects_nan():
+    with pytest.raises(ValueError, match="requires x > 0"):
+        beta_fn(math.nan, 1.0)
+
+
+def test_dbeta_dx_rejects_nan():
+    with pytest.raises(ValueError, match="requires x > 0"):
+        dbeta_dx(1.0, math.nan)
+
+
+def test_h_fn_rejects_inf():
+    with pytest.raises(ValueError, match="requires x > 0"):
+        h_fn(math.inf, 1.0)
+
+
+def test_beta_deriv_bounds_rejects_nan_and_inf():
+    for b in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="requires b > 0"):
+            beta_deriv_bounds(b)
