@@ -48,21 +48,22 @@ def _tally(name: str, bad: int, of: int, ok: bool = True) -> Check:
     return Check(name, ok and bad == 0, "%d of %d off" % (bad, of))
 
 
+def _de_quad(g) -> float:
+    """int_0^1 g(ln v) dv on the tanh-sinh kernel, to 1e-10 relative."""
+    quad, = _tanh_sinh(lambda ln_v, ln_w, w: lambda cells: g(ln_v) * w, 1,
+                       1e-10)
+    return quad.value
+
+
 def h_quad(x: float, y: float) -> float:
     """H(x, y) = int_0^1 t^(x-1) (1 - t^y) (1-t)^(-3/2) dt on the tanh-sinh
     kernel, in t = v^k with k = max(1, ceil(1/x)), which makes the t^{x-1}
     end the bounded v^{kx-1}; 1 - t^y and 1 - t are -expm1 of their
     logarithms, which keep their relative precision as v -> 1."""
     k = max(1, math.ceil(1.0 / x))
-
-    def f(ln_v, ln_w, w):
-        ln_t = k * ln_v
-        row = (k * np.exp((k * x - 1.0) * ln_v) * -np.expm1(y * ln_t)
-               / (-np.expm1(ln_t)) ** 1.5 * w)
-        return lambda cells: row
-
-    quad, = _tanh_sinh(f, 1, 1e-10)
-    return quad.value
+    return _de_quad(lambda ln_v: (k * np.exp((k * x - 1.0) * ln_v)
+                                  * -np.expm1(y * k * ln_v)
+                                  / (-np.expm1(k * ln_v)) ** 1.5))
 
 
 def two_power_quad(p: float, q: float) -> float:
@@ -79,15 +80,13 @@ def two_power_quad(p: float, q: float) -> float:
     eq = (q - 1.0) / 2.0
     k = math.ceil(2.0 / (2.0 - 3.0 * ep))
 
-    def f(ln_v, ln_w, w):
+    def g(ln_v):
         ln_s = k * ln_v
         num = (5.0 - p) * np.expm1(ep * ln_s) - (5.0 - q) * np.expm1(eq * ln_s)
-        row = (k * np.exp((k - 1.0 - 1.5 * ep * k) * ln_v) * num
-               / (-np.expm1((eq - ep) * ln_s)) ** 1.5 * w)
-        return lambda cells: row
+        return (k * np.exp((k - 1.0 - 1.5 * ep * k) * ln_v) * num
+                / (-np.expm1((eq - ep) * ln_s)) ** 1.5)
 
-    quad, = _tanh_sinh(f, 1, 1e-10)
-    return quad.value
+    return _de_quad(g)
 
 
 def rule_of_signs(seed: int, n: int) -> Check:
